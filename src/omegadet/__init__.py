@@ -32,8 +32,6 @@ from omegadet.random_gen import (
 )
 from omegadet.compact import (
     CompactSafraTree,
-    CompactStreettSafraTree,
-    DpwState,
     compact_step,
     compact_streett_step,
     nbw_to_dpw,
@@ -53,7 +51,6 @@ from omegadet.lasso import (
 )
 from omegadet.safra import (
     SafraTree,
-    StreettSafraTree,
     safra_determinize,
     safra_step,
     streett_safra_determinize,
@@ -65,17 +62,14 @@ __all__ = [
     "Automaton",
     "BuchiAcceptance",
     "CompactSafraTree",
-    "CompactStreettSafraTree",
     "CycleVerdict",
     "DiffReport",
-    "DpwState",
     "HoaError",
     "Lasso",
     "ParityAcceptance",
     "RabinAcceptance",
     "SafraTree",
     "StreettAcceptance",
-    "StreettSafraTree",
     "build_lk_fixture",
     "compact_step",
     "compact_streett_step",

@@ -8,9 +8,8 @@ required to be total with singleton successor sets.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from dataclasses import dataclass
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 
 @dataclass(frozen=True)
@@ -332,24 +331,19 @@ def nsw_witness_union_nbw(a: Automaton) -> Automaton:
 
     # Reachable trim, preserving the canonical order.
     start = index_of[("plain", a.initial)]
-    reached = {start}
-    frontier = [start]
-    while frontier:
-        nxt_frontier = []
-        for src in frontier:
-            for sym in a.alphabet:
-                for dst in transitions.get((src, sym), ()):
-                    if dst not in reached:
-                        reached.add(dst)
-                        nxt_frontier.append(dst)
-        frontier = nxt_frontier
-
-    keep = sorted(reached)
+    untrimmed = Automaton(
+        alphabet=a.alphabet,
+        state_count=len(layout),
+        initial=start,
+        transitions=transitions,
+        acceptance=BuchiAcceptance(frozenset()),
+    )
+    keep = sorted(reachable_states(untrimmed))
     renum = {old: new for new, old in enumerate(keep)}
     new_transitions = {
-        (renum[s], sym): frozenset(renum[t] for t in targets if t in reached)
-        for (s, sym), targets in transitions.items()
-        if s in reached
+        (renum[s], sym): frozenset(renum[t] for t in targets)
+        for (s, sym), targets in untrimmed.transitions.items()
+        if s in renum
     }
     accepting = frozenset(
         renum[idx]
@@ -437,3 +431,74 @@ def reachable_states(a: Automaton) -> frozenset[int]:
                         nxt.append(t)
         frontier = nxt
     return frozenset(seen)
+
+
+# ---------------------------------------------------------------------------
+# Plumbing shared by the tree constructions
+# ---------------------------------------------------------------------------
+
+
+def image(a: Automaton, states: Iterable[int], symbol: str) -> set[int]:
+    """All successors of `states` on `symbol`."""
+    out: set[int] = set()
+    for s in states:
+        out |= a.successors(s, symbol)
+    return out
+
+
+def subtree_names(kids: Mapping[int, Sequence[int]], v: int) -> list[int]:
+    """Names of the subtree rooted at v, given each node's children."""
+    names = []
+    stack = [v]
+    while stack:
+        x = stack.pop()
+        names.append(x)
+        stack.extend(kids[x])
+    return names
+
+
+def explore(
+    a: Automaton,
+    start: Hashable,
+    step: Callable[[Hashable, str], Hashable],
+    key: Callable[[Hashable], object],
+    acceptance: Callable[[list], AcceptanceCondition],
+) -> Automaton:
+    """Deterministic automaton over the states reachable from `start`.
+
+    step(state, symbol) gives the successor state.  States are numbered in
+    the order of key(state), not in the order they are found, so the
+    numbering, and with it the emitted HOA, does not depend on hash order.
+    acceptance(states) builds the condition from the states in that order.
+    """
+    order = [start]
+    # maps each state to its first instance, so that equal states a step
+    # builds again are not kept alive by `moves`
+    seen = {start: start}
+    moves = {}
+    at = 0
+    while at < len(order):
+        state = order[at]
+        at += 1
+        for symbol in a.alphabet:
+            nxt = step(state, symbol)
+            first = seen.get(nxt)
+            if first is None:
+                seen[nxt] = first = nxt
+                order.append(nxt)
+            moves[(state, symbol)] = first
+
+    states = sorted(seen, key=key)
+    number = {state: i for i, state in enumerate(states)}
+    transitions = {
+        (number[state], symbol): frozenset({number[nxt]})
+        for (state, symbol), nxt in moves.items()
+    }
+    return Automaton(
+        alphabet=a.alphabet,
+        state_count=len(states),
+        initial=number[start],
+        transitions=transitions,
+        acceptance=acceptance(states),
+        deterministic=True,
+    )

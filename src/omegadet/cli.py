@@ -153,6 +153,8 @@ def _cmd_xcheck(args) -> int:
     if args.random is not None:
         if args.states is None:
             raise CliError("--random needs --states")
+        if args.random < 1:
+            raise CliError(f"--random {args.random} < 1: nothing to check")
         worst = 0
         for i in range(args.random):
             nbw = random_nbw(args.states, args.seed + i)

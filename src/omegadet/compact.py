@@ -13,11 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from omegadet.automata import (
-    Alphabet,
     Automaton,
     BuchiAcceptance,
     ParityAcceptance,
     StreettAcceptance,
+    explore,
+    image,
+    subtree_names,
 )
 
 
@@ -27,31 +29,17 @@ class CompactSafraTree:
 
     parents[i] is the parent name of name i+1 (0 for the root); labels[i]
     is the label of name i+1.  Parent names are smaller than child names.
-    e/f are the deletion/completion bookmarks of the step that produced
-    the tree; the empty tree (no nodes, e=1) is the rejecting sink.
+    anns[i] is the set of pair indices (1-based) that name i+1 still owes;
+    it is empty for the Buchi construction.  e/f are the
+    deletion/completion bookmarks of the step that produced the tree; the
+    empty tree (no nodes, e=1) is the rejecting sink.
     """
 
     parents: tuple[int, ...]
     labels: tuple[frozenset[int], ...]
     e: int
     f: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "parents", tuple(self.parents))
-        object.__setattr__(
-            self, "labels", tuple(frozenset(l) for l in self.labels)
-        )
-
-
-@dataclass(frozen=True)
-class CompactStreettSafraTree:
-    """Compact tree with per-node annotations of still-owed pair indices (1-based)."""
-
-    parents: tuple[int, ...]
-    labels: tuple[frozenset[int], ...]
-    anns: tuple[frozenset[int], ...]
-    e: int
-    f: int
+    anns: tuple[frozenset[int], ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "parents", tuple(self.parents))
@@ -59,21 +47,6 @@ class CompactStreettSafraTree:
             self, "labels", tuple(frozenset(l) for l in self.labels)
         )
         object.__setattr__(self, "anns", tuple(frozenset(h) for h in self.anns))
-
-
-@dataclass(frozen=True)
-class DpwState:
-    """Deterministic-automaton state: tree shape plus the emitted priority.
-
-    The e/f bookmarks are deliberately erased — two steps arriving at the
-    same shape with the same priority are the same state.  anns is None
-    for the Buchi construction.  The empty shape is the rejecting sink.
-    """
-
-    parents: tuple[int, ...]
-    labels: tuple[frozenset[int], ...]
-    anns: tuple[frozenset[int], ...] | None
-    priority: int
 
 
 def priority_of(e: int, f: int) -> int:
@@ -92,29 +65,12 @@ def priority_of(e: int, f: int) -> int:
     return 2 * e - 3
 
 
-def _image(a: Automaton, states, symbol) -> set[int]:
-    out: set[int] = set()
-    for s in states:
-        out |= a.successors(s, symbol)
-    return out
-
-
 def _children_of(parents: tuple[int, ...]) -> dict[int, list[int]]:
     kids: dict[int, list[int]] = {name: [] for name in range(1, len(parents) + 1)}
     for idx, parent in enumerate(parents):
         if parent:
             kids[parent].append(idx + 1)
     return kids
-
-
-def _subtree_names(kids, v):
-    names = []
-    stack = [v]
-    while stack:
-        x = stack.pop()
-        names.append(x)
-        stack.extend(kids[x])
-    return names
 
 
 def _rename_consecutive(survivors, removed, parent, label, ann=None):
@@ -161,7 +117,7 @@ def compact_step(
         return EMPTY_TREE, 1
     alpha = a.acceptance.accepting
 
-    label = {v: _image(a, tree.labels[v - 1], symbol) for v in range(1, count + 1)}
+    label = {v: image(a, tree.labels[v - 1], symbol) for v in range(1, count + 1)}
     parent = {v: tree.parents[v - 1] for v in range(1, count + 1)}
     kids = _children_of(tree.parents)
 
@@ -182,7 +138,7 @@ def compact_step(
         for c in kids[p]:
             dup = label[c] & claimed
             if dup:
-                for x in _subtree_names(kids, c):
+                for x in subtree_names(kids, c):
                     label[x] -= dup
             claimed |= label[c]
 
@@ -202,7 +158,7 @@ def compact_step(
         if g in removed:
             continue
         for c in kids[g]:
-            removed.update(_subtree_names(kids, c))
+            removed.update(subtree_names(kids, c))
         kids[g] = []
 
     # empty nodes disappear; every deletion bumps the e bookmark
@@ -227,9 +183,9 @@ def compact_step(
 # ---------------------------------------------------------------------------
 
 
-def initial_compact_streett_tree(a: Automaton) -> CompactStreettSafraTree:
+def initial_compact_streett_tree(a: Automaton) -> CompactSafraTree:
     k = len(a.acceptance.pairs)
-    return CompactStreettSafraTree(
+    return CompactSafraTree(
         parents=(0,),
         labels=(frozenset({a.initial}),),
         anns=(frozenset(range(1, k + 1)),),
@@ -238,14 +194,9 @@ def initial_compact_streett_tree(a: Automaton) -> CompactStreettSafraTree:
     )
 
 
-EMPTY_STREETT_TREE = CompactStreettSafraTree(
-    parents=(), labels=(), anns=(), e=1, f=1
-)
-
-
 def compact_streett_step(
-    tree: CompactStreettSafraTree, symbol: str, a: Automaton
-) -> tuple[CompactStreettSafraTree, int]:
+    tree: CompactSafraTree, symbol: str, a: Automaton
+) -> tuple[CompactSafraTree, int]:
     """One transition of the compact Streett construction.
 
     Same shape discipline as the Buchi variant, but rounds are tracked per
@@ -262,9 +213,9 @@ def compact_streett_step(
     m = n * (len(pairs) + 1)
     count = len(tree.parents)
     if count == 0:
-        return EMPTY_STREETT_TREE, 1
+        return EMPTY_TREE, 1
 
-    label = {v: _image(a, tree.labels[v - 1], symbol) for v in range(1, count + 1)}
+    label = {v: image(a, tree.labels[v - 1], symbol) for v in range(1, count + 1)}
     ann = {v: tree.anns[v - 1] for v in range(1, count + 1)}
     parent = {v: tree.parents[v - 1] for v in range(1, count + 1)}
     kids = _children_of(tree.parents)
@@ -284,11 +235,11 @@ def compact_streett_step(
         ann[name] = frozenset(owed)
 
     def remove_from_subtree(v, states):
-        for x in _subtree_names(kids, v):
+        for x in subtree_names(kids, v):
             label[x] -= states
 
     def delete_subtree(v):
-        for x in _subtree_names(kids, v):
+        for x in subtree_names(kids, v):
             removed.add(x)
             del label[x], ann[x], kids[x], parent[x]
 
@@ -331,7 +282,7 @@ def compact_streett_step(
             claimed |= label[c]
         for c in list(kids[v]):
             if not label[c]:
-                e_box[0] = min(e_box[0], min(_subtree_names(kids, c)))
+                e_box[0] = min(e_box[0], min(subtree_names(kids, c)))
                 delete_subtree(c)
                 kids[v].remove(c)
         if kids[v] and all(ann[c] == ann[v] for c in kids[v]):
@@ -349,7 +300,7 @@ def compact_streett_step(
             e_box[0] = min(e_box[0], v)
             removed.add(v)
     if not label.get(1):
-        return EMPTY_STREETT_TREE, 1
+        return EMPTY_TREE, 1
     survivors = sorted(v for v in label if v not in removed)
     for v in survivors:
         kids[v] = [c for c in kids[v] if c not in removed]
@@ -358,8 +309,8 @@ def compact_streett_step(
     parents_out, labels_out, anns_out = _rename_consecutive(
         survivors, removed, parent, label, ann
     )
-    out = CompactStreettSafraTree(
-        parents=parents_out, labels=labels_out, anns=anns_out, e=e, f=f
+    out = CompactSafraTree(
+        parents=parents_out, labels=labels_out, e=e, f=f, anns=anns_out
     )
     return out, priority_of(e, f)
 
@@ -369,45 +320,45 @@ def compact_streett_step(
 # ---------------------------------------------------------------------------
 
 
-def _dpw_state_key(d: DpwState):
+def _dpw_state_key(state):
+    parents, labels, anns, priority = state
     return (
-        d.parents,
-        tuple(tuple(sorted(l)) for l in d.labels),
-        tuple(tuple(sorted(h)) for h in d.anns) if d.anns is not None else (),
-        d.priority,
+        parents,
+        tuple(tuple(sorted(l)) for l in labels),
+        tuple(tuple(sorted(h)) for h in anns),
+        priority,
     )
 
 
-def _close(a: Automaton, start_state: DpwState, advance, index: int) -> Automaton:
-    order = [start_state]
-    seen = {start_state}
-    moves = {}
-    at = 0
-    while at < len(order):
-        state = order[at]
-        at += 1
-        for symbol in a.alphabet:
-            nxt = advance(state, symbol)
-            moves[(state, symbol)] = nxt
-            if nxt not in seen:
-                seen.add(nxt)
-                order.append(nxt)
+def _to_dpw(a: Automaton, step, start: CompactSafraTree, index: int) -> Automaton:
+    """Close the compact tree step under the alphabet.
 
-    states = sorted(seen, key=_dpw_state_key)
-    number = {d: i for i, d in enumerate(states)}
-    transitions = {
-        (number[d], symbol): frozenset({number[nxt]})
-        for (d, symbol), nxt in moves.items()
-    }
-    return Automaton(
-        alphabet=a.alphabet,
-        state_count=len(states),
-        initial=number[start_state],
-        transitions=transitions,
-        acceptance=ParityAcceptance(
-            priorities=tuple(d.priority for d in states), index=index
+    A DPW state is (parents, labels, anns, priority): the e/f bookmarks are
+    deliberately erased, so two steps arriving at the same shape with the
+    same priority are the same state.  Steps are cached on shape and
+    symbol, since the priority a state was entered with does not affect
+    its successors.
+    """
+    step_cache: dict = {}
+
+    def advance(state, symbol: str):
+        parents, labels, anns, _ = state
+        key = (parents, labels, anns, symbol)
+        hit = step_cache.get(key)
+        if hit is None:
+            tree = CompactSafraTree(parents, labels, e=2, f=1, anns=anns)
+            nxt, priority = step(tree, symbol, a)
+            hit = step_cache[key] = (nxt.parents, nxt.labels, nxt.anns, priority)
+        return hit
+
+    return explore(
+        a,
+        (start.parents, start.labels, start.anns, priority_of(start.e, start.f)),
+        advance,
+        _dpw_state_key,
+        lambda states: ParityAcceptance(
+            priorities=tuple(state[3] for state in states), index=index
         ),
-        deterministic=True,
     )
 
 
@@ -415,28 +366,7 @@ def nbw_to_dpw(a: Automaton) -> Automaton:
     """Deterministic parity automaton equivalent to a nondeterministic Buchi one."""
     if not isinstance(a.acceptance, BuchiAcceptance):
         raise ValueError("nbw_to_dpw: Buchi acceptance required")
-    step_cache: dict = {}
-
-    def advance(d: DpwState, symbol: str) -> DpwState:
-        key = (d.parents, d.labels, symbol)
-        hit = step_cache.get(key)
-        if hit is None:
-            tree = CompactSafraTree(parents=d.parents, labels=d.labels, e=2, f=1)
-            hit = compact_step(tree, symbol, a)
-            step_cache[key] = hit
-        nxt, priority = hit
-        return DpwState(
-            parents=nxt.parents, labels=nxt.labels, anns=None, priority=priority
-        )
-
-    start_tree = initial_compact_tree(a)
-    start = DpwState(
-        parents=start_tree.parents,
-        labels=start_tree.labels,
-        anns=None,
-        priority=priority_of(start_tree.e, start_tree.f),
-    )
-    return _close(a, start, advance, index=2 * a.state_count)
+    return _to_dpw(a, compact_step, initial_compact_tree(a), 2 * a.state_count)
 
 
 def nsw_to_dpw(a: Automaton) -> Automaton:
@@ -444,30 +374,4 @@ def nsw_to_dpw(a: Automaton) -> Automaton:
     if not isinstance(a.acceptance, StreettAcceptance):
         raise ValueError("nsw_to_dpw: Streett acceptance required")
     m = a.state_count * (len(a.acceptance.pairs) + 1)
-    step_cache: dict = {}
-
-    def advance(d: DpwState, symbol: str) -> DpwState:
-        key = (d.parents, d.labels, d.anns, symbol)
-        hit = step_cache.get(key)
-        if hit is None:
-            tree = CompactStreettSafraTree(
-                parents=d.parents, labels=d.labels, anns=d.anns, e=2, f=1
-            )
-            hit = compact_streett_step(tree, symbol, a)
-            step_cache[key] = hit
-        nxt, priority = hit
-        return DpwState(
-            parents=nxt.parents,
-            labels=nxt.labels,
-            anns=nxt.anns,
-            priority=priority,
-        )
-
-    start_tree = initial_compact_streett_tree(a)
-    start = DpwState(
-        parents=start_tree.parents,
-        labels=start_tree.labels,
-        anns=start_tree.anns,
-        priority=priority_of(start_tree.e, start_tree.f),
-    )
-    return _close(a, start, advance, index=2 * m)
+    return _to_dpw(a, compact_streett_step, initial_compact_streett_tree(a), 2 * m)

@@ -267,6 +267,10 @@ def enumerate_lassos(
     Order: prefixes in length-lexicographic order; for each prefix, periods
     in length-lexicographic order (symbol order as given).
     """
+    if max_prefix < 0:
+        raise ValueError(f"enumerate_lassos: max_prefix {max_prefix} < 0")
+    if max_period < 1:
+        raise ValueError(f"enumerate_lassos: max_period {max_period} < 1")
     syms = tuple(symbols)
     prefixes = [
         p
@@ -278,9 +282,7 @@ def enumerate_lassos(
         for vlen in range(1, max_period + 1)
         for v in itertools.product(syms, repeat=vlen)
     ]
-    for prefix in prefixes:
-        for period in periods:
-            yield Lasso(prefix, period)
+    return (Lasso(prefix, period) for prefix in prefixes for period in periods)
 
 
 def differential_check(

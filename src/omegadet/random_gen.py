@@ -38,6 +38,8 @@ def random_nbw(
     density: float = 0.5,
     acceptance_density: float = 0.4,
 ) -> Automaton:
+    if n < 1:
+        raise ValueError(f"random_nbw: n {n} < 1")
     rng = random.Random(seed)
     transitions = _random_transitions(rng, n, symbols, density)
     accepting = frozenset(s for s in range(n) if rng.random() < acceptance_density)
@@ -58,6 +60,8 @@ def random_nsw(
     density: float = 0.5,
     acceptance_density: float = 0.35,
 ) -> Automaton:
+    if n < 1:
+        raise ValueError(f"random_nsw: n {n} < 1")
     rng = random.Random(seed)
     transitions = _random_transitions(rng, n, symbols, density)
     pairs = []

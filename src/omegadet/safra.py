@@ -13,6 +13,9 @@ from omegadet.automata import (
     BuchiAcceptance,
     RabinAcceptance,
     StreettAcceptance,
+    explore,
+    image,
+    subtree_names,
 )
 
 
@@ -25,28 +28,35 @@ def _freeze_children(children):
 
 
 class SafraTree:
-    """History tree for the Buchi construction.
+    """History tree of the reference constructions.
 
     label maps node name to a nonempty state set, children maps node name
     to its children ordered oldest first.  Original names live in [1..n];
     e_set holds the names unused by the tree, f_set the names whose node
-    finished a breakpoint this step.  The empty tree (no nodes) is the
-    dead state.
+    finished a breakpoint this step.  For the Streett construction ann maps
+    node name to the pair indices the node still owes; it is None for Buchi
+    trees.  The empty tree (no nodes) is the dead state.
     """
 
-    __slots__ = ("label", "children", "e_set", "f_set", "_key")
+    __slots__ = ("label", "children", "e_set", "f_set", "ann", "_key")
 
-    def __init__(self, label, children, e_set, f_set):
+    def __init__(self, label, children, e_set, f_set, ann=None):
         self.label = _freeze_labels(label)
         self.children = _freeze_children(children)
         self.e_set = frozenset(e_set)
         self.f_set = frozenset(f_set)
+        self.ann = None if ann is None else {v: frozenset(js) for v, js in ann.items()}
         self._key = None
 
     def key(self):
         if self._key is None:
             record = tuple(
-                (v, self.children[v], tuple(sorted(self.label[v])))
+                (
+                    v,
+                    self.children[v],
+                    tuple(sorted(self.label[v])),
+                    tuple(sorted(self.ann[v])) if self.ann is not None else (),
+                )
                 for v in sorted(self.label)
             )
             self._key = (
@@ -73,48 +83,6 @@ class SafraTree:
         )
 
 
-class StreettSafraTree(SafraTree):
-    """History tree for the Streett construction; adds per-node index annotations."""
-
-    __slots__ = ("ann",)
-
-    def __init__(self, label, children, ann, e_set, f_set):
-        super().__init__(label, children, e_set, f_set)
-        self.ann = {v: frozenset(js) for v, js in ann.items()}
-        self._key = None
-
-    def key(self):
-        if self._key is None:
-            record = tuple(
-                (
-                    v,
-                    self.children[v],
-                    tuple(sorted(self.label[v])),
-                    tuple(sorted(self.ann[v])),
-                )
-                for v in sorted(self.label)
-            )
-            self._key = (
-                record,
-                tuple(sorted(self.e_set)),
-                tuple(sorted(self.f_set)),
-            )
-        return self._key
-
-    def __eq__(self, other):
-        return isinstance(other, StreettSafraTree) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
-
-def _image(a: Automaton, states, symbol) -> set[int]:
-    out: set[int] = set()
-    for s in states:
-        out |= a.successors(s, symbol)
-    return out
-
-
 def _preorder(children, root):
     order = []
     stack = [root]
@@ -123,16 +91,6 @@ def _preorder(children, root):
         order.append(v)
         stack.extend(reversed(children[v]))
     return order
-
-
-def _subtree_names(children, v):
-    names = []
-    stack = [v]
-    while stack:
-        x = stack.pop()
-        names.append(x)
-        stack.extend(children[x])
-    return names
 
 
 def initial_safra_tree(a: Automaton) -> SafraTree:
@@ -165,7 +123,7 @@ def safra_step(tree: SafraTree, symbol: str, a: Automaton) -> SafraTree:
     alpha = a.acceptance.accepting
 
     label: dict[int, set[int]] = {
-        v: _image(a, states, symbol) for v, states in tree.label.items()
+        v: image(a, states, symbol) for v, states in tree.label.items()
     }
     kids: dict[int, list[int]] = {v: list(cs) for v, cs in tree.children.items()}
 
@@ -181,7 +139,7 @@ def safra_step(tree: SafraTree, symbol: str, a: Automaton) -> SafraTree:
 
     # older siblings keep duplicated states
     def remove_from_subtree(v, states):
-        for x in _subtree_names(kids, v):
+        for x in subtree_names(kids, v):
             label[x] -= states
 
     stack = [1]
@@ -211,7 +169,7 @@ def safra_step(tree: SafraTree, symbol: str, a: Automaton) -> SafraTree:
     doomed: set[int] = set()
     for g in greens:
         for c in kids[g]:
-            doomed.update(_subtree_names(kids, c))
+            doomed.update(subtree_names(kids, c))
     survivors -= doomed
     f_set = greens & survivors
     kids = {v: [c for c in kids[v] if c in survivors] for v in survivors}
@@ -232,44 +190,23 @@ def safra_step(tree: SafraTree, symbol: str, a: Automaton) -> SafraTree:
     return SafraTree(new_label, new_kids, e_set, f_set)
 
 
-def _rabin_condition(state_of, trees, name_count):
+def _rabin_condition(trees, name_count: int) -> RabinAcceptance:
     pairs = []
     for i in range(1, name_count + 1):
-        e_i = frozenset(state_of[t] for t in trees if i in t.e_set)
-        f_i = frozenset(state_of[t] for t in trees if i in t.f_set)
+        e_i = frozenset(s for s, t in enumerate(trees) if i in t.e_set)
+        f_i = frozenset(s for s, t in enumerate(trees) if i in t.f_set)
         pairs.append((e_i, f_i))
     return RabinAcceptance(tuple(pairs))
 
 
-def _determinize(a: Automaton, initial_tree, step, name_count: int) -> Automaton:
-    """Breadth-first image closure of a tree-transition function."""
-    order = [initial_tree]
-    seen = {initial_tree}
-    moves = {}
-    at = 0
-    while at < len(order):
-        tree = order[at]
-        at += 1
-        for symbol in a.alphabet:
-            nxt = step(tree, symbol, a)
-            moves[(tree, symbol)] = nxt
-            if nxt not in seen:
-                seen.add(nxt)
-                order.append(nxt)
-
-    trees = sorted(seen, key=lambda t: t.key())
-    state_of = {t: i for i, t in enumerate(trees)}
-    transitions = {
-        (state_of[t], symbol): frozenset({state_of[nxt]})
-        for (t, symbol), nxt in moves.items()
-    }
-    return Automaton(
-        alphabet=a.alphabet,
-        state_count=len(trees),
-        initial=state_of[initial_tree],
-        transitions=transitions,
-        acceptance=_rabin_condition(state_of, trees, name_count),
-        deterministic=True,
+def _to_drw(a: Automaton, step, start: SafraTree, name_count: int) -> Automaton:
+    """Close a history-tree step under the alphabet; name i gives Rabin pair i."""
+    return explore(
+        a,
+        start,
+        lambda tree, symbol: step(tree, symbol, a),
+        SafraTree.key,
+        lambda trees: _rabin_condition(trees, name_count),
     )
 
 
@@ -277,7 +214,7 @@ def safra_determinize(a: Automaton) -> Automaton:
     """Deterministic Rabin automaton equivalent to a nondeterministic Buchi one."""
     if not isinstance(a.acceptance, BuchiAcceptance):
         raise ValueError("safra_determinize: Buchi acceptance required")
-    return _determinize(a, initial_safra_tree(a), safra_step, a.state_count)
+    return _to_drw(a, safra_step, initial_safra_tree(a), a.state_count)
 
 
 # ---------------------------------------------------------------------------
@@ -285,27 +222,21 @@ def safra_determinize(a: Automaton) -> Automaton:
 # ---------------------------------------------------------------------------
 
 
-def initial_streett_safra_tree(a: Automaton) -> StreettSafraTree:
+def initial_streett_safra_tree(a: Automaton) -> SafraTree:
     k = len(a.acceptance.pairs)
     m = a.state_count * (k + 1)
-    return StreettSafraTree(
+    return SafraTree(
         label={1: {a.initial}},
         children={1: ()},
-        ann={1: set(range(1, k + 1))},
         e_set=set(range(2, m + 1)),
         f_set=set(),
-    )
-
-
-def _dead_streett_tree(m: int) -> StreettSafraTree:
-    return StreettSafraTree(
-        label={}, children={}, ann={}, e_set=set(range(1, m + 1)), f_set=set()
+        ann={1: set(range(1, k + 1))},
     )
 
 
 def streett_safra_step(
-    tree: StreettSafraTree, symbol: str, a: Automaton
-) -> StreettSafraTree:
+    tree: SafraTree, symbol: str, a: Automaton
+) -> SafraTree:
     """One transition of the Streett history-tree construction.
 
     Every node carries the set of pair indices it still owes a visit;
@@ -323,10 +254,10 @@ def streett_safra_step(
     n = a.state_count
     m = n * (k + 1)
     if not tree.label:
-        return _dead_streett_tree(m)
+        return _dead_safra_tree(m)
 
     label: dict[int, set[int]] = {
-        v: _image(a, states, symbol) for v, states in tree.label.items()
+        v: image(a, states, symbol) for v, states in tree.label.items()
     }
     ann: dict[int, frozenset[int]] = dict(tree.ann)
     kids: dict[int, list[int]] = {v: list(cs) for v, cs in tree.children.items()}
@@ -342,11 +273,11 @@ def streett_safra_step(
         ann[name] = frozenset(owed)
 
     def remove_from_subtree(v, states):
-        for x in _subtree_names(kids, v):
+        for x in subtree_names(kids, v):
             label[x] -= states
 
     def delete_subtree(v):
-        for x in _subtree_names(kids, v):
+        for x in subtree_names(kids, v):
             del label[x], ann[x], kids[x]
 
     def process(v: int) -> None:
@@ -404,7 +335,7 @@ def streett_safra_step(
     # deep nodes emptied by ancestor-level removals are swept here
     dead = {v for v in label if not label[v]}
     if 1 in dead:
-        return _dead_streett_tree(m)
+        return _dead_safra_tree(m)
     survivors = set(label) - dead
     kids = {v: [c for c in kids[v] if c in survivors] for v in survivors}
 
@@ -421,7 +352,7 @@ def streett_safra_step(
     new_kids = {
         rename.get(v, v): [rename.get(c, c) for c in kids[v]] for v in survivors
     }
-    return StreettSafraTree(new_label, new_kids, new_ann, e_set, f_set)
+    return SafraTree(new_label, new_kids, e_set, f_set, new_ann)
 
 
 def streett_safra_determinize(a: Automaton) -> Automaton:
@@ -430,6 +361,4 @@ def streett_safra_determinize(a: Automaton) -> Automaton:
         raise ValueError("streett_safra_determinize: Streett acceptance required")
     k = len(a.acceptance.pairs)
     m = a.state_count * (k + 1)
-    return _determinize(
-        a, initial_streett_safra_tree(a), streett_safra_step, m
-    )
+    return _to_drw(a, streett_safra_step, initial_streett_safra_tree(a), m)

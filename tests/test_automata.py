@@ -264,6 +264,13 @@ class TestRandomGenerators:
         assert validate_automaton(a) == []
         assert len(a.acceptance.pairs) == 2
 
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_empty_automaton_is_rejected(self, n):
+        with pytest.raises(ValueError):
+            random_nbw(n, 0)
+        with pytest.raises(ValueError):
+            random_nsw(n, 1, 0)
+
     def test_reachability_helper(self, inf_a):
         assert reachable_states(inf_a) == frozenset({0, 1})
 

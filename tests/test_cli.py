@@ -188,6 +188,34 @@ class TestXcheck:
         second = capsys.readouterr().out
         assert first == second
 
+    @pytest.mark.parametrize(
+        "budget",
+        [
+            ["--random", "-3", "--states", "3", "--max-prefix", "1", "--max-period", "2"],
+            ["--random", "0", "--states", "3", "--max-prefix", "1", "--max-period", "2"],
+            ["--random", "2", "--states", "0", "--max-prefix", "1", "--max-period", "2"],
+            ["--random", "2", "--states", "3", "--max-prefix", "1", "--max-period", "0"],
+            ["--random", "2", "--states", "3", "--max-prefix", "-1", "--max-period", "2"],
+        ],
+    )
+    def test_empty_random_check_is_usage_error(self, budget, capsys):
+        code = run_cli(["xcheck", *budget])
+        out, err = lines_of(capsys)
+        assert code == 2
+        assert "disagreements: 0" not in out
+        assert err[0].startswith("error:")
+
+    @pytest.mark.parametrize("bounds", [("1", "0"), ("-1", "2")])
+    def test_empty_file_check_is_usage_error(self, nbw_file, dpw_file, bounds, capsys):
+        code = run_cli(
+            ["xcheck", "--left", nbw_file, "--right", dpw_file,
+             "--max-prefix", bounds[0], "--max-period", bounds[1]]
+        )
+        out, err = lines_of(capsys)
+        assert code == 2
+        assert out == []
+        assert err[0].startswith("error:")
+
     def test_alphabet_mismatch_is_usage_error(self, nbw_file, tmp_path, capsys):
         from omegadet import Alphabet, Automaton, BuchiAcceptance
 

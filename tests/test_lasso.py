@@ -47,6 +47,11 @@ class TestEnumerate:
             "(a;a)", "(a;b)",
         ]
 
+    @pytest.mark.parametrize("max_prefix,max_period", [(-1, 2), (2, 0), (0, -1)])
+    def test_empty_budget_is_rejected(self, max_prefix, max_period):
+        with pytest.raises(ValueError):
+            enumerate_lassos(("a", "b"), max_prefix, max_period)
+
     def test_all_unique(self):
         lassos = list(enumerate_lassos(("a", "b"), 2, 3))
         assert len(lassos) == len(set(lassos))

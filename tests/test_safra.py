@@ -16,7 +16,6 @@ from omegadet import (
 )
 from omegadet.safra import (
     SafraTree,
-    StreettSafraTree,
     initial_safra_tree,
     initial_streett_safra_tree,
 )

@@ -6,7 +6,6 @@ from collections import defaultdict
 from omegadet import Automaton
 from omegadet.compact import (
     CompactSafraTree,
-    CompactStreettSafraTree,
     compact_step,
     compact_streett_step,
     initial_compact_streett_tree,
