@@ -15,12 +15,11 @@ from omegadet.automata import (
     Automaton,
     BuchiAcceptance,
     ParityAcceptance,
-    RabinAcceptance,
     StreettAcceptance,
     dualize_parity,
 )
 from omegadet.compact import nbw_to_dpw, nsw_to_dpw
-from omegadet.hoa import HoaError, emit_hoa, parse_hoa
+from omegadet.hoa import HoaError, _acceptance_header, emit_hoa, parse_hoa
 from omegadet.lasso import Lasso, differential_check, lasso_member, run_deterministic
 from omegadet.random_gen import random_nbw
 from omegadet.safra import safra_determinize, streett_safra_determinize
@@ -45,17 +44,6 @@ def _store(path: str, a: Automaton) -> None:
             handle.write(text)
     except OSError as err:
         raise CliError(f"cannot write {path}: {err.strerror}") from err
-
-
-def _acceptance_name(a: Automaton) -> str:
-    acc = a.acceptance
-    if isinstance(acc, BuchiAcceptance):
-        return "Buchi"
-    if isinstance(acc, RabinAcceptance):
-        return f"Rabin {len(acc.pairs)}"
-    if isinstance(acc, StreettAcceptance):
-        return f"Streett {len(acc.pairs)}"
-    return f"parity min even {acc.index}"
 
 
 def _split_word(text: str) -> tuple[str, ...]:
@@ -183,7 +171,7 @@ def _cmd_stats(args) -> int:
     print(f"states: {a.state_count}")
     print(f"symbols: {len(a.alphabet)}")
     print(f"alphabet: {' '.join(a.alphabet)}")
-    print(f"acceptance: {_acceptance_name(a)}")
+    print(f"acceptance: {_acceptance_header(a.acceptance)[0]}")
     print(f"deterministic: {'true' if a.deterministic else 'false'}")
     return 0
 

@@ -65,36 +65,45 @@ def priority_of(e: int, f: int) -> int:
     return 2 * e - 3
 
 
-def _children_of(parents: tuple[int, ...]) -> dict[int, list[int]]:
-    kids: dict[int, list[int]] = {name: [] for name in range(1, len(parents) + 1)}
-    for idx, parent in enumerate(parents):
-        if parent:
-            kids[parent].append(idx + 1)
-    return kids
-
-
-def _rename_consecutive(survivors, removed, parent, label, ann=None):
-    """Shift every surviving name down past the removed ones; rebuild arrays."""
-    rename = {}
-    for v in survivors:
-        rename[v] = v - sum(1 for z in removed if z < v)
-    count = len(survivors)
-    parents_out = [0] * count
-    labels_out: list[frozenset[int]] = [frozenset()] * count
-    anns_out: list[frozenset[int]] = [frozenset()] * count
-    for v in survivors:
-        new = rename[v]
-        p = parent[v]
-        parents_out[new - 1] = rename[p] if p else 0
-        labels_out[new - 1] = frozenset(label[v])
-        if ann is not None:
-            anns_out[new - 1] = frozenset(ann[v])
-    if ann is None:
-        return tuple(parents_out), tuple(labels_out)
-    return tuple(parents_out), tuple(labels_out), tuple(anns_out)
-
-
 EMPTY_TREE = CompactSafraTree(parents=(), labels=(), e=1, f=1)
+
+
+def _open(tree: CompactSafraTree, symbol: str, a: Automaton):
+    """Working copies of a tree after reading symbol: labels, parents, children."""
+    count = len(tree.parents)
+    label = {v: image(a, tree.labels[v - 1], symbol) for v in range(1, count + 1)}
+    parent = dict(enumerate(tree.parents, 1))
+    kids: dict[int, list[int]] = {v: [] for v in range(1, count + 1)}
+    for v, p in parent.items():
+        if p:
+            kids[p].append(v)
+    return label, parent, kids
+
+
+def _close(label, parent, removed, f, bound, ann=None):
+    """Sweep emptied nodes, rename the survivors 1..N in order, price the step.
+
+    e is the smallest deleted name, or bound when nothing was deleted.
+    Names grow from parent to child, so the smallest name of a deleted
+    subtree is its root; every name below e survives, and a tree holds
+    fewer than bound nodes, so e never exceeds bound.  Returns the
+    successor tree and its priority.
+    """
+    # deep nodes emptied by ancestor-level removals are swept here
+    removed.update(v for v, states in label.items() if not states)
+    if 1 in removed:
+        return EMPTY_TREE, 1
+    survivors = sorted(v for v in label if v not in removed)
+    rename = {v: i for i, v in enumerate(survivors, 1)}
+    e = min(removed, default=bound)
+    out = CompactSafraTree(
+        parents=tuple(rename.get(parent[v], 0) for v in survivors),
+        labels=tuple(label[v] for v in survivors),
+        e=e,
+        f=f,
+        anns=() if ann is None else tuple(ann[v] for v in survivors),
+    )
+    return out, priority_of(e, f)
 
 
 def initial_compact_tree(a: Automaton) -> CompactSafraTree:
@@ -116,10 +125,7 @@ def compact_step(
     if count == 0:
         return EMPTY_TREE, 1
     alpha = a.acceptance.accepting
-
-    label = {v: image(a, tree.labels[v - 1], symbol) for v in range(1, count + 1)}
-    parent = {v: tree.parents[v - 1] for v in range(1, count + 1)}
-    kids = _children_of(tree.parents)
+    label, parent, kids = _open(tree, symbol, a)
 
     # sprout: accepting part of each pre-existing label, names keep growing
     used = count
@@ -142,8 +148,6 @@ def compact_step(
                     label[x] -= dup
             claimed |= label[c]
 
-    e = f = n + 1
-
     # a label covered by its children closes a round: keep the node, drop
     # the subtree below it
     greens = [
@@ -152,8 +156,6 @@ def compact_step(
         if label[v] == set().union(*(label[c] for c in kids[v]))
     ]
     removed: set[int] = set()
-    if greens:
-        f = min(f, greens[0])
     for g in greens:
         if g in removed:
             continue
@@ -161,21 +163,8 @@ def compact_step(
             removed.update(subtree_names(kids, c))
         kids[g] = []
 
-    # empty nodes disappear; every deletion bumps the e bookmark
-    for v in sorted(label):
-        if v not in removed and not label[v]:
-            removed.add(v)
-    if removed:
-        e = min(e, min(removed))
-    if 1 in removed:
-        return EMPTY_TREE, 1
-
-    survivors = sorted(v for v in label if v not in removed)
-    for v in survivors:
-        kids[v] = [c for c in kids[v] if c not in removed]
-    parents_out, labels_out = _rename_consecutive(survivors, removed, parent, label)
-    out = CompactSafraTree(parents=parents_out, labels=labels_out, e=e, f=f)
-    return out, priority_of(e, f)
+    # empty nodes disappear too; the smallest deleted name is e
+    return _close(label, parent, removed, min(greens, default=n + 1), n + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -215,12 +204,8 @@ def compact_streett_step(
     if count == 0:
         return EMPTY_TREE, 1
 
-    label = {v: image(a, tree.labels[v - 1], symbol) for v in range(1, count + 1)}
-    ann = {v: tree.anns[v - 1] for v in range(1, count + 1)}
-    parent = {v: tree.parents[v - 1] for v in range(1, count + 1)}
-    kids = _children_of(tree.parents)
-
-    e_box = [m + 1]
+    label, parent, kids = _open(tree, symbol, a)
+    ann = dict(enumerate(tree.anns, 1))
     f_box = [m + 1]
     removed: set[int] = set()
     counter = [count]
@@ -282,37 +267,16 @@ def compact_streett_step(
             claimed |= label[c]
         for c in list(kids[v]):
             if not label[c]:
-                e_box[0] = min(e_box[0], min(subtree_names(kids, c)))
                 delete_subtree(c)
                 kids[v].remove(c)
         if kids[v] and all(ann[c] == ann[v] for c in kids[v]):
-            e_box[0] = min(e_box[0], min(kids[v]))
             for c in list(kids[v]):
                 delete_subtree(c)
             kids[v] = []
             f_box[0] = min(f_box[0], v)
 
     process(1)
-
-    # deep nodes emptied by ancestor-level removals are swept here
-    for v in sorted(label):
-        if not label[v]:
-            e_box[0] = min(e_box[0], v)
-            removed.add(v)
-    if not label.get(1):
-        return EMPTY_TREE, 1
-    survivors = sorted(v for v in label if v not in removed)
-    for v in survivors:
-        kids[v] = [c for c in kids[v] if c not in removed]
-
-    e, f = e_box[0], f_box[0]
-    parents_out, labels_out, anns_out = _rename_consecutive(
-        survivors, removed, parent, label, ann
-    )
-    out = CompactSafraTree(
-        parents=parents_out, labels=labels_out, e=e, f=f, anns=anns_out
-    )
-    return out, priority_of(e, f)
+    return _close(label, parent, removed, f_box[0], m + 1, ann)
 
 
 # ---------------------------------------------------------------------------

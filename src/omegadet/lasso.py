@@ -272,17 +272,18 @@ def enumerate_lassos(
     if max_period < 1:
         raise ValueError(f"enumerate_lassos: max_period {max_period} < 1")
     syms = tuple(symbols)
-    prefixes = [
-        p
-        for plen in range(max_prefix + 1)
-        for p in itertools.product(syms, repeat=plen)
-    ]
-    periods = [
-        v
-        for vlen in range(1, max_period + 1)
-        for v in itertools.product(syms, repeat=vlen)
-    ]
-    return (Lasso(prefix, period) for prefix in prefixes for period in periods)
+
+    def words(lengths):
+        return itertools.chain.from_iterable(
+            itertools.product(syms, repeat=length) for length in lengths
+        )
+
+    # lazy throughout: the bounds are exponential in the alphabet size
+    return (
+        Lasso(prefix, period)
+        for prefix in words(range(max_prefix + 1))
+        for period in words(range(1, max_period + 1))
+    )
 
 
 def differential_check(

@@ -107,6 +107,33 @@ def _dead_safra_tree(n: int) -> SafraTree:
     return SafraTree(label={}, children={}, e_set=set(range(1, n + 1)), f_set=set())
 
 
+def _settle(label, kids, survivors, f_set, pool, ann=None) -> SafraTree:
+    """Free the names of dead nodes and pull temporaries back into the pool.
+
+    Names in [1..pool] are static; larger names are temporaries the step
+    just created.  Every static name without a surviving node goes to e_set
+    and restarts its pair, and the temporaries take the smallest of them.
+    """
+    if 1 not in survivors:
+        return _dead_safra_tree(pool)
+    e_set = set(range(1, pool + 1)) - survivors
+    temps = sorted(v for v in survivors if v > pool)
+    free = sorted(e_set)
+    assert len(temps) <= len(free), "name pool exhausted"
+    rename = dict(zip(temps, free))
+
+    def name(v):
+        return rename.get(v, v)
+
+    return SafraTree(
+        {name(v): label[v] for v in survivors},
+        {name(v): [name(c) for c in kids[v] if c in survivors] for v in survivors},
+        e_set,
+        f_set,
+        None if ann is None else {name(v): ann[v] for v in survivors},
+    )
+
+
 def safra_step(tree: SafraTree, symbol: str, a: Automaton) -> SafraTree:
     """One transition of the Buchi history-tree construction.
 
@@ -154,11 +181,7 @@ def safra_step(tree: SafraTree, symbol: str, a: Automaton) -> SafraTree:
         stack.extend(kids[v])
 
     # drop empty nodes (their subtrees are empty too)
-    dead = {v for v in label if not label[v]}
-    if 1 in dead:
-        return _dead_safra_tree(n)
-    survivors = set(label) - dead
-    kids = {v: [c for c in kids[v] if c in survivors] for v in survivors}
+    survivors = {v for v in label if label[v]}
 
     # breakpoints: children covering the parent end the round
     greens = {
@@ -172,22 +195,8 @@ def safra_step(tree: SafraTree, symbol: str, a: Automaton) -> SafraTree:
             doomed.update(subtree_names(kids, c))
     survivors -= doomed
     f_set = greens & survivors
-    kids = {v: [c for c in kids[v] if c in survivors] for v in survivors}
-
-    # free names restart their pair; temporaries take over freed names
-    originals = {v for v in survivors if v <= n}
-    e_set = set(range(1, n + 1)) - originals
-    temps = sorted(v for v in survivors if v > n)
-    free = sorted(e_set)
-    assert len(temps) <= len(free), "name pool exhausted"
-    rename = {t: free[i] for i, t in enumerate(temps)}
     assert all(v <= n for v in f_set), "fresh node cannot finish a breakpoint"
-
-    new_label = {rename.get(v, v): label[v] for v in survivors}
-    new_kids = {
-        rename.get(v, v): [rename.get(c, c) for c in kids[v]] for v in survivors
-    }
-    return SafraTree(new_label, new_kids, e_set, f_set)
+    return _settle(label, kids, survivors, f_set, n)
 
 
 def _rabin_condition(trees, name_count: int) -> RabinAcceptance:
@@ -333,26 +342,9 @@ def streett_safra_step(
     process(1)
 
     # deep nodes emptied by ancestor-level removals are swept here
-    dead = {v for v in label if not label[v]}
-    if 1 in dead:
-        return _dead_safra_tree(m)
-    survivors = set(label) - dead
-    kids = {v: [c for c in kids[v] if c in survivors] for v in survivors}
-
-    originals = {v for v in survivors if v <= m}
-    e_set = set(range(1, m + 1)) - originals
-    f_set = f_marks & originals
-    temps = sorted(v for v in survivors if v > m)
-    free = sorted(e_set)
-    assert len(temps) <= len(free), "name pool exhausted"
-    rename = {t: free[i] for i, t in enumerate(temps)}
-
-    new_label = {rename.get(v, v): label[v] for v in survivors}
-    new_ann = {rename.get(v, v): ann[v] for v in survivors}
-    new_kids = {
-        rename.get(v, v): [rename.get(c, c) for c in kids[v]] for v in survivors
-    }
-    return SafraTree(new_label, new_kids, e_set, f_set, new_ann)
+    survivors = {v for v in label if label[v]}
+    f_set = {v for v in f_marks & survivors if v <= m}
+    return _settle(label, kids, survivors, f_set, m, ann)
 
 
 def streett_safra_determinize(a: Automaton) -> Automaton:

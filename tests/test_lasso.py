@@ -1,5 +1,8 @@
 """Lasso words and the membership oracles."""
 
+import itertools
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -55,6 +58,19 @@ class TestEnumerate:
     def test_all_unique(self):
         lassos = list(enumerate_lassos(("a", "b"), 2, 3))
         assert len(lassos) == len(set(lassos))
+
+    def test_lazy_over_a_large_alphabet(self):
+        # 512 letters with periods up to 3 give 1.3e8 periods per prefix;
+        # the first lassos must come back without listing any of them
+        symbols = tuple(f"s{i}" for i in range(512))
+        tracemalloc.start()
+        try:
+            first = list(itertools.islice(enumerate_lassos(symbols, 1, 3), 3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [str(l) for l in first] == ["(;s0)", "(;s1)", "(;s2)"]
+        assert peak < 1_000_000
 
 
 class TestRunDeterministic:
