@@ -8,7 +8,7 @@ required to be total with singleton successor sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 
@@ -207,14 +207,7 @@ def dualize_parity(a: Automaton) -> Automaton:
         priorities=tuple(p + 1 for p in a.acceptance.priorities),
         index=a.acceptance.index + 1,
     )
-    return Automaton(
-        alphabet=a.alphabet,
-        state_count=a.state_count,
-        initial=a.initial,
-        transitions=a.transitions,
-        acceptance=acc,
-        deterministic=True,
-    )
+    return replace(a, acceptance=acc)
 
 
 def normalize_priorities(a: Automaton) -> Automaton:
@@ -229,14 +222,7 @@ def normalize_priorities(a: Automaton) -> Automaton:
     acc = ParityAcceptance(
         priorities=tuple(p - shift for p in priorities), index=index - shift
     )
-    return Automaton(
-        alphabet=a.alphabet,
-        state_count=a.state_count,
-        initial=a.initial,
-        transitions=a.transitions,
-        acceptance=acc,
-        deterministic=a.deterministic,
-    )
+    return replace(a, acceptance=acc)
 
 
 # ---------------------------------------------------------------------------
@@ -269,93 +255,51 @@ def nsw_witness_union_nbw(a: Automaton) -> Automaton:
             f"of {_WITNESS_PAIR_LIMIT}"
         )
 
-    all_witnesses = []
+    # copy m+1 is the tagged copy of witness mask m: the G sets of the pairs
+    # outside m kill it, and its pointer cycles through the R sets of m
+    kill = []
+    rounds = []
     for mask in range(1 << k):
-        witness = tuple(j for j in range(k) if mask & (1 << j))
-        all_witnesses.append(witness)
+        inside = [j for j in range(k) if mask & (1 << j)]
+        outside = [g for j, (_, g) in enumerate(pairs) if j not in inside]
+        kill.append(frozenset().union(*outside))
+        rounds.append(tuple(pairs[j][0] for j in reversed(inside)))
 
-    def forbidden(witness: tuple[int, ...]) -> frozenset[int]:
-        out: set[int] = set()
-        for j in range(k):
-            if j not in witness:
-                out |= pairs[j][1]
-        return frozenset(out)
+    def targets(node: tuple[int, int, int], sym: str) -> list[tuple[int, int, int]]:
+        copy, s, i = node
+        out = []
+        for t in a.successors(s, sym):
+            if copy == 0:
+                out.append((0, t, 0))
+                out.extend((m + 1, t, 0) for m in range(1 << k) if t not in kill[m])
+            elif t not in kill[copy - 1]:
+                ring = rounds[copy - 1]
+                at = 0 if i == len(ring) else i
+                out.append((copy, t, at + 1 if ring and t in ring[at] else at))
+        return out
 
-    kill = {w: forbidden(w) for w in all_witnesses}
-
-    # Candidate states in a fixed canonical order: the plain copy first,
-    # then each witness copy by ascending bitmask, inner states by
-    # (state, progress).  Trimmed to the reachable part afterwards.
-    index_of: dict[object, int] = {}
-    layout: list[object] = []
-    for s in range(a.state_count):
-        index_of[("plain", s)] = len(layout)
-        layout.append(("plain", s))
-    for witness in all_witnesses:
-        size = len(witness)
-        for s in range(a.state_count):
-            for i in range(size + 1):
-                key = ("tag", s, witness, i)
-                index_of[key] = len(layout)
-                layout.append(key)
-
-    transitions: dict[tuple[int, str], set[int]] = {}
-
-    def add(src: int, sym: str, dst: int) -> None:
-        transitions.setdefault((src, sym), set()).add(dst)
-
-    for s in range(a.state_count):
-        for sym in a.alphabet:
-            for t in a.successors(s, sym):
-                src = index_of[("plain", s)]
-                add(src, sym, index_of[("plain", t)])
-                for witness in all_witnesses:
-                    if t not in kill[witness]:
-                        add(src, sym, index_of[("tag", t, witness, 0)])
-
-    for witness in all_witnesses:
-        order = tuple(sorted(witness, reverse=True))
-        size = len(witness)
-        for s in range(a.state_count):
-            for i in range(size + 1):
-                src = index_of[("tag", s, witness, i)]
-                for sym in a.alphabet:
-                    for t in a.successors(s, sym):
-                        if t in kill[witness]:
-                            continue
-                        at = 0 if i == size else i
-                        nxt = at
-                        if size and t in pairs[order[at]][0]:
-                            nxt = at + 1
-                        add(src, sym, index_of[("tag", t, witness, nxt)])
-
-    # Reachable trim, preserving the canonical order.
-    start = index_of[("plain", a.initial)]
-    untrimmed = Automaton(
-        alphabet=a.alphabet,
-        state_count=len(layout),
-        initial=start,
-        transitions=transitions,
-        acceptance=BuchiAcceptance(frozenset()),
+    # nodes sort into the canonical order: the plain copy first, then each
+    # witness copy by ascending mask, inner states by (state, progress)
+    start = (0, a.initial, 0)
+    order, _ = reach(
+        start, lambda node: [t for sym in a.alphabet for t in targets(node, sym)]
     )
-    keep = sorted(reachable_states(untrimmed))
-    renum = {old: new for new, old in enumerate(keep)}
-    new_transitions = {
-        (renum[s], sym): frozenset(renum[t] for t in targets)
-        for (s, sym), targets in untrimmed.transitions.items()
-        if s in renum
-    }
-    accepting = frozenset(
-        renum[idx]
-        for idx in keep
-        if layout[idx][0] == "tag" and layout[idx][3] == len(layout[idx][2])
-    )
+    states = sorted(order)
+    number = {node: n for n, node in enumerate(states)}
     return Automaton(
         alphabet=a.alphabet,
-        state_count=len(keep),
-        initial=renum[start],
-        transitions=new_transitions,
-        acceptance=BuchiAcceptance(accepting),
+        state_count=len(states),
+        initial=number[start],
+        transitions={
+            (number[node], sym): frozenset(number[t] for t in targets(node, sym))
+            for node in states
+            for sym in a.alphabet
+        },
+        acceptance=BuchiAcceptance(
+            frozenset(
+                number[n] for n in states if n[0] and n[2] == len(rounds[n[0] - 1])
+            )
+        ),
         deterministic=False,
     )
 
@@ -418,19 +362,40 @@ def build_lk_fixture(k: int) -> Automaton:
     )
 
 
+# ---------------------------------------------------------------------------
+# Graph search
+# ---------------------------------------------------------------------------
+
+
+def reach(
+    start: Hashable, successors: Callable[[Hashable], Iterable[Hashable]]
+) -> tuple[list, dict]:
+    """Breadth-first search of the nodes reachable from `start`.
+
+    Returns the nodes in the order found and each node's successor list.
+    Every node is kept as its first instance, in `order` and in `edges`
+    alike, so equal nodes that `successors` builds again are freed.
+    """
+    order = [start]
+    first = {start: start}
+    edges = {}
+    for node in order:  # `order` grows while it is walked
+        out = []
+        for nxt in successors(node):
+            known = first.get(nxt)
+            if known is None:
+                first[nxt] = known = nxt
+                order.append(nxt)
+            out.append(known)
+        edges[node] = out
+    return order, edges
+
+
 def reachable_states(a: Automaton) -> frozenset[int]:
-    seen = {a.initial}
-    frontier = [a.initial]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for sym in a.alphabet:
-                for t in a.successors(s, sym):
-                    if t not in seen:
-                        seen.add(t)
-                        nxt.append(t)
-        frontier = nxt
-    return frozenset(seen)
+    order, _ = reach(
+        a.initial, lambda s: [t for sym in a.alphabet for t in a.successors(s, sym)]
+    )
+    return frozenset(order)
 
 
 # ---------------------------------------------------------------------------
@@ -471,28 +436,14 @@ def explore(
     numbering, and with it the emitted HOA, does not depend on hash order.
     acceptance(states) builds the condition from the states in that order.
     """
-    order = [start]
-    # maps each state to its first instance, so that equal states a step
-    # builds again are not kept alive by `moves`
-    seen = {start: start}
-    moves = {}
-    at = 0
-    while at < len(order):
-        state = order[at]
-        at += 1
-        for symbol in a.alphabet:
-            nxt = step(state, symbol)
-            first = seen.get(nxt)
-            if first is None:
-                seen[nxt] = first = nxt
-                order.append(nxt)
-            moves[(state, symbol)] = first
-
-    states = sorted(seen, key=key)
+    symbols = a.alphabet.symbols
+    order, edges = reach(start, lambda state: [step(state, sym) for sym in symbols])
+    states = sorted(order, key=key)
     number = {state: i for i, state in enumerate(states)}
     transitions = {
-        (number[state], symbol): frozenset({number[nxt]})
-        for (state, symbol), nxt in moves.items()
+        (number[state], sym): frozenset({number[nxt]})
+        for state, nexts in edges.items()
+        for sym, nxt in zip(symbols, nexts)
     }
     return Automaton(
         alphabet=a.alphabet,

@@ -23,6 +23,11 @@ from omegadet.automata import (
 )
 
 
+# A document's alphabet is every AP valuation, 2**AP letters, and the
+# parser builds it before reading the body; 16 APs give 65,536 letters.
+_AP_LIMIT = 16
+
+
 class HoaError(Exception):
     """Parse or emission failure; carries the offending 1-based line when known."""
 
@@ -307,6 +312,12 @@ def parse_hoa(text: str) -> Automaton:
             if not parts or not parts[0].isdigit():
                 raise HoaError(f"malformed AP: {value!r}", line)
             ap_count = int(parts[0])
+            if ap_count > _AP_LIMIT:
+                raise HoaError(
+                    f"AP: {ap_count} propositions exceed the supported maximum "
+                    f"of {_AP_LIMIT}",
+                    line,
+                )
             names = re.findall(r'"((?:[^"\\]|\\.)*)"', parts[1] if len(parts) > 1 else "")
             if len(names) != ap_count:
                 raise HoaError(

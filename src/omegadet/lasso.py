@@ -17,6 +17,7 @@ from omegadet.automata import (
     ParityAcceptance,
     RabinAcceptance,
     StreettAcceptance,
+    reach,
 )
 
 
@@ -111,33 +112,15 @@ def _lasso_product(a: Automaton, lasso: Lasso):
     position wraps back to |u|.  Returns (nodes, edges) with nodes =
     (automaton state, position).
     """
-    u, v = lasso.prefix, lasso.period
-    total = len(u) + len(v)
+    u = len(lasso.prefix)
+    word = lasso.prefix + lasso.period
 
-    def sym_at(pos: int) -> str:
-        return u[pos] if pos < len(u) else v[pos - len(u)]
+    def successors(node):
+        state, pos = node
+        nxt = pos + 1 if pos + 1 < len(word) else u
+        return [(t, nxt) for t in a.successors(state, word[pos])]
 
-    def next_pos(pos: int) -> int:
-        return pos + 1 if pos + 1 < total else len(u)
-
-    start = (a.initial, 0)
-    nodes = {start}
-    edges: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    frontier = [start]
-    while frontier:
-        new_frontier = []
-        for node in frontier:
-            state, pos = node
-            targets = []
-            for t in a.successors(state, sym_at(pos)):
-                nxt = (t, next_pos(pos))
-                targets.append(nxt)
-                if nxt not in nodes:
-                    nodes.add(nxt)
-                    new_frontier.append(nxt)
-            edges[node] = targets
-        frontier = new_frontier
-    return nodes, edges
+    return reach((a.initial, 0), successors)
 
 
 def _sccs(nodes, edges):
@@ -193,56 +176,47 @@ def _has_cycle(comp, edges) -> bool:
     return node in edges.get(node, ())
 
 
-def nbw_member(a: Automaton, lasso: Lasso) -> bool:
-    """Does some run of a nondeterministic Buchi automaton accept the lasso?"""
-    if not isinstance(a.acceptance, BuchiAcceptance):
-        raise ValueError("nbw_member: Buchi acceptance required")
-    accepting = a.acceptance.accepting
-    nodes, edges = _lasso_product(a, lasso)
+def _fair_cycle(nodes, edges, pairs) -> bool:
+    """Does the graph have a cycle that satisfies the Streett pairs?
+
+    Nodes are tuples whose first entry is the automaton state that `pairs`
+    speak of.  Emerson-Lei style refinement: a cyclic component is fair if
+    every pair with a G-visit also has an R-visit; otherwise the offending
+    G-states are carved out and the remainder re-examined.
+    """
     for comp in _sccs(nodes, edges):
         if not _has_cycle(comp, edges):
             continue
-        if any(state in accepting for state, _ in comp):
+        states = {node[0] for node in comp}
+        bad = [g for r, g in pairs if (states & g) and not (states & r)]
+        if not bad:
+            return True
+        forbidden = frozenset().union(*bad)
+        kept = {node for node in comp if node[0] not in forbidden}
+        sub_edges = {node: [t for t in edges[node] if t in kept] for node in kept}
+        if kept and _fair_cycle(kept, sub_edges, pairs):
             return True
     return False
 
 
-def nsw_member(a: Automaton, lasso: Lasso) -> bool:
-    """Does some run of a nondeterministic Streett automaton accept the lasso?
+def nbw_member(a: Automaton, lasso: Lasso) -> bool:
+    """Does some run of a nondeterministic Buchi automaton accept the lasso?
 
-    Classic emptiness-style refinement: a cyclic component is accepting if
-    every pair with a G-visit also has an R-visit; otherwise the offending
-    G-states are carved out and the remainder re-examined.
+    Buchi acceptance is the single Streett pair (F, all states).
     """
+    if not isinstance(a.acceptance, BuchiAcceptance):
+        raise ValueError("nbw_member: Buchi acceptance required")
+    nodes, edges = _lasso_product(a, lasso)
+    pair = (a.acceptance.accepting, frozenset(a.states()))
+    return _fair_cycle(nodes, edges, (pair,))
+
+
+def nsw_member(a: Automaton, lasso: Lasso) -> bool:
+    """Does some run of a nondeterministic Streett automaton accept the lasso?"""
     if not isinstance(a.acceptance, StreettAcceptance):
         raise ValueError("nsw_member: Streett acceptance required")
-    pairs = a.acceptance.pairs
     nodes, edges = _lasso_product(a, lasso)
-
-    def good(comp_nodes: frozenset) -> bool:
-        sub_edges = {
-            n: [t for t in edges.get(n, ()) if t in comp_nodes] for n in comp_nodes
-        }
-        for comp in _sccs(comp_nodes, sub_edges):
-            if not _has_cycle(comp, sub_edges):
-                continue
-            states = {s for s, _ in comp}
-            bad = [
-                i
-                for i, (r, g) in enumerate(pairs)
-                if (states & g) and not (states & r)
-            ]
-            if not bad:
-                return True
-            forbidden = set()
-            for i in bad:
-                forbidden |= pairs[i][1]
-            trimmed = frozenset(n for n in comp if n[0] not in forbidden)
-            if trimmed and good(trimmed):
-                return True
-        return False
-
-    return good(frozenset(nodes))
+    return _fair_cycle(nodes, edges, a.acceptance.pairs)
 
 
 def lasso_member(a: Automaton, lasso: Lasso) -> bool:
@@ -286,6 +260,17 @@ def enumerate_lassos(
     )
 
 
+_LASSO_LIMIT = 1_000_000
+
+
+def _lasso_count(size: int, max_prefix: int, max_period: int) -> int:
+    """How many lassos enumerate_lassos yields over `size` letters."""
+    if size == 1:
+        return (max_prefix + 1) * max_period
+    prefixes = (size ** (max_prefix + 1) - 1) // (size - 1)
+    return prefixes * (size ** (max_period + 1) - size) // (size - 1)
+
+
 def differential_check(
     automata, max_prefix: int, max_period: int
 ) -> DiffReport:
@@ -293,7 +278,8 @@ def differential_check(
 
     Every automaton is queried through `lasso_member` on every enumerated
     lasso; a lasso where any two verdicts differ is recorded with the first
-    two distinct verdicts in automaton order.
+    two distinct verdicts in automaton order.  Bounds that give more than
+    _LASSO_LIMIT lassos raise ValueError before the first query.
     """
     automata = list(automata)
     if not automata:
@@ -302,9 +288,18 @@ def differential_check(
     for other in automata[1:]:
         if other.alphabet.symbols != symbols:
             raise ValueError("differential_check: alphabets differ")
+    lassos = enumerate_lassos(symbols, max_prefix, max_period)
+    limit = f"exceed the limit of {_LASSO_LIMIT}"
+    # over two letters a bound past 64 alone means 2**64 lassos: refuse it
+    # before computing a power that large
+    if len(symbols) > 1 and max(max_prefix, max_period) > 64:
+        raise ValueError(f"differential_check: more than 2**64 lassos {limit}")
+    count = _lasso_count(len(symbols), max_prefix, max_period)
+    if count > _LASSO_LIMIT:
+        raise ValueError(f"differential_check: {count} lassos {limit}")
     agreed = 0
     disagreements: list[tuple[Lasso, bool, bool]] = []
-    for lasso in enumerate_lassos(symbols, max_prefix, max_period):
+    for lasso in lassos:
         verdicts = [lasso_member(a, lasso) for a in automata]
         if all(v == verdicts[0] for v in verdicts):
             agreed += 1

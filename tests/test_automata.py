@@ -1,5 +1,7 @@
 """Core types: validation, duals, priority normalization, fixtures, generators."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +19,7 @@ from omegadet import (
     nsw_witness_union_nbw,
     validate_automaton,
 )
-from omegadet.automata import is_total, reachable_states
+from omegadet.automata import is_total, reach, reachable_states
 from omegadet.random_gen import random_nbw, random_nsw
 
 from conftest import make_fair_nsw, make_inf_a, make_inf_a_dpw
@@ -220,6 +222,27 @@ class TestWitnessUnion:
         assert u.state_count == 6
         assert sorted(u.acceptance.accepting) == [2, 5]
 
+    def test_numbering_is_pinned(self):
+        # states, initial state, transitions and accepting set of 400 unions
+        def listing(u):
+            lines = [f"states {u.state_count} initial {u.initial}"]
+            lines += [
+                f"{s} {sym} {sorted(targets)}"
+                for (s, sym), targets in sorted(u.transitions.items())
+            ]
+            lines.append(f"accepting {sorted(u.acceptance.accepting)}")
+            return "\n".join(lines)
+
+        text = "\n\n".join(
+            listing(nsw_witness_union_nbw(random_nsw(n, k, s)))
+            for n in range(1, 6)
+            for k in range(4)
+            for s in range(20)
+        )
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+            "fd35894c1ee6df4b2a99dc4c232c8a35e88ff92c4d275f7d9d80a245a4161aa1"
+        )
+
     def test_pair_limit_is_enforced(self):
         pairs = tuple(
             (frozenset({0}), frozenset({0})) for _ in range(13)
@@ -237,6 +260,32 @@ class TestWitnessUnion:
     def test_requires_streett_acceptance(self, inf_a):
         with pytest.raises(ValueError):
             nsw_witness_union_nbw(inf_a)
+
+
+class TestReach:
+    def test_breadth_first_order_and_successor_lists(self):
+        graph = {0: [1, 2], 1: [3], 2: [3, 0], 3: []}
+        order, edges = reach(0, graph.__getitem__)
+        assert order == [0, 1, 2, 3]
+        assert edges == graph
+
+    def test_rebuilt_nodes_come_back_as_the_first_instance(self):
+        start = frozenset({0})
+        built = []
+
+        def successors(node):
+            # a fresh copy of the start node, and one of {1}
+            fresh = [frozenset({0}), frozenset({1})]
+            built.extend(fresh)
+            return fresh
+
+        order, edges = reach(start, successors)
+        assert order == [start, frozenset({1})]
+        assert all(node is not start for node in built)
+        assert order[0] is start
+        other = order[1]
+        assert other is built[1]
+        assert all(out[0] is start and out[1] is other for out in edges.values())
 
 
 class TestRandomGenerators:

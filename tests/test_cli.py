@@ -1,12 +1,19 @@
 """End-to-end CLI behavior: exit codes, report lines, error channel."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from omegadet import nbw_to_dpw
+from omegadet import Alphabet, Automaton, BuchiAcceptance, nbw_to_dpw
 from omegadet.cli import run_cli
 from omegadet.hoa import emit_hoa, parse_hoa
 
 from conftest import make_inf_a
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -237,6 +244,27 @@ class TestXcheck:
         assert "alphabet" in err[0]
 
 
+    def test_too_many_lassos_is_usage_error(self, tmp_path, capsys):
+        symbols = tuple(format(i, "09b") for i in range(512))
+        full = Automaton(
+            alphabet=Alphabet(symbols),
+            state_count=1,
+            initial=0,
+            transitions={(0, sym): frozenset({0}) for sym in symbols},
+            acceptance=BuchiAcceptance(frozenset({0})),
+        )
+        path = tmp_path / "full.hoa"
+        path.write_text(emit_hoa(full))
+        code = run_cli(
+            ["xcheck", "--left", str(path), "--right", str(path),
+             "--max-prefix", "0", "--max-period", "3"]
+        )
+        out, err = lines_of(capsys)
+        assert code == 2
+        assert out == []
+        assert "134480384 lassos" in err[0]
+
+
 class TestStats:
     def test_nbw_report(self, nbw_file, capsys):
         assert run_cli(["stats", "--input", nbw_file]) == 0
@@ -259,6 +287,44 @@ class TestStats:
             "acceptance: parity min even 4",
             "deterministic: true",
         ]
+
+
+    def test_too_many_aps_is_usage_error(self, nbw_file, tmp_path, capsys):
+        names = " ".join(f'"p{j}"' for j in range(26))
+        doc = open(nbw_file).read().replace('AP: 1 "p0"', f"AP: 26 {names}")
+        path = tmp_path / "wide.hoa"
+        path.write_text(doc)
+        assert run_cli(["stats", "--input", str(path)]) == 2
+        _, err = lines_of(capsys)
+        assert err[0].startswith("error: line")
+        assert "26 propositions" in err[0]
+
+
+class TestModuleEntryPoint:
+    """`python -m omegadet.cli` runs the tool from a checkout without installing."""
+
+    def run(self, *argv):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        return subprocess.run(
+            [sys.executable, "-m", "omegadet.cli", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+
+    def test_stats_on_a_good_file(self, nbw_file):
+        proc = self.run("stats", "--input", nbw_file)
+        assert proc.returncode == 0, proc.stderr
+        assert "states: 2" in proc.stdout.splitlines()
+
+    def test_missing_file_exits_two(self, tmp_path):
+        proc = self.run("stats", "--input", str(tmp_path / "absent.hoa"))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: cannot read")
 
 
 class TestUsage:

@@ -252,6 +252,20 @@ class TestParse:
         with pytest.raises(HoaError, match="aborted"):
             parse_hoa(doc)
 
+    def test_ap_count_is_bounded(self):
+        names = " ".join(f'"p{j}"' for j in range(26))
+        doc = TINY_DPW_DOC.replace('AP: 1 "p0"', f"AP: 26 {names}")
+        with pytest.raises(HoaError, match="26 propositions exceed") as exc:
+            parse_hoa(doc)
+        assert exc.value.line == 4
+
+    def test_ap_limit_itself_parses(self):
+        names = " ".join(f'"p{j}"' for j in range(16))
+        doc = TINY_DPW_DOC.replace('AP: 1 "p0"', f"AP: 16 {names}")
+        doc = doc.replace("[!0] 0\n[0] 0\n", "")
+        doc = doc.replace("properties: deterministic\n", "")
+        assert len(parse_hoa(doc).alphabet) == 1 << 16
+
     def test_missing_headers_rejected(self):
         for header in ("States: 1", "Start: 0", "AP: 1 \"p0\"",
                        "acc-name: parity min even 1", "Acceptance: 1 Inf(0)"):

@@ -8,6 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omegadet import (
+    Alphabet,
+    Automaton,
+    BuchiAcceptance,
     Lasso,
     differential_check,
     dualize_parity,
@@ -203,6 +206,24 @@ class TestRouterAndDiff:
     def test_diff_requires_shared_alphabet(self, inf_a, fair_nsw):
         with pytest.raises(ValueError, match="alphabet"):
             differential_check([inf_a, fair_nsw], 1, 1)
+
+    def test_diff_refuses_too_many_lassos_before_the_first_query(self):
+        symbols = tuple(format(i, "09b") for i in range(512))
+        a = Automaton(
+            alphabet=Alphabet(symbols),
+            state_count=1,
+            initial=0,
+            transitions={(0, sym): frozenset({0}) for sym in symbols},
+            acceptance=BuchiAcceptance(frozenset({0})),
+        )
+        # 512 + 512**2 + 512**3 lassos
+        with pytest.raises(ValueError, match="134480384 lassos exceed"):
+            differential_check([a, a], 0, 3)
+        assert differential_check([a, a], 0, 1).agreed == 512
+
+    def test_diff_refuses_huge_bounds_without_counting(self, inf_a):
+        with pytest.raises(ValueError, match="more than 2\\*\\*64 lassos"):
+            differential_check([inf_a], 10**12, 2)
 
 
 # A verdict only depends on the word, not on the chosen lasso presentation:
