@@ -19,7 +19,7 @@ from omegadet.automata import (
     dualize_parity,
 )
 from omegadet.compact import nbw_to_dpw, nsw_to_dpw
-from omegadet.hoa import HoaError, _acceptance_header, emit_hoa, parse_hoa
+from omegadet.hoa import HoaError, _describe_acceptance, emit_hoa, parse_hoa
 from omegadet.lasso import Lasso, differential_check, lasso_member, run_deterministic
 from omegadet.random_gen import random_nbw
 from omegadet.safra import safra_determinize, streett_safra_determinize
@@ -121,9 +121,7 @@ def _cmd_member(args) -> int:
     return 0 if accepted else 1
 
 
-def _report_diff(report, count_note: str | None = None) -> int:
-    if count_note:
-        print(count_note)
+def _report_diff(report) -> int:
     total = report.agreed + len(report.disagreements)
     print(f"lassos: {total}")
     print(f"agreed: {report.agreed}")
@@ -171,7 +169,7 @@ def _cmd_stats(args) -> int:
     print(f"states: {a.state_count}")
     print(f"symbols: {len(a.alphabet)}")
     print(f"alphabet: {' '.join(a.alphabet)}")
-    print(f"acceptance: {_acceptance_header(a.acceptance)[0]}")
+    print(f"acceptance: {_describe_acceptance(a.acceptance)[0]}")
     print(f"deterministic: {'true' if a.deterministic else 'false'}")
     return 0
 

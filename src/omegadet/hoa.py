@@ -39,97 +39,111 @@ class HoaError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# shared shapes
+# the acceptance table, shared by emit and parse
 # ---------------------------------------------------------------------------
 
 
 def _parity_formula(index: int) -> str:
-    term = "Inf" if (index - 1) % 2 == 0 else "Fin"
-    formula = f"{term}({index - 1})"
-    wrapped = formula
+    formula = f"{'Inf' if index % 2 else 'Fin'}({index - 1})"
     for p in range(index - 2, -1, -1):
-        if p % 2 == 0:
-            formula = f"Inf({p}) | {wrapped}"
-        else:
-            formula = f"Fin({p}) & {wrapped}"
-        wrapped = f"({formula})"
+        inner = formula if p == index - 2 else f"({formula})"
+        formula = f"Inf({p}) | {inner}" if p % 2 == 0 else f"Fin({p}) & {inner}"
     return formula
 
 
-def _rabin_formula(k: int) -> str:
-    if k == 0:
-        return "f"
-    return " | ".join(f"(Fin({2 * i})&Inf({2 * i + 1}))" for i in range(k))
+def _acceptance_table(kind: str, size: int) -> tuple[str, int, str]:
+    """(acc-name, set count, formula) of `kind` with `size` pairs or priorities.
 
-
-def _streett_formula(k: int) -> str:
-    if k == 0:
-        return "t"
-    return " & ".join(f"(Fin({2 * i})|Inf({2 * i + 1}))" for i in range(k))
-
-
-def _acceptance_header(acc) -> tuple[str, int, str]:
-    """(acc-name, set count, canonical formula) for a condition."""
-    if isinstance(acc, BuchiAcceptance):
+    This is the one HOA description of the four conditions: emit writes it,
+    and the parser checks `acc-name:` and `Acceptance:` against it.  Pair i
+    is sets 2i (Fin) and 2i+1 (Inf); priority p is set p.
+    """
+    if kind == "Buchi":
         return "Buchi", 1, "Inf(0)"
-    if isinstance(acc, RabinAcceptance):
-        k = len(acc.pairs)
-        return f"Rabin {k}", 2 * k, _rabin_formula(k)
-    if isinstance(acc, StreettAcceptance):
-        k = len(acc.pairs)
-        return f"Streett {k}", 2 * k, _streett_formula(k)
-    if isinstance(acc, ParityAcceptance):
-        return f"parity min even {acc.index}", acc.index, _parity_formula(acc.index)
-    raise HoaError(f"cannot emit acceptance {type(acc).__name__}")
+    if kind == "parity":
+        return f"parity min even {size}", size, _parity_formula(size)
+    inner, outer, empty = ("&", " | ", "f") if kind == "Rabin" else ("|", " & ", "t")
+    pairs = [f"(Fin({2 * i}){inner}Inf({2 * i + 1}))" for i in range(size)]
+    return f"{kind} {size}", 2 * size, outer.join(pairs) or empty
+
+
+def _describe_acceptance(acc) -> tuple[str, int, str, list]:
+    """The table's triple for a condition, plus `sets[i]`: the states marked i."""
+    if isinstance(acc, BuchiAcceptance):
+        kind, size, sets = "Buchi", 1, [acc.accepting]
+    elif isinstance(acc, RabinAcceptance):
+        # (E, F) is Fin(E) & Inf(F)
+        kind, size = "Rabin", len(acc.pairs)
+        sets = [states for pair in acc.pairs for states in pair]
+    elif isinstance(acc, StreettAcceptance):
+        # (R, G) is Fin(G) | Inf(R), so G is the pair's first set
+        kind, size = "Streett", len(acc.pairs)
+        sets = [states for r, g in acc.pairs for states in (g, r)]
+    elif isinstance(acc, ParityAcceptance):
+        kind, size = "parity", acc.index
+        sets = [set() for _ in range(size)]
+        for s, p in enumerate(acc.priorities):
+            if not 0 <= p < size:
+                raise HoaError(f"state {s} has priority {p} outside [0, {size})")
+            sets[p].add(s)
+    else:
+        raise HoaError(f"cannot emit acceptance {type(acc).__name__}")
+    return (*_acceptance_table(kind, size), sets)
+
+
+def _build_acceptance(kind: str, sets: list, state_count: int):
+    """Inverse of `_describe_acceptance` over the same set numbering."""
+    if kind == "Buchi":
+        return BuchiAcceptance(sets[0])
+    if kind == "Rabin":
+        return RabinAcceptance(tuple(zip(sets[0::2], sets[1::2])))
+    if kind == "Streett":
+        return StreettAcceptance(tuple(zip(sets[1::2], sets[0::2])))
+    owned = [[] for _ in range(state_count)]
+    for p, states in enumerate(sets):
+        for s in states:
+            owned[s].append(p)
+    for s, priorities in enumerate(owned):
+        if len(priorities) != 1:
+            raise HoaError(
+                f"parity automata need exactly one priority per state; state {s}"
+                f" has {len(priorities)}"
+            )
+    return ParityAcceptance(tuple(p for (p,) in owned), index=len(sets))
+
+
+def _check_ap_count(ap_count: int, line: int | None = None) -> None:
+    if ap_count > _AP_LIMIT:
+        raise HoaError(
+            f"AP: {ap_count} propositions exceed the supported maximum "
+            f"of {_AP_LIMIT}",
+            line,
+        )
 
 
 def _symbol_label(i: int, ap_count: int) -> str:
-    if ap_count == 0:
-        return "t"
     return "&".join(
         f"{j}" if (i >> j) & 1 else f"!{j}" for j in range(ap_count)
-    )
+    ) or "t"
 
 
 def _valuation_symbols(ap_count: int) -> tuple[str, ...]:
-    if ap_count == 0:
-        return ("t",)
     return tuple(
-        "".join("1" if (i >> j) & 1 else "0" for j in range(ap_count))
+        "".join("1" if (i >> j) & 1 else "0" for j in range(ap_count)) or "t"
         for i in range(1 << ap_count)
     )
 
 
-def _state_sets(a: Automaton) -> dict[int, list[int]]:
-    """Acceptance-set memberships per state, sets ascending."""
-    member: dict[int, list[int]] = {s: [] for s in a.states()}
-    acc = a.acceptance
-    if isinstance(acc, BuchiAcceptance):
-        for s in sorted(acc.accepting):
-            member[s].append(0)
-    elif isinstance(acc, (RabinAcceptance, StreettAcceptance)):
-        for i, (first, second) in enumerate(acc.pairs):
-            for s in sorted(second if isinstance(acc, StreettAcceptance) else first):
-                member[s].append(2 * i)
-            for s in sorted(first if isinstance(acc, StreettAcceptance) else second):
-                member[s].append(2 * i + 1)
-        for s in member:
-            member[s].sort()
-    elif isinstance(acc, ParityAcceptance):
-        for s in a.states():
-            member[s].append(acc.priorities[s])
-    return member
-
-
 def emit_hoa(a: Automaton) -> str:
-    """Serialize to the HOA subset; the alphabet size must be a power of two."""
+    """Serialize to the HOA subset; the alphabet must have 2**AP letters, AP <= 16."""
     size = len(a.alphabet)
     ap_count = size.bit_length() - 1
     if size <= 0 or (1 << ap_count) != size:
         raise HoaError(
             f"alphabet size {size} is not a power of two; cannot map symbols to APs"
         )
-    name, set_count, formula = _acceptance_header(a.acceptance)
+    _check_ap_count(ap_count)
+    name, set_count, formula, sets = _describe_acceptance(a.acceptance)
     lines = [
         "HOA: v1",
         f"States: {a.state_count}",
@@ -142,10 +156,12 @@ def emit_hoa(a: Automaton) -> str:
     if a.deterministic:
         lines.append("properties: deterministic")
     lines.append("--BODY--")
-    member = _state_sets(a)
+    marks: dict[int, list[int]] = {s: [] for s in a.states()}
+    for i, states in enumerate(sets):
+        for s in states:
+            marks[s].append(i)
     for s in a.states():
-        marks = member[s]
-        suffix = " {" + " ".join(str(x) for x in marks) + "}" if marks else ""
+        suffix = " {" + " ".join(str(x) for x in marks[s]) + "}" if marks[s] else ""
         lines.append(f"State: {s}{suffix}")
         for i, sym in enumerate(a.alphabet):
             for t in sorted(a.successors(s, sym)):
@@ -169,35 +185,24 @@ _EDGE_RE = re.compile(
 
 
 def _parse_acc_name(value: str, line: int) -> tuple[str, int]:
-    parts = value.split()
-    if parts == ["Buchi"]:
-        return "buchi", 1
-    if len(parts) == 2 and parts[0] in ("Rabin", "Streett") and parts[1].isdigit():
-        return parts[0].lower(), int(parts[1])
-    if (
-        len(parts) == 4
-        and parts[0] == "parity"
-        and parts[3].isdigit()
-        and int(parts[3]) >= 1
-    ):
-        if parts[1:3] != ["min", "even"]:
+    """(kind, size) of an acc-name; only the names `_acceptance_table` writes."""
+    words = value.split()
+    numbered = len(words) > 1 and words[-1].isdigit()
+    size = int(words[-1]) if numbered else 1
+    # parity needs at least one priority
+    kind = words[0] if words and (size or words[0] != "parity") else None
+    if kind == "parity" and numbered and len(words) == 4:
+        if words[1:3] != ["min", "even"]:
             raise HoaError(
-                f"unsupported parity polarity '{parts[1]} {parts[2]}'"
+                f"unsupported parity polarity '{words[1]} {words[2]}'"
                 " (only min even)",
                 line,
             )
-        return "parity", int(parts[3])
+    if kind in ("Buchi", "Rabin", "Streett", "parity"):
+        normal = words[:-1] + [str(size)] if numbered else words
+        if _acceptance_table(kind, size)[0].split() == normal:
+            return kind, size
     raise HoaError(f"unsupported acc-name: {value!r}", line)
-
-
-def _expected_acceptance(kind: str, arg: int) -> tuple[int, str]:
-    if kind == "buchi":
-        return 1, "Inf(0)"
-    if kind == "rabin":
-        return 2 * arg, _rabin_formula(arg)
-    if kind == "streett":
-        return 2 * arg, _streett_formula(arg)
-    return arg, _parity_formula(arg)
 
 
 def _parse_label(
@@ -245,12 +250,10 @@ def _parse_label(
 
 
 def _parse_marks(text: str | None, set_count: int, line: int) -> list[int]:
-    if not text or not text.strip():
+    if not text:
         return []
-    body = text.strip()
-    body = body[1:-1]  # {...}
     marks = []
-    for token in body.split():
+    for token in text.strip()[1:-1].split():  # {...}
         if not token.isdigit():
             raise HoaError(f"malformed acceptance mark {token!r}", line)
         mark = int(token)
@@ -262,7 +265,8 @@ def _parse_marks(text: str | None, set_count: int, line: int) -> list[int]:
     return marks
 
 
-_IGNORED_HEADERS = ("name:", "tool:")
+_HEADERS = ("States", "Start", "AP", "acc-name", "Acceptance")
+_IGNORED_HEADERS = ("name", "tool")
 
 
 def parse_hoa(text: str) -> Automaton:
@@ -278,11 +282,7 @@ def parse_hoa(text: str) -> Automaton:
     if numbered[0][1] != "HOA: v1":
         raise HoaError("expected 'HOA: v1' on the first line", numbered[0][0])
 
-    state_count: int | None = None
-    initial: int | None = None
-    ap_count: int | None = None
-    acc_kind: tuple[str, int] | None = None
-    acc_line: tuple[int, str] | None = None
+    headers: dict[str, tuple[int, str]] = {}
     declared_deterministic = False
     body_at = None
 
@@ -290,88 +290,69 @@ def parse_hoa(text: str) -> Automaton:
         if content == "--BODY--":
             body_at = pos
             break
-        if content.startswith("Alias:"):
+        name, colon, value = content.partition(":")
+        if not colon:
+            raise HoaError(f"unsupported header: {name!r}", line)
+        if name == "Alias":
             raise HoaError("aliases are unsupported", line)
-        if content.startswith("States:"):
-            value = content[len("States:"):].strip()
-            if not value.isdigit():
-                raise HoaError(f"malformed States: {value!r}", line)
-            state_count = int(value)
-        elif content.startswith("Start:"):
-            value = content[len("Start:"):].strip()
-            if initial is not None:
-                raise HoaError("multiple Start: headers are unsupported", line)
-            if not _START_RE.match(value):
-                raise HoaError(
-                    f"unsupported Start: {value!r} (single initial state only)", line
-                )
-            initial = int(value)
-        elif content.startswith("AP:"):
-            value = content[len("AP:"):].strip()
-            parts = value.split(None, 1)
-            if not parts or not parts[0].isdigit():
-                raise HoaError(f"malformed AP: {value!r}", line)
-            ap_count = int(parts[0])
-            if ap_count > _AP_LIMIT:
-                raise HoaError(
-                    f"AP: {ap_count} propositions exceed the supported maximum "
-                    f"of {_AP_LIMIT}",
-                    line,
-                )
-            names = re.findall(r'"((?:[^"\\]|\\.)*)"', parts[1] if len(parts) > 1 else "")
-            if len(names) != ap_count:
-                raise HoaError(
-                    f"AP: declares {ap_count} propositions but names {len(names)}", line
-                )
-        elif content.startswith("acc-name:"):
-            acc_kind = _parse_acc_name(content[len("acc-name:"):].strip(), line)
-        elif content.startswith("Acceptance:"):
-            acc_line = (line, content[len("Acceptance:"):].strip())
-        elif content.startswith("properties:"):
+        if name in _HEADERS:
+            if name in headers:
+                raise HoaError(f"multiple {name}: headers are unsupported", line)
+            headers[name] = (line, value.strip())
+        elif name == "properties":
             # informational except for "deterministic", which callers rely on
-            if "deterministic" in content[len("properties:"):].split():
-                declared_deterministic = True
-        elif content.startswith(_IGNORED_HEADERS):
-            continue
-        else:
-            raise HoaError(f"unsupported header: {content.split(':')[0]!r}", line)
+            declared_deterministic |= "deterministic" in value.split()
+        elif name not in _IGNORED_HEADERS:
+            raise HoaError(f"unsupported header: {name!r}", line)
 
     if body_at is None:
         raise HoaError("missing --BODY--")
     last_header_line = numbered[body_at][0]
-    if state_count is None:
-        raise HoaError("missing States: header", last_header_line)
-    if initial is None:
-        raise HoaError("missing Start: header", last_header_line)
-    if ap_count is None:
-        raise HoaError("missing AP: header", last_header_line)
-    if acc_kind is None:
-        raise HoaError("missing acc-name: header", last_header_line)
-    if acc_line is None:
-        raise HoaError("missing Acceptance: header", last_header_line)
-    if initial >= state_count:
-        raise HoaError(f"initial state {initial} out of range", last_header_line)
 
-    kind, arg = acc_kind
-    set_count, formula = _expected_acceptance(kind, arg)
-    acc_text = acc_line[1]
-    parts = acc_text.split(None, 1)
-    if not parts or not parts[0].isdigit() or int(parts[0]) != set_count:
+    for name in _HEADERS:
+        if name not in headers:
+            raise HoaError(f"missing {name}: header", last_header_line)
+
+    line, value = headers["States"]
+    if not value.isdigit():
+        raise HoaError(f"malformed States: {value!r}", line)
+    state_count = int(value)
+    line, value = headers["Start"]
+    if not _START_RE.match(value):
         raise HoaError(
-            f"Acceptance: expected {set_count} sets for this acc-name", acc_line[0]
+            f"unsupported Start: {value!r} (single initial state only)", line
         )
+    initial = int(value)
+    line, value = headers["AP"]
+    parts = value.split(None, 1)
+    if not parts or not parts[0].isdigit():
+        raise HoaError(f"malformed AP: {value!r}", line)
+    ap_count = int(parts[0])
+    _check_ap_count(ap_count, line)
+    names = re.findall(r'"((?:[^"\\]|\\.)*)"', parts[1] if len(parts) > 1 else "")
+    if len(names) != ap_count:
+        raise HoaError(
+            f"AP: declares {ap_count} propositions but names {len(names)}", line
+        )
+    line, value = headers["acc-name"]
+    kind, size = _parse_acc_name(value, line)
+    _, set_count, formula = _acceptance_table(kind, size)
+    line, value = headers["Acceptance"]
+    parts = value.split(None, 1)
+    if not parts or not parts[0].isdigit() or int(parts[0]) != set_count:
+        raise HoaError(f"Acceptance: expected {set_count} sets for this acc-name", line)
     given = (parts[1] if len(parts) > 1 else "").replace(" ", "")
     if given != formula.replace(" ", ""):
         raise HoaError(
-            f"Acceptance: formula does not match acc-name (expected {formula!r})",
-            acc_line[0],
+            f"Acceptance: formula does not match acc-name (expected {formula!r})", line
         )
+    if initial >= state_count:
+        raise HoaError(f"initial state {initial} out of range", last_header_line)
 
     symbols = _valuation_symbols(ap_count)
     transitions: dict[tuple[int, str], set[int]] = {}
     marks_of: dict[int, list[int]] = {}
     current: int | None = None
-    seen_states: set[int] = set()
     ended = False
 
     for line, content in numbered[body_at + 1:]:
@@ -391,9 +372,8 @@ def parse_hoa(text: str) -> Automaton:
             num = int(match.group("num"))
             if num >= state_count:
                 raise HoaError(f"state {num} out of range", line)
-            if num in seen_states:
+            if num in marks_of:
                 raise HoaError(f"duplicate State: {num}", line)
-            seen_states.add(num)
             current = num
             marks_of[num] = _parse_marks(match.group("acc"), set_count, line)
             continue
@@ -426,7 +406,11 @@ def parse_hoa(text: str) -> Automaton:
     if not ended:
         raise HoaError("missing --END--")
 
-    acceptance = _build_acceptance(kind, arg, state_count, marks_of)
+    sets: list[set[int]] = [set() for _ in range(set_count)]
+    for s, marks in marks_of.items():
+        for mark in marks:
+            sets[mark].add(s)
+    acceptance = _build_acceptance(kind, sets, state_count)
     if declared_deterministic:
         for s in range(state_count):
             for sym in symbols:
@@ -444,35 +428,6 @@ def parse_hoa(text: str) -> Automaton:
         acceptance=acceptance,
         deterministic=declared_deterministic,
     )
-
-
-def _build_acceptance(kind: str, arg: int, state_count: int, marks_of):
-    def marked(set_index: int) -> frozenset[int]:
-        return frozenset(
-            s for s, marks in marks_of.items() if set_index in marks
-        )
-
-    if kind == "buchi":
-        return BuchiAcceptance(marked(0))
-    if kind == "rabin":
-        return RabinAcceptance(
-            tuple((marked(2 * i), marked(2 * i + 1)) for i in range(arg))
-        )
-    if kind == "streett":
-        # Fin side (2i) is the G set, Inf side (2i+1) the R set
-        return StreettAcceptance(
-            tuple((marked(2 * i + 1), marked(2 * i)) for i in range(arg))
-        )
-    priorities = []
-    for s in range(state_count):
-        marks = sorted(set(marks_of.get(s, [])))
-        if len(marks) != 1:
-            raise HoaError(
-                f"parity automata need exactly one priority per state; state {s}"
-                f" has {len(marks)}"
-            )
-        priorities.append(marks[0])
-    return ParityAcceptance(priorities=tuple(priorities), index=arg)
 
 
 def structurally_equal(a: Automaton, b: Automaton) -> bool:

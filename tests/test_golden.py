@@ -71,6 +71,35 @@ GOLDEN = {
     ),
 }
 
+# The source automata themselves: these pin the HOA text of the Büchi and
+# Streett conditions on input, including the order of the G and R marks.
+SOURCE_GOLDEN = {
+    "random_nbw": (
+        "a2cbc324b46da2f817ba952f518b897556e1c5ab878d0a00af33313904c4f068",
+        "e8c49e89146fcbd8c4cc45ba699c52aba5492013a0e6514f013f7de6930b7577",
+        "620ff08f3e62c28a4d69befbf84d6db6fb59208fa5bbe27964e5b16f9ee47253",
+        "c05e044d9071f5eea2591da76c5e45a4906b0b5fecd2ef5eab7020738f65779a",
+        "ade72503d1a568a905537ae97d5c8d04deedd8c957d1fbf3d96b20efe465671d",
+        "2f7d345060af569999831a2cdb1bbc51cdc27e752d6641d775e30674825e5f9d",
+        "9a90721a630d53345a0d1f92fedfab3445327163e1522ec89c34c7f86966988a",
+        "40751507e9f5da3f0cb29d04fb76d1ed24e41044668365246ee7a68bf1cb0a53",
+        "04aa0e9ede3fb0d64429a2b33f4076c914ebb80f96b0c02c2808062bbe11f47a",
+        "65cd3239aba25cc3e98cc6b6e67515046765baa3dfe9060b7aab2c700624077d",
+    ),
+    "random_nsw": (
+        "dbc1b2f960a0fa487068b9e43dfefb3751bc8e589c62f6d4cea2a2eb46e41026",
+        "ad53addaa877c306598ff8e29d2812adabf9a574b51bfe617995c9b10773a82e",
+        "e3abf07f2bada869006f4c508d44411380bf67f5153e4f4fb07c3b9c762be3e5",
+        "0cb24e92a82e402e446f28bcf8b4d0f649c2be2922992d842c86e2275a6324b0",
+        "499c8ca2722863c752d856546aa9cbf6f8489b76195dcb85a1bd200c740b71bd",
+        "2a889e9e14295db4dceda959dbe178fb92ced4f94c1b3c95f07308d6451d6bd9",
+        "27f93ee2f22afcbf94d450001e9c22f640e40e4b42896e86856b6a9360b8e71d",
+        "b8232564a2f4bc816bb2afdbb947d075667e3e091550d71ddba8edb928657c9a",
+        "6d53ab3391652b6f0cb977990317adb97197f5ef6fa1e29a221e5938631e4e53",
+        "8e8447263843fc8353d447aa201c46c600a54a19249504b585213a469616da16",
+    ),
+}
+
 # L_5 has five letters, which HOA cannot name with atomic propositions, so
 # its DPW is pinned through a plain listing instead of emit_hoa.
 LK5_DPW = "e27143f02b7d39ee92a5aeec2bd67d7325638cd0942bdbc243316768972642f7"
@@ -93,6 +122,18 @@ def _sha(text: str) -> str:
 def test_emitted_hoa_is_pinned(construct, source):
     got = tuple(_sha(emit_hoa(construct(source(seed)))) for seed in range(10))
     assert got == GOLDEN[construct.__name__]
+
+
+SOURCES = {
+    "random_nbw": lambda seed: random_nbw(5, seed),
+    "random_nsw": lambda seed: random_nsw(4, 2, seed),
+}
+
+
+@pytest.mark.parametrize("name", list(SOURCE_GOLDEN))
+def test_emitted_source_hoa_is_pinned(name):
+    got = tuple(_sha(emit_hoa(SOURCES[name](seed))) for seed in range(10))
+    assert got == SOURCE_GOLDEN[name]
 
 
 def test_lk5_dpw_is_pinned():

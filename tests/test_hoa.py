@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omegadet import (
     Alphabet,
@@ -335,3 +337,159 @@ class TestRoundTrip:
         )
         assert structurally_equal(inf_a, renamed)
         assert not structurally_equal(inf_a, make_inf_a_dpw())
+
+
+def _loop(state_count: int, acceptance) -> Automaton:
+    """Two letters; every state steps to its successor modulo the state count."""
+    return Automaton(
+        alphabet=Alphabet(("a", "b")),
+        state_count=state_count,
+        initial=0,
+        transitions={
+            (s, sym): frozenset({(s + 1) % state_count})
+            for s in range(state_count)
+            for sym in ("a", "b")
+        },
+        acceptance=acceptance,
+        deterministic=True,
+    )
+
+
+class TestAcceptanceTable:
+    @pytest.mark.parametrize(
+        "acceptance,state_count,acc_name,acceptance_line",
+        [
+            (RabinAcceptance(()), 1, "Rabin 0", "Acceptance: 0 f"),
+            (StreettAcceptance(()), 1, "Streett 0", "Acceptance: 0 t"),
+            (
+                StreettAcceptance(
+                    (
+                        (frozenset({0}), frozenset({1, 2})),
+                        (frozenset({2}), frozenset({0, 2})),
+                    )
+                ),
+                3,
+                "Streett 2",
+                "Acceptance: 4 (Fin(0)|Inf(1)) & (Fin(2)|Inf(3))",
+            ),
+            (
+                RabinAcceptance(((frozenset({1}), frozenset({0, 1})),)),
+                2,
+                "Rabin 1",
+                "Acceptance: 2 (Fin(0)&Inf(1))",
+            ),
+            (
+                ParityAcceptance((0, 0), 1),
+                2,
+                "parity min even 1",
+                "Acceptance: 1 Inf(0)",
+            ),
+            (
+                ParityAcceptance((0, 4, 1), 5),
+                3,
+                "parity min even 5",
+                "Acceptance: 5 Inf(0) | (Fin(1) & (Inf(2) | (Fin(3) & Inf(4))))",
+            ),
+            (BuchiAcceptance(frozenset()), 2, "Buchi", "Acceptance: 1 Inf(0)"),
+        ],
+        ids=[
+            "rabin-0",
+            "streett-0",
+            "streett-2",
+            "rabin-1",
+            "parity-1",
+            "parity-5-gap",
+            "buchi-empty",
+        ],
+    )
+    def test_acceptance_round_trips_exactly(
+        self, acceptance, state_count, acc_name, acceptance_line
+    ):
+        a = _loop(state_count, acceptance)
+        doc = emit_hoa(a)
+        assert f"acc-name: {acc_name}" in doc.splitlines()
+        assert acceptance_line in doc.splitlines()
+        parsed = parse_hoa(doc)
+        assert parsed.acceptance == acceptance
+        assert structurally_equal(parsed, a)
+
+    @pytest.mark.parametrize("priority", [-1, 5])
+    def test_emit_refuses_priority_outside_index(self, priority):
+        # such a document would not parse back: "-1" is no mark, 5 no set
+        with pytest.raises(HoaError, match=f"priority {priority} outside"):
+            emit_hoa(_loop(2, ParityAcceptance((0, priority), 5)))
+
+
+class TestHeaders:
+    @pytest.mark.parametrize(
+        "header",
+        [
+            "States: 1",
+            'AP: 1 "q"',
+            "acc-name: parity min even 1",
+            "Acceptance: 1 Inf(0)",
+        ],
+        ids=["States", "AP", "acc-name", "Acceptance"],
+    )
+    def test_repeated_header_rejected_on_its_line(self, header):
+        name = header.split(":")[0]
+        first = next(
+            line for line in TINY_DPW_DOC.splitlines() if line.startswith(name + ":")
+        )
+        doc = TINY_DPW_DOC.replace(first, f"{first}\n{header}")
+        with pytest.raises(
+            HoaError, match=f"multiple {name}: headers are unsupported"
+        ) as exc:
+            parse_hoa(doc)
+        assert exc.value.line == TINY_DPW_DOC.splitlines().index(first) + 2
+
+    def test_emit_refuses_more_aps_than_parse_accepts(self):
+        size = 1 << 17
+        wide = Automaton(
+            alphabet=Alphabet(tuple(str(i) for i in range(size))),
+            state_count=1,
+            initial=0,
+            transitions={},
+            acceptance=BuchiAcceptance(frozenset()),
+        )
+        with pytest.raises(HoaError, match="17 propositions exceed"):
+            emit_hoa(wide)
+
+
+_MUTATION_DOCS = (
+    TINY_DPW_DOC,
+    MINIMAL_BUCHI_DOC,
+    emit_hoa(make_inf_a_dpw()),
+    emit_hoa(safra_determinize(make_inf_a())),
+    emit_hoa(_loop(3, StreettAcceptance(((frozenset({0}), frozenset({1, 2})),)))),
+)
+_MUTATION_ALPHABET = "0123456789 \n{}[]()&|!:\"tfFinIS-"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    doc=st.sampled_from(_MUTATION_DOCS),
+    edits=st.lists(
+        st.tuples(
+            st.sampled_from(("replace", "delete", "insert")),
+            st.floats(min_value=0, max_value=1, exclude_max=True),
+            st.sampled_from(_MUTATION_ALPHABET),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_parser_accepts_or_raises_hoa_error(doc, edits):
+    for op, where, char in edits:
+        at = int(where * len(doc))
+        if op == "replace":
+            doc = doc[:at] + char + doc[at + 1:]
+        elif op == "delete":
+            doc = doc[:at] + doc[at + 1:]
+        else:
+            doc = doc[:at] + char + doc[at:]
+    try:
+        result = parse_hoa(doc)
+    except HoaError:
+        return
+    assert isinstance(result, Automaton)
