@@ -8,7 +8,7 @@ Two experiments:
     per source size.
 
 Usage:
-  python3 scripts/state_growth.py --max-k 5 --random 50 --states 4
+  PYTHONPATH=src python3 scripts/state_growth.py --max-k 5 --random 50 --states 4
 """
 
 import argparse

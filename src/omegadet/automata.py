@@ -8,8 +8,8 @@ required to be total with singleton successor sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 
 @dataclass(frozen=True)
@@ -411,15 +411,76 @@ def image(a: Automaton, states: Iterable[int], symbol: str) -> set[int]:
     return out
 
 
-def subtree_names(kids: Mapping[int, Sequence[int]], v: int) -> list[int]:
-    """Names of the subtree rooted at v, given each node's children."""
-    names = []
-    stack = [v]
-    while stack:
-        x = stack.pop()
-        names.append(x)
-        stack.extend(kids[x])
-    return names
+@dataclass(eq=False, slots=True)
+class WorkTree:
+    """A history tree that one step edits in place.
+
+    label, kids and ann map each name to its states, its children oldest
+    first and the pair indices it still owes (ann is None for Buchi
+    trees).  last is the last name handed out and removed holds the names
+    cut so far.  A child's label is a subset of its parent's, so a node
+    whose label empties has an empty subtree.
+    """
+
+    label: dict[int, set[int]]
+    kids: dict[int, list[int]]
+    ann: dict[int, frozenset[int]] | None
+    last: int
+    removed: set[int] = field(default_factory=set)
+
+    def preorder(self, v: int) -> list[int]:
+        """Names of v's subtree, each before its children, oldest child first."""
+        kids = self.kids
+        names = []
+        stack = [v]
+        while stack:
+            x = stack.pop()
+            names.append(x)
+            stack.extend(reversed(kids[x]))
+        return names
+
+    def _subtree(self, v: int) -> list[int]:
+        """Names of v's subtree, each before its children; cheaper than preorder."""
+        kids = self.kids
+        names = [v]
+        for x in names:  # `names` grows while it is walked
+            names.extend(kids[x])
+        return names
+
+    def sprout(self, owner: int, states: Iterable[int], owed=None) -> None:
+        """Add a youngest child of owner under a fresh name."""
+        self.last = name = self.last + 1
+        self.kids[owner].append(name)
+        self.kids[name] = []
+        self.label[name] = set(states)
+        if self.ann is not None:
+            self.ann[name] = owed
+
+    def strip(self, v: int, states: set[int]) -> None:
+        """Remove states from every label in v's subtree."""
+        label = self.label
+        for x in self._subtree(v):
+            label[x] -= states
+
+    def settle(self, sons: Iterable[int]) -> None:
+        """In the order given, each son keeps only the states no earlier son holds."""
+        label = self.label
+        claimed: set[int] = set()
+        for c in sons:
+            dup = label[c] & claimed
+            if dup:
+                self.strip(c, dup)
+            claimed |= label[c]
+
+    def cut(self, v: int) -> None:
+        """Record v's subtree as removed."""
+        self.removed.update(self._subtree(v))
+
+    def prune(self, v: int) -> None:
+        """Cut everything below v."""
+        for c in self.kids[v]:
+            self.cut(c)
+        self.kids[v] = []
 
 
 def explore(

@@ -17,9 +17,9 @@ from omegadet.automata import (
     BuchiAcceptance,
     ParityAcceptance,
     StreettAcceptance,
+    WorkTree,
     explore,
     image,
-    subtree_names,
 )
 
 
@@ -68,40 +68,43 @@ def priority_of(e: int, f: int) -> int:
 EMPTY_TREE = CompactSafraTree(parents=(), labels=(), e=1, f=1)
 
 
-def _open(tree: CompactSafraTree, symbol: str, a: Automaton):
-    """Working copies of a tree after reading symbol: labels, parents, children."""
+def _open(tree: CompactSafraTree, symbol: str, a: Automaton) -> WorkTree:
+    """Working copy of a tree after reading symbol; fresh names follow the last one."""
     count = len(tree.parents)
     label = {v: image(a, tree.labels[v - 1], symbol) for v in range(1, count + 1)}
-    parent = dict(enumerate(tree.parents, 1))
     kids: dict[int, list[int]] = {v: [] for v in range(1, count + 1)}
-    for v, p in parent.items():
+    for v, p in enumerate(tree.parents, 1):
         if p:
             kids[p].append(v)
-    return label, parent, kids
+    ann = dict(enumerate(tree.anns, 1)) if tree.anns else None
+    return WorkTree(label, kids, ann, count)
 
 
-def _close(label, parent, removed, f, bound, ann=None):
+def _close(t: WorkTree, f: int, bound: int):
     """Sweep emptied nodes, rename the survivors 1..N in order, price the step.
 
-    e is the smallest deleted name, or bound when nothing was deleted.
-    Names grow from parent to child, so the smallest name of a deleted
+    e is the smallest removed name, or bound when nothing was removed.
+    Names grow from parent to child, so the smallest name of a removed
     subtree is its root; every name below e survives, and a tree holds
-    fewer than bound nodes, so e never exceeds bound.  Returns the
-    successor tree and its priority.
+    fewer than bound nodes, so e never exceeds bound.  Removed sets are
+    closed under subtrees, so each survivor's parent survives too.
+    Returns the successor tree and its priority.
     """
+    label, kids, removed = t.label, t.kids, t.removed
     # deep nodes emptied by ancestor-level removals are swept here
     removed.update(v for v, states in label.items() if not states)
     if 1 in removed:
         return EMPTY_TREE, 1
     survivors = sorted(v for v in label if v not in removed)
     rename = {v: i for i, v in enumerate(survivors, 1)}
+    parent = {c: rename[v] for v in survivors for c in kids[v]}
     e = min(removed, default=bound)
     out = CompactSafraTree(
-        parents=tuple(rename.get(parent[v], 0) for v in survivors),
+        parents=tuple(parent.get(v, 0) for v in survivors),
         labels=tuple(label[v] for v in survivors),
         e=e,
         f=f,
-        anns=() if ann is None else tuple(ann[v] for v in survivors),
+        anns=() if t.ann is None else tuple(t.ann[v] for v in survivors),
     )
     return out, priority_of(e, f)
 
@@ -125,28 +128,20 @@ def compact_step(
     if count == 0:
         return EMPTY_TREE, 1
     alpha = a.acceptance.accepting
-    label, parent, kids = _open(tree, symbol, a)
+    t = _open(tree, symbol, a)
+    label, kids = t.label, t.kids
 
     # sprout: accepting part of each pre-existing label, names keep growing
-    used = count
     for v in range(1, count + 1):
         birth = label[v] & alpha
         if birth:
-            used += 1
-            kids[v].append(used)
-            kids[used] = []
-            parent[used] = v
-            label[used] = set(birth)
+            t.sprout(v, birth)
 
-    # duplicated states settle on the smaller-named sibling
-    for p in sorted(kids):
-        claimed: set[int] = set()
-        for c in kids[p]:
-            dup = label[c] & claimed
-            if dup:
-                for x in subtree_names(kids, c):
-                    label[x] -= dup
-            claimed |= label[c]
+    # duplicated states settle on the smaller-named sibling; every kids
+    # list is in name order, and parents come before their children
+    for sons in kids.values():
+        if len(sons) > 1:
+            t.settle(sons)
 
     # a label covered by its children closes a round: keep the node, drop
     # the subtree below it
@@ -155,16 +150,12 @@ def compact_step(
         for v in sorted(label)
         if label[v] == set().union(*(label[c] for c in kids[v]))
     ]
-    removed: set[int] = set()
     for g in greens:
-        if g in removed:
-            continue
-        for c in kids[g]:
-            removed.update(subtree_names(kids, c))
-        kids[g] = []
+        if g not in t.removed:
+            t.prune(g)
 
     # empty nodes disappear too; the smallest deleted name is e
-    return _close(label, parent, removed, min(greens, default=n + 1), n + 1)
+    return _close(t, min(greens, default=n + 1), n + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -204,37 +195,17 @@ def compact_streett_step(
     if count == 0:
         return EMPTY_TREE, 1
 
-    label, parent, kids = _open(tree, symbol, a)
-    ann = dict(enumerate(tree.anns, 1))
-    f_box = [m + 1]
-    removed: set[int] = set()
-    counter = [count]
-
-    def fresh(owner: int, states, owed) -> None:
-        counter[0] += 1
-        name = counter[0]
-        kids[owner].append(name)
-        kids[name] = []
-        parent[name] = owner
-        label[name] = set(states)
-        ann[name] = frozenset(owed)
-
-    def remove_from_subtree(v, states):
-        for x in subtree_names(kids, v):
-            label[x] -= states
-
-    def delete_subtree(v):
-        for x in subtree_names(kids, v):
-            removed.add(x)
-            del label[x], ann[x], kids[x], parent[x]
+    t = _open(tree, symbol, a)
+    label, kids, ann = t.label, t.kids, t.ann
+    finished: set[int] = set()
 
     def process(v: int) -> None:
         if not kids[v]:
             if not ann[v]:
                 # nothing owed: the empty round completes on every letter
-                f_box[0] = min(f_box[0], v)
+                finished.add(v)
                 return
-            fresh(v, label[v], ann[v] - {max(ann[v])})
+            t.sprout(v, label[v], ann[v] - {max(ann[v])})
         sons = sorted(kids[v])
         for c in sons:
             process(c)
@@ -246,37 +217,24 @@ def compact_streett_step(
             r_j, g_j = pairs[j - 1]
             for s in sorted(label[c]):
                 if s in r_j:
-                    remove_from_subtree(c, {s})
+                    t.strip(c, {s})
                     lower = [x for x in ann[v] if x < j]
                     drop = max(lower) if lower else 0
-                    fresh(v, {s}, ann[v] - {drop})
+                    t.sprout(v, {s}, ann[v] - {drop})
                 elif s in g_j:
-                    remove_from_subtree(c, {s})
-                    fresh(v, {s}, ann[v] - {j})
-        live = sorted(kids[v])
-
-        def jval(c):
-            missing = ann[v] - ann[c]
-            return next(iter(missing)) if missing else 0
-
-        claimed: set[int] = set()
-        for c in sorted(live, key=lambda c: (jval(c), c)):
-            dup = label[c] & claimed
-            if dup:
-                remove_from_subtree(c, dup)
-            claimed |= label[c]
-        for c in list(kids[v]):
-            if not label[c]:
-                delete_subtree(c)
-                kids[v].remove(c)
+                    t.strip(c, {s})
+                    t.sprout(v, {s}, ann[v] - {j})
+        # duplicated states settle on the son owing the smallest index
+        # (a son owes at most one index fewer than v), ties on name
+        t.settle(sorted(kids[v], key=lambda c: (min(ann[v] - ann[c], default=0), c)))
+        # emptied sons leave; _close sweeps their empty subtrees
+        kids[v] = [c for c in kids[v] if label[c]]
         if kids[v] and all(ann[c] == ann[v] for c in kids[v]):
-            for c in list(kids[v]):
-                delete_subtree(c)
-            kids[v] = []
-            f_box[0] = min(f_box[0], v)
+            t.prune(v)
+            finished.add(v)
 
     process(1)
-    return _close(label, parent, removed, f_box[0], m + 1, ann)
+    return _close(t, min(finished, default=m + 1), m + 1)
 
 
 # ---------------------------------------------------------------------------

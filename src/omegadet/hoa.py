@@ -99,17 +99,19 @@ def _build_acceptance(kind: str, sets: list, state_count: int):
         return RabinAcceptance(tuple(zip(sets[0::2], sets[1::2])))
     if kind == "Streett":
         return StreettAcceptance(tuple(zip(sets[1::2], sets[0::2])))
-    owned = [[] for _ in range(state_count)]
+    owned: dict[int, list[int]] = {}
     for p, states in enumerate(sets):
         for s in states:
-            owned[s].append(p)
-    for s, priorities in enumerate(owned):
-        if len(priorities) != 1:
+            owned.setdefault(s, []).append(p)
+    # stops at the first state without a State: line, so a large States:
+    # count allocates nothing per declared state
+    for s in range(state_count):
+        if len(owned.get(s, ())) != 1:
             raise HoaError(
                 f"parity automata need exactly one priority per state; state {s}"
-                f" has {len(priorities)}"
+                f" has {len(owned.get(s, ()))}"
             )
-    return ParityAcceptance(tuple(p for (p,) in owned), index=len(sets))
+    return ParityAcceptance(tuple(owned[s][0] for s in range(state_count)), len(sets))
 
 
 def _check_ap_count(ap_count: int, line: int | None = None) -> None:
@@ -174,9 +176,8 @@ def emit_hoa(a: Automaton) -> str:
 # parsing
 # ---------------------------------------------------------------------------
 
-_START_RE = re.compile(r"^\d+$")
 _STATE_RE = re.compile(
-    r"^State:\s*(?P<label>\[[^\]]*\]\s*)?(?P<num>\d+)"
+    r"^State:\s*(?P<label>\[[^\]]*\]\s*)?(?P<num>[0-9]+)"
     r"(?P<name>\s+\"[^\"]*\")?(?P<acc>\s*\{[^}]*\})?\s*$"
 )
 _EDGE_RE = re.compile(
@@ -184,10 +185,19 @@ _EDGE_RE = re.compile(
 )
 
 
+def _number(text: str) -> int | None:
+    """Value of text if it matches [0-9]+, else None.
+
+    str.isdigit() alone, like \\d, also accepts digits such as '²' or '٠',
+    which int() refuses or reads.
+    """
+    return int(text) if text.isascii() and text.isdigit() else None
+
+
 def _parse_acc_name(value: str, line: int) -> tuple[str, int]:
     """(kind, size) of an acc-name; only the names `_acceptance_table` writes."""
     words = value.split()
-    numbered = len(words) > 1 and words[-1].isdigit()
+    numbered = len(words) > 1 and _number(words[-1]) is not None
     size = int(words[-1]) if numbered else 1
     # parity needs at least one priority
     kind = words[0] if words and (size or words[0] != "parity") else None
@@ -233,9 +243,9 @@ def _parse_label(
         negated = literal.startswith("!")
         if negated:
             literal = literal[1:].strip()
-        if not literal.isdigit():
+        ap = _number(literal)
+        if ap is None:
             raise HoaError(f"malformed literal in label [{body}]", line)
-        ap = int(literal)
         if ap >= ap_count:
             raise HoaError(f"label references AP {ap} but only {ap_count} exist", line)
         if ap in seen:
@@ -254,9 +264,9 @@ def _parse_marks(text: str | None, set_count: int, line: int) -> list[int]:
         return []
     marks = []
     for token in text.strip()[1:-1].split():  # {...}
-        if not token.isdigit():
+        mark = _number(token)
+        if mark is None:
             raise HoaError(f"malformed acceptance mark {token!r}", line)
-        mark = int(token)
         if mark >= set_count:
             raise HoaError(
                 f"acceptance mark {mark} out of range (only {set_count} sets)", line
@@ -314,20 +324,20 @@ def parse_hoa(text: str) -> Automaton:
             raise HoaError(f"missing {name}: header", last_header_line)
 
     line, value = headers["States"]
-    if not value.isdigit():
+    state_count = _number(value)
+    if state_count is None:
         raise HoaError(f"malformed States: {value!r}", line)
-    state_count = int(value)
     line, value = headers["Start"]
-    if not _START_RE.match(value):
+    initial = _number(value)
+    if initial is None:
         raise HoaError(
             f"unsupported Start: {value!r} (single initial state only)", line
         )
-    initial = int(value)
     line, value = headers["AP"]
     parts = value.split(None, 1)
-    if not parts or not parts[0].isdigit():
+    ap_count = _number(parts[0]) if parts else None
+    if ap_count is None:
         raise HoaError(f"malformed AP: {value!r}", line)
-    ap_count = int(parts[0])
     _check_ap_count(ap_count, line)
     names = re.findall(r'"((?:[^"\\]|\\.)*)"', parts[1] if len(parts) > 1 else "")
     if len(names) != ap_count:
@@ -339,7 +349,7 @@ def parse_hoa(text: str) -> Automaton:
     _, set_count, formula = _acceptance_table(kind, size)
     line, value = headers["Acceptance"]
     parts = value.split(None, 1)
-    if not parts or not parts[0].isdigit() or int(parts[0]) != set_count:
+    if not parts or _number(parts[0]) != set_count:
         raise HoaError(f"Acceptance: expected {set_count} sets for this acc-name", line)
     given = (parts[1] if len(parts) > 1 else "").replace(" ", "")
     if given != formula.replace(" ", ""):
@@ -390,14 +400,13 @@ def parse_hoa(text: str) -> Automaton:
             raise HoaError(
                 "edge acceptance marks are unsupported (state-based only)", line
             )
-        target_text = match.group("target")
-        if not target_text.isdigit():
+        target = _number(match.group("target"))
+        if target is None:
             raise HoaError(
-                f"unsupported edge target {target_text!r}"
+                f"unsupported edge target {match.group('target')!r}"
                 " (single target state only)",
                 line,
             )
-        target = int(target_text)
         if target >= state_count:
             raise HoaError(f"edge target {target} out of range", line)
         symbol_index = _parse_label(match.group("label"), ap_count, line)

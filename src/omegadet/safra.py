@@ -13,9 +13,9 @@ from omegadet.automata import (
     BuchiAcceptance,
     RabinAcceptance,
     StreettAcceptance,
+    WorkTree,
     explore,
     image,
-    subtree_names,
 )
 
 
@@ -83,16 +83,6 @@ class SafraTree:
         )
 
 
-def _preorder(children, root):
-    order = []
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        stack.extend(reversed(children[v]))
-    return order
-
-
 def initial_safra_tree(a: Automaton) -> SafraTree:
     n = a.state_count
     return SafraTree(
@@ -107,13 +97,27 @@ def _dead_safra_tree(n: int) -> SafraTree:
     return SafraTree(label={}, children={}, e_set=set(range(1, n + 1)), f_set=set())
 
 
-def _settle(label, kids, survivors, f_set, pool, ann=None) -> SafraTree:
+def _open(tree: SafraTree, symbol: str, a: Automaton, pool: int) -> WorkTree:
+    """Working copy of a tree after reading symbol; temporaries follow the pool."""
+    return WorkTree(
+        {v: image(a, states, symbol) for v, states in tree.label.items()},
+        {v: list(cs) for v, cs in tree.children.items()},
+        None if tree.ann is None else dict(tree.ann),
+        pool,
+    )
+
+
+def _settle(t: WorkTree, f_marks, pool: int) -> SafraTree:
     """Free the names of dead nodes and pull temporaries back into the pool.
 
-    Names in [1..pool] are static; larger names are temporaries the step
-    just created.  Every static name without a surviving node goes to e_set
-    and restarts its pair, and the temporaries take the smallest of them.
+    Survivors are the nodes neither emptied nor cut; f_set keeps the
+    f_marks among them.  Names in [1..pool] are static; larger names are
+    temporaries the step just created.  Every static name without a
+    surviving node goes to e_set and restarts its pair, and the
+    temporaries take the smallest of them.
     """
+    label, kids, ann, removed = t.label, t.kids, t.ann, t.removed
+    survivors = {v for v, states in label.items() if states and v not in removed}
     if 1 not in survivors:
         return _dead_safra_tree(pool)
     e_set = set(range(1, pool + 1)) - survivors
@@ -129,7 +133,7 @@ def _settle(label, kids, survivors, f_set, pool, ann=None) -> SafraTree:
         {name(v): label[v] for v in survivors},
         {name(v): [name(c) for c in kids[v] if c in survivors] for v in survivors},
         e_set,
-        f_set,
+        f_marks & survivors,
         None if ann is None else {name(v): ann[v] for v in survivors},
     )
 
@@ -148,55 +152,32 @@ def safra_step(tree: SafraTree, symbol: str, a: Automaton) -> SafraTree:
     if not tree.label:
         return _dead_safra_tree(n)
     alpha = a.acceptance.accepting
-
-    label: dict[int, set[int]] = {
-        v: image(a, states, symbol) for v, states in tree.label.items()
-    }
-    kids: dict[int, list[int]] = {v: list(cs) for v, cs in tree.children.items()}
+    t = _open(tree, symbol, a, n)
+    label, kids = t.label, t.kids
 
     # sprout: the accepting part of each label starts a new youngest child
-    next_name = n
-    for v in _preorder(kids, 1):
+    order = t.preorder(1)
+    for v in order:
         birth = label[v] & alpha
         if birth:
-            next_name += 1
-            kids[v].append(next_name)
-            kids[next_name] = []
-            label[next_name] = set(birth)
+            t.sprout(v, birth)
 
-    # older siblings keep duplicated states
-    def remove_from_subtree(v, states):
-        for x in subtree_names(kids, v):
-            label[x] -= states
+    # older siblings keep duplicated states; parents settle before
+    # children, and the sprouts are leaves
+    for v in order:
+        if len(kids[v]) > 1:
+            t.settle(kids[v])
 
-    stack = [1]
-    while stack:
-        v = stack.pop()
-        claimed: set[int] = set()
-        for c in kids[v]:
-            dup = label[c] & claimed
-            if dup:
-                remove_from_subtree(c, dup)
-            claimed |= label[c]
-        stack.extend(kids[v])
-
-    # drop empty nodes (their subtrees are empty too)
-    survivors = {v for v in label if label[v]}
-
-    # breakpoints: children covering the parent end the round
+    # breakpoints: children covering a nonempty parent end the round
     greens = {
         v
-        for v in survivors
-        if label[v] == set().union(*(label[c] for c in kids[v]))
+        for v, states in label.items()
+        if states and states == set().union(*(label[c] for c in kids[v]))
     }
-    doomed: set[int] = set()
     for g in greens:
-        for c in kids[g]:
-            doomed.update(subtree_names(kids, c))
-    survivors -= doomed
-    f_set = greens & survivors
-    assert all(v <= n for v in f_set), "fresh node cannot finish a breakpoint"
-    return _settle(label, kids, survivors, f_set, n)
+        t.prune(g)
+    assert all(v <= n for v in greens), "fresh node cannot finish a breakpoint"
+    return _settle(t, greens, n)
 
 
 def _rabin_condition(trees, name_count: int) -> RabinAcceptance:
@@ -265,29 +246,9 @@ def streett_safra_step(
     if not tree.label:
         return _dead_safra_tree(m)
 
-    label: dict[int, set[int]] = {
-        v: image(a, states, symbol) for v, states in tree.label.items()
-    }
-    ann: dict[int, frozenset[int]] = dict(tree.ann)
-    kids: dict[int, list[int]] = {v: list(cs) for v, cs in tree.children.items()}
+    t = _open(tree, symbol, a, m)
+    label, kids, ann = t.label, t.kids, t.ann
     f_marks: set[int] = set()
-    counter = [m]
-
-    def fresh(owner: int, states, owed) -> None:
-        counter[0] += 1
-        name = counter[0]
-        kids[owner].append(name)
-        kids[name] = []
-        label[name] = set(states)
-        ann[name] = frozenset(owed)
-
-    def remove_from_subtree(v, states):
-        for x in subtree_names(kids, v):
-            label[x] -= states
-
-    def delete_subtree(v):
-        for x in subtree_names(kids, v):
-            del label[x], ann[x], kids[x]
 
     def process(v: int) -> None:
         if not kids[v]:
@@ -295,7 +256,7 @@ def streett_safra_step(
                 # nothing owed: the empty round completes on every letter
                 f_marks.add(v)
                 return
-            fresh(v, label[v], ann[v] - {max(ann[v])})
+            t.sprout(v, label[v], ann[v] - {max(ann[v])})
         sons = list(kids[v])
         for c in sons:
             process(c)
@@ -307,44 +268,25 @@ def streett_safra_step(
             r_j, g_j = pairs[j - 1]
             for s in sorted(label[c]):
                 if s in r_j:
-                    remove_from_subtree(c, {s})
+                    t.strip(c, {s})
                     lower = [x for x in ann[v] if x < j]
                     drop = max(lower) if lower else 0
-                    fresh(v, {s}, ann[v] - {drop})
+                    t.sprout(v, {s}, ann[v] - {drop})
                 elif s in g_j:
-                    remove_from_subtree(c, {s})
-                    fresh(v, {s}, ann[v] - {j})
-        # duplicated states settle on the son owing the smallest index,
-        # ties on age
-        live = list(kids[v])
-        position = {c: i for i, c in enumerate(live)}
-
-        def jval(c):
-            missing = ann[v] - ann[c]
-            return next(iter(missing)) if missing else 0
-
-        claimed: set[int] = set()
-        for c in sorted(live, key=lambda c: (jval(c), position[c])):
-            dup = label[c] & claimed
-            if dup:
-                remove_from_subtree(c, dup)
-            claimed |= label[c]
-        for c in list(kids[v]):
-            if not label[c]:
-                delete_subtree(c)
-                kids[v].remove(c)
+                    t.strip(c, {s})
+                    t.sprout(v, {s}, ann[v] - {j})
+        # duplicated states settle on the son owing the smallest index
+        # (a son owes at most one index fewer than v); the stable sort
+        # breaks ties on age
+        t.settle(sorted(kids[v], key=lambda c: min(ann[v] - ann[c], default=0)))
+        # emptied sons leave; _settle sweeps their empty subtrees
+        kids[v] = [c for c in kids[v] if label[c]]
         if kids[v] and all(ann[c] == ann[v] for c in kids[v]):
-            for c in list(kids[v]):
-                delete_subtree(c)
-            kids[v] = []
+            t.prune(v)
             f_marks.add(v)
 
     process(1)
-
-    # deep nodes emptied by ancestor-level removals are swept here
-    survivors = {v for v in label if label[v]}
-    f_set = {v for v in f_marks & survivors if v <= m}
-    return _settle(label, kids, survivors, f_set, m, ann)
+    return _settle(t, {v for v in f_marks if v <= m}, m)
 
 
 def streett_safra_determinize(a: Automaton) -> Automaton:

@@ -456,6 +456,66 @@ class TestHeaders:
             emit_hoa(wide)
 
 
+
+class TestNumbers:
+    """Numbers are ASCII decimals; other Unicode digits are a HoaError on their line."""
+
+    @pytest.mark.parametrize(
+        "needle,replacement,line",
+        [
+            ("States: 1", "States: \u00b2", 2),
+            ("Start: 0", "Start: \u0660", 3),
+            ('AP: 1 "p0"', 'AP: \u00b9 "p0"', 4),
+            ("acc-name: parity min even 1", "acc-name: Rabin \u00b2", 5),
+            ("Acceptance: 1 Inf(0)", "Acceptance: \u00b9 Inf(0)", 6),
+            ("State: 0 {0}", "State: \u0660 {0}", 9),
+            ("State: 0 {0}", "State: 0 {\u00b2}", 9),
+            ("[!0] 0", "[!0] \u00b2", 10),
+            ("[!0] 0", "[!\u00b2] 0", 10),
+        ],
+        ids=["States", "Start", "AP", "acc-name", "Acceptance", "State",
+             "mark", "edge-target", "label-literal"],
+    )
+    def test_non_ascii_digits_rejected_on_their_line(self, needle, replacement, line):
+        doc = TINY_DPW_DOC.replace(needle, replacement)
+        with pytest.raises(HoaError) as exc:
+            parse_hoa(doc)
+        assert exc.value.line == line
+
+
+def test_unlisted_parity_state_is_reported_before_allocating_per_state():
+    """A document declaring 200,000,000 states but listing one fails at once.
+
+    The child runs under a 1 GiB address-space limit, so a parser that
+    allocates per declared state fails there instead of in this process.
+    """
+    doc = TINY_DPW_DOC.replace("States: 1", "States: 200000000")
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from omegadet.hoa import HoaError, parse_hoa\n"
+        "try:\n"
+        "    parse_hoa(sys.stdin.read())\n"
+        "except HoaError as exc:\n"
+        "    print(exc)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        input=doc,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "parity automata need exactly one priority per state; state 1 has 0\n"
+    )
+
 _MUTATION_DOCS = (
     TINY_DPW_DOC,
     MINIMAL_BUCHI_DOC,

@@ -30,6 +30,30 @@ GOLDEN = {
     "streett_safra_step": (
         "f87f9c5ea3aeb96a7d1499c58acdfac6e9f0112c31c5456312faef128b5ddd4b"
     ),
+    "compact_step-n2": (
+        "09acd02006649c5d1926809d8e93b1790ea5509e3527d8290125a8b0c4bc07ed"
+    ),
+    "compact_step-n3": (
+        "b7774a75e9aa9dc0b7c8d948fe9b302e3ae28749eb9c9771e96eff1531fed0f8"
+    ),
+    "safra_step-n2": (
+        "6315a332cbfec5fd0d54c32afc312aacc00edac0bdc71d37e33fcdf96c0f201a"
+    ),
+    "safra_step-n3": (
+        "c564070a8120de4e88ad54d6bad84d9712a8c1f8c733508f621eabe463f2328b"
+    ),
+    "compact_streett_step-k1": (
+        "4bff1d600a7d1917f92d70889169bd5e05903b72f5577b32b830f34d5690a870"
+    ),
+    "compact_streett_step-k3": (
+        "b196b87248ca114b81f432b6443666d2f30d0f8899f56be9f3ec2d4a5a8ba2ff"
+    ),
+    "streett_safra_step-k1": (
+        "aefa88c5daa8dbd0c8388a391f3b9aca3399a104e906f372ca4d8d473ed7e825"
+    ),
+    "streett_safra_step-k3": (
+        "a52ada598256cee0f5284ad936cc683599582db16b814bb1c06da336c2afdf2f"
+    ),
 }
 
 
@@ -64,37 +88,55 @@ def _compact_record(out):
     )
 
 
-def _nbw(seed):
-    return random_nbw(5, seed)
+def _nbw(n):
+    return lambda seed: random_nbw(n, seed)
 
 
-def _nsw(seed):
-    return random_nsw(4, 2, seed)
+def _nsw(n, k):
+    return lambda seed: random_nsw(n, k, seed)
 
 
 CASES = {
     "compact_step": (
-        _nbw, compact.initial_compact_tree, compact.compact_step,
+        compact.initial_compact_tree, compact.compact_step,
         _compact_identity, _compact_record,
     ),
     "compact_streett_step": (
-        _nsw, compact.initial_compact_streett_tree, compact.compact_streett_step,
+        compact.initial_compact_streett_tree, compact.compact_streett_step,
         _compact_identity, _compact_record,
     ),
     "safra_step": (
-        _nbw, safra.initial_safra_tree, safra.safra_step,
+        safra.initial_safra_tree, safra.safra_step,
         safra.SafraTree.key, safra.SafraTree.key,
     ),
     "streett_safra_step": (
-        _nsw, safra.initial_streett_safra_tree, safra.streett_safra_step,
+        safra.initial_streett_safra_tree, safra.streett_safra_step,
         safra.SafraTree.key, safra.SafraTree.key,
     ),
+}
+
+# pin name -> (step, source automaton of each seed); each bare step name
+# pins its step on NBW n = 5 or NSW n = 4, k = 2
+PINS = {
+    "compact_step": ("compact_step", _nbw(5)),
+    "compact_streett_step": ("compact_streett_step", _nsw(4, 2)),
+    "safra_step": ("safra_step", _nbw(5)),
+    "streett_safra_step": ("streett_safra_step", _nsw(4, 2)),
+    "compact_step-n2": ("compact_step", _nbw(2)),
+    "compact_step-n3": ("compact_step", _nbw(3)),
+    "safra_step-n2": ("safra_step", _nbw(2)),
+    "safra_step-n3": ("safra_step", _nbw(3)),
+    "compact_streett_step-k1": ("compact_streett_step", _nsw(4, 1)),
+    "compact_streett_step-k3": ("compact_streett_step", _nsw(4, 3)),
+    "streett_safra_step-k1": ("streett_safra_step", _nsw(4, 1)),
+    "streett_safra_step-k3": ("streett_safra_step", _nsw(4, 3)),
 }
 
 
 @pytest.mark.parametrize("name", list(GOLDEN))
 def test_step_trace_is_pinned(name):
-    source, initial, step, identity, record = CASES[name]
+    case, source = PINS[name]
+    initial, step, identity, record = CASES[case]
     digest = hashlib.sha256()
     for seed in SEEDS:
         a = source(seed)
