@@ -10,7 +10,7 @@ bookkeeping at all — just one priority per transition target.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from omegadet.automata import (
     Automaton,
@@ -30,23 +30,17 @@ class CompactSafraTree:
     parents[i] is the parent name of name i+1 (0 for the root); labels[i]
     is the label of name i+1.  Parent names are smaller than child names.
     anns[i] is the set of pair indices (1-based) that name i+1 still owes;
-    it is empty for the Buchi construction.  e/f are the
-    deletion/completion bookmarks of the step that produced the tree; the
-    empty tree (no nodes, e=1) is the rejecting sink.
+    it is empty for the Buchi construction.  A tree is its shape: e/f are
+    the deletion/completion bookmarks of the step that produced it, kept
+    readable but left out of equality and hashing.  The empty tree (no
+    nodes, e=1) is the rejecting sink.
     """
 
     parents: tuple[int, ...]
     labels: tuple[frozenset[int], ...]
-    e: int
-    f: int
+    e: int = field(compare=False)
+    f: int = field(compare=False)
     anns: tuple[frozenset[int], ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "parents", tuple(self.parents))
-        object.__setattr__(
-            self, "labels", tuple(frozenset(l) for l in self.labels)
-        )
-        object.__setattr__(self, "anns", tuple(frozenset(h) for h in self.anns))
 
 
 def priority_of(e: int, f: int) -> int:
@@ -101,7 +95,7 @@ def _close(t: WorkTree, f: int, bound: int):
     e = min(removed, default=bound)
     out = CompactSafraTree(
         parents=tuple(parent.get(v, 0) for v in survivors),
-        labels=tuple(label[v] for v in survivors),
+        labels=tuple(frozenset(label[v]) for v in survivors),
         e=e,
         f=f,
         anns=() if t.ann is None else tuple(t.ann[v] for v in survivors),
@@ -243,11 +237,11 @@ def compact_streett_step(
 
 
 def _dpw_state_key(state):
-    parents, labels, anns, priority = state
+    tree, priority = state
     return (
-        parents,
-        tuple(tuple(sorted(l)) for l in labels),
-        tuple(tuple(sorted(h)) for h in anns),
+        tree.parents,
+        tuple(tuple(sorted(l)) for l in tree.labels),
+        tuple(tuple(sorted(h)) for h in tree.anns),
         priority,
     )
 
@@ -255,31 +249,28 @@ def _dpw_state_key(state):
 def _to_dpw(a: Automaton, step, start: CompactSafraTree, index: int) -> Automaton:
     """Close the compact tree step under the alphabet.
 
-    A DPW state is (parents, labels, anns, priority): the e/f bookmarks are
-    deliberately erased, so two steps arriving at the same shape with the
-    same priority are the same state.  Steps are cached on shape and
-    symbol, since the priority a state was entered with does not affect
-    its successors.
+    A DPW state is what the step returns, (tree, priority).  Trees compare
+    by shape, so two steps arriving at the same shape with the same
+    priority are the same state.  Steps are cached on tree and symbol,
+    since the priority a state was entered with does not affect its
+    successors.
     """
     step_cache: dict = {}
 
     def advance(state, symbol: str):
-        parents, labels, anns, _ = state
-        key = (parents, labels, anns, symbol)
+        key = (state[0], symbol)
         hit = step_cache.get(key)
         if hit is None:
-            tree = CompactSafraTree(parents, labels, e=2, f=1, anns=anns)
-            nxt, priority = step(tree, symbol, a)
-            hit = step_cache[key] = (nxt.parents, nxt.labels, nxt.anns, priority)
+            hit = step_cache[key] = step(state[0], symbol, a)
         return hit
 
     return explore(
         a,
-        (start.parents, start.labels, start.anns, priority_of(start.e, start.f)),
+        (start, priority_of(start.e, start.f)),
         advance,
         _dpw_state_key,
         lambda states: ParityAcceptance(
-            priorities=tuple(state[3] for state in states), index=index
+            priorities=tuple(priority for _, priority in states), index=index
         ),
     )
 

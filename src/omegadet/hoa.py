@@ -43,32 +43,38 @@ class HoaError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _parity_formula(index: int) -> str:
-    formula = f"{'Inf' if index % 2 else 'Fin'}({index - 1})"
-    for p in range(index - 2, -1, -1):
-        inner = formula if p == index - 2 else f"({formula})"
-        formula = f"Inf({p}) | {inner}" if p % 2 == 0 else f"Fin({p}) & {inner}"
-    return formula
+def _acceptance_name(kind: str, size: int) -> tuple[str, int]:
+    """(acc-name, set count) of `kind` with `size` pairs or priorities."""
+    if kind == "Buchi":
+        return "Buchi", 1
+    if kind == "parity":
+        return f"parity min even {size}", size
+    return f"{kind} {size}", 2 * size
 
 
-def _acceptance_table(kind: str, size: int) -> tuple[str, int, str]:
-    """(acc-name, set count, formula) of `kind` with `size` pairs or priorities.
+def _acceptance_formula(kind: str, size: int) -> str:
+    """The `Acceptance:` formula of `kind` with `size` pairs or priorities.
 
-    This is the one HOA description of the four conditions: emit writes it,
-    and the parser checks `acc-name:` and `Acceptance:` against it.  Pair i
-    is sets 2i (Fin) and 2i+1 (Inf); priority p is set p.
+    With `_acceptance_name` this is the one HOA description of the four
+    conditions: emit writes it, and the parser checks `acc-name:` and
+    `Acceptance:` against it.  Pair i is sets 2i (Fin) and 2i+1 (Inf);
+    priority p is set p.
     """
     if kind == "Buchi":
-        return "Buchi", 1, "Inf(0)"
+        return "Inf(0)"
     if kind == "parity":
-        return f"parity min even {size}", size, _parity_formula(size)
+        # Inf(0) | (Fin(1) & (Inf(2) | ...)), built in one pass
+        ops = [("Inf({}) | ", "Fin({}) & ")[p % 2].format(p) for p in range(size - 1)]
+        last = f"{'Inf' if size % 2 else 'Fin'}({size - 1})"
+        opened = [f"{op}(" for op in ops[:-1]] + ops[-1:]
+        return "".join(opened + [last, ")" * (size - 2)])
     inner, outer, empty = ("&", " | ", "f") if kind == "Rabin" else ("|", " & ", "t")
     pairs = [f"(Fin({2 * i}){inner}Inf({2 * i + 1}))" for i in range(size)]
-    return f"{kind} {size}", 2 * size, outer.join(pairs) or empty
+    return outer.join(pairs) or empty
 
 
 def _describe_acceptance(acc) -> tuple[str, int, str, list]:
-    """The table's triple for a condition, plus `sets[i]`: the states marked i."""
+    """acc-name, set count, formula and `sets[i]`, the states marked i, of acc."""
     if isinstance(acc, BuchiAcceptance):
         kind, size, sets = "Buchi", 1, [acc.accepting]
     elif isinstance(acc, RabinAcceptance):
@@ -88,7 +94,7 @@ def _describe_acceptance(acc) -> tuple[str, int, str, list]:
             sets[p].add(s)
     else:
         raise HoaError(f"cannot emit acceptance {type(acc).__name__}")
-    return (*_acceptance_table(kind, size), sets)
+    return (*_acceptance_name(kind, size), _acceptance_formula(kind, size), sets)
 
 
 def _build_acceptance(kind: str, sets: list, state_count: int):
@@ -195,7 +201,7 @@ def _number(text: str) -> int | None:
 
 
 def _parse_acc_name(value: str, line: int) -> tuple[str, int]:
-    """(kind, size) of an acc-name; only the names `_acceptance_table` writes."""
+    """(kind, size) of an acc-name; only the names `_acceptance_name` writes."""
     words = value.split()
     numbered = len(words) > 1 and _number(words[-1]) is not None
     size = int(words[-1]) if numbered else 1
@@ -210,7 +216,7 @@ def _parse_acc_name(value: str, line: int) -> tuple[str, int]:
             )
     if kind in ("Buchi", "Rabin", "Streett", "parity"):
         normal = words[:-1] + [str(size)] if numbered else words
-        if _acceptance_table(kind, size)[0].split() == normal:
+        if _acceptance_name(kind, size)[0].split() == normal:
             return kind, size
     raise HoaError(f"unsupported acc-name: {value!r}", line)
 
@@ -346,16 +352,18 @@ def parse_hoa(text: str) -> Automaton:
         )
     line, value = headers["acc-name"]
     kind, size = _parse_acc_name(value, line)
-    _, set_count, formula = _acceptance_table(kind, size)
+    _, set_count = _acceptance_name(kind, size)
     line, value = headers["Acceptance"]
     parts = value.split(None, 1)
     if not parts or _number(parts[0]) != set_count:
         raise HoaError(f"Acceptance: expected {set_count} sets for this acc-name", line)
     given = (parts[1] if len(parts) > 1 else "").replace(" ", "")
+    # the formula names every set, so a shorter one cannot match; checking
+    # that first bounds the expected formula by the document's own size
+    formula = _acceptance_formula(kind, size) if len(given) >= set_count else ""
     if given != formula.replace(" ", ""):
-        raise HoaError(
-            f"Acceptance: formula does not match acc-name (expected {formula!r})", line
-        )
+        expected = f" (expected {formula!r})" if 0 < len(formula) <= 80 else ""
+        raise HoaError(f"Acceptance: formula does not match acc-name{expected}", line)
     if initial >= state_count:
         raise HoaError(f"initial state {initial} out of range", last_header_line)
 

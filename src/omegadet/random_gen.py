@@ -17,13 +17,13 @@ from omegadet.automata import (
     StreettAcceptance,
 )
 
-DEFAULT_SYMBOLS = ("a", "b")
+SYMBOLS = ("a", "b")
 
 
-def _random_transitions(rng, n, symbols, density):
+def _random_transitions(rng, n, density):
     transitions = {}
     for s in range(n):
-        for sym in symbols:
+        for sym in SYMBOLS:
             targets = {t for t in range(n) if rng.random() < density}
             if not targets:
                 targets = {rng.randrange(n)}
@@ -32,19 +32,15 @@ def _random_transitions(rng, n, symbols, density):
 
 
 def random_nbw(
-    n: int,
-    seed: int,
-    symbols: tuple[str, ...] = DEFAULT_SYMBOLS,
-    density: float = 0.5,
-    acceptance_density: float = 0.4,
+    n: int, seed: int, density: float = 0.5, acceptance_density: float = 0.4
 ) -> Automaton:
     if n < 1:
         raise ValueError(f"random_nbw: n {n} < 1")
     rng = random.Random(seed)
-    transitions = _random_transitions(rng, n, symbols, density)
+    transitions = _random_transitions(rng, n, density)
     accepting = frozenset(s for s in range(n) if rng.random() < acceptance_density)
     return Automaton(
-        alphabet=Alphabet(symbols),
+        alphabet=Alphabet(SYMBOLS),
         state_count=n,
         initial=0,
         transitions=transitions,
@@ -52,25 +48,19 @@ def random_nbw(
     )
 
 
-def random_nsw(
-    n: int,
-    k: int,
-    seed: int,
-    symbols: tuple[str, ...] = DEFAULT_SYMBOLS,
-    density: float = 0.5,
-    acceptance_density: float = 0.35,
-) -> Automaton:
+def random_nsw(n: int, k: int, seed: int) -> Automaton:
     if n < 1:
         raise ValueError(f"random_nsw: n {n} < 1")
     rng = random.Random(seed)
-    transitions = _random_transitions(rng, n, symbols, density)
+    transitions = _random_transitions(rng, n, 0.5)
     pairs = []
+    # each state joins each R and each G with probability 0.35
     for _ in range(k):
-        r = frozenset(s for s in range(n) if rng.random() < acceptance_density)
-        g = frozenset(s for s in range(n) if rng.random() < acceptance_density)
+        r = frozenset(s for s in range(n) if rng.random() < 0.35)
+        g = frozenset(s for s in range(n) if rng.random() < 0.35)
         pairs.append((r, g))
     return Automaton(
-        alphabet=Alphabet(symbols),
+        alphabet=Alphabet(SYMBOLS),
         state_count=n,
         initial=0,
         transitions=transitions,

@@ -1,13 +1,24 @@
 """End-to-end CLI behavior: exit codes, report lines, error channel."""
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from omegadet import Alphabet, Automaton, BuchiAcceptance, nbw_to_dpw
+from omegadet import (
+    Alphabet,
+    Automaton,
+    BuchiAcceptance,
+    nbw_to_dpw,
+    random_nsw,
+    safra_determinize,
+)
 from omegadet.cli import run_cli
 from omegadet.hoa import emit_hoa, parse_hoa
 
@@ -338,3 +349,88 @@ class TestUsage:
         code = run_cli(["xcheck", "--max-prefix", "1", "--max-period", "1"])
         _, err = lines_of(capsys)
         assert code == 2
+
+
+# Emitted documents of every acceptance kind the tool reads: the NBW for
+# "infinitely many a", its DPW and Safra DRW, and a two-pair NSW.
+DOCUMENTS = [
+    emit_hoa(make_inf_a()),
+    emit_hoa(nbw_to_dpw(make_inf_a())),
+    emit_hoa(safra_determinize(make_inf_a())),
+    emit_hoa(random_nsw(2, 2, 1)),
+]
+MUTATIONS = "0123456789 \n[]{}()!&|:tfInF-\"x"
+
+
+@st.composite
+def input_files(draw):
+    """Text of an input file: an emitted document, maybe mutated; None if missing."""
+    choice = draw(st.integers(min_value=-1, max_value=len(DOCUMENTS) - 1))
+    if choice < 0:
+        return None
+    text = DOCUMENTS[choice]
+    rng = draw(st.randoms(use_true_random=False))
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        # replace, delete or insert one character anywhere in the document
+        at = rng.randrange(len(text))
+        new = rng.choice(["", *MUTATIONS])
+        text = text[:at] + new + text[at + rng.randint(0, 1):]
+    return text
+
+
+small = st.integers(min_value=-1, max_value=2).map(str)
+words = st.lists(st.sampled_from(["0", "1", "x"]), max_size=3).map(",".join)
+
+
+@st.composite
+def cli_runs(draw):
+    """(argv with INPUT/LEFT/RIGHT/OUTPUT placeholders, file texts by placeholder)."""
+    command = draw(
+        st.sampled_from(["determinize", "complement", "member", "xcheck", "stats"])
+    )
+    files = {}
+    argv = [command]
+    if command == "xcheck" and draw(st.booleans()):
+        argv += ["--random", draw(small), "--seed", draw(small)]
+        if draw(st.booleans()):
+            argv += ["--states", str(draw(st.integers(min_value=-1, max_value=3)))]
+    elif command == "xcheck":
+        files = {"LEFT": draw(input_files()), "RIGHT": draw(input_files())}
+        argv += ["--left", "LEFT", "--right", "RIGHT"]
+    else:
+        files = {"INPUT": draw(input_files())}
+        argv += ["--input", "INPUT"]
+    if command == "xcheck":
+        argv += ["--max-prefix", draw(small), "--max-period", draw(small)]
+    if command == "determinize":
+        argv += ["--type", draw(st.sampled_from(["buchi", "streett"]))]
+        argv += ["--backend", draw(st.sampled_from(["compact", "safra"]))]
+        argv += ["--stats"] * draw(st.integers(0, 1))
+    if command in ("determinize", "complement"):
+        argv += ["--output", "OUTPUT"]
+    if command == "member":
+        argv += ["--prefix", draw(words), "--period", draw(words)]
+    return argv, files
+
+
+@pytest.fixture(scope="module")
+def run_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli-contract")
+
+
+@settings(max_examples=150, deadline=None)
+@given(cli_runs())
+def test_every_run_exits_0_1_or_2(run_dir, run):
+    argv, files = run
+    paths = {"OUTPUT": str(run_dir / "out.hoa")}
+    for name, text in files.items():
+        path = run_dir / f"{name}.hoa"
+        if text is None:
+            path.unlink(missing_ok=True)
+        else:
+            path.write_text(text)
+        paths[name] = str(path)
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        code = run_cli([paths.get(arg, arg) for arg in argv])
+    assert code in (0, 1, 2), sink.getvalue()

@@ -1,6 +1,7 @@
 """Compact trees with dynamic names and the parity determinizations."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -21,8 +22,10 @@ from omegadet import (
     run_deterministic,
     validate_automaton,
 )
+from omegadet import compact
 from omegadet.compact import (
     EMPTY_TREE,
+    CompactSafraTree,
     initial_compact_streett_tree,
     initial_compact_tree,
 )
@@ -216,6 +219,80 @@ class TestStreettDeterminize:
                 run_deterministic(direct, lasso).accepted
                 == run_deterministic(via_union, lasso).accepted
             )
+
+
+def _shape(tree):
+    return (tree.parents, tree.labels, tree.anns)
+
+
+def _step_outputs(a, start, step):
+    """Every (tree, symbol, step output) reachable from start, by shape."""
+    seen = {_shape(start)}
+    queue = [start]
+    for tree in queue:
+        for symbol in a.alphabet.symbols:
+            out = step(tree, symbol, a)
+            yield tree, symbol, out
+            if _shape(out[0]) not in seen:
+                seen.add(_shape(out[0]))
+                queue.append(out[0])
+
+
+# (source, step name, its initial tree, its determinizer)
+STEP_CASES = [
+    pytest.param(
+        random_nbw(4, seed), "compact_step", initial_compact_tree, nbw_to_dpw,
+        id=f"nbw4-{seed}",
+    )
+    for seed in range(10)
+] + [
+    pytest.param(
+        random_nsw(3, 2, seed), "compact_streett_step",
+        initial_compact_streett_tree, nsw_to_dpw,
+        id=f"nsw3x2-{seed}",
+    )
+    for seed in range(10)
+]
+
+
+class TestTreeIdentity:
+    """A tree is its shape; e/f are the bookmarks of the step that made it."""
+
+    def test_bookmarks_are_not_identity(self):
+        one = CompactSafraTree((0, 1), (frozenset({0, 1}), frozenset({1})), e=2, f=1)
+        two = CompactSafraTree((0, 1), (frozenset({0, 1}), frozenset({1})), e=4, f=3)
+        assert one == two
+        assert hash(one) == hash(two)
+        assert (one.e, one.f) == (2, 1)
+        assert (two.e, two.f) == (4, 3)
+
+    @pytest.mark.parametrize("a,step,initial,_", STEP_CASES)
+    def test_step_outputs_hold_tuples_of_frozensets(self, a, step, initial, _):
+        for _, _, (tree, _) in _step_outputs(a, initial(a), getattr(compact, step)):
+            assert type(tree.parents) is tuple
+            assert type(tree.labels) is tuple and type(tree.anns) is tuple
+            assert all(type(label) is frozenset for label in tree.labels)
+            assert all(type(ann) is frozenset for ann in tree.anns)
+
+    @pytest.mark.parametrize("a,step,initial,determinize", STEP_CASES)
+    def test_closure_steps_each_shape_and_letter_once(
+        self, monkeypatch, a, step, initial, determinize
+    ):
+        original = getattr(compact, step)
+        expected = {
+            (_shape(tree), symbol)
+            for tree, symbol, _ in _step_outputs(a, initial(a), original)
+        }
+        calls = Counter()
+
+        def counting(tree, symbol, a):
+            calls[_shape(tree), symbol] += 1
+            return original(tree, symbol, a)
+
+        monkeypatch.setattr(compact, step, counting)
+        determinize(a)
+        assert set(calls) == expected
+        assert set(calls.values()) == {1}
 
 
 class TestStepInvariants:

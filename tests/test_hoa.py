@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -412,6 +413,38 @@ class TestAcceptanceTable:
         parsed = parse_hoa(doc)
         assert parsed.acceptance == acceptance
         assert structurally_equal(parsed, a)
+
+    def test_parity_formula_nests_every_priority(self):
+        def nested(p, index):
+            if p == index - 1:
+                return f"{'Inf' if p % 2 == 0 else 'Fin'}({p})"
+            inner = nested(p + 1, index)
+            inner = inner if p + 2 == index else f"({inner})"
+            return f"Inf({p}) | {inner}" if p % 2 == 0 else f"Fin({p}) & {inner}"
+
+        for index in range(1, 30):
+            doc = emit_hoa(_loop(1, ParityAcceptance((0,), index)))
+            assert f"Acceptance: {index} {nested(0, index)}" in doc.splitlines()
+
+    def test_large_parity_index_round_trips(self):
+        a = _loop(3, ParityAcceptance((0, 1999, 1000), 2000))
+        parsed = parse_hoa(emit_hoa(a))
+        assert parsed.acceptance == a.acceptance
+        assert structurally_equal(parsed, a)
+
+    @pytest.mark.parametrize("index", [64_000, 10**9])
+    @pytest.mark.parametrize("sets_match", [False, True], ids=["set-count", "formula"])
+    def test_huge_parity_index_rejected_quickly(self, index, sets_match):
+        # a short document must not make the parser build a huge formula
+        doc = TINY_DPW_DOC.replace(
+            "parity min even 1", f"parity min even {index}"
+        ).replace("Acceptance: 1", f"Acceptance: {index if sets_match else 1}")
+        started = time.perf_counter()
+        with pytest.raises(HoaError, match="Acceptance:") as exc:
+            parse_hoa(doc)
+        assert time.perf_counter() - started < 1.0
+        assert exc.value.line == 6
+        assert len(str(exc.value)) < 100
 
     @pytest.mark.parametrize("priority", [-1, 5])
     def test_emit_refuses_priority_outside_index(self, priority):
