@@ -360,9 +360,12 @@ def parse_hoa(text: str) -> Automaton:
     given = (parts[1] if len(parts) > 1 else "").replace(" ", "")
     # the formula names every set, so a shorter one cannot match; checking
     # that first bounds the expected formula by the document's own size
-    formula = _acceptance_formula(kind, size) if len(given) >= set_count else ""
-    if given != formula.replace(" ", ""):
-        expected = f" (expected {formula!r})" if 0 < len(formula) <= 80 else ""
+    formula = None
+    if len(given) < set_count or given != (
+        formula := _acceptance_formula(kind, size)
+    ).replace(" ", ""):
+        quoted = formula is not None and len(formula) <= 80
+        expected = f" (expected {formula!r})" if quoted else ""
         raise HoaError(f"Acceptance: formula does not match acc-name{expected}", line)
     if initial >= state_count:
         raise HoaError(f"initial state {initial} out of range", last_header_line)

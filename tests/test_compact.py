@@ -101,9 +101,11 @@ class TestBuchiStep:
         )
         tree, priority = compact_step(initial_compact_tree(blocked), "b", blocked)
         assert tree == EMPTY_TREE
+        assert (tree.e, tree.f) == (1, 1)
         assert priority == 1
         again, priority = compact_step(tree, "a", blocked)
         assert again == EMPTY_TREE
+        assert (again.e, again.f) == (1, 1)
         assert priority == 1
 
 

@@ -195,6 +195,26 @@ class TestParse:
         with pytest.raises(HoaError, match=fragment):
             parse_hoa(doc)
 
+    @pytest.mark.parametrize(
+        "doc,acc_name,set_count",
+        [
+            (TINY_DPW_DOC, "parity min even 1", 1),
+            (MINIMAL_BUCHI_DOC, "Buchi", 1),
+            (MINIMAL_BUCHI_DOC, "Rabin 1", 2),
+            (MINIMAL_BUCHI_DOC, "Streett 1", 2),
+            (TINY_DPW_DOC, "parity min even 4", 4),
+        ],
+        ids=["parity-1", "buchi", "rabin-1", "streett-1", "parity-4"],
+    )
+    def test_acceptance_without_formula_rejected(self, doc, acc_name, set_count):
+        # the set count alone does not stand for the formula
+        lines = doc.splitlines(keepends=True)
+        lines[4] = f"acc-name: {acc_name}\n"
+        lines[5] = f"Acceptance: {set_count}\n"
+        with pytest.raises(HoaError, match="does not match") as exc:
+            parse_hoa("".join(lines))
+        assert exc.value.line == 6
+
     def test_alias_header_is_rejected(self):
         doc = TINY_DPW_DOC.replace("AP: 1 \"p0\"", "AP: 1 \"p0\"\nAlias: @a 0")
         with pytest.raises(HoaError, match="alias"):
