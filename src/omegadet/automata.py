@@ -9,6 +9,7 @@ required to be total with singleton successor sets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 
@@ -44,6 +45,10 @@ class BuchiAcceptance:
     def __post_init__(self) -> None:
         object.__setattr__(self, "accepting", frozenset(self.accepting))
 
+    @cached_property
+    def accepting_mask(self) -> int:
+        return state_mask(self.accepting)
+
 
 @dataclass(frozen=True)
 class RabinAcceptance:
@@ -71,6 +76,11 @@ class StreettAcceptance:
             "pairs",
             tuple((frozenset(r), frozenset(g)) for r, g in self.pairs),
         )
+
+    @cached_property
+    def pair_masks(self) -> tuple[tuple[int, int], ...]:
+        """(R, G) of every pair as state masks."""
+        return tuple((state_mask(r), state_mask(g)) for r, g in self.pairs)
 
 
 @dataclass(frozen=True)
@@ -127,6 +137,61 @@ class Automaton:
 
     def states(self) -> range:
         return range(self.state_count)
+
+    # The tables of the tree constructions, built on first use and freed
+    # with the automaton; cached properties stay out of == and repr.
+
+    @cached_property
+    def successor_masks(self) -> dict[str, tuple[int, ...]]:
+        """Per symbol, the successors of every state as a state mask."""
+        table = {sym: [0] * self.state_count for sym in self.alphabet}
+        for (s, sym), targets in self.transitions.items():
+            table[sym][s] = state_mask(targets)
+        return {sym: tuple(row) for sym, row in table.items()}
+
+    @cached_property
+    def image_masks(self) -> dict[str, dict[int, int]]:
+        """Per symbol, a memo from a state mask to the mask of all its successors."""
+        return {sym: _Images(row) for sym, row in self.successor_masks.items()}
+
+
+class _Images(dict):
+    """Image memo of one symbol; a missing mask is computed from the row."""
+
+    __slots__ = ("row",)
+
+    def __init__(self, row: tuple[int, ...]) -> None:
+        super().__init__()
+        self.row = row
+
+    def __missing__(self, mask: int) -> int:
+        row = self.row
+        out = 0
+        rest = mask
+        while rest:
+            low = rest & -rest
+            out |= row[low.bit_length() - 1]
+            rest ^= low
+        self[mask] = out
+        return out
+
+
+def state_mask(states: Iterable[int]) -> int:
+    """The states as a bit mask: bit s is set iff state s is in the set."""
+    mask = 0
+    for s in states:
+        mask |= 1 << s
+    return mask
+
+
+def mask_states(mask: int) -> tuple[int, ...]:
+    """The states of a bit mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def _check_state_set(
@@ -403,28 +468,21 @@ def reachable_states(a: Automaton) -> frozenset[int]:
 # ---------------------------------------------------------------------------
 
 
-def image(a: Automaton, states: Iterable[int], symbol: str) -> set[int]:
-    """All successors of `states` on `symbol`."""
-    out: set[int] = set()
-    for s in states:
-        out |= a.successors(s, symbol)
-    return out
-
-
 @dataclass(eq=False, slots=True)
 class WorkTree:
     """A history tree that one step edits in place.
 
-    label, kids and ann map each name to its states, its children oldest
-    first and the pair indices it still owes (ann is None for Buchi
-    trees).  last is the last name handed out and removed holds the names
-    cut so far.  A child's label is a subset of its parent's, so a node
-    whose label empties has an empty subtree.
+    label, kids and ann map each name to its states as a mask (see
+    `state_mask`), its children oldest first and the pair indices it still
+    owes as a mask (ann is None for Buchi trees).  last is the last name
+    handed out and removed holds the names cut so far.  A child's label is
+    a subset of its parent's, so a node whose label empties has an empty
+    subtree.
     """
 
-    label: dict[int, set[int]]
+    label: dict[int, int]
     kids: dict[int, list[int]]
-    ann: dict[int, frozenset[int]] | None
+    ann: dict[int, int] | None
     last: int
     removed: set[int] = field(default_factory=set)
 
@@ -447,25 +505,26 @@ class WorkTree:
             names.extend(kids[x])
         return names
 
-    def sprout(self, owner: int, states: Iterable[int], owed=None) -> None:
+    def sprout(self, owner: int, states: int, owed: int | None = None) -> None:
         """Add a youngest child of owner under a fresh name."""
         self.last = name = self.last + 1
         self.kids[owner].append(name)
         self.kids[name] = []
-        self.label[name] = set(states)
+        self.label[name] = states
         if self.ann is not None:
             self.ann[name] = owed
 
-    def strip(self, v: int, states: set[int]) -> None:
+    def strip(self, v: int, states: int) -> None:
         """Remove states from every label in v's subtree."""
         label = self.label
+        keep = ~states
         for x in self._subtree(v):
-            label[x] -= states
+            label[x] &= keep
 
     def settle(self, sons: Iterable[int]) -> None:
         """In the order given, each son keeps only the states no earlier son holds."""
         label = self.label
-        claimed: set[int] = set()
+        claimed = 0
         for c in sons:
             dup = label[c] & claimed
             if dup:
@@ -486,30 +545,35 @@ class WorkTree:
 def explore(
     a: Automaton,
     start: Hashable,
-    step: Callable[[Hashable, str], Hashable],
+    successors: Callable[[Hashable], list],
     key: Callable[[Hashable], object],
     acceptance: Callable[[list], AcceptanceCondition],
 ) -> Automaton:
     """Deterministic automaton over the states reachable from `start`.
 
-    step(state, symbol) gives the successor state.  States are numbered in
-    the order of key(state), not in the order they are found, so the
-    numbering, and with it the emitted HOA, does not depend on hash order.
-    acceptance(states) builds the condition from the states in that order.
+    successors(state) gives the successor state on every symbol, in
+    alphabet order.  States are numbered in the order of key(state), not
+    in the order they are found, so the numbering, and with it the emitted
+    HOA, does not depend on hash order.  acceptance(states) builds the
+    condition from the states in that order.
     """
     symbols = a.alphabet.symbols
-    order, edges = reach(start, lambda state: [step(state, sym) for sym in symbols])
+    order, edges = reach(start, successors)
     states = sorted(order, key=key)
-    number = {state: i for i, state in enumerate(states)}
+    # reach keeps every state as its first instance, so identity numbers
+    # them without hashing a state again
+    number = {id(state): i for i, state in enumerate(states)}
+    # every transition into state i shares one {i}
+    targets = [frozenset({i}) for i in range(len(states))]
     transitions = {
-        (number[state], sym): frozenset({number[nxt]})
+        (number[id(state)], sym): targets[number[id(nxt)]]
         for state, nexts in edges.items()
         for sym, nxt in zip(symbols, nexts)
     }
     return Automaton(
         alphabet=a.alphabet,
         state_count=len(states),
-        initial=number[start],
+        initial=number[id(start)],
         transitions=transitions,
         acceptance=acceptance(states),
         deterministic=True,

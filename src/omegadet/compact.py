@@ -19,7 +19,7 @@ from omegadet.automata import (
     StreettAcceptance,
     WorkTree,
     explore,
-    image,
+    mask_states,
 )
 
 
@@ -27,20 +27,29 @@ from omegadet.automata import (
 class CompactSafraTree:
     """History tree with consecutive names [1..N].
 
-    parents[i] is the parent name of name i+1 (0 for the root); labels[i]
-    is the label of name i+1.  Parent names are smaller than child names.
-    anns[i] is the set of pair indices (1-based) that name i+1 still owes;
-    it is empty for the Buchi construction.  A tree is its shape: e/f are
-    the deletion/completion bookmarks of the step that produced it, kept
-    readable but left out of equality and hashing.  The empty tree (no
-    nodes, e=1) is the rejecting sink.
+    parents[i] is the parent name of name i+1 (0 for the root); masks[i]
+    is the label of name i+1 as a state mask (bit s for state s).  Parent
+    names are smaller than child names.  ann_masks[i] holds bit j for
+    every pair index j (1-based) that name i+1 still owes; it is empty for
+    the Buchi construction.  labels and anns read the masks as frozensets.
+    A tree is its shape: e/f are the deletion/completion bookmarks of the
+    step that produced it, kept readable but left out of equality and
+    hashing.  The empty tree (no nodes, e=1) is the rejecting sink.
     """
 
     parents: tuple[int, ...]
-    labels: tuple[frozenset[int], ...]
+    masks: tuple[int, ...]
     e: int = field(compare=False)
     f: int = field(compare=False)
-    anns: tuple[frozenset[int], ...] = ()
+    ann_masks: tuple[int, ...] = ()
+
+    @property
+    def labels(self) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(mask_states(m)) for m in self.masks)
+
+    @property
+    def anns(self) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(mask_states(m)) for m in self.ann_masks)
 
 
 def priority_of(e: int, f: int) -> int:
@@ -59,19 +68,19 @@ def priority_of(e: int, f: int) -> int:
     return 2 * e - 3
 
 
-EMPTY_TREE = CompactSafraTree(parents=(), labels=(), e=1, f=1)
+EMPTY_TREE = CompactSafraTree(parents=(), masks=(), e=1, f=1)
 
 
 def _open(tree: CompactSafraTree, symbol: str, a: Automaton) -> WorkTree:
     """Working copy of a tree after reading symbol; fresh names follow the last one."""
-    count = len(tree.parents)
-    label = {v: image(a, tree.labels[v - 1], symbol) for v in range(1, count + 1)}
-    kids: dict[int, list[int]] = {v: [] for v in range(1, count + 1)}
+    images = a.image_masks[symbol]
+    label = {v: images[m] for v, m in enumerate(tree.masks, 1)}
+    kids: dict[int, list[int]] = {v: [] for v in label}
     for v, p in enumerate(tree.parents, 1):
         if p:
             kids[p].append(v)
-    ann = dict(enumerate(tree.anns, 1)) if tree.anns else None
-    return WorkTree(label, kids, ann, count)
+    ann = dict(enumerate(tree.ann_masks, 1)) if tree.ann_masks else None
+    return WorkTree(label, kids, ann, len(label))
 
 
 def _close(t: WorkTree, f: int, bound: int):
@@ -85,26 +94,28 @@ def _close(t: WorkTree, f: int, bound: int):
     Returns the successor tree and its priority.
     """
     label, kids, removed = t.label, t.kids, t.removed
-    # deep nodes emptied by ancestor-level removals are swept here
-    removed.update(v for v, states in label.items() if not states)
-    if 1 in removed:
+    # label holds every name 1..last in ascending order; deep nodes
+    # emptied by ancestor-level removals are swept here
+    survivors = [v for v, states in label.items() if states and v not in removed]
+    if not survivors or survivors[0] != 1:
         return EMPTY_TREE, 1
-    survivors = sorted(v for v in label if v not in removed)
-    rename = {v: i for i, v in enumerate(survivors, 1)}
-    parent = {c: rename[v] for v in survivors for c in kids[v]}
-    e = min(removed, default=bound)
+    count = len(survivors)
+    e = bound
+    if count < t.last:
+        e = next((i for i, v in enumerate(survivors, 1) if i != v), count + 1)
+    parent = {c: i for i, v in enumerate(survivors, 1) for c in kids[v]}
     out = CompactSafraTree(
-        parents=tuple(parent.get(v, 0) for v in survivors),
-        labels=tuple(frozenset(label[v]) for v in survivors),
+        parents=(0, *map(parent.__getitem__, survivors[1:])),
+        masks=tuple(map(label.__getitem__, survivors)),
         e=e,
         f=f,
-        anns=() if t.ann is None else tuple(t.ann[v] for v in survivors),
+        ann_masks=() if t.ann is None else tuple(map(t.ann.__getitem__, survivors)),
     )
     return out, priority_of(e, f)
 
 
 def initial_compact_tree(a: Automaton) -> CompactSafraTree:
-    return CompactSafraTree(parents=(0,), labels=(frozenset({a.initial}),), e=2, f=1)
+    return CompactSafraTree(parents=(0,), masks=(1 << a.initial,), e=2, f=1)
 
 
 def compact_step(
@@ -121,7 +132,7 @@ def compact_step(
     count = len(tree.parents)
     if count == 0:
         return EMPTY_TREE, 1
-    alpha = a.acceptance.accepting
+    alpha = a.acceptance.accepting_mask
     t = _open(tree, symbol, a)
     label, kids = t.label, t.kids
 
@@ -138,12 +149,14 @@ def compact_step(
             t.settle(sons)
 
     # a label covered by its children closes a round: keep the node, drop
-    # the subtree below it
-    greens = [
-        v
-        for v in sorted(label)
-        if label[v] == set().union(*(label[c] for c in kids[v]))
-    ]
+    # the subtree below it; label's keys are in name order
+    greens = []
+    for v, states in label.items():
+        covered = 0
+        for c in kids[v]:
+            covered |= label[c]
+        if states == covered:
+            greens.append(v)
     for g in greens:
         if g not in t.removed:
             t.prune(g)
@@ -161,8 +174,9 @@ def initial_compact_streett_tree(a: Automaton) -> CompactSafraTree:
     k = len(a.acceptance.pairs)
     return CompactSafraTree(
         parents=(0,),
-        labels=(frozenset({a.initial}),),
-        anns=(frozenset(range(1, k + 1)),),
+        masks=(1 << a.initial,),
+        # bits 1..k: every pair index is owed
+        ann_masks=((1 << (k + 1)) - 2,),
         e=2,
         f=1,
     )
@@ -182,7 +196,7 @@ def compact_streett_step(
     """
     if not isinstance(a.acceptance, StreettAcceptance):
         raise ValueError("compact_streett_step: Streett acceptance required")
-    pairs = a.acceptance.pairs
+    pairs = a.acceptance.pair_masks
     n = a.state_count
     m = n * (len(pairs) + 1)
     count = len(tree.parents)
@@ -194,36 +208,40 @@ def compact_streett_step(
     finished: set[int] = set()
 
     def process(v: int) -> None:
+        owed = ann[v]
         if not kids[v]:
-            if not ann[v]:
+            if not owed:
                 # nothing owed: the empty round completes on every letter
                 finished.add(v)
                 return
-            t.sprout(v, label[v], ann[v] - {max(ann[v])})
+            t.sprout(v, label[v], owed ^ _top_bit(owed))
         sons = sorted(kids[v])
         for c in sons:
             process(c)
         for c in sons:
-            missing = ann[v] - ann[c]
+            missing = owed & ~ann[c]
             if not missing:
                 continue
-            (j,) = missing
+            j = missing.bit_length() - 1
+            assert missing == 1 << j, "a son owes at most one index fewer"
             r_j, g_j = pairs[j - 1]
-            for s in sorted(label[c]):
-                if s in r_j:
-                    t.strip(c, {s})
-                    lower = [x for x in ann[v] if x < j]
-                    drop = max(lower) if lower else 0
-                    t.sprout(v, {s}, ann[v] - {drop})
-                elif s in g_j:
-                    t.strip(c, {s})
-                    t.sprout(v, {s}, ann[v] - {j})
-        # duplicated states settle on the son owing the smallest index
-        # (a son owes at most one index fewer than v), ties on name
-        t.settle(sorted(kids[v], key=lambda c: (min(ann[v] - ann[c], default=0), c)))
+            # an R-hit moves on to the largest smaller index (none left:
+            # back to owing all), a G-hit owes j again; one son per state
+            lower = owed & (missing - 1)
+            r_owed = owed ^ _top_bit(lower) if lower else owed
+            moving = label[c] & (r_j | g_j)
+            if moving:
+                t.strip(c, moving)
+                for s in mask_states(moving):
+                    hit = 1 << s
+                    t.sprout(v, hit, r_owed if hit & r_j else owed ^ missing)
+        # duplicated states settle on the son owing the smallest index,
+        # ties on name; a son owes at most one index fewer than v, so its
+        # missing mask orders as that index
+        t.settle(sorted(kids[v], key=lambda c: (owed & ~ann[c], c)))
         # emptied sons leave; _close sweeps their empty subtrees
         kids[v] = [c for c in kids[v] if label[c]]
-        if kids[v] and all(ann[c] == ann[v] for c in kids[v]):
+        if kids[v] and all(ann[c] == owed for c in kids[v]):
             t.prune(v)
             finished.add(v)
 
@@ -236,12 +254,25 @@ def compact_streett_step(
 # ---------------------------------------------------------------------------
 
 
-def _dpw_state_key(state):
+def _top_bit(mask: int) -> int:
+    return 1 << (mask.bit_length() - 1)
+
+
+class _Decoded(dict):
+    """Memo from a mask to its bits, ascending."""
+
+    def __missing__(self, mask: int) -> tuple[int, ...]:
+        self[mask] = out = mask_states(mask)
+        return out
+
+
+def _dpw_state_key(state, decoded: _Decoded):
+    """Sort key of a DPW state: the tree with its masks read as sorted tuples."""
     tree, priority = state
     return (
         tree.parents,
-        tuple(tuple(sorted(l)) for l in tree.labels),
-        tuple(tuple(sorted(h)) for h in tree.anns),
+        tuple(decoded[m] for m in tree.masks),
+        tuple(decoded[h] for h in tree.ann_masks),
         priority,
     )
 
@@ -251,24 +282,26 @@ def _to_dpw(a: Automaton, step, start: CompactSafraTree, index: int) -> Automato
 
     A DPW state is what the step returns, (tree, priority).  Trees compare
     by shape, so two steps arriving at the same shape with the same
-    priority are the same state.  Steps are cached on tree and symbol,
-    since the priority a state was entered with does not affect its
-    successors.
+    priority are the same state.  The steps of a tree on every symbol are
+    cached on the tree, since the priority a state was entered with does
+    not affect its successors.
     """
-    step_cache: dict = {}
+    symbols = a.alphabet.symbols
+    rows: dict = {}
+    decoded = _Decoded()
 
-    def advance(state, symbol: str):
-        key = (state[0], symbol)
-        hit = step_cache.get(key)
-        if hit is None:
-            hit = step_cache[key] = step(state[0], symbol, a)
-        return hit
+    def successors(state):
+        tree = state[0]
+        row = rows.get(tree)
+        if row is None:
+            row = rows[tree] = [step(tree, symbol, a) for symbol in symbols]
+        return row
 
     return explore(
         a,
         (start, priority_of(start.e, start.f)),
-        advance,
-        _dpw_state_key,
+        successors,
+        lambda state: _dpw_state_key(state, decoded),
         lambda states: ParityAcceptance(
             priorities=tuple(priority for _, priority in states), index=index
         ),

@@ -15,16 +15,17 @@ from omegadet.automata import (
     StreettAcceptance,
     WorkTree,
     explore,
-    image,
+    mask_states,
+    state_mask,
 )
 
 
-def _freeze_labels(label):
-    return {v: frozenset(states) for v, states in label.items()}
+def _masks_of(sets):
+    return {v: state_mask(states) for v, states in sets.items()}
 
 
-def _freeze_children(children):
-    return {v: tuple(cs) for v, cs in children.items()}
+def _sets_of(masks):
+    return {v: frozenset(mask_states(m)) for v, m in masks.items()}
 
 
 class SafraTree:
@@ -35,29 +36,55 @@ class SafraTree:
     e_set holds the names unused by the tree, f_set the names whose node
     finished a breakpoint this step.  For the Streett construction ann maps
     node name to the pair indices the node still owes; it is None for Buchi
-    trees.  The empty tree (no nodes) is the dead state.
+    trees.  The empty tree (no nodes) is the dead state.  The tree keeps
+    label and ann as masks (see `state_mask`) in masks and ann_masks;
+    label and ann read them as frozensets.
     """
 
-    __slots__ = ("label", "children", "e_set", "f_set", "ann", "_key")
+    __slots__ = ("masks", "children", "e_set", "f_set", "ann_masks", "_key")
 
     def __init__(self, label, children, e_set, f_set, ann=None):
-        self.label = _freeze_labels(label)
-        self.children = _freeze_children(children)
+        self._fill(
+            _masks_of(label),
+            children,
+            e_set,
+            f_set,
+            None if ann is None else _masks_of(ann),
+        )
+
+    @classmethod
+    def _of_masks(cls, masks, children, e_set, f_set, ann_masks):
+        tree = cls.__new__(cls)
+        tree._fill(masks, children, e_set, f_set, ann_masks)
+        return tree
+
+    def _fill(self, masks, children, e_set, f_set, ann_masks):
+        self.masks = masks
+        self.children = {v: tuple(cs) for v, cs in children.items()}
         self.e_set = frozenset(e_set)
         self.f_set = frozenset(f_set)
-        self.ann = None if ann is None else {v: frozenset(js) for v, js in ann.items()}
+        self.ann_masks = ann_masks
         self._key = None
+
+    @property
+    def label(self):
+        return _sets_of(self.masks)
+
+    @property
+    def ann(self):
+        return None if self.ann_masks is None else _sets_of(self.ann_masks)
 
     def key(self):
         if self._key is None:
+            ann = self.ann_masks
             record = tuple(
                 (
                     v,
                     self.children[v],
-                    tuple(sorted(self.label[v])),
-                    tuple(sorted(self.ann[v])) if self.ann is not None else (),
+                    mask_states(self.masks[v]),
+                    mask_states(ann[v]) if ann is not None else (),
                 )
-                for v in sorted(self.label)
+                for v in sorted(self.masks)
             )
             self._key = (
                 record,
@@ -74,8 +101,8 @@ class SafraTree:
 
     def __repr__(self):
         parts = [
-            f"{v}:{sorted(self.label[v])}->{list(self.children[v])}"
-            for v in sorted(self.label)
+            f"{v}:{list(mask_states(self.masks[v]))}->{list(self.children[v])}"
+            for v in sorted(self.masks)
         ]
         return (
             f"SafraTree({'; '.join(parts)} | E={sorted(self.e_set)}"
@@ -99,10 +126,11 @@ def _dead_safra_tree(n: int) -> SafraTree:
 
 def _open(tree: SafraTree, symbol: str, a: Automaton, pool: int) -> WorkTree:
     """Working copy of a tree after reading symbol; temporaries follow the pool."""
+    images = a.image_masks[symbol]
     return WorkTree(
-        {v: image(a, states, symbol) for v, states in tree.label.items()},
+        {v: images[m] for v, m in tree.masks.items()},
         {v: list(cs) for v, cs in tree.children.items()},
-        None if tree.ann is None else dict(tree.ann),
+        None if tree.ann_masks is None else dict(tree.ann_masks),
         pool,
     )
 
@@ -129,7 +157,7 @@ def _settle(t: WorkTree, f_marks, pool: int) -> SafraTree:
     def name(v):
         return rename.get(v, v)
 
-    return SafraTree(
+    return SafraTree._of_masks(
         {name(v): label[v] for v in survivors},
         {name(v): [name(c) for c in kids[v] if c in survivors] for v in survivors},
         e_set,
@@ -149,9 +177,9 @@ def safra_step(tree: SafraTree, symbol: str, a: Automaton) -> SafraTree:
     if not isinstance(a.acceptance, BuchiAcceptance):
         raise ValueError("safra_step: Buchi acceptance required")
     n = a.state_count
-    if not tree.label:
+    if not tree.masks:
         return _dead_safra_tree(n)
-    alpha = a.acceptance.accepting
+    alpha = a.acceptance.accepting_mask
     t = _open(tree, symbol, a, n)
     label, kids = t.label, t.kids
 
@@ -169,11 +197,13 @@ def safra_step(tree: SafraTree, symbol: str, a: Automaton) -> SafraTree:
             t.settle(kids[v])
 
     # breakpoints: children covering a nonempty parent end the round
-    greens = {
-        v
-        for v, states in label.items()
-        if states and states == set().union(*(label[c] for c in kids[v]))
-    }
+    greens = set()
+    for v, states in label.items():
+        covered = 0
+        for c in kids[v]:
+            covered |= label[c]
+        if states and states == covered:
+            greens.add(v)
     for g in greens:
         t.prune(g)
     assert all(v <= n for v in greens), "fresh node cannot finish a breakpoint"
@@ -191,10 +221,11 @@ def _rabin_condition(trees, name_count: int) -> RabinAcceptance:
 
 def _to_drw(a: Automaton, step, start: SafraTree, name_count: int) -> Automaton:
     """Close a history-tree step under the alphabet; name i gives Rabin pair i."""
+    symbols = a.alphabet.symbols
     return explore(
         a,
         start,
-        lambda tree, symbol: step(tree, symbol, a),
+        lambda tree: [step(tree, symbol, a) for symbol in symbols],
         SafraTree.key,
         lambda trees: _rabin_condition(trees, name_count),
     )
@@ -239,11 +270,11 @@ def streett_safra_step(
     """
     if not isinstance(a.acceptance, StreettAcceptance):
         raise ValueError("streett_safra_step: Streett acceptance required")
-    pairs = a.acceptance.pairs
+    pairs = a.acceptance.pair_masks
     k = len(pairs)
     n = a.state_count
     m = n * (k + 1)
-    if not tree.label:
+    if not tree.masks:
         return _dead_safra_tree(m)
 
     t = _open(tree, symbol, a, m)
@@ -251,37 +282,39 @@ def streett_safra_step(
     f_marks: set[int] = set()
 
     def process(v: int) -> None:
+        owed = ann[v]
         if not kids[v]:
-            if not ann[v]:
+            if not owed:
                 # nothing owed: the empty round completes on every letter
                 f_marks.add(v)
                 return
-            t.sprout(v, label[v], ann[v] - {max(ann[v])})
+            t.sprout(v, label[v], owed ^ (1 << (owed.bit_length() - 1)))
         sons = list(kids[v])
         for c in sons:
             process(c)
         for c in sons:
-            missing = ann[v] - ann[c]
+            missing = owed & ~ann[c]
             if not missing:
                 continue
-            (j,) = missing
+            j = missing.bit_length() - 1
+            assert missing == 1 << j, "a son owes at most one index fewer"
             r_j, g_j = pairs[j - 1]
-            for s in sorted(label[c]):
-                if s in r_j:
-                    t.strip(c, {s})
-                    lower = [x for x in ann[v] if x < j]
-                    drop = max(lower) if lower else 0
-                    t.sprout(v, {s}, ann[v] - {drop})
-                elif s in g_j:
-                    t.strip(c, {s})
-                    t.sprout(v, {s}, ann[v] - {j})
+            for s in mask_states(label[c] & (r_j | g_j)):
+                hit = 1 << s
+                t.strip(c, hit)
+                if hit & r_j:
+                    lower = owed & (missing - 1)
+                    drop = (1 << (lower.bit_length() - 1)) if lower else 0
+                    t.sprout(v, hit, owed ^ drop)
+                else:
+                    t.sprout(v, hit, owed ^ missing)
         # duplicated states settle on the son owing the smallest index
-        # (a son owes at most one index fewer than v); the stable sort
-        # breaks ties on age
-        t.settle(sorted(kids[v], key=lambda c: min(ann[v] - ann[c], default=0)))
+        # (a son owes at most one index fewer than v, so its missing mask
+        # orders as that index); the stable sort breaks ties on age
+        t.settle(sorted(kids[v], key=lambda c: owed & ~ann[c]))
         # emptied sons leave; _settle sweeps their empty subtrees
         kids[v] = [c for c in kids[v] if label[c]]
-        if kids[v] and all(ann[c] == ann[v] for c in kids[v]):
+        if kids[v] and all(ann[c] == owed for c in kids[v]):
             t.prune(v)
             f_marks.add(v)
 

@@ -1,0 +1,193 @@
+"""The bit-mask kernel under the tree steps.
+
+Tree labels are state masks (bit s for state s).  Each automaton holds,
+per symbol, the successors of every state as a mask and a memo of the
+images of masks; the compact trees compare and hash by their masks and
+read them back as frozensets.
+"""
+
+import random
+from functools import cached_property
+
+import pytest
+
+from omegadet import (
+    Alphabet,
+    Automaton,
+    BuchiAcceptance,
+    nbw_to_dpw,
+    nsw_to_dpw,
+    safra_determinize,
+    streett_safra_determinize,
+)
+from omegadet import compact
+from omegadet.automata import mask_states, state_mask
+from omegadet.compact import CompactSafraTree
+from omegadet.random_gen import random_nbw, random_nsw
+
+from treecheck import assert_tree_invariants, drive_buchi, drive_streett
+
+
+def _image(a, states, symbol):
+    """All successors of states on symbol, one successor set at a time."""
+    out = set()
+    for s in states:
+        out |= a.successors(s, symbol)
+    return out
+
+
+def _full3():
+    """The full NBW on 3 states: letter i moves s to t iff bit 3s + t of i is set."""
+    symbols = tuple(f"{i:09b}" for i in range(512))
+    transitions = {}
+    for i, sym in enumerate(symbols):
+        for bit in range(9):
+            if (i >> bit) & 1:
+                s, t = divmod(bit, 3)
+                transitions.setdefault((s, sym), set()).add(t)
+    return Automaton(
+        alphabet=Alphabet(symbols),
+        state_count=3,
+        initial=0,
+        transitions=transitions,
+        acceptance=BuchiAcceptance(frozenset({2})),
+    )
+
+
+def _partial():
+    """States 1 and 3 have no successors on any letter, state 2 none on b."""
+    return Automaton(
+        alphabet=Alphabet(("a", "b")),
+        state_count=4,
+        initial=0,
+        transitions={
+            (0, "a"): frozenset({1, 2}),
+            (0, "b"): frozenset({0, 3}),
+            (2, "a"): frozenset({0, 2}),
+        },
+        acceptance=BuchiAcceptance(frozenset({2})),
+    )
+
+
+AUTOMATA = (
+    [pytest.param(random_nbw(5, seed), id=f"nbw5-{seed}") for seed in range(20)]
+    + [pytest.param(random_nsw(4, 2, seed), id=f"nsw4x2-{seed}") for seed in range(20)]
+    + [pytest.param(_partial(), id="partial"), pytest.param(_full3(), id="full3")]
+)
+
+
+class TestMasks:
+    def test_round_trip_ascending(self):
+        assert state_mask({3, 0, 1}) == 0b1011
+        assert mask_states(0b1011) == (0, 1, 3)
+        assert mask_states(0) == ()
+        states = (0, 5, 63, 64, 65, 200)
+        assert mask_states(state_mask(reversed(states))) == states
+
+
+class TestTables:
+    @pytest.mark.parametrize("a", AUTOMATA)
+    def test_successor_masks_agree_with_successors(self, a):
+        table = a.successor_masks
+        assert list(table) == list(a.alphabet)
+        for sym in a.alphabet:
+            assert len(table[sym]) == a.state_count
+            for s in a.states():
+                assert mask_states(table[sym][s]) == tuple(sorted(a.successors(s, sym)))
+
+    @pytest.mark.parametrize("a", AUTOMATA)
+    def test_image_masks_agree_with_the_image(self, a):
+        for sym in a.alphabet:
+            images = a.image_masks[sym]
+            for mask in range(1 << a.state_count):
+                want = _image(a, mask_states(mask), sym)
+                assert set(mask_states(images[mask])) == want
+            # every mask asked for is memoised, and only those
+            assert sorted(images) == list(range(1 << a.state_count))
+
+    def test_tables_stay_out_of_equality_and_repr(self):
+        a, b = random_nbw(4, 1), random_nbw(4, 1)
+        a.image_masks["a"][0b1111]
+        assert a == b
+        assert repr(a) == repr(b)
+
+    @pytest.mark.parametrize(
+        "source,determinize",
+        [
+            (lambda: random_nbw(4, 1), nbw_to_dpw),
+            (lambda: random_nbw(4, 1), safra_determinize),
+            (lambda: random_nsw(3, 2, 1), nsw_to_dpw),
+            (lambda: random_nsw(3, 2, 1), streett_safra_determinize),
+        ],
+        ids=["nbw_to_dpw", "safra_determinize", "nsw_to_dpw", "streett_safra_determinize"],
+    )
+    def test_tables_are_built_once_per_automaton(self, monkeypatch, source, determinize):
+        builds = []
+        for name in ("successor_masks", "image_masks"):
+            original = getattr(Automaton, name).func
+
+            def counting(self, original=original, name=name):
+                builds.append((id(self), name))
+                return original(self)
+
+            prop = cached_property(counting)
+            prop.__set_name__(Automaton, name)
+            monkeypatch.setattr(Automaton, name, prop)
+        first, second = source(), source()
+        out = determinize(first)
+        assert determinize(second) == out
+        assert out.state_count > 1
+        assert sorted(builds) == sorted(
+            (id(a), name)
+            for a in (first, second)
+            for name in ("successor_masks", "image_masks")
+        )
+
+
+class TestWideAutomata:
+    """More than 64 states: labels hold bits past any machine word."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_buchi_walk(self, seed):
+        n = 70
+        a = random_nbw(n, seed, density=3 / n)
+        high = False
+        for tree, priority in drive_buchi(a, random.Random(seed), steps=40):
+            assert_tree_invariants(tree, priority, n)
+            high |= any(m >> 64 for m in tree.masks)
+        assert high
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_streett_walk(self, seed):
+        n, k = 66, 2
+        a = random_nsw(n, k, seed)
+        high = False
+        for tree, priority in drive_streett(a, random.Random(seed), steps=12):
+            assert_tree_invariants(tree, priority, n * (k + 1), pair_count=k)
+            high |= any(m >> 64 for m in tree.masks)
+        assert high
+
+
+class TestMaskTrees:
+    def test_labels_and_anns_decode_the_masks(self):
+        tree = CompactSafraTree(
+            (0, 1), (0b1011 | 1 << 70, 0b10), e=3, f=1, ann_masks=(0b110, 0b10)
+        )
+        assert tree.labels == (frozenset({0, 1, 3, 70}), frozenset({1}))
+        assert tree.anns == (frozenset({1, 2}), frozenset({1}))
+        assert [sorted(label) for label in tree.labels] == [[0, 1, 3, 70], [1]]
+
+    def test_bookmarks_stay_out_of_equality_and_hash(self):
+        one = CompactSafraTree((0, 1), (0b11, 0b10), e=2, f=1)
+        two = CompactSafraTree((0, 1), (0b11, 0b10), e=4, f=3)
+        other = CompactSafraTree((0, 1), (0b11, 0b01), e=2, f=1)
+        assert one == two and hash(one) == hash(two)
+        assert one != other
+
+    def test_step_outputs_hold_int_masks(self):
+        a = random_nsw(3, 2, 4)
+        for tree, _ in drive_streett(a, random.Random(4), steps=20):
+            assert all(type(m) is int for m in tree.parents + tree.masks + tree.ann_masks)
+        a = random_nbw(4, 4)
+        tree, _ = compact.compact_step(compact.initial_compact_tree(a), "a", a)
+        assert all(type(m) is int for m in tree.masks) and tree.ann_masks == ()
