@@ -168,12 +168,16 @@ def emit_hoa(a: Automaton) -> str:
     for i, states in enumerate(sets):
         for s in states:
             marks[s].append(i)
+    # each letter's label is written once per document, not once per edge
+    letters = [
+        (sym, f"[{_symbol_label(i, ap_count)}] ") for i, sym in enumerate(a.alphabet)
+    ]
     for s in a.states():
         suffix = " {" + " ".join(str(x) for x in marks[s]) + "}" if marks[s] else ""
         lines.append(f"State: {s}{suffix}")
-        for i, sym in enumerate(a.alphabet):
+        for sym, label in letters:
             for t in sorted(a.successors(s, sym)):
-                lines.append(f"[{_symbol_label(i, ap_count)}] {t}")
+                lines.append(f"{label}{t}")
     lines.append("--END--")
     return "\n".join(lines) + "\n"
 
@@ -371,6 +375,9 @@ def parse_hoa(text: str) -> Automaton:
         raise HoaError(f"initial state {initial} out of range", last_header_line)
 
     symbols = _valuation_symbols(ap_count)
+    # label text -> symbol; a label that fails to parse is never stored,
+    # so it raises again on every line that carries it
+    letters: dict[str, str] = {}
     transitions: dict[tuple[int, str], set[int]] = {}
     marks_of: dict[int, list[int]] = {}
     current: int | None = None
@@ -420,8 +427,11 @@ def parse_hoa(text: str) -> Automaton:
             )
         if target >= state_count:
             raise HoaError(f"edge target {target} out of range", line)
-        symbol_index = _parse_label(match.group("label"), ap_count, line)
-        transitions.setdefault((current, symbols[symbol_index]), set()).add(target)
+        label = match.group("label")
+        symbol = letters.get(label)
+        if symbol is None:
+            symbol = letters[label] = symbols[_parse_label(label, ap_count, line)]
+        transitions.setdefault((current, symbol), set()).add(target)
 
     if not ended:
         raise HoaError("missing --END--")

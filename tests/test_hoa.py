@@ -606,3 +606,51 @@ def test_parser_accepts_or_raises_hoa_error(doc, edits):
     except HoaError:
         return
     assert isinstance(result, Automaton)
+
+
+class TestLetterTable:
+    """parse_hoa reads each label text once per document."""
+
+    TWO_STATE_DOC = """HOA: v1
+States: 2
+Start: 0
+AP: 1 "p0"
+acc-name: Buchi
+Acceptance: 1 Inf(0)
+--BODY--
+State: 0 {0}
+[!0] 1
+[0] 0
+State: 1
+[!0] 0
+[0] 1
+--END--
+"""
+
+    def test_repeated_labels_read_alike(self):
+        a = parse_hoa(self.TWO_STATE_DOC)
+        assert a.transitions == {
+            (0, "0"): frozenset({1}),
+            (0, "1"): frozenset({0}),
+            (1, "0"): frozenset({0}),
+            (1, "1"): frozenset({1}),
+        }
+
+    @pytest.mark.parametrize("line", [12, 13])
+    def test_bad_label_raises_on_its_own_line(self, line):
+        lines = self.TWO_STATE_DOC.splitlines()
+        lines[line - 1] = lines[line - 1].replace("[", "[0&")
+        with pytest.raises(HoaError, match="twice") as err:
+            parse_hoa("\n".join(lines) + "\n")
+        assert err.value.line == line
+
+    def test_labels_are_read_anew_in_every_document(self):
+        doc = self.TWO_STATE_DOC.replace('AP: 1 "p0"', 'AP: 2 "p0" "p1"')
+        doc = doc.replace("[!0]", "[!0&!1]").replace("[0]", "[0&!1]")
+        a = parse_hoa(doc)
+        assert a.transitions[(0, "10")] == frozenset({0})
+        # the same label texts lack an AP once the document declares three
+        wider = doc.replace('AP: 2 "p0" "p1"', 'AP: 3 "p0" "p1" "p2"')
+        with pytest.raises(HoaError, match="missing AP") as err:
+            parse_hoa(wider)
+        assert err.value.line == 9
