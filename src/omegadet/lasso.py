@@ -202,12 +202,14 @@ def _fair_cycle(nodes, edges, pairs) -> bool:
 def nbw_member(a: Automaton, lasso: Lasso) -> bool:
     """Does some run of a nondeterministic Buchi automaton accept the lasso?
 
-    Buchi acceptance is the single Streett pair (F, all states).
+    Buchi acceptance is the single Streett pair (F, all states).  Only
+    the states of the product's nodes can meet a cycle, so they stand for
+    all states, and a large declared state count costs nothing.
     """
     if not isinstance(a.acceptance, BuchiAcceptance):
         raise ValueError("nbw_member: Buchi acceptance required")
     nodes, edges = _lasso_product(a, lasso)
-    pair = (a.acceptance.accepting, frozenset(a.states()))
+    pair = (a.acceptance.accepting, frozenset(node[0] for node in nodes))
     return _fair_cycle(nodes, edges, (pair,))
 
 

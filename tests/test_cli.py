@@ -311,6 +311,45 @@ class TestStats:
         assert "26 propositions" in err[0]
 
 
+def test_member_of_a_huge_declared_automaton_runs_in_bounded_memory(tmp_path):
+    """`member` on a one-state Buchi automaton declaring 10**9 states.
+
+    The child runs under a 1 GiB address-space limit, so an oracle that
+    allocates per declared state fails there instead of in this process.
+    """
+    doc = emit_hoa(
+        Automaton(
+            alphabet=Alphabet(("0", "1")),
+            state_count=1,
+            initial=0,
+            transitions={(0, "0"): frozenset({0}), (0, "1"): frozenset({0})},
+            acceptance=BuchiAcceptance(frozenset({0})),
+        )
+    ).replace("States: 1", "States: 1000000000")
+    path = tmp_path / "huge.hoa"
+    path.write_text(doc)
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from omegadet.cli import run_cli\n"
+        "sys.exit(run_cli(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "member", "--input", str(path),
+         "--prefix", "0", "--period", "1,0"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode in (0, 1), proc.stderr
+    assert proc.stdout == "accepted: true\n"
+
+
 class TestModuleEntryPoint:
     """`python -m omegadet.cli` runs the tool from a checkout without installing."""
 
