@@ -1,5 +1,6 @@
 """The scripts under scripts/ run from a checkout, as README shows them."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -26,3 +27,31 @@ def test_state_growth_runs_from_a_checkout():
     assert "random Buchi automata, 2 seeds per size:" in proc.stdout
     columns = [line.split()[:2] for line in proc.stdout.splitlines()]
     assert ["k", "bound"] in columns and ["n", "bound"] in columns
+
+
+def test_bench_pairs_summary_counts_wins_by_direction():
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", ROOT / "scripts" / "bench_pairs.py"
+    )
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+
+    def run(pair, side, rate, p50):
+        return {
+            "workload": "w", "trace": 0, "pair": pair, "side": side,
+            "failed": 0, "attempted": 1,
+            "metrics": {"rate": rate, "p50": p50},
+        }
+
+    runs = [
+        run(1, "base", 10.0, 4.0), run(1, "change", 20.0, 2.0),
+        run(2, "change", 30.0, 5.0), run(2, "base", 10.0, 4.0),
+        run(3, "base", 12.0, 4.0),  # a pair without its change run is left out
+    ]
+    summary = bench_pairs.summarize(runs, {"rate": "higher", "p50": "lower"})
+    row = summary["w trace=0"]
+    assert row["pairs"] == 2 and row["failed"] == 0
+    assert row["metrics"]["rate"] == {
+        "base_median": 10.0, "change_median": 25.0, "ratio": 2.5, "change_wins": 2,
+    }
+    assert row["metrics"]["p50"]["change_wins"] == 1
