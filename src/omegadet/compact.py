@@ -11,6 +11,7 @@ bookkeeping at all — just one priority per transition target.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 from omegadet.automata import (
     Automaton,
@@ -258,21 +259,13 @@ def _top_bit(mask: int) -> int:
     return 1 << (mask.bit_length() - 1)
 
 
-class _Decoded(dict):
-    """Memo from a mask to its bits, ascending."""
-
-    def __missing__(self, mask: int) -> tuple[int, ...]:
-        self[mask] = out = mask_states(mask)
-        return out
-
-
-def _dpw_state_key(state, decoded: _Decoded):
+def _dpw_state_key(state, decode):
     """Sort key of a DPW state: the tree with its masks read as sorted tuples."""
     tree, priority = state
     return (
         tree.parents,
-        tuple(decoded[m] for m in tree.masks),
-        tuple(decoded[h] for h in tree.ann_masks),
+        tuple(map(decode, tree.masks)),
+        tuple(map(decode, tree.ann_masks)),
         priority,
     )
 
@@ -288,7 +281,7 @@ def _to_dpw(a: Automaton, step, start: CompactSafraTree, index: int) -> Automato
     """
     symbols = a.alphabet.symbols
     rows: dict = {}
-    decoded = _Decoded()
+    decode = cache(mask_states)
 
     def successors(state):
         tree = state[0]
@@ -301,7 +294,7 @@ def _to_dpw(a: Automaton, step, start: CompactSafraTree, index: int) -> Automato
         a,
         (start, priority_of(start.e, start.f)),
         successors,
-        lambda state: _dpw_state_key(state, decoded),
+        lambda state: _dpw_state_key(state, decode),
         lambda states: ParityAcceptance(
             priorities=tuple(priority for _, priority in states), index=index
         ),

@@ -168,7 +168,7 @@ def emit_hoa(a: Automaton) -> str:
     for i, states in enumerate(sets):
         for s in states:
             marks[s].append(i)
-    # each letter's label is written once per document, not once per edge
+    # each letter's label text is built once per document, not once per edge
     letters = [
         (sym, f"[{_symbol_label(i, ap_count)}] ") for i, sym in enumerate(a.alphabet)
     ]

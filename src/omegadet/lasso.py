@@ -209,7 +209,7 @@ def nbw_member(a: Automaton, lasso: Lasso) -> bool:
     if not isinstance(a.acceptance, BuchiAcceptance):
         raise ValueError("nbw_member: Buchi acceptance required")
     nodes, edges = _lasso_product(a, lasso)
-    pair = (a.acceptance.accepting, frozenset(node[0] for node in nodes))
+    pair = (a.acceptance.accepting, {state for state, _ in nodes})
     return _fair_cycle(nodes, edges, (pair,))
 
 
