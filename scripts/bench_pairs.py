@@ -1,18 +1,20 @@
 #!/usr/bin/env python3
 """Run perfbench on two checkouts in alternating pairs and record the results.
 
-Pair i runs `perfbench/run.py --workload W --seed SEED+i --seconds 30
+Pair i runs `perfbench/run.py --workload W --seed SEED+i --seconds S
 --trace T` in both checkouts, the base first when i is even and the change
 first when it is odd, since on a drifting machine the second run of a pair
-tends to read faster.  Every run is appended to the JSON file given as
---output, and the file's summary is recomputed over all its runs: per
-workload, trace mode and metric, the median of each side, the ratio
-change / base and how many pairs the change won.
+tends to read faster.  S is the `run_seconds` of BENCHMARK.json; the script
+refuses to start unless both checkouts declare the same benchmark.  Every
+run is appended to the JSON file given as --output, and the file's summary
+is recomputed over all its runs: per workload, trace mode and metric, the
+median of each side, the ratio change / base and how many pairs the change
+won.
 
 Usage (from the repository root, with the base commit checked out in
 another directory):
   python3 scripts/bench_pairs.py --base ../parent --change . \\
-      --workload tv-buchi --pairs 10 --seed 301 --trace 0 --output BENCH_9.json
+      --workload tv-buchi --pairs 10 --seed 301 --trace 0 --output BENCH_10.json
 """
 
 from __future__ import annotations
@@ -24,13 +26,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-SECONDS = 30
 
-
-def run_once(checkout: Path, workload: str, seed: int, trace: int) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(SECONDS), "--trace", str(trace)],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout,
         stdout=subprocess.PIPE,
         text=True,
@@ -86,19 +86,23 @@ def main() -> None:
     args = parser.parse_args()
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    if json.loads((args.base / "BENCHMARK.json").read_text()) != spec:
+        parser.error("the base and change checkouts declare different benchmarks "
+                     "in BENCHMARK.json; pairs would not compare the same runs")
+    seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     record = (
         json.loads(args.output.read_text())
         if args.output.exists()
         else {"command": f"python3 perfbench/run.py --workload W --seed S "
-                         f"--seconds {SECONDS} --trace T", "runs": []}
+                         f"--seconds {seconds} --trace T", "runs": []}
     )
     sides = {"base": args.base, "change": args.change}
     for i in range(args.pairs):
         seed = args.seed + i
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
         for side in order:
-            run = run_once(sides[side], args.workload, seed, args.trace)
+            run = run_once(sides[side], args.workload, seed, seconds, args.trace)
             record["runs"].append({
                 "workload": args.workload, "trace": args.trace, "pair": seed,
                 "side": side, "first": order[0], **run,

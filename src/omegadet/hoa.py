@@ -196,12 +196,18 @@ _EDGE_RE = re.compile(
 
 
 def _number(text: str) -> int | None:
-    """Value of text if it matches [0-9]+, else None.
+    """Value of text if it matches [0-9]+ and int() reads it, else None.
 
     str.isdigit() alone, like \\d, also accepts digits such as '²' or '٠',
-    which int() refuses or reads.
+    which int() refuses or reads; int() also refuses more digits than
+    sys.get_int_max_str_digits() (4,300 by default).
     """
-    return int(text) if text.isascii() and text.isdigit() else None
+    if not (text.isascii() and text.isdigit()):
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        return None
 
 
 def _parse_acc_name(value: str, line: int) -> tuple[str, int]:
@@ -397,7 +403,9 @@ def parse_hoa(text: str) -> Automaton:
                 raise HoaError(f"malformed State: line {content!r}", line)
             if match.group("label"):
                 raise HoaError("state labels are unsupported", line)
-            num = int(match.group("num"))
+            num = _number(match.group("num"))
+            if num is None:
+                raise HoaError(f"malformed State: line {content!r}", line)
             if num >= state_count:
                 raise HoaError(f"state {num} out of range", line)
             if num in marks_of:

@@ -16,49 +16,24 @@ from omegadet.automata import (
     WorkTree,
     explore,
     mask_states,
-    state_mask,
 )
 
 
-def _masks_of(sets):
-    return {v: state_mask(states) for v, states in sets.items()}
-
-
-def _sets_of(masks):
-    return {v: frozenset(mask_states(m)) for v, m in masks.items()}
-
-
 class SafraTree:
-    """History tree of the reference constructions.
+    """History tree of the reference constructions, held as masks.
 
-    label maps node name to a nonempty state set, children maps node name
-    to its children ordered oldest first.  Original names live in [1..n];
-    e_set holds the names unused by the tree, f_set the names whose node
-    finished a breakpoint this step.  For the Streett construction ann maps
-    node name to the pair indices the node still owes; it is None for Buchi
-    trees.  The empty tree (no nodes) is the dead state.  The tree keeps
-    label and ann as masks (see `state_mask`) in masks and ann_masks;
-    label and ann read them as frozensets.
+    masks maps node name to its nonempty state set (bit s for state s),
+    children maps it to its children, oldest first.  Original names live in
+    [1..n]; e_set holds the names the tree leaves unused, f_set the names
+    whose node finished a breakpoint this step.  ann_masks maps node name
+    to the pair indices (bit j for index j) it still owes in the Streett
+    construction; it is None for Buchi trees and for the empty tree (no
+    nodes), the dead state.  label and ann are read-only frozenset views.
     """
 
     __slots__ = ("masks", "children", "e_set", "f_set", "ann_masks", "_key")
 
-    def __init__(self, label, children, e_set, f_set, ann=None):
-        self._fill(
-            _masks_of(label),
-            children,
-            e_set,
-            f_set,
-            None if ann is None else _masks_of(ann),
-        )
-
-    @classmethod
-    def _of_masks(cls, masks, children, e_set, f_set, ann_masks):
-        tree = cls.__new__(cls)
-        tree._fill(masks, children, e_set, f_set, ann_masks)
-        return tree
-
-    def _fill(self, masks, children, e_set, f_set, ann_masks):
+    def __init__(self, masks, children, e_set, f_set, ann_masks=None):
         self.masks = masks
         self.children = {v: tuple(cs) for v, cs in children.items()}
         self.e_set = frozenset(e_set)
@@ -68,11 +43,12 @@ class SafraTree:
 
     @property
     def label(self):
-        return _sets_of(self.masks)
+        return {v: frozenset(mask_states(m)) for v, m in self.masks.items()}
 
     @property
     def ann(self):
-        return None if self.ann_masks is None else _sets_of(self.ann_masks)
+        owed = self.ann_masks
+        return None if owed is None else {v: frozenset(mask_states(m)) for v, m in owed.items()}
 
     def key(self):
         if self._key is None:
@@ -111,17 +87,16 @@ class SafraTree:
 
 
 def initial_safra_tree(a: Automaton) -> SafraTree:
-    n = a.state_count
     return SafraTree(
-        label={1: {a.initial}},
+        masks={1: 1 << a.initial},
         children={1: ()},
-        e_set=set(range(2, n + 1)),
+        e_set=set(range(2, a.state_count + 1)),
         f_set=set(),
     )
 
 
 def _dead_safra_tree(n: int) -> SafraTree:
-    return SafraTree(label={}, children={}, e_set=set(range(1, n + 1)), f_set=set())
+    return SafraTree(masks={}, children={}, e_set=set(range(1, n + 1)), f_set=set())
 
 
 def _open(tree: SafraTree, symbol: str, a: Automaton, pool: int) -> WorkTree:
@@ -157,7 +132,7 @@ def _settle(t: WorkTree, f_marks, pool: int) -> SafraTree:
     def name(v):
         return rename.get(v, v)
 
-    return SafraTree._of_masks(
+    return SafraTree(
         {name(v): label[v] for v in survivors},
         {name(v): [name(c) for c in kids[v] if c in survivors] for v in survivors},
         e_set,
@@ -247,11 +222,11 @@ def initial_streett_safra_tree(a: Automaton) -> SafraTree:
     k = len(a.acceptance.pairs)
     m = a.state_count * (k + 1)
     return SafraTree(
-        label={1: {a.initial}},
+        masks={1: 1 << a.initial},
         children={1: ()},
         e_set=set(range(2, m + 1)),
         f_set=set(),
-        ann={1: set(range(1, k + 1))},
+        ann_masks={1: (1 << (k + 1)) - 2},
     )
 
 

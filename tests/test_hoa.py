@@ -535,6 +535,32 @@ class TestNumbers:
             parse_hoa(doc)
         assert exc.value.line == line
 
+    LONG = "1" * 5000
+
+    @pytest.mark.parametrize(
+        "needle,replacement,line",
+        [
+            ("States: 1", f"States: {LONG}", 2),
+            ("Start: 0", f"Start: {LONG}", 3),
+            ('AP: 1 "p0"', f'AP: {LONG} "p0"', 4),
+            ("acc-name: parity min even 1", f"acc-name: Rabin {LONG}", 5),
+            ("Acceptance: 1 Inf(0)", f"Acceptance: {LONG} Inf(0)", 6),
+            ("State: 0 {0}", f"State: {LONG} {{0}}", 9),
+            ("State: 0 {0}", f"State: 0 {{{LONG}}}", 9),
+            ("[!0] 0", f"[!0] {LONG}", 10),
+            ("[!0] 0", f"[!{LONG}] 0", 10),
+        ],
+        ids=["States", "Start", "AP", "acc-name", "Acceptance", "State",
+             "mark", "edge-target", "label-literal"],
+    )
+    def test_over_long_numbers_rejected_on_their_line(self, needle, replacement, line):
+        """5,000 digits exceed the 4,300 that int() reads by default."""
+        doc = TINY_DPW_DOC.replace(needle, replacement)
+        assert replacement in doc
+        with pytest.raises(HoaError) as exc:
+            parse_hoa(doc)
+        assert exc.value.line == line
+
 
 def test_unlisted_parity_state_is_reported_before_allocating_per_state():
     """A document declaring 200,000,000 states but listing one fails at once.

@@ -20,7 +20,7 @@ from omegadet import (
     safra_determinize,
     streett_safra_determinize,
 )
-from omegadet import compact
+from omegadet import compact, safra
 from omegadet.automata import mask_states, state_mask
 from omegadet.compact import CompactSafraTree
 from omegadet.random_gen import random_nbw, random_nsw
@@ -191,3 +191,37 @@ class TestMaskTrees:
         a = random_nbw(4, 4)
         tree, _ = compact.compact_step(compact.initial_compact_tree(a), "a", a)
         assert all(type(m) is int for m in tree.masks) and tree.ann_masks == ()
+
+    @pytest.mark.parametrize("streett", [False, True], ids=["buchi", "streett"])
+    def test_reference_trees_are_mask_records(self, streett):
+        """Every reachable reference tree holds int masks; label and ann read them."""
+        for seed in range(10):
+            if streett:
+                a, step = random_nsw(3, 2, seed), safra.streett_safra_step
+                start = safra.initial_streett_safra_tree(a)
+            else:
+                a, step = random_nbw(4, seed), safra.safra_step
+                start = safra.initial_safra_tree(a)
+            seen, todo = {start}, [start]
+            while todo:
+                tree = todo.pop()
+                assert all(type(m) is int for m in tree.masks.values())
+                assert all(type(cs) is tuple for cs in tree.children.values())
+                assert type(tree.e_set) is frozenset and type(tree.f_set) is frozenset
+                assert tree.label == {
+                    v: frozenset(mask_states(m)) for v, m in tree.masks.items()
+                }
+                if streett:
+                    owed = tree.ann_masks or {}
+                    assert owed.keys() == tree.masks.keys()
+                    assert all(type(m) is int for m in owed.values())
+                    assert (tree.ann or {}) == {
+                        v: frozenset(mask_states(m)) for v, m in owed.items()
+                    }
+                else:
+                    assert tree.ann_masks is None
+                for symbol in a.alphabet.symbols:
+                    after = step(tree, symbol, a)
+                    if after not in seen:
+                        seen.add(after)
+                        todo.append(after)

@@ -38,7 +38,7 @@ class TestBuchiTrees:
         # the whole label, the root collapses green, name 2 stays unused.
         tree = safra_step(initial_safra_tree(inf_a), "a", inf_a)
         assert tree == SafraTree(
-            label={1: frozenset({1})},
+            masks={1: 0b10},
             children={1: ()},
             e_set={2},
             f_set={1},
@@ -47,7 +47,7 @@ class TestBuchiTrees:
     def test_step_on_b_keeps_waiting(self, inf_a):
         tree = safra_step(initial_safra_tree(inf_a), "b", inf_a)
         assert tree == SafraTree(
-            label={1: frozenset({0})},
+            masks={1: 0b01},
             children={1: ()},
             e_set={2},
             f_set=(),

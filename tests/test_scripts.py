@@ -1,6 +1,7 @@
 """The scripts under scripts/ run from a checkout, as README shows them."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -55,3 +56,24 @@ def test_bench_pairs_summary_counts_wins_by_direction():
         "base_median": 10.0, "change_median": 25.0, "ratio": 2.5, "change_wins": 2,
     }
     assert row["metrics"]["p50"]["change_wins"] == 1
+
+
+def test_bench_pairs_refuses_checkouts_with_different_benchmarks(tmp_path):
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    for side, seconds in (("base", spec["run_seconds"]), ("change", spec["run_seconds"] + 1)):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(
+            json.dumps({**spec, "run_seconds": seconds})
+        )
+    output = tmp_path / "pairs.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_pairs.py"),
+         "--base", str(tmp_path / "base"), "--change", str(tmp_path / "change"),
+         "--workload", "tv-buchi", "--pairs", "1", "--seed", "1", "--output", str(output)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "different benchmarks" in proc.stderr
+    assert not output.exists()
