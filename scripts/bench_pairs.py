@@ -8,8 +8,8 @@ tends to read faster.  S is the `run_seconds` of BENCHMARK.json; the script
 refuses to start unless both checkouts declare the same benchmark.  Every
 run is appended to the JSON file given as --output, and the file's summary
 is recomputed over all its runs: per workload, trace mode and metric, the
-median of each side, the ratio change / base and how many pairs the change
-won.
+median of each side, the base side's interquartile range, the ratio
+change / base and how many pairs the change won.
 
 Usage (from the repository root, with the base commit checked out in
 another directory):
@@ -45,7 +45,11 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int, trace: int)
 
 
 def summarize(runs: list[dict], better: dict[str, str]) -> dict:
-    """Per workload/trace and metric: medians, ratio and pairs won by the change."""
+    """Per workload/trace and metric: medians, base IQR, ratio and change wins.
+
+    base_iqr is the distance between the base runs' quartiles, the spread a
+    gap between the medians is compared with; None for fewer than 2 pairs.
+    """
     out: dict = {}
     groups: dict = {}
     for run in runs:
@@ -60,8 +64,10 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
             change = [p["change"]["metrics"][name] for p in complete]
             sign = 1 if better.get(name, "higher") == "higher" else -1
             base_median = statistics.median(base)
+            quartiles = statistics.quantiles(base, n=4) if len(base) > 1 else None
             rows[name] = {
                 "base_median": base_median,
+                "base_iqr": quartiles[2] - quartiles[0] if quartiles else None,
                 "change_median": statistics.median(change),
                 "ratio": statistics.median(change) / base_median if base_median else None,
                 "change_wins": sum(sign * (c - b) > 0 for b, c in zip(base, change)),

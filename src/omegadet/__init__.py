@@ -17,7 +17,6 @@ from omegadet.automata import (
     StreettAcceptance,
     build_lk_fixture,
     dualize_parity,
-    normalize_priorities,
     nsw_witness_union_nbw,
     validate_automaton,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "lasso_member",
     "nbw_member",
     "nbw_to_dpw",
-    "normalize_priorities",
     "nsw_member",
     "nsw_to_dpw",
     "nsw_witness_union_nbw",

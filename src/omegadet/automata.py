@@ -275,21 +275,6 @@ def dualize_parity(a: Automaton) -> Automaton:
     return replace(a, acceptance=acc)
 
 
-def normalize_priorities(a: Automaton) -> Automaton:
-    """Shift all priorities down by two while the minimum stays >= 2."""
-    if not isinstance(a.acceptance, ParityAcceptance):
-        raise ValueError("normalize_priorities: parity acceptance required")
-    priorities = a.acceptance.priorities
-    index = a.acceptance.index
-    shift = 2 * (min(priorities) // 2) if priorities else 0
-    if shift == 0:
-        return a
-    acc = ParityAcceptance(
-        priorities=tuple(p - shift for p in priorities), index=index - shift
-    )
-    return replace(a, acceptance=acc)
-
-
 # ---------------------------------------------------------------------------
 # Streett -> Buchi witness-set union
 # ---------------------------------------------------------------------------
@@ -454,13 +439,6 @@ def reach(
             out.append(known)
         edges[node] = out
     return order, edges
-
-
-def reachable_states(a: Automaton) -> frozenset[int]:
-    order, _ = reach(
-        a.initial, lambda s: [t for sym in a.alphabet for t in a.successors(s, sym)]
-    )
-    return frozenset(order)
 
 
 # ---------------------------------------------------------------------------

@@ -57,16 +57,13 @@ def _split_word(text: str) -> tuple[str, ...]:
 
 def _cmd_determinize(args) -> int:
     a = _load(args.input)
-    if args.type == "buchi":
-        if not isinstance(a.acceptance, BuchiAcceptance):
-            raise CliError("input is not a Buchi automaton")
-        result = nbw_to_dpw(a) if args.backend == "compact" else safra_determinize(a)
+    compact = args.backend == "compact"
+    if isinstance(a.acceptance, BuchiAcceptance):
+        result = nbw_to_dpw(a) if compact else safra_determinize(a)
+    elif isinstance(a.acceptance, StreettAcceptance):
+        result = nsw_to_dpw(a) if compact else streett_safra_determinize(a)
     else:
-        if not isinstance(a.acceptance, StreettAcceptance):
-            raise CliError("input is not a Streett automaton")
-        result = (
-            nsw_to_dpw(a) if args.backend == "compact" else streett_safra_determinize(a)
-        )
+        raise CliError("determinize supports Buchi or Streett input")
     _store(args.output, result)
     if args.stats:
         print(f"states: {result.state_count}")
@@ -182,7 +179,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("determinize", help="turn a Buchi/Streett automaton deterministic")
-    p.add_argument("--type", choices=("buchi", "streett"), required=True)
     p.add_argument(
         "--backend",
         choices=("compact", "safra"),

@@ -26,6 +26,8 @@ from omegadet.automata import (
 # A document's alphabet is every AP valuation, 2**AP letters, and the
 # parser builds it before reading the body; 16 APs give 65,536 letters.
 _AP_LIMIT = 16
+# A message quotes at most this many characters of an offending value.
+_QUOTE_LIMIT = 40
 
 
 class HoaError(Exception):
@@ -210,6 +212,19 @@ def _number(text: str) -> int | None:
         return None
 
 
+def _quote(text: str, hint: str = "") -> str:
+    """`text` quoted for a message, cut to `_QUOTE_LIMIT` characters, then `hint`.
+
+    `_number` refuses an all-digit text only when int() cannot read it, so
+    a long one is named by its length, and the hint does not apply to it.
+    """
+    if len(text) <= _QUOTE_LIMIT:
+        return f"{text!r}{hint}"
+    if text.isascii() and text.isdigit():
+        return f"number too long ({len(text)} digits)"
+    return f"{text[:_QUOTE_LIMIT]!r}... ({len(text)} characters){hint}"
+
+
 def _parse_acc_name(value: str, line: int) -> tuple[str, int]:
     """(kind, size) of an acc-name; only the names `_acceptance_name` writes."""
     words = value.split()
@@ -228,30 +243,26 @@ def _parse_acc_name(value: str, line: int) -> tuple[str, int]:
         normal = words[:-1] + [str(size)] if numbered else words
         if _acceptance_name(kind, size)[0].split() == normal:
             return kind, size
-    raise HoaError(f"unsupported acc-name: {value!r}", line)
+    raise HoaError(f"unsupported acc-name: {_quote(value)}", line)
 
 
-def _parse_label(
-    text: str, ap_count: int, line: int
-) -> int:
-    """Complete-conjunction label -> symbol index."""
-    body = text.strip()
-    if not (body.startswith("[") and body.endswith("]")):
-        raise HoaError(f"malformed label {text!r}", line)
-    body = body[1:-1].strip()
+def _parse_label(text: str, ap_count: int, line: int) -> int:
+    """Complete-conjunction label `[...]` (as _EDGE_RE matched it) -> symbol index."""
+    body = text[1:-1].strip()
+    shown = f"[{body}]" if len(body) <= _QUOTE_LIMIT else _quote(f"[{body}]")
     if ap_count == 0:
         if body == "t":
             return 0
         raise HoaError(
-            f"label [{body}] must be [t] in a document with 0 APs", line
+            f"label {shown} must be [t] in a document with 0 APs", line
         )
     if body in ("t", "f"):
         raise HoaError(
-            f"incomplete label [{body}]: every AP must appear exactly once", line
+            f"incomplete label {shown}: every AP must appear exactly once", line
         )
     if "|" in body:
         raise HoaError(
-            f"label [{body}] is not a conjunction (alternatives unsupported)", line
+            f"label {shown} is not a conjunction (alternatives unsupported)", line
         )
     seen: dict[int, bool] = {}
     for literal in body.split("&"):
@@ -261,16 +272,16 @@ def _parse_label(
             literal = literal[1:].strip()
         ap = _number(literal)
         if ap is None:
-            raise HoaError(f"malformed literal in label [{body}]", line)
+            raise HoaError(f"malformed literal in label {shown}", line)
         if ap >= ap_count:
             raise HoaError(f"label references AP {ap} but only {ap_count} exist", line)
         if ap in seen:
-            raise HoaError(f"label [{body}] mentions AP {ap} twice", line)
+            raise HoaError(f"label {shown} mentions AP {ap} twice", line)
         seen[ap] = not negated
     if len(seen) != ap_count:
         missing = sorted(set(range(ap_count)) - set(seen))
         raise HoaError(
-            f"incomplete label [{body}]: missing AP(s) {missing}", line
+            f"incomplete label {shown}: missing AP(s) {missing}", line
         )
     return sum(1 << ap for ap, positive in seen.items() if positive)
 
@@ -282,7 +293,7 @@ def _parse_marks(text: str | None, set_count: int, line: int) -> list[int]:
     for token in text.strip()[1:-1].split():  # {...}
         mark = _number(token)
         if mark is None:
-            raise HoaError(f"malformed acceptance mark {token!r}", line)
+            raise HoaError(f"malformed acceptance mark {_quote(token)}", line)
         if mark >= set_count:
             raise HoaError(
                 f"acceptance mark {mark} out of range (only {set_count} sets)", line
@@ -318,7 +329,7 @@ def parse_hoa(text: str) -> Automaton:
             break
         name, colon, value = content.partition(":")
         if not colon:
-            raise HoaError(f"unsupported header: {name!r}", line)
+            raise HoaError(f"unsupported header: {_quote(name)}", line)
         if name == "Alias":
             raise HoaError("aliases are unsupported", line)
         if name in _HEADERS:
@@ -329,7 +340,7 @@ def parse_hoa(text: str) -> Automaton:
             # informational except for "deterministic", which callers rely on
             declared_deterministic |= "deterministic" in value.split()
         elif name not in _IGNORED_HEADERS:
-            raise HoaError(f"unsupported header: {name!r}", line)
+            raise HoaError(f"unsupported header: {_quote(name)}", line)
 
     if body_at is None:
         raise HoaError("missing --BODY--")
@@ -342,18 +353,19 @@ def parse_hoa(text: str) -> Automaton:
     line, value = headers["States"]
     state_count = _number(value)
     if state_count is None:
-        raise HoaError(f"malformed States: {value!r}", line)
+        raise HoaError(f"malformed States: {_quote(value)}", line)
     line, value = headers["Start"]
     initial = _number(value)
     if initial is None:
         raise HoaError(
-            f"unsupported Start: {value!r} (single initial state only)", line
+            f"unsupported Start: {_quote(value, ' (single initial state only)')}",
+            line,
         )
     line, value = headers["AP"]
     parts = value.split(None, 1)
     ap_count = _number(parts[0]) if parts else None
     if ap_count is None:
-        raise HoaError(f"malformed AP: {value!r}", line)
+        raise HoaError(f"malformed AP: {_quote(value)}", line)
     _check_ap_count(ap_count, line)
     names = re.findall(r'"((?:[^"\\]|\\.)*)"', parts[1] if len(parts) > 1 else "")
     if len(names) != ap_count:
@@ -374,8 +386,7 @@ def parse_hoa(text: str) -> Automaton:
     if len(given) < set_count or given != (
         formula := _acceptance_formula(kind, size)
     ).replace(" ", ""):
-        quoted = formula is not None and len(formula) <= 80
-        expected = f" (expected {formula!r})" if quoted else ""
+        expected = f" (expected {_quote(formula)})" if formula else ""
         raise HoaError(f"Acceptance: formula does not match acc-name{expected}", line)
     if initial >= state_count:
         raise HoaError(f"initial state {initial} out of range", last_header_line)
@@ -400,12 +411,12 @@ def parse_hoa(text: str) -> Automaton:
         if content.startswith("State:"):
             match = _STATE_RE.match(content)
             if not match:
-                raise HoaError(f"malformed State: line {content!r}", line)
+                raise HoaError(f"malformed State: line {_quote(content)}", line)
             if match.group("label"):
                 raise HoaError("state labels are unsupported", line)
             num = _number(match.group("num"))
             if num is None:
-                raise HoaError(f"malformed State: line {content!r}", line)
+                raise HoaError(f"malformed State: line {_quote(content)}", line)
             if num >= state_count:
                 raise HoaError(f"state {num} out of range", line)
             if num in marks_of:
@@ -418,7 +429,7 @@ def parse_hoa(text: str) -> Automaton:
         match = _EDGE_RE.match(content)
         if not match:
             if content.startswith("["):
-                raise HoaError(f"malformed edge {content!r}", line)
+                raise HoaError(f"malformed edge {_quote(content)}", line)
             raise HoaError(
                 "implicit (unlabeled) edges are unsupported", line
             )
@@ -429,8 +440,8 @@ def parse_hoa(text: str) -> Automaton:
         target = _number(match.group("target"))
         if target is None:
             raise HoaError(
-                f"unsupported edge target {match.group('target')!r}"
-                " (single target state only)",
+                "unsupported edge target "
+                + _quote(match.group("target"), " (single target state only)"),
                 line,
             )
         if target >= state_count:
@@ -466,22 +477,3 @@ def parse_hoa(text: str) -> Automaton:
         acceptance=acceptance,
         deterministic=declared_deterministic,
     )
-
-
-def structurally_equal(a: Automaton, b: Automaton) -> bool:
-    """Equality up to symbol names (transitions compared by symbol position)."""
-    if (
-        len(a.alphabet) != len(b.alphabet)
-        or a.state_count != b.state_count
-        or a.initial != b.initial
-        or a.deterministic != b.deterministic
-        or a.acceptance != b.acceptance
-    ):
-        return False
-    for s in range(a.state_count):
-        for i in range(len(a.alphabet)):
-            if a.successors(s, a.alphabet.symbols[i]) != b.successors(
-                s, b.alphabet.symbols[i]
-            ):
-                return False
-    return True

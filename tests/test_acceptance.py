@@ -23,11 +23,12 @@ from omegadet import (
     safra_determinize,
     validate_automaton,
 )
-from omegadet.hoa import emit_hoa, parse_hoa, structurally_equal
+from omegadet.hoa import emit_hoa, parse_hoa
 from omegadet.lasso import enumerate_lassos
 from omegadet.random_gen import random_nbw, random_nsw
 
 from conftest import make_inf_a
+from helpers import structurally_equal
 from treecheck import assert_tree_invariants, drive_buchi, drive_streett
 
 BUCHI_CORPUS_SIZE = 200

@@ -1,4 +1,4 @@
-"""Core types: validation, duals, priority normalization, fixtures, generators."""
+"""Core types: validation, duals, fixtures, generators."""
 
 import hashlib
 
@@ -15,14 +15,14 @@ from omegadet import (
     StreettAcceptance,
     build_lk_fixture,
     dualize_parity,
-    normalize_priorities,
     nsw_witness_union_nbw,
     validate_automaton,
 )
-from omegadet.automata import is_total, reach, reachable_states
+from omegadet.automata import is_total, reach
 from omegadet.random_gen import random_nbw, random_nsw
 
 from conftest import make_fair_nsw, make_inf_a, make_inf_a_dpw
+from helpers import reachable_states
 
 
 class TestAlphabet:
@@ -150,35 +150,10 @@ class TestDualize:
 
 
 class TestNormalizePriorities:
-    def _dpw(self, priorities, index):
-        n = len(priorities)
-        return Automaton(
-            alphabet=Alphabet(("a",)),
-            state_count=n,
-            initial=0,
-            transitions={(s, "a"): frozenset({(s + 1) % n}) for s in range(n)},
-            acceptance=ParityAcceptance(priorities, index),
-            deterministic=True,
-        )
-
-    def test_even_floor_shifts_to_zero(self):
-        out = normalize_priorities(self._dpw((4, 5, 6), 7))
-        assert out.acceptance.priorities == (0, 1, 2)
-        assert out.acceptance.index == 3
-
-    def test_odd_floor_keeps_parity(self):
-        out = normalize_priorities(self._dpw((3, 4), 5))
-        assert out.acceptance.priorities == (1, 2)
-        assert out.acceptance.index == 3
-
-    def test_already_normal_is_identity(self):
-        a = self._dpw((0, 1), 2)
-        assert normalize_priorities(a) is a
-
     def test_double_dual_normalizes_back(self, inf_a_dpw):
         twice = dualize_parity(dualize_parity(inf_a_dpw))
-        back = normalize_priorities(twice)
-        assert back.acceptance.priorities == inf_a_dpw.acceptance.priorities
+        shifted = tuple(p - 2 for p in twice.acceptance.priorities)
+        assert shifted == inf_a_dpw.acceptance.priorities
 
 
 class TestLkFixture:

@@ -2,7 +2,7 @@
 
 import contextlib
 import io
-import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -15,22 +15,31 @@ from omegadet import (
     Alphabet,
     Automaton,
     BuchiAcceptance,
+    dualize_parity,
     nbw_to_dpw,
+    nsw_to_dpw,
     random_nsw,
     safra_determinize,
+    streett_safra_determinize,
 )
-from omegadet.cli import run_cli
+from omegadet.cli import _build_parser, run_cli
 from omegadet.hoa import emit_hoa, parse_hoa
 
 from conftest import make_inf_a
-
-SRC = Path(__file__).resolve().parents[1] / "src"
+from helpers import child_env
 
 
 @pytest.fixture
 def nbw_file(tmp_path):
     path = tmp_path / "nbw.hoa"
     path.write_text(emit_hoa(make_inf_a()))
+    return str(path)
+
+
+@pytest.fixture
+def nsw_file(tmp_path):
+    path = tmp_path / "nsw.hoa"
+    path.write_text(emit_hoa(random_nsw(4, 2, 3)))
     return str(path)
 
 
@@ -50,7 +59,7 @@ class TestDeterminize:
     def test_writes_dpw_and_reports_stats(self, nbw_file, tmp_path, capsys):
         out_path = str(tmp_path / "out.hoa")
         code = run_cli(
-            ["determinize", "--type", "buchi", "--input", nbw_file,
+            ["determinize", "--input", nbw_file,
              "--output", out_path, "--stats"]
         )
         out, _ = lines_of(capsys)
@@ -63,16 +72,37 @@ class TestDeterminize:
     def test_safra_backend_reports_pairs(self, nbw_file, tmp_path, capsys):
         out_path = str(tmp_path / "drw.hoa")
         code = run_cli(
-            ["determinize", "--type", "buchi", "--backend", "safra",
+            ["determinize", "--backend", "safra",
              "--input", nbw_file, "--output", out_path, "--stats"]
         )
         out, _ = lines_of(capsys)
         assert code == 0
         assert out == ["states: 2", "pairs: 2"]
 
+    @pytest.mark.parametrize("backend", ["compact", "safra"])
+    def test_streett_input_matches_the_library(
+        self, nsw_file, backend, tmp_path, capsys
+    ):
+        out_path = tmp_path / "out.hoa"
+        code = run_cli(
+            ["determinize", "--backend", backend, "--input", nsw_file,
+             "--output", str(out_path), "--stats"]
+        )
+        out, _ = lines_of(capsys)
+        assert code == 0
+        nsw = random_nsw(4, 2, 3)
+        if backend == "compact":
+            result = nsw_to_dpw(nsw)
+            last = f"max-priority: {max(result.acceptance.priorities)}"
+        else:
+            result = streett_safra_determinize(nsw)
+            last = f"pairs: {len(result.acceptance.pairs)}"
+        assert out_path.read_text() == emit_hoa(result)
+        assert out == [f"states: {result.state_count}", last]
+
     def test_type_mismatch_is_a_usage_error(self, dpw_file, tmp_path, capsys):
         code = run_cli(
-            ["determinize", "--type", "buchi", "--input", dpw_file,
+            ["determinize", "--input", dpw_file,
              "--output", str(tmp_path / "x.hoa")]
         )
         _, err = lines_of(capsys)
@@ -81,7 +111,7 @@ class TestDeterminize:
 
     def test_missing_input_file(self, tmp_path, capsys):
         code = run_cli(
-            ["determinize", "--type", "buchi",
+            ["determinize",
              "--input", str(tmp_path / "nope.hoa"),
              "--output", str(tmp_path / "x.hoa")]
         )
@@ -145,6 +175,13 @@ class TestComplement:
         assert run_cli(["member", "--input", comp_path, "--period", "1"]) == 0
         assert run_cli(["member", "--input", comp_path, "--period", "0"]) == 1
         capsys.readouterr()
+
+    def test_streett_input_is_determinized_first(self, nsw_file, tmp_path):
+        comp_path = tmp_path / "comp.hoa"
+        code = run_cli(["complement", "--input", nsw_file, "--output", str(comp_path)])
+        assert code == 0
+        expected = emit_hoa(dualize_parity(nsw_to_dpw(random_nsw(4, 2, 3))))
+        assert comp_path.read_text() == expected
 
     def test_refuses_nondeterministic_parity(self, dpw_file, tmp_path, capsys):
         text = open(dpw_file).read().replace("properties: deterministic\n", "")
@@ -334,10 +371,7 @@ def test_member_of_a_huge_declared_automaton_runs_in_bounded_memory(tmp_path):
         "from omegadet.cli import run_cli\n"
         "sys.exit(run_cli(sys.argv[1:]))\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
+    env = child_env()
     proc = subprocess.run(
         [sys.executable, "-c", script, "member", "--input", str(path),
          "--prefix", "0", "--period", "1,0"],
@@ -354,10 +388,7 @@ class TestModuleEntryPoint:
     """`python -m omegadet.cli` runs the tool from a checkout without installing."""
 
     def run(self, *argv):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-        )
+        env = child_env()
         return subprocess.run(
             [sys.executable, "-m", "omegadet.cli", *argv],
             env=env,
@@ -377,12 +408,29 @@ class TestModuleEntryPoint:
         assert proc.stderr.startswith("error: cannot read")
 
 
+def test_readme_command_line_examples_parse():
+    """Every `omegadet ...` line in README's "Command line" block is valid usage."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8"
+    )
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```sh", 1)[1].split("```", 1)[0]
+    examples = [line for line in block.splitlines() if line.startswith("omegadet ")]
+    assert examples
+    parser = _build_parser()
+    for line in examples:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")
+
+
 class TestUsage:
     def test_unknown_subcommand(self, capsys):
         assert run_cli(["frobnicate"]) == 2
 
     def test_missing_required_flag(self, capsys):
-        assert run_cli(["determinize", "--type", "buchi"]) == 2
+        assert run_cli(["determinize"]) == 2
 
     def test_xcheck_needs_files_or_random(self, capsys):
         code = run_cli(["xcheck", "--max-prefix", "1", "--max-period", "1"])
@@ -442,7 +490,6 @@ def cli_runs(draw):
     if command == "xcheck":
         argv += ["--max-prefix", draw(small), "--max-period", draw(small)]
     if command == "determinize":
-        argv += ["--type", draw(st.sampled_from(["buchi", "streett"]))]
         argv += ["--backend", draw(st.sampled_from(["compact", "safra"]))]
         argv += ["--stats"] * draw(st.integers(0, 1))
     if command in ("determinize", "complement"):

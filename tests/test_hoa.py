@@ -1,10 +1,8 @@
 """HOA subset reader/printer: golden documents, round-trips, strict rejections."""
 
-import os
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,11 +21,10 @@ from omegadet import (
     safra_determinize,
     streett_safra_determinize,
 )
-from omegadet.hoa import HoaError, emit_hoa, parse_hoa, structurally_equal
+from omegadet.hoa import HoaError, emit_hoa, parse_hoa
 
 from conftest import make_fair_nsw, make_inf_a, make_inf_a_dpw
-
-SRC = Path(__file__).resolve().parents[1] / "src"
+from helpers import child_env, structurally_equal
 
 TINY_DPW_DOC = """HOA: v1
 States: 1
@@ -129,11 +126,7 @@ class TestEmit:
             "    acceptance=BuchiAcceptance(frozenset({1})))\n"
             "sys.stdout.write(emit_hoa(nbw_to_dpw(a)))\n"
         )
-        # The child imports this checkout's package whether or not it is installed.
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-        )
+        env = child_env()
         outputs = set()
         for seed in ("0", "1", "31337"):
             env["PYTHONHASHSEED"] = seed
@@ -549,17 +542,22 @@ class TestNumbers:
             ("State: 0 {0}", f"State: 0 {{{LONG}}}", 9),
             ("[!0] 0", f"[!0] {LONG}", 10),
             ("[!0] 0", f"[!{LONG}] 0", 10),
+            ("properties: deterministic", f"{'h' * 5000}: deterministic", 7),
         ],
         ids=["States", "Start", "AP", "acc-name", "Acceptance", "State",
-             "mark", "edge-target", "label-literal"],
+             "mark", "edge-target", "label-literal", "header-name"],
     )
     def test_over_long_numbers_rejected_on_their_line(self, needle, replacement, line):
-        """5,000 digits exceed the 4,300 that int() reads by default."""
+        """5,000 digits exceed the 4,300 that int() reads by default.
+
+        The message quotes a bounded part of the value, not all of it.
+        """
         doc = TINY_DPW_DOC.replace(needle, replacement)
         assert replacement in doc
         with pytest.raises(HoaError) as exc:
             parse_hoa(doc)
         assert exc.value.line == line
+        assert len(str(exc.value)) <= 200
 
 
 def test_unlisted_parity_state_is_reported_before_allocating_per_state():
@@ -578,10 +576,7 @@ def test_unlisted_parity_state_is_reported_before_allocating_per_state():
         "except HoaError as exc:\n"
         "    print(exc)\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
+    env = child_env()
     proc = subprocess.run(
         [sys.executable, "-c", script],
         input=doc,

@@ -2,19 +2,17 @@
 
 import importlib.util
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
+
+from helpers import child_env
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_state_growth_runs_from_a_checkout():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
+    env = child_env()
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "state_growth.py"),
          "--max-k", "3", "--random", "2", "--states", "2"],
@@ -53,9 +51,18 @@ def test_bench_pairs_summary_counts_wins_by_direction():
     row = summary["w trace=0"]
     assert row["pairs"] == 2 and row["failed"] == 0
     assert row["metrics"]["rate"] == {
-        "base_median": 10.0, "change_median": 25.0, "ratio": 2.5, "change_wins": 2,
+        "base_median": 10.0, "base_iqr": 0.0, "change_median": 25.0, "ratio": 2.5,
+        "change_wins": 2,
     }
     assert row["metrics"]["p50"]["change_wins"] == 1
+    # quartiles of the base rates 1, 2, 3, 4 are 1.25 and 3.75
+    spread = bench_pairs.summarize(
+        [run(i, side, float(i), 1.0) for i in range(1, 5) for side in ("base", "change")],
+        {"rate": "higher", "p50": "lower"},
+    )
+    assert spread["w trace=0"]["metrics"]["rate"]["base_iqr"] == 2.5
+    single = bench_pairs.summarize(runs[:2], {"rate": "higher", "p50": "lower"})
+    assert single["w trace=0"]["metrics"]["rate"]["base_iqr"] is None
 
 
 def test_bench_pairs_refuses_checkouts_with_different_benchmarks(tmp_path):
