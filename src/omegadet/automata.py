@@ -154,6 +154,11 @@ class Automaton:
         """Per symbol, a memo from a state mask to the mask of all its successors."""
         return {sym: _Images(row) for sym, row in self.successor_masks.items()}
 
+    @cached_property
+    def lasso_memo(self) -> dict:
+        """The word profiles and verdicts of `omegadet.lasso`'s oracles."""
+        return {}
+
 
 class _Images(dict):
     """Image memo of one symbol; a missing mask is computed from the row."""

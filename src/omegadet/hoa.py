@@ -274,7 +274,10 @@ def _parse_label(text: str, ap_count: int, line: int) -> int:
         if ap is None:
             raise HoaError(f"malformed literal in label {shown}", line)
         if ap >= ap_count:
-            raise HoaError(f"label references AP {ap} but only {ap_count} exist", line)
+            raise HoaError(
+                f"label references AP {_quote(str(ap))} but only {ap_count} exist",
+                line,
+            )
         if ap in seen:
             raise HoaError(f"label {shown} mentions AP {ap} twice", line)
         seen[ap] = not negated
@@ -296,7 +299,9 @@ def _parse_marks(text: str | None, set_count: int, line: int) -> list[int]:
             raise HoaError(f"malformed acceptance mark {_quote(token)}", line)
         if mark >= set_count:
             raise HoaError(
-                f"acceptance mark {mark} out of range (only {set_count} sets)", line
+                f"acceptance mark {_quote(str(mark))} out of range"
+                f" (only {set_count} sets)",
+                line,
             )
         marks.append(mark)
     return marks
@@ -389,7 +394,9 @@ def parse_hoa(text: str) -> Automaton:
         expected = f" (expected {_quote(formula)})" if formula else ""
         raise HoaError(f"Acceptance: formula does not match acc-name{expected}", line)
     if initial >= state_count:
-        raise HoaError(f"initial state {initial} out of range", last_header_line)
+        raise HoaError(
+            f"initial state {_quote(str(initial))} out of range", headers["Start"][0]
+        )
 
     symbols = _valuation_symbols(ap_count)
     # label text -> symbol; a label that fails to parse is never stored,
@@ -418,9 +425,9 @@ def parse_hoa(text: str) -> Automaton:
             if num is None:
                 raise HoaError(f"malformed State: line {_quote(content)}", line)
             if num >= state_count:
-                raise HoaError(f"state {num} out of range", line)
+                raise HoaError(f"state {_quote(str(num))} out of range", line)
             if num in marks_of:
-                raise HoaError(f"duplicate State: {num}", line)
+                raise HoaError(f"duplicate State: {_quote(str(num))}", line)
             current = num
             marks_of[num] = _parse_marks(match.group("acc"), set_count, line)
             continue
@@ -445,7 +452,7 @@ def parse_hoa(text: str) -> Automaton:
                 line,
             )
         if target >= state_count:
-            raise HoaError(f"edge target {target} out of range", line)
+            raise HoaError(f"edge target {_quote(str(target))} out of range", line)
         label = match.group("label")
         symbol = letters.get(label)
         if symbol is None:

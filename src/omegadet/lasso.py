@@ -2,8 +2,11 @@
 
 A lasso u·v^ω is the only kind of word the test harness ever feeds an
 automaton.  Deterministic automata are run directly until the (state,
-period-position) pair repeats; nondeterministic ones go through a product
-with the lasso's shape graph and an SCC analysis.
+period-position) pair repeats.  The oracles for nondeterministic ones work
+from transition profiles, memoised per word on the automaton: δ(I, u) comes
+from the prefix's profile.  The Büchi oracle reads the verdict off the
+states that v^ω accepts from, kept per period; the Streett oracle runs an
+SCC analysis on the product with the period's shape graph from δ(I, u).
 """
 
 from __future__ import annotations
@@ -17,7 +20,9 @@ from omegadet.automata import (
     ParityAcceptance,
     RabinAcceptance,
     StreettAcceptance,
+    mask_states,
     reach,
+    state_mask,
 )
 
 
@@ -101,71 +106,81 @@ def run_deterministic(a: Automaton, lasso: Lasso) -> CycleVerdict:
 
 
 # ---------------------------------------------------------------------------
-# Product graph + SCCs for the nondeterministic oracles
+# Product graph + SCCs for the Streett oracle
 # ---------------------------------------------------------------------------
 
+# The virtual root of a product, on no cycle.
+_ROOT = (-1, -1)
 
-def _lasso_product(a: Automaton, lasso: Lasso):
+
+def _lasso_product(a: Automaton, lasso: Lasso, start: int):
     """Reachable product of the automaton with the lasso's shape graph.
 
     Shape positions 0..|u|+|v|-1 read prefix then period symbols; the last
     position wraps back to |u|.  Returns (nodes, edges) with nodes =
-    (automaton state, position).
+    (automaton state, position), from _ROOT, whose successors are (s, 0)
+    for every s in the state mask `start`.
     """
-    u = len(lasso.prefix)
     word = lasso.prefix + lasso.period
+    # position i reads word[i] and moves on to steps[i][1]
+    steps = [(sym, i + 1) for i, sym in enumerate(word)]
+    steps[-1] = (word[-1], len(lasso.prefix))
+    transitions = a.transitions
 
     def successors(node):
         state, pos = node
-        nxt = pos + 1 if pos + 1 < len(word) else u
-        return [(t, nxt) for t in a.successors(state, word[pos])]
+        if node is _ROOT:
+            return [(s, 0) for s in mask_states(start)]
+        sym, nxt = steps[pos]
+        return [(t, nxt) for t in transitions.get((state, sym), ())]
 
-    return reach((a.initial, 0), successors)
+    return reach(_ROOT, successors)
 
 
 def _sccs(nodes, edges):
-    """Iterative Tarjan; yields each strongly connected component as a list."""
+    """Iterative Tarjan; returns the strongly connected components as lists.
+
+    A component comes after every component it reaches.
+    """
     index: dict = {}
     low: dict = {}
     on_stack: set = set()
     stack: list = []
-    counter = itertools.count()
     out = []
     for root in nodes:
         if root in index:
             continue
-        work = [(root, iter(edges.get(root, ())))]
-        index[root] = low[root] = next(counter)
+        index[root] = low[root] = len(index)
         stack.append(root)
         on_stack.add(root)
+        work = [(root, iter(edges.get(root, ())))]
         while work:
             node, it = work[-1]
-            advanced = False
             for succ in it:
                 if succ not in index:
-                    index[succ] = low[succ] = next(counter)
+                    index[succ] = low[succ] = len(index)
                     stack.append(succ)
                     on_stack.add(succ)
                     work.append((succ, iter(edges.get(succ, ()))))
-                    advanced = True
                     break
-                if succ in on_stack:
-                    low[node] = min(low[node], index[succ])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    comp.append(member)
-                    if member == node:
-                        break
-                out.append(comp)
+                if succ in on_stack and index[succ] < low[node]:
+                    low[node] = index[succ]
+            else:
+                work.pop()
+                mine = low[node]
+                if work:
+                    parent = work[-1][0]
+                    if mine < low[parent]:
+                        low[parent] = mine
+                if mine == index[node]:
+                    comp = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        comp.append(member)
+                        if member == node:
+                            break
+                    out.append(comp)
     return out
 
 
@@ -199,26 +214,183 @@ def _fair_cycle(nodes, edges, pairs) -> bool:
     return False
 
 
+# ---------------------------------------------------------------------------
+# Transition profiles
+# ---------------------------------------------------------------------------
+
+# The memo of an automaton (`Automaton.lasso_memo`) holds the empty word's
+# profile under (), the profile of w·x under (serial of w, x) and a Streett
+# verdict under ("nsw", serial of v, δ(I, u)).  A query clears it first if
+# it could take it past this many entries.
+_MEMO_LIMIT = 4096
+
+
+class _Profile(dict):
+    """The transition profile of a word w, one row per state on first lookup.
+
+    self[p] is (reach, through): the states reachable from p on w, and those
+    reached on a path that visits an accepting state after leaving p.  The
+    row of w·x comes from the row of w (`before`) and the profile of the
+    one-letter word x (`last`).  `start` is δ(I, w).  For w as a period,
+    `explored` is a set of states closed under w's reach relation, and
+    `good` holds those of them from which w^ω has an accepting run.
+    """
+
+    __slots__ = ("serial", "before", "last", "accepting", "start", "explored", "good")
+
+    def __init__(self, serial: int, before, last) -> None:
+        self.serial = serial
+        self.before = before
+        self.last = last
+        self.accepting = before.accepting
+        self.start = last.image(before.start)
+        self.explored = self.good = 0
+
+    def __missing__(self, p: int) -> tuple[int, int]:
+        # back to the longest prefix with a row for p, then forward again:
+        # a loop, as a long word would exhaust the recursion limit
+        chain = [self]
+        before = self.before
+        while type(before) is _Profile and p not in before:
+            chain.append(before)
+            before = before.before
+        row = before[p]
+        for prof in reversed(chain):
+            reach, through = row
+            image = prof.last.image
+            reach = image(reach)
+            row = prof[p] = (reach, image(through) | reach & prof.accepting)
+        return row
+
+    def image(self, mask: int) -> int:
+        """The states reachable on w from some state of `mask`."""
+        out = 0
+        while mask:
+            low = mask & -mask
+            out |= self[low.bit_length() - 1][0]
+            mask ^= low
+        return out
+
+
+class _Letter(_Profile):
+    """The profile of a one-letter word; its rows come from the transitions."""
+
+    __slots__ = ("symbol",)
+
+    def __init__(self, serial: int, root, symbol: str) -> None:
+        self.symbol = symbol
+        super().__init__(serial, root, self)
+
+    def __missing__(self, p: int) -> tuple[int, int]:
+        reach = state_mask(self.before.transitions.get((p, self.symbol), ()))
+        row = self[p] = (reach, reach & self.accepting)
+        return row
+
+
+class _Root(_Profile):
+    """The profile of the empty word: every state reaches itself only."""
+
+    __slots__ = ("transitions",)
+
+    def __init__(self, a: Automaton) -> None:
+        self.serial = 0
+        self.transitions = a.transitions
+        acc = a.acceptance
+        self.accepting = acc.accepting_mask if isinstance(acc, BuchiAcceptance) else 0
+        self.start = 1 << a.initial
+
+    def __missing__(self, p: int) -> tuple[int, int]:
+        return (1 << p, 0)
+
+
+def _walk(memo: dict, prof: _Profile, word) -> _Profile:
+    """The profile of prof's word followed by `word`, memoising every step."""
+    for x in word:
+        key = (prof.serial, x)
+        nxt = memo.get(key)
+        if nxt is None:
+            root = memo[()]
+            if prof is root:
+                nxt = _Letter(len(memo), root, x)
+            else:
+                last = _walk(memo, root, (x,))
+                nxt = _Profile(len(memo), prof, last)
+            memo[key] = nxt
+        prof = nxt
+    return prof
+
+
+def _profiles(a: Automaton, lasso: Lasso) -> tuple[dict, int, _Profile]:
+    """The automaton's memo, δ(I, u) and the profile of v for a lasso u·v^ω."""
+    memo = a.lasso_memo
+    # a query adds at most two entries per letter, the root and one verdict
+    if len(memo) + 2 * (len(lasso.prefix) + len(lasso.period)) + 2 > _MEMO_LIMIT:
+        memo.clear()
+    root = memo.get(())
+    if root is None:
+        root = memo[()] = _Root(a)
+    prefix = _walk(memo, root, lasso.prefix)
+    return memo, prefix.start, _walk(memo, root, lasso.period)
+
+
+def _classify(period: _Profile, start: int) -> None:
+    """Add the states reachable from `start` to the period's explored and good."""
+    explored = period.explored
+    fresh = todo = start & ~explored
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        new = period[low.bit_length() - 1][0] & ~(explored | fresh)
+        fresh |= new
+        todo |= new
+    nodes = mask_states(fresh)
+    edges = {p: mask_states(period[p][0] & fresh) for p in nodes}
+    good = period.good
+    # explored is closed, so no component mixes old and fresh states, and
+    # Tarjan emits a component after every component it reaches
+    for comp in _sccs(nodes, edges):
+        mask = state_mask(comp)
+        if any(period[p][1] & mask or period[p][0] & good for p in comp):
+            good |= mask
+    period.explored = explored | fresh
+    period.good = good
+
+
 def nbw_member(a: Automaton, lasso: Lasso) -> bool:
     """Does some run of a nondeterministic Buchi automaton accept the lasso?
 
-    Buchi acceptance is the single Streett pair (F, all states).  Only
-    the states of the product's nodes can meet a cycle, so they stand for
-    all states, and a large declared state count costs nothing.
+    u·v^ω is accepted iff v^ω has an accepting run from some state of
+    S = δ(I, u).  On the relation "q is reachable from p on v", with the
+    edges that pass an accepting state marked, v^ω has one from p iff p
+    reaches a component with a marked edge inside.  The verdicts of every
+    state explored so far are kept with v's profile, so a query only
+    classifies the states it reaches first.  Profiles hold rows of
+    reached states only, so a large declared state count costs nothing.
     """
     if not isinstance(a.acceptance, BuchiAcceptance):
         raise ValueError("nbw_member: Buchi acceptance required")
-    nodes, edges = _lasso_product(a, lasso)
-    pair = (a.acceptance.accepting, {state for state, _ in nodes})
-    return _fair_cycle(nodes, edges, (pair,))
+    _, start, period = _profiles(a, lasso)
+    if start & ~period.explored:
+        _classify(period, start)
+    return bool(start & period.good)
 
 
 def nsw_member(a: Automaton, lasso: Lasso) -> bool:
-    """Does some run of a nondeterministic Streett automaton accept the lasso?"""
+    """Does some run of a nondeterministic Streett automaton accept the lasso?
+
+    The verdict depends on u only through S = δ(I, u).  It is memoised per
+    (S, v) and comes from the product with v's shape graph, entered at
+    (s, 0) for every s in S.
+    """
     if not isinstance(a.acceptance, StreettAcceptance):
         raise ValueError("nsw_member: Streett acceptance required")
-    nodes, edges = _lasso_product(a, lasso)
-    return _fair_cycle(nodes, edges, a.acceptance.pairs)
+    memo, start, period = _profiles(a, lasso)
+    key = ("nsw", period.serial, start)
+    verdict = memo.get(key)
+    if verdict is None:
+        nodes, edges = _lasso_product(a, Lasso((), lasso.period), start)
+        verdict = memo[key] = _fair_cycle(nodes, edges, a.acceptance.pairs)
+    return verdict
 
 
 def lasso_member(a: Automaton, lasso: Lasso) -> bool:

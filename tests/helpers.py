@@ -3,8 +3,9 @@
 import os
 from pathlib import Path
 
-from omegadet import Automaton
+from omegadet import Automaton, Lasso
 from omegadet.automata import reach
+from omegadet.lasso import _fair_cycle, _lasso_product
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -46,3 +47,20 @@ def reachable_states(a: Automaton) -> frozenset[int]:
         a.initial, lambda s: [t for sym in a.alphabet for t in a.successors(s, sym)]
     )
     return frozenset(order)
+
+
+def product_nbw_member(a: Automaton, lasso: Lasso) -> bool:
+    """The product-based Buchi oracle, kept as the reference for `nbw_member`.
+
+    Buchi acceptance is the single Streett pair (F, reached states) over the
+    product of the automaton with the lasso's whole shape graph.
+    """
+    nodes, edges = _lasso_product(a, lasso, 1 << a.initial)
+    pair = (a.acceptance.accepting, {state for state, _ in nodes[1:]})
+    return _fair_cycle(nodes, edges, (pair,))
+
+
+def product_nsw_member(a: Automaton, lasso: Lasso) -> bool:
+    """The Streett pairs over the product with the lasso's whole shape graph."""
+    nodes, edges = _lasso_product(a, lasso, 1 << a.initial)
+    return _fair_cycle(nodes, edges, a.acceptance.pairs)

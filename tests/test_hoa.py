@@ -559,6 +559,33 @@ class TestNumbers:
         assert exc.value.line == line
         assert len(str(exc.value)) <= 200
 
+    BIG = "1" * 4000  # int() reads it, but no document has that many states
+
+    @pytest.mark.parametrize(
+        "needle,replacement,line,message",
+        [
+            ("Start: 0", f"Start: {BIG}", 3, "initial state"),
+            ("State: 0 {0}", f"State: {BIG} {{0}}", 9, "state"),
+            ("[!0] 0", f"[!0] {BIG}", 10, "edge target"),
+            ("State: 0 {0}", f"State: 0 {{{BIG}}}", 9, "acceptance mark"),
+            ("[!0] 0", f"[!{BIG}] 0", 10, "label references AP"),
+            ("States: 1", f"States: 2{BIG}", 13, "duplicate State"),
+        ],
+        ids=["Start", "State", "edge-target", "mark", "label-literal", "duplicate"],
+    )
+    def test_out_of_range_numbers_are_not_echoed_whole(
+        self, needle, replacement, line, message
+    ):
+        doc = TINY_DPW_DOC.replace(needle, replacement)
+        if message == "duplicate State":
+            doc = doc.replace("--END--", f"State: {self.BIG}\n" * 2 + "--END--")
+        with pytest.raises(HoaError) as exc:
+            parse_hoa(doc)
+        assert exc.value.line == line
+        assert str(exc.value).startswith(f"line {line}: {message}")
+        assert "number too long (4000 digits)" in str(exc.value)
+        assert len(str(exc.value)) <= 200
+
 
 def test_unlisted_parity_state_is_reported_before_allocating_per_state():
     """A document declaring 200,000,000 states but listing one fails at once.

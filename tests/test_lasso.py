@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from omegadet import (
     Automaton,
     BuchiAcceptance,
     Lasso,
+    build_lk_fixture,
     differential_check,
     dualize_parity,
     enumerate_lassos,
@@ -20,9 +22,11 @@ from omegadet import (
     nsw_member,
     run_deterministic,
 )
-from omegadet.random_gen import random_nbw
+from omegadet import lasso as lasso_module
+from omegadet.random_gen import random_nbw, random_nsw
 
 from conftest import make_loop_nsw
+from helpers import product_nbw_member, product_nsw_member
 
 
 class TestLasso:
@@ -136,6 +140,171 @@ class TestNbwMember:
     def test_requires_buchi(self, fair_nsw):
         with pytest.raises(ValueError, match="Buchi"):
             nbw_member(fair_nsw, Lasso((), ("n",)))
+
+
+def _nbw(state_count, edges, accepting, symbols=("a", "b")):
+    """An NBW from (source, symbol, target) edges, starting in state 0."""
+    transitions: dict = {}
+    for src, sym, dst in edges:
+        transitions.setdefault((src, sym), set()).add(dst)
+    return Automaton(
+        alphabet=Alphabet(symbols),
+        state_count=state_count,
+        initial=0,
+        transitions=transitions,
+        acceptance=BuchiAcceptance(frozenset(accepting)),
+    )
+
+
+def _fresh(a: Automaton) -> Automaton:
+    """An equal automaton with an empty memo."""
+    return replace(a)
+
+
+class TestProfileOracle:
+    """`nbw_member` against the product oracle it replaced, case by case."""
+
+    def check(self, a, prefix, period, want):
+        lasso = Lasso(prefix, period)
+        assert product_nbw_member(a, lasso) == want
+        assert nbw_member(a, lasso) == want
+        assert nbw_member(_fresh(a), lasso) == want
+
+    def test_dead_start_set(self):
+        # no run survives the prefix b, so δ(I, u) is empty
+        a = _nbw(1, [(0, "a", 0)], {0})
+        self.check(a, ("b",), ("a",), False)
+        self.check(a, (), ("a", "b"), False)
+        self.check(a, (), ("a",), True)
+
+    def test_accepting_state_seen_only_in_the_prefix(self):
+        # 0 -a-> 1 (accepting) -b-> 2, and 2 loops on b
+        a = _nbw(3, [(0, "a", 1), (1, "b", 2), (2, "b", 2)], {1})
+        self.check(a, ("a",), ("b",), False)
+        self.check(a, ("a", "b"), ("b",), False)
+
+    def test_accepting_state_only_at_the_start_of_the_period(self):
+        # the run sits on accepting 1 when the period starts, then leaves it
+        a = _nbw(3, [(0, "a", 1), (1, "b", 2), (2, "b", 2)], {1})
+        self.check(a, ("a",), ("b", "b"), False)
+        # here it is back on 1 at every period start, and nowhere else
+        b = _nbw(2, [(0, "a", 1), (1, "b", 0)], {1})
+        self.check(b, ("a",), ("b", "a"), True)
+        self.check(b, (), ("a", "b"), True)
+        self.check(b, ("a",), ("b",), False)
+
+    def test_period_of_length_one(self):
+        # an accepting self-loop on a, reached only through b
+        a = _nbw(2, [(0, "a", 0), (0, "b", 1), (1, "a", 1)], {1})
+        self.check(a, (), ("a",), False)
+        self.check(a, ("b",), ("a",), True)
+        self.check(a, ("a", "b"), ("a",), True)
+        self.check(a, (), ("b",), False)
+
+    def test_queries_after_other_periods_extend_what_is_explored(self):
+        # under the period c: 1 loops through accepting 4; 2 feeds into 1;
+        # 3 loops alone, not accepting; 5 feeds into 3
+        a = _nbw(
+            6,
+            [(0, "a", 1), (0, "b", 2), (0, "d", 3), (0, "e", 5),
+             (1, "c", 4), (4, "c", 1), (2, "c", 1), (3, "c", 3), (5, "c", 3),
+             (1, "a", 2), (2, "a", 2)],
+            {4},
+            symbols=("a", "b", "c", "d", "e"),
+        )
+        queries = [
+            (("a",), ("a",), False),
+            (("a",), ("c",), True),
+            (("d",), ("c",), False),
+            (("b",), ("a",), False),
+            (("b",), ("c",), True),
+            (("e",), ("c",), False),
+            ((), ("c",), False),
+            (("a", "c"), ("c", "c"), True),
+        ]
+        for prefix, period, want in queries:
+            self.check(a, prefix, period, want)
+        # five queries explored c's profile piece by piece; 2 turned good
+        # through 1, which an earlier query had explored
+        _, _, c = lasso_module._profiles(a, Lasso((), ("c",)))
+        assert (c.explored, c.good) == (0b111111, 0b010110)
+        fresh = _fresh(a)
+        for prefix, period, want in reversed(queries):
+            assert nbw_member(fresh, Lasso(prefix, period)) == want
+
+    def test_lassos_longer_than_the_recursion_limit(self):
+        # a period's rows are filled along the word in a loop, not by recursion
+        lasso = Lasso(("a",), ("b", "a", "a") * 350)
+        for seed in range(3):
+            a = random_nbw(4, seed)
+            assert nbw_member(a, lasso) == product_nbw_member(a, lasso)
+
+
+
+def _equivalence_corpus():
+    """Small automata and bounded lassos for the oracle equivalence sweep.
+
+    The Tabakov-Vardi NBWs with r = 1.25 and f = 0.1 reject many lassos;
+    random_nbw at its defaults accepts most of them.
+    """
+    for n in (6, 10, 14):
+        for seed in range(20):
+            yield random_nbw(n, seed, density=1.25 / n, acceptance_density=0.1)
+    for n in (2, 3, 4):
+        for seed in range(51):
+            yield random_nbw(n, seed)
+    yield build_lk_fixture(2)
+    yield build_lk_fixture(3)
+
+
+def test_profile_oracle_matches_the_product_oracle():
+    queries = rejected = 0
+    mismatches = []
+    lassos_of = {}
+    for a in _equivalence_corpus():
+        symbols = a.alphabet.symbols
+        if symbols not in lassos_of:
+            lassos_of[symbols] = list(enumerate_lassos(symbols, 3, 4))
+        for lasso in lassos_of[symbols]:
+            want = product_nbw_member(a, lasso)
+            queries += 1
+            rejected += not want
+            if nbw_member(a, lasso) != want:
+                mismatches.append((a, lasso, want))
+    assert queries >= 100_000
+    assert rejected >= 25_000
+    assert mismatches == []
+
+
+class TestMemoBound:
+    def test_buchi_memo_stays_within_the_cap(self, monkeypatch):
+        monkeypatch.setattr(lasso_module, "_MEMO_LIMIT", 24)
+        seen = []
+        real = lasso_module.nbw_member
+
+        def recording(a, lasso):
+            verdict = real(a, lasso)
+            seen.append((lasso, verdict, len(a.lasso_memo)))
+            return verdict
+
+        monkeypatch.setattr(lasso_module, "nbw_member", recording)
+        a = random_nbw(5, seed=7)
+        # 15 prefixes and 30 periods: far more distinct words than 24
+        assert differential_check([a], 3, 4).agreed == 450
+        assert len(seen) == 450
+        for lasso, verdict, size in seen:
+            assert size <= 24
+            assert verdict == real(_fresh(a), lasso) == product_nbw_member(a, lasso)
+
+    def test_streett_memo_stays_within_the_cap(self, monkeypatch):
+        monkeypatch.setattr(lasso_module, "_MEMO_LIMIT", 24)
+        for seed in range(2):
+            a = random_nsw(5, 3, seed)
+            for lasso in enumerate_lassos(a.alphabet.symbols, 3, 4):
+                want = product_nsw_member(a, lasso)
+                assert nsw_member(a, lasso) == want, lasso
+                assert nsw_member(_fresh(a), lasso) == want, lasso
+                assert len(a.lasso_memo) <= 24
 
 
 class TestNswMember:
