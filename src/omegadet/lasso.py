@@ -243,7 +243,9 @@ class _Profile(dict):
         self.before = before
         self.last = last
         self.accepting = before.accepting
-        self.start = last.image(before.start)
+        # a one-letter word is its own last letter, but holds no reference
+        # to itself: without cycles the memo is freed with the automaton
+        self.start = (self if last is None else last).image(before.start)
         self.explored = self.good = 0
 
     def __missing__(self, p: int) -> tuple[int, int]:
@@ -279,7 +281,7 @@ class _Letter(_Profile):
 
     def __init__(self, serial: int, root, symbol: str) -> None:
         self.symbol = symbol
-        super().__init__(serial, root, self)
+        super().__init__(serial, root, None)
 
     def __missing__(self, p: int) -> tuple[int, int]:
         reach = state_mask(self.before.transitions.get((p, self.symbol), ()))

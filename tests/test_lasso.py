@@ -1,5 +1,6 @@
 """Lasso words and the membership oracles."""
 
+import gc
 import itertools
 import tracemalloc
 from dataclasses import replace
@@ -295,6 +296,22 @@ class TestMemoBound:
         for lasso, verdict, size in seen:
             assert size <= 24
             assert verdict == real(_fresh(a), lasso) == product_nbw_member(a, lasso)
+
+    def test_memo_is_freed_with_the_automaton(self):
+        # no reference cycle keeps profiles alive until the cyclic collector runs
+        gc.collect()
+        gc.disable()
+        try:
+            a = random_nbw(5, seed=3)
+            b = random_nsw(4, 2, seed=1)
+            for lasso in enumerate_lassos(a.alphabet.symbols, 3, 4):
+                nbw_member(a, lasso)
+                nsw_member(b, lasso)
+            assert len(a.lasso_memo) > 1 and len(b.lasso_memo) > 1
+            del a, b
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_streett_memo_stays_within_the_cap(self, monkeypatch):
         monkeypatch.setattr(lasso_module, "_MEMO_LIMIT", 24)
