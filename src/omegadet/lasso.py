@@ -231,9 +231,10 @@ class _Profile(dict):
     self[p] is (reach, through): the states reachable from p on w, and those
     reached on a path that visits an accepting state after leaving p.  The
     row of w·x comes from the row of w (`before`) and the profile of the
-    one-letter word x (`last`).  `start` is δ(I, w).  For w as a period,
-    `explored` is a set of states closed under w's reach relation, and
-    `good` holds those of them from which w^ω has an accepting run.
+    one-letter word x (`last`, None when w·x is x).  `start` is δ(I, w).
+    For w as a period, `explored` is a set of states closed under w's reach
+    relation, and `good` holds those of them from which w^ω has an
+    accepting run.
     """
 
     __slots__ = ("serial", "before", "last", "accepting", "start", "explored", "good")
