@@ -138,45 +138,49 @@ class Automaton:
     def states(self) -> range:
         return range(self.state_count)
 
-    # The tables of the tree constructions, built on first use and freed
-    # with the automaton; cached properties stay out of == and repr.
-
-    @cached_property
-    def successor_masks(self) -> dict[str, tuple[int, ...]]:
-        """Per symbol, the successors of every state as a state mask."""
-        table = {sym: [0] * self.state_count for sym in self.alphabet}
-        for (s, sym), targets in self.transitions.items():
-            table[sym][s] = state_mask(targets)
-        return {sym: tuple(row) for sym, row in table.items()}
+    # The image memo of the tree steps and the lasso oracles, and the
+    # oracles' word memo: filled on first use, with entries for the masks
+    # and words asked for only, and freed with the automaton; cached properties stay
+    # out of == and repr.
 
     @cached_property
     def image_masks(self) -> dict[str, dict[int, int]]:
         """Per symbol, a memo from a state mask to the mask of all its successors."""
-        return {sym: _Images(row) for sym, row in self.successor_masks.items()}
+        return {sym: _Images(self.transitions, sym) for sym in self.alphabet}
 
     @cached_property
     def lasso_memo(self) -> dict:
-        """The word profiles and verdicts of `omegadet.lasso`'s oracles."""
+        """δ(I, u), per-period verdicts and Streett verdicts of `omegadet.lasso`."""
         return {}
 
 
 class _Images(dict):
-    """Image memo of one symbol; a missing mask is computed from the row."""
+    """Image memo of one symbol.
 
-    __slots__ = ("row",)
+    A one-state mask is read off the transitions, any larger mask is the OR
+    of its one-state entries, and the empty mask maps to itself.
+    """
 
-    def __init__(self, row: tuple[int, ...]) -> None:
+    __slots__ = ("transitions", "symbol")
+
+    def __init__(self, transitions: Mapping, symbol: str) -> None:
         super().__init__()
-        self.row = row
+        self.transitions = transitions
+        self.symbol = symbol
 
     def __missing__(self, mask: int) -> int:
-        row = self.row
-        out = 0
-        rest = mask
-        while rest:
-            low = rest & -rest
-            out |= row[low.bit_length() - 1]
-            rest ^= low
+        if mask & (mask - 1):
+            out = 0
+            rest = mask
+            while rest:
+                low = rest & -rest
+                out |= self[low]
+                rest ^= low
+        elif mask:
+            key = (mask.bit_length() - 1, self.symbol)
+            out = state_mask(self.transitions.get(key, ()))
+        else:
+            out = 0
         self[mask] = out
         return out
 

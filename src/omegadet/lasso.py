@@ -2,11 +2,12 @@
 
 A lasso u·v^ω is the only kind of word the test harness ever feeds an
 automaton.  Deterministic automata are run directly until the (state,
-period-position) pair repeats.  The oracles for nondeterministic ones work
-from transition profiles, memoised per word on the automaton: δ(I, u) comes
-from the prefix's profile.  The Büchi oracle reads the verdict off the
-states that v^ω accepts from, kept per period; the Streett oracle runs an
-SCC analysis on the product with the period's shape graph from δ(I, u).
+period-position) pair repeats.  The oracles for nondeterministic ones
+compute δ(I, u) with the automaton's image memo and keep it, with their
+verdicts, in a memo per word on the automaton.  The Büchi oracle reads the
+verdict off the states that v^ω accepts from, kept per period; the Streett
+oracle runs an SCC analysis on the product with the period's shape graph
+from δ(I, u).
 """
 
 from __future__ import annotations
@@ -215,148 +216,65 @@ def _fair_cycle(nodes, edges, pairs) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Transition profiles
+# Word memo of the oracles
 # ---------------------------------------------------------------------------
 
-# The memo of an automaton (`Automaton.lasso_memo`) holds the empty word's
-# profile under (), the profile of w·x under (serial of w, x) and a Streett
-# verdict under ("nsw", serial of v, δ(I, u)).  A query clears it first if
-# it could take it past this many entries.
+# The memo of an automaton (`Automaton.lasso_memo`) maps ("u", u) to
+# δ(I, u), ("v", v) to the period's (explored, good) masks and
+# ("nsw", v, S) to a Streett verdict.  A query adds at most three entries
+# and clears the memo first if they could take it past this many.
 _MEMO_LIMIT = 4096
 
 
-class _Profile(dict):
-    """The transition profile of a word w, one row per state on first lookup.
-
-    self[p] is (reach, through): the states reachable from p on w, and those
-    reached on a path that visits an accepting state after leaving p.  The
-    row of w·x comes from the row of w (`before`) and the profile of the
-    one-letter word x (`last`, None when w·x is x).  `start` is δ(I, w).
-    For w as a period, `explored` is a set of states closed under w's reach
-    relation, and `good` holds those of them from which w^ω has an
-    accepting run.
-    """
-
-    __slots__ = ("serial", "before", "last", "accepting", "start", "explored", "good")
-
-    def __init__(self, serial: int, before, last) -> None:
-        self.serial = serial
-        self.before = before
-        self.last = last
-        self.accepting = before.accepting
-        # a one-letter word is its own last letter, but holds no reference
-        # to itself: without cycles the memo is freed with the automaton
-        self.start = (self if last is None else last).image(before.start)
-        self.explored = self.good = 0
-
-    def __missing__(self, p: int) -> tuple[int, int]:
-        # back to the longest prefix with a row for p, then forward again:
-        # a loop, as a long word would exhaust the recursion limit
-        chain = [self]
-        before = self.before
-        while type(before) is _Profile and p not in before:
-            chain.append(before)
-            before = before.before
-        row = before[p]
-        for prof in reversed(chain):
-            reach, through = row
-            image = prof.last.image
-            reach = image(reach)
-            row = prof[p] = (reach, image(through) | reach & prof.accepting)
-        return row
-
-    def image(self, mask: int) -> int:
-        """The states reachable on w from some state of `mask`."""
-        out = 0
-        while mask:
-            low = mask & -mask
-            out |= self[low.bit_length() - 1][0]
-            mask ^= low
-        return out
-
-
-class _Letter(_Profile):
-    """The profile of a one-letter word; its rows come from the transitions."""
-
-    __slots__ = ("symbol",)
-
-    def __init__(self, serial: int, root, symbol: str) -> None:
-        self.symbol = symbol
-        super().__init__(serial, root, None)
-
-    def __missing__(self, p: int) -> tuple[int, int]:
-        reach = state_mask(self.before.transitions.get((p, self.symbol), ()))
-        row = self[p] = (reach, reach & self.accepting)
-        return row
-
-
-class _Root(_Profile):
-    """The profile of the empty word: every state reaches itself only."""
-
-    __slots__ = ("transitions",)
-
-    def __init__(self, a: Automaton) -> None:
-        self.serial = 0
-        self.transitions = a.transitions
-        acc = a.acceptance
-        self.accepting = acc.accepting_mask if isinstance(acc, BuchiAcceptance) else 0
-        self.start = 1 << a.initial
-
-    def __missing__(self, p: int) -> tuple[int, int]:
-        return (1 << p, 0)
-
-
-def _walk(memo: dict, prof: _Profile, word) -> _Profile:
-    """The profile of prof's word followed by `word`, memoising every step."""
-    for x in word:
-        key = (prof.serial, x)
-        nxt = memo.get(key)
-        if nxt is None:
-            root = memo[()]
-            if prof is root:
-                nxt = _Letter(len(memo), root, x)
-            else:
-                last = _walk(memo, root, (x,))
-                nxt = _Profile(len(memo), prof, last)
-            memo[key] = nxt
-        prof = nxt
-    return prof
-
-
-def _profiles(a: Automaton, lasso: Lasso) -> tuple[dict, int, _Profile]:
-    """The automaton's memo, δ(I, u) and the profile of v for a lasso u·v^ω."""
+def _start(a: Automaton, lasso: Lasso) -> tuple[dict, int]:
+    """The automaton's memo and δ(I, u) for a lasso u·v^ω."""
     memo = a.lasso_memo
-    # a query adds at most two entries per letter, the root and one verdict
-    if len(memo) + 2 * (len(lasso.prefix) + len(lasso.period)) + 2 > _MEMO_LIMIT:
+    if len(memo) + 3 > _MEMO_LIMIT:
         memo.clear()
-    root = memo.get(())
-    if root is None:
-        root = memo[()] = _Root(a)
-    prefix = _walk(memo, root, lasso.prefix)
-    return memo, prefix.start, _walk(memo, root, lasso.period)
+    key = ("u", lasso.prefix)
+    start = memo.get(key)
+    if start is None:
+        images = a.image_masks
+        start = 1 << a.initial
+        for x in lasso.prefix:
+            start = images[x][start]
+        memo[key] = start
+    return memo, start
 
 
-def _classify(period: _Profile, start: int) -> None:
-    """Add the states reachable from `start` to the period's explored and good."""
-    explored = period.explored
+def _classify(
+    a: Automaton, period: tuple[str, ...], start: int, explored: int, good: int
+) -> tuple[int, int]:
+    """Extend explored and good by the states reachable from `start` on v.
+
+    `explored` is closed under v's reach relation and `good` holds the
+    states of it from which v^ω has an accepting run.  A fresh state p gets
+    its row (reach, through): the states reachable from p on v, and those
+    reached on a path that visits an accepting state after leaving p.
+    """
+    images = [a.image_masks[x] for x in period]
+    accepting = a.acceptance.accepting_mask
+    rows = {}
     fresh = todo = start & ~explored
     while todo:
         low = todo & -todo
         todo ^= low
-        new = period[low.bit_length() - 1][0] & ~(explored | fresh)
+        reach, through = low, 0
+        for image in images:
+            reach = image[reach]
+            through = image[through] | reach & accepting
+        rows[low.bit_length() - 1] = reach, through
+        new = reach & ~(explored | fresh)
         fresh |= new
         todo |= new
-    nodes = mask_states(fresh)
-    edges = {p: mask_states(period[p][0] & fresh) for p in nodes}
-    good = period.good
+    edges = {p: mask_states(reach & fresh) for p, (reach, _) in rows.items()}
     # explored is closed, so no component mixes old and fresh states, and
     # Tarjan emits a component after every component it reaches
-    for comp in _sccs(nodes, edges):
+    for comp in _sccs(rows, edges):
         mask = state_mask(comp)
-        if any(period[p][1] & mask or period[p][0] & good for p in comp):
+        if any(rows[p][1] & mask or rows[p][0] & good for p in comp):
             good |= mask
-    period.explored = explored | fresh
-    period.good = good
+    return explored | fresh, good
 
 
 def nbw_member(a: Automaton, lasso: Lasso) -> bool:
@@ -366,29 +284,31 @@ def nbw_member(a: Automaton, lasso: Lasso) -> bool:
     S = δ(I, u).  On the relation "q is reachable from p on v", with the
     edges that pass an accepting state marked, v^ω has one from p iff p
     reaches a component with a marked edge inside.  The verdicts of every
-    state explored so far are kept with v's profile, so a query only
-    classifies the states it reaches first.  Profiles hold rows of
-    reached states only, so a large declared state count costs nothing.
+    state explored so far are kept per period, so a query only classifies
+    the states it reaches first.  Images are memoised per asked mask, so a
+    large declared state count costs nothing.
     """
     if not isinstance(a.acceptance, BuchiAcceptance):
         raise ValueError("nbw_member: Buchi acceptance required")
-    _, start, period = _profiles(a, lasso)
-    if start & ~period.explored:
-        _classify(period, start)
-    return bool(start & period.good)
+    memo, start = _start(a, lasso)
+    key = ("v", lasso.period)
+    explored, good = memo.get(key, (0, 0))
+    if start & ~explored:
+        explored, good = memo[key] = _classify(a, lasso.period, start, explored, good)
+    return bool(start & good)
 
 
 def nsw_member(a: Automaton, lasso: Lasso) -> bool:
     """Does some run of a nondeterministic Streett automaton accept the lasso?
 
     The verdict depends on u only through S = δ(I, u).  It is memoised per
-    (S, v) and comes from the product with v's shape graph, entered at
+    (v, S) and comes from the product with v's shape graph, entered at
     (s, 0) for every s in S.
     """
     if not isinstance(a.acceptance, StreettAcceptance):
         raise ValueError("nsw_member: Streett acceptance required")
-    memo, start, period = _profiles(a, lasso)
-    key = ("nsw", period.serial, start)
+    memo, start = _start(a, lasso)
+    key = ("nsw", lasso.period, start)
     verdict = memo.get(key)
     if verdict is None:
         nodes, edges = _lasso_product(a, Lasso((), lasso.period), start)

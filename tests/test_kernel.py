@@ -1,12 +1,15 @@
 """The bit-mask kernel under the tree steps.
 
 Tree labels are state masks (bit s for state s).  Each automaton holds,
-per symbol, the successors of every state as a mask and a memo of the
-images of masks; the compact trees compare and hash by their masks and
-read them back as frozensets.
+per symbol, a memo of the images of the masks asked for, whose one-state
+entries are read off the transitions; the compact trees compare and hash
+by their masks and read them back as frozensets.
 """
 
 import random
+import subprocess
+import sys
+from dataclasses import replace
 from functools import cached_property
 
 import pytest
@@ -25,6 +28,7 @@ from omegadet.automata import mask_states, state_mask
 from omegadet.compact import CompactSafraTree
 from omegadet.random_gen import random_nbw, random_nsw
 
+from helpers import child_env
 from treecheck import assert_tree_invariants, drive_buchi, drive_streett
 
 
@@ -88,12 +92,20 @@ class TestMasks:
 class TestTables:
     @pytest.mark.parametrize("a", AUTOMATA)
     def test_successor_masks_agree_with_successors(self, a):
-        table = a.successor_masks
+        table = a.image_masks
         assert list(table) == list(a.alphabet)
         for sym in a.alphabet:
-            assert len(table[sym]) == a.state_count
+            images = table[sym]
             for s in a.states():
-                assert mask_states(table[sym][s]) == tuple(sorted(a.successors(s, sym)))
+                want = tuple(sorted(a.successors(s, sym)))
+                assert mask_states(images[1 << s]) == want
+            # a one-state entry is read off the transitions, no table behind it
+            assert sorted(images) == [1 << s for s in a.states()]
+            # a larger mask adds itself and the one-state entries it is built of
+            other = replace(a).image_masks[sym]
+            assert other[0b101] == images[0b1] | images[0b100]
+            assert sorted(other) == [0b1, 0b100, 0b101]
+            assert other[0] == 0 and sorted(other) == [0, 0b1, 0b100, 0b101]
 
     @pytest.mark.parametrize("a", AUTOMATA)
     def test_image_masks_agree_with_the_image(self, a):
@@ -123,25 +135,53 @@ class TestTables:
     )
     def test_tables_are_built_once_per_automaton(self, monkeypatch, source, determinize):
         builds = []
-        for name in ("successor_masks", "image_masks"):
-            original = getattr(Automaton, name).func
+        original = Automaton.image_masks.func
 
-            def counting(self, original=original, name=name):
-                builds.append((id(self), name))
-                return original(self)
+        def counting(self):
+            builds.append(id(self))
+            return original(self)
 
-            prop = cached_property(counting)
-            prop.__set_name__(Automaton, name)
-            monkeypatch.setattr(Automaton, name, prop)
+        prop = cached_property(counting)
+        prop.__set_name__(Automaton, "image_masks")
+        monkeypatch.setattr(Automaton, "image_masks", prop)
         first, second = source(), source()
         out = determinize(first)
         assert determinize(second) == out
         assert out.state_count > 1
-        assert sorted(builds) == sorted(
-            (id(a), name)
-            for a in (first, second)
-            for name in ("successor_masks", "image_masks")
-        )
+        assert sorted(builds) == sorted(id(a) for a in (first, second))
+
+
+_HUGE_DECLARED = """\
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from omegadet import (
+    Alphabet, Automaton, BuchiAcceptance, StreettAcceptance, nbw_to_dpw, nsw_to_dpw,
+)
+loops = {(0, "0"): {0}, (0, "1"): {0}}
+for acceptance, determinize in (
+    (BuchiAcceptance({0}), nbw_to_dpw),
+    (StreettAcceptance((({0}, {0}),)), nsw_to_dpw),
+):
+    a = Automaton(Alphabet(("0", "1")), 10**9, 0, loops, acceptance)
+    print(determinize(a).state_count)
+"""
+
+
+def test_determinizing_a_huge_declared_automaton_runs_in_bounded_memory():
+    """Both compact constructions on one live state of 10**9 declared ones.
+
+    The child runs under a 1 GiB address-space limit, so a table allocated
+    per declared state fails there instead of in this process.
+    """
+    proc = subprocess.run(
+        [sys.executable, "-c", _HUGE_DECLARED],
+        env=child_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "1"]
 
 
 class TestWideAutomata:

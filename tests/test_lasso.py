@@ -225,10 +225,9 @@ class TestProfileOracle:
         ]
         for prefix, period, want in queries:
             self.check(a, prefix, period, want)
-        # five queries explored c's profile piece by piece; 2 turned good
+        # five queries explored the period c piece by piece; 2 turned good
         # through 1, which an earlier query had explored
-        _, _, c = lasso_module._profiles(a, Lasso((), ("c",)))
-        assert (c.explored, c.good) == (0b111111, 0b010110)
+        assert a.lasso_memo[("v", ("c",))] == (0b111111, 0b010110)
         fresh = _fresh(a)
         for prefix, period, want in reversed(queries):
             assert nbw_member(fresh, Lasso(prefix, period)) == want
@@ -258,7 +257,7 @@ def _equivalence_corpus():
     yield build_lk_fixture(3)
 
 
-def test_profile_oracle_matches_the_product_oracle():
+def test_nbw_member_matches_the_product_oracle():
     queries = rejected = 0
     mismatches = []
     lassos_of = {}
