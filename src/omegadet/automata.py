@@ -150,7 +150,7 @@ class Automaton:
 
     @cached_property
     def lasso_memo(self) -> dict:
-        """δ(I, u), per-period verdicts and Streett verdicts of `omegadet.lasso`."""
+        """δ(I, u) and the per-period (explored, good) masks of `omegadet.lasso`."""
         return {}
 
 

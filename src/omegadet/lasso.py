@@ -3,16 +3,17 @@
 A lasso u·v^ω is the only kind of word the test harness ever feeds an
 automaton.  Deterministic automata are run directly until the (state,
 period-position) pair repeats.  The oracles for nondeterministic ones
-compute δ(I, u) with the automaton's image memo and keep it, with their
-verdicts, in a memo per word on the automaton.  The Büchi oracle reads the
-verdict off the states that v^ω accepts from, kept per period; the Streett
-oracle runs an SCC analysis on the product with the period's shape graph
-from δ(I, u).
+compute δ(I, u) with the automaton's image memo and keep it in a memo per
+word on the automaton, beside the states that v^ω accepts from, kept per
+period.  A query classifies only the states that no earlier query with its
+period reached: the Büchi oracle from their rows of v, the Streett oracle
+from the product with the period's shape graph entered at them.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 
 from omegadet.automata import (
@@ -107,35 +108,8 @@ def run_deterministic(a: Automaton, lasso: Lasso) -> CycleVerdict:
 
 
 # ---------------------------------------------------------------------------
-# Product graph + SCCs for the Streett oracle
+# SCCs and fair cycles
 # ---------------------------------------------------------------------------
-
-# The virtual root of a product, on no cycle.
-_ROOT = (-1, -1)
-
-
-def _lasso_product(a: Automaton, lasso: Lasso, start: int):
-    """Reachable product of the automaton with the lasso's shape graph.
-
-    Shape positions 0..|u|+|v|-1 read prefix then period symbols; the last
-    position wraps back to |u|.  Returns (nodes, edges) with nodes =
-    (automaton state, position), from _ROOT, whose successors are (s, 0)
-    for every s in the state mask `start`.
-    """
-    word = lasso.prefix + lasso.period
-    # position i reads word[i] and moves on to steps[i][1]
-    steps = [(sym, i + 1) for i, sym in enumerate(word)]
-    steps[-1] = (word[-1], len(lasso.prefix))
-    transitions = a.transitions
-
-    def successors(node):
-        state, pos = node
-        if node is _ROOT:
-            return [(s, 0) for s in mask_states(start)]
-        sym, nxt = steps[pos]
-        return [(t, nxt) for t in transitions.get((state, sym), ())]
-
-    return reach(_ROOT, successors)
 
 
 def _sccs(nodes, edges):
@@ -145,7 +119,6 @@ def _sccs(nodes, edges):
     """
     index: dict = {}
     low: dict = {}
-    on_stack: set = set()
     stack: list = []
     out = []
     for root in nodes:
@@ -153,7 +126,6 @@ def _sccs(nodes, edges):
             continue
         index[root] = low[root] = len(index)
         stack.append(root)
-        on_stack.add(root)
         work = [(root, iter(edges.get(root, ())))]
         while work:
             node, it = work[-1]
@@ -161,10 +133,9 @@ def _sccs(nodes, edges):
                 if succ not in index:
                     index[succ] = low[succ] = len(index)
                     stack.append(succ)
-                    on_stack.add(succ)
                     work.append((succ, iter(edges.get(succ, ()))))
                     break
-                if succ in on_stack and index[succ] < low[node]:
+                if index[succ] < low[node]:
                     low[node] = index[succ]
             else:
                 work.pop()
@@ -177,7 +148,9 @@ def _sccs(nodes, edges):
                     comp = []
                     while True:
                         member = stack.pop()
-                        on_stack.discard(member)
+                        # edges into a finished component leave low links
+                        # alone, with no on-stack set to ask
+                        index[member] = sys.maxsize
                         comp.append(member)
                         if member == node:
                             break
@@ -192,44 +165,47 @@ def _has_cycle(comp, edges) -> bool:
     return node in edges.get(node, ())
 
 
-def _fair_cycle(nodes, edges, pairs) -> bool:
-    """Does the graph have a cycle that satisfies the Streett pairs?
+def _fair_cycle(comps, edges, pairs) -> set:
+    """The nodes of the components that lie on a cycle satisfying the Streett pairs.
 
-    Nodes are tuples whose first entry is the automaton state that `pairs`
-    speak of.  Emerson-Lei style refinement: a cyclic component is fair if
-    every pair with a G-visit also has an R-visit; otherwise the offending
-    G-states are carved out and the remainder re-examined.
+    `comps` are strongly connected components of the graph `edges`, as
+    `_sccs` gives them.  Nodes are tuples whose first entry is the
+    automaton state that `pairs` speak of.  Emerson-Lei style refinement: a
+    cyclic component is fair if every pair with a G-visit also has an
+    R-visit, and then a cycle through all of its nodes is fair; otherwise
+    the offending G-states are carved out and the remainder re-examined.
     """
-    for comp in _sccs(nodes, edges):
+    fair = set()
+    for comp in comps:
         if not _has_cycle(comp, edges):
             continue
         states = {node[0] for node in comp}
         bad = [g for r, g in pairs if (states & g) and not (states & r)]
         if not bad:
-            return True
+            fair.update(comp)
+            continue
         forbidden = frozenset().union(*bad)
         kept = {node for node in comp if node[0] not in forbidden}
-        sub_edges = {node: [t for t in edges[node] if t in kept] for node in kept}
-        if kept and _fair_cycle(kept, sub_edges, pairs):
-            return True
-    return False
+        if kept:
+            sub_edges = {node: [t for t in edges[node] if t in kept] for node in kept}
+            fair |= _fair_cycle(_sccs(kept, sub_edges), sub_edges, pairs)
+    return fair
 
 
 # ---------------------------------------------------------------------------
 # Word memo of the oracles
 # ---------------------------------------------------------------------------
 
-# The memo of an automaton (`Automaton.lasso_memo`) maps ("u", u) to
-# δ(I, u), ("v", v) to the period's (explored, good) masks and
-# ("nsw", v, S) to a Streett verdict.  A query adds at most three entries
-# and clears the memo first if they could take it past this many.
+# The memo of an automaton (`Automaton.lasso_memo`) maps ("u", u) to δ(I, u)
+# and ("v", v) to the period's (explored, good) masks.  A query adds at most
+# two entries and clears the memo first if they could take it past this many.
 _MEMO_LIMIT = 4096
 
 
 def _start(a: Automaton, lasso: Lasso) -> tuple[dict, int]:
     """The automaton's memo and δ(I, u) for a lasso u·v^ω."""
     memo = a.lasso_memo
-    if len(memo) + 3 > _MEMO_LIMIT:
+    if len(memo) + 2 > _MEMO_LIMIT:
         memo.clear()
     key = ("u", lasso.prefix)
     start = memo.get(key)
@@ -242,7 +218,7 @@ def _start(a: Automaton, lasso: Lasso) -> tuple[dict, int]:
     return memo, start
 
 
-def _classify(
+def _classify_buchi(
     a: Automaton, period: tuple[str, ...], start: int, explored: int, good: int
 ) -> tuple[int, int]:
     """Extend explored and good by the states reachable from `start` on v.
@@ -277,6 +253,58 @@ def _classify(
     return explored | fresh, good
 
 
+def _classify_streett(
+    a: Automaton, period: tuple[str, ...], start: int, explored: int, good: int
+) -> tuple[int, int]:
+    """Extend explored and good by the states reachable from `start` on v.
+
+    As `_classify_buchi`, for Streett pairs.  The product of the automaton
+    with v's shape graph is built once, entered at (p, 0) for every state p
+    of `start` not yet explored; a node (q, 0) with q explored is a sink
+    whose verdict is known.  One sweep over the product's components marks
+    the good nodes: a component is good if it has an edge to a good node
+    or a good sink, or holds a fair cycle.
+    """
+    last = len(period) - 1
+    transitions = a.transitions
+    root = (-1, -1)
+
+    def successors(node):
+        state, pos = node
+        if node is root:
+            return [(p, 0) for p in mask_states(start & ~explored)]
+        if not pos and explored >> state & 1:
+            return ()
+        nxt = pos + 1 if pos < last else 0
+        return [(t, nxt) for t in transitions.get((state, period[pos]), ())]
+
+    nodes, edges = reach(root, successors)
+    pairs = a.acceptance.pairs
+    marked = {node for node in nodes if not node[1] and good >> node[0] & 1}
+    # Tarjan emits a component after every component it reaches
+    for comp in _sccs(nodes, edges):
+        if any(t in marked for node in comp for t in edges[node]) or _fair_cycle(
+            (comp,), edges, pairs
+        ):
+            marked.update(comp)
+    explored |= state_mask(state for state, pos in nodes if not pos)
+    return explored, good | state_mask(state for state, pos in marked if not pos)
+
+
+def _member(a: Automaton, lasso: Lasso, classify) -> bool:
+    """The lasso's verdict, read off its period's (explored, good) masks.
+
+    `classify` extends them first if δ(I, u) holds states that no earlier
+    query with this period explored.
+    """
+    memo, start = _start(a, lasso)
+    key = ("v", lasso.period)
+    explored, good = memo.get(key, (0, 0))
+    if start & ~explored:
+        explored, good = memo[key] = classify(a, lasso.period, start, explored, good)
+    return bool(start & good)
+
+
 def nbw_member(a: Automaton, lasso: Lasso) -> bool:
     """Does some run of a nondeterministic Buchi automaton accept the lasso?
 
@@ -290,30 +318,21 @@ def nbw_member(a: Automaton, lasso: Lasso) -> bool:
     """
     if not isinstance(a.acceptance, BuchiAcceptance):
         raise ValueError("nbw_member: Buchi acceptance required")
-    memo, start = _start(a, lasso)
-    key = ("v", lasso.period)
-    explored, good = memo.get(key, (0, 0))
-    if start & ~explored:
-        explored, good = memo[key] = _classify(a, lasso.period, start, explored, good)
-    return bool(start & good)
+    return _member(a, lasso, _classify_buchi)
 
 
 def nsw_member(a: Automaton, lasso: Lasso) -> bool:
     """Does some run of a nondeterministic Streett automaton accept the lasso?
 
-    The verdict depends on u only through S = δ(I, u).  It is memoised per
-    (v, S) and comes from the product with v's shape graph, entered at
-    (s, 0) for every s in S.
+    u·v^ω is accepted iff v^ω has an accepting run from some state of
+    S = δ(I, u), that is iff the product with v's shape graph reaches a
+    fair cycle from (s, 0) for some s in S.  As for `nbw_member`, the
+    verdicts of every state explored so far are kept per period, and a
+    query builds the product only from the states it reaches first.
     """
     if not isinstance(a.acceptance, StreettAcceptance):
         raise ValueError("nsw_member: Streett acceptance required")
-    memo, start = _start(a, lasso)
-    key = ("nsw", lasso.period, start)
-    verdict = memo.get(key)
-    if verdict is None:
-        nodes, edges = _lasso_product(a, Lasso((), lasso.period), start)
-        verdict = memo[key] = _fair_cycle(nodes, edges, a.acceptance.pairs)
-    return verdict
+    return _member(a, lasso, _classify_streett)
 
 
 def lasso_member(a: Automaton, lasso: Lasso) -> bool:

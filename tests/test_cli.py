@@ -15,6 +15,7 @@ from omegadet import (
     Alphabet,
     Automaton,
     BuchiAcceptance,
+    StreettAcceptance,
     dualize_parity,
     nbw_to_dpw,
     nsw_to_dpw,
@@ -348,8 +349,9 @@ class TestStats:
         assert "26 propositions" in err[0]
 
 
-def test_member_of_a_huge_declared_automaton_runs_in_bounded_memory(tmp_path):
-    """`member` on a one-state Buchi automaton declaring 10**9 states.
+def _member_accepts_with_a_billion_declared_states(tmp_path, acceptance):
+    """Check that `omegadet member` accepts 0·(1,0)^ω on a one-state
+    automaton that declares 10**9 states.
 
     The child runs under a 1 GiB address-space limit, so an oracle that
     allocates per declared state fails there instead of in this process.
@@ -360,7 +362,7 @@ def test_member_of_a_huge_declared_automaton_runs_in_bounded_memory(tmp_path):
             state_count=1,
             initial=0,
             transitions={(0, "0"): frozenset({0}), (0, "1"): frozenset({0})},
-            acceptance=BuchiAcceptance(frozenset({0})),
+            acceptance=acceptance,
         )
     ).replace("States: 1", "States: 1000000000")
     path = tmp_path / "huge.hoa"
@@ -382,6 +384,20 @@ def test_member_of_a_huge_declared_automaton_runs_in_bounded_memory(tmp_path):
     )
     assert proc.returncode in (0, 1), proc.stderr
     assert proc.stdout == "accepted: true\n"
+
+
+def test_member_of_a_huge_declared_automaton_runs_in_bounded_memory(tmp_path):
+    """`member` on a one-state Buchi automaton declaring 10**9 states."""
+    _member_accepts_with_a_billion_declared_states(
+        tmp_path, BuchiAcceptance(frozenset({0}))
+    )
+
+
+def test_member_of_a_huge_declared_streett_automaton_runs_in_bounded_memory(tmp_path):
+    """`member` on a one-state, one-pair Streett automaton declaring 10**9 states."""
+    _member_accepts_with_a_billion_declared_states(
+        tmp_path, StreettAcceptance(((frozenset({0}), frozenset({0})),))
+    )
 
 
 class TestModuleEntryPoint:

@@ -14,6 +14,7 @@ from omegadet import (
     Automaton,
     BuchiAcceptance,
     Lasso,
+    StreettAcceptance,
     build_lk_fixture,
     differential_check,
     dualize_parity,
@@ -157,6 +158,14 @@ def _nbw(state_count, edges, accepting, symbols=("a", "b")):
     )
 
 
+def _nsw(state_count, edges, pairs, symbols=("a", "b")):
+    """An NSW from (source, symbol, target) edges and (R, G) pairs, starting in state 0."""
+    return replace(
+        _nbw(state_count, edges, (), symbols),
+        acceptance=StreettAcceptance(tuple(pairs)),
+    )
+
+
 def _fresh(a: Automaton) -> Automaton:
     """An equal automaton with an empty memo."""
     return replace(a)
@@ -240,6 +249,89 @@ class TestProfileOracle:
             assert nbw_member(a, lasso) == product_nbw_member(a, lasso)
 
 
+class TestStreettPeriodOracle:
+    """`nsw_member` against the product oracle it replaced, case by case."""
+
+    def check(self, a, prefix, period, want):
+        lasso = Lasso(prefix, period)
+        assert product_nsw_member(a, lasso) == want
+        assert nsw_member(a, lasso) == want
+        assert nsw_member(_fresh(a), lasso) == want
+
+    def test_queries_after_other_periods_extend_what_is_explored(self):
+        # under the period c, with the one pair (R = {4}, G = {1, 3}): 1 and
+        # 4 form a fair cycle; 2 feeds into 1; 3 loops alone through G
+        # without R; 5 feeds into 3
+        a = _nsw(
+            6,
+            [(0, "a", 1), (0, "b", 2), (0, "d", 3), (0, "e", 5),
+             (1, "c", 4), (4, "c", 1), (2, "c", 1), (3, "c", 3), (5, "c", 3),
+             (1, "a", 2), (2, "a", 2)],
+            [({4}, {1, 3})],
+            symbols=("a", "b", "c", "d", "e"),
+        )
+        queries = [
+            (("a",), ("a",), True),
+            (("a",), ("c",), True),
+            (("d",), ("c",), False),
+            (("b",), ("c",), True),
+            (("e",), ("c",), False),
+            ((), ("c",), False),
+            (("a", "c"), ("c", "c"), True),
+        ]
+        for prefix, period, want in queries[:3]:
+            self.check(a, prefix, period, want)
+        assert a.lasso_memo[("v", ("c",))] == (0b011010, 0b010010)
+        for prefix, period, want in queries[3:]:
+            self.check(a, prefix, period, want)
+        # the later queries explored 2, 5 and 0; 2 turned good through 1,
+        # which an earlier query had explored, and 5 stayed bad through 3
+        assert a.lasso_memo[("v", ("c",))] == (0b111111, 0b010110)
+        fresh = _fresh(a)
+        for prefix, period, want in reversed(queries):
+            assert nsw_member(fresh, Lasso(prefix, period)) == want
+
+    def test_pair_visited_only_inside_the_period(self):
+        # G = {1} and R = {2} are left at once: every run that visits them
+        # is back on 0 at the start of each period
+        a = _nsw(3, [(0, "a", 1), (1, "b", 0), (1, "a", 2), (2, "b", 0),
+                     (0, "b", 0)], [({2}, {1})])
+        self.check(a, (), ("b",), True)
+        self.check(a, (), ("a", "b"), False)
+        self.check(a, (), ("b", "a", "b"), False)
+        self.check(a, (), ("a", "a", "b"), True)
+        self.check(a, ("b",), ("a", "b", "a", "a", "b"), True)
+
+    def test_periods_longer_than_the_recursion_limit(self):
+        # the product is searched and split into components without recursion
+        lasso = Lasso(("a",), ("b", "a", "a") * 350)
+        for seed in range(3):
+            a = random_nsw(4, 2, seed)
+            assert nsw_member(a, lasso) == product_nsw_member(a, lasso)
+
+
+def test_nsw_member_matches_the_product_oracle():
+    # every lasso is asked in order on one automaton and in reverse on an
+    # equal one with an empty memo, so each verdict is read once off states
+    # that earlier queries explored and once off states it explores itself
+    lassos = list(enumerate_lassos(("a", "b"), 3, 4))
+    queries = rejected = 0
+    mismatches = []
+    for n, k, seed in itertools.product((3, 4, 5), (1, 2, 3), range(3)):
+        a = random_nsw(n, k, seed)
+        want = [product_nsw_member(a, lasso) for lasso in lassos]
+        forward = [nsw_member(a, lasso) for lasso in lassos]
+        fresh = _fresh(a)
+        backward = [nsw_member(fresh, lasso) for lasso in reversed(lassos)][::-1]
+        queries += len(lassos)
+        rejected += want.count(False)
+        for lasso, w, f, b in zip(lassos, want, forward, backward):
+            if not w == f == b:
+                mismatches.append((n, k, seed, lasso, w, f, b))
+    assert queries >= 12_000
+    assert rejected >= 300
+    assert mismatches == []
+
 
 def _equivalence_corpus():
     """Small automata and bounded lassos for the oracle equivalence sweep.
@@ -297,7 +389,7 @@ class TestMemoBound:
             assert verdict == real(_fresh(a), lasso) == product_nbw_member(a, lasso)
 
     def test_memo_is_freed_with_the_automaton(self):
-        # no reference cycle keeps profiles alive until the cyclic collector runs
+        # no reference cycle keeps the memos alive until the cyclic collector runs
         gc.collect()
         gc.disable()
         try:
