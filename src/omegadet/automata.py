@@ -529,6 +529,40 @@ class WorkTree:
         self.kids[v] = []
 
 
+def step_rows(a: Automaton, step, split) -> Callable[[Hashable], list]:
+    """The successor rows of a tree step, with one step call per image key.
+
+    A tree step reads its symbol only through the images of the tree's node
+    masks.  split(tree) gives (shape, masks): a shape that holds everything
+    else the step reads and tells which node holds each mask, and the node
+    masks.  The key of (tree, symbol) is the shape with the images of
+    the masks on symbol, and the step runs only on keys not seen before, on
+    any tree or symbol.  row(tree) is the step's output on every symbol, in
+    alphabet order.  Equal outputs are one object, the first one made, so
+    the memo keeps each alive once.
+    """
+    images = [(sym, a.image_masks[sym]) for sym in a.alphabet.symbols]
+    shapes: dict = {}
+    outputs: dict = {}
+    distinct: dict = {}
+
+    def row(tree) -> list:
+        shape, masks = split(tree)
+        # a shape is hashed once per row, not once per symbol
+        shape = shapes.setdefault(shape, len(shapes))
+        out = []
+        for sym, image in images:
+            key = (shape, *map(image.__getitem__, masks))
+            nxt = outputs.get(key)
+            if nxt is None:
+                nxt = step(tree, sym, a)
+                nxt = outputs[key] = distinct.setdefault(nxt, nxt)
+            out.append(nxt)
+        return out
+
+    return row
+
+
 def explore(
     a: Automaton,
     start: Hashable,

@@ -21,6 +21,7 @@ from omegadet.automata import (
     WorkTree,
     explore,
     mask_states,
+    step_rows,
 )
 
 
@@ -270,30 +271,27 @@ def _dpw_state_key(state, decode):
     )
 
 
+def _split(tree: CompactSafraTree):
+    """The step_rows shape of a tree, (parents, ann_masks), and its node masks."""
+    return (tree.parents, tree.ann_masks), tree.masks
+
+
 def _to_dpw(a: Automaton, step, start: CompactSafraTree, index: int) -> Automaton:
     """Close the compact tree step under the alphabet.
 
     A DPW state is what the step returns, (tree, priority).  Trees compare
     by shape, so two steps arriving at the same shape with the same
-    priority are the same state.  The steps of a tree on every symbol are
-    cached on the tree, since the priority a state was entered with does
-    not affect its successors.
+    priority are the same state.  A state's successors are the `step_rows`
+    row of its tree, since the priority a state was entered with does not
+    affect them; trees and letters whose shape and mask images agree share
+    one step.
     """
-    symbols = a.alphabet.symbols
-    rows: dict = {}
+    row = step_rows(a, step, _split)
     decode = cache(mask_states)
-
-    def successors(state):
-        tree = state[0]
-        row = rows.get(tree)
-        if row is None:
-            row = rows[tree] = [step(tree, symbol, a) for symbol in symbols]
-        return row
-
     return explore(
         a,
         (start, priority_of(start.e, start.f)),
-        successors,
+        lambda state: row(state[0]),
         lambda state: _dpw_state_key(state, decode),
         lambda states: ParityAcceptance(
             priorities=tuple(priority for _, priority in states), index=index

@@ -16,6 +16,7 @@ from omegadet.automata import (
     WorkTree,
     explore,
     mask_states,
+    step_rows,
 )
 
 
@@ -31,7 +32,7 @@ class SafraTree:
     nodes), the dead state.  label and ann are read-only frozenset views.
     """
 
-    __slots__ = ("masks", "children", "e_set", "f_set", "ann_masks", "_key")
+    __slots__ = ("masks", "children", "e_set", "f_set", "ann_masks", "_key", "_hash")
 
     def __init__(self, masks, children, e_set, f_set, ann_masks=None):
         self.masks = masks
@@ -40,6 +41,7 @@ class SafraTree:
         self.f_set = frozenset(f_set)
         self.ann_masks = ann_masks
         self._key = None
+        self._hash = None
 
     @property
     def label(self):
@@ -73,7 +75,9 @@ class SafraTree:
         return isinstance(other, SafraTree) and self.key() == other.key()
 
     def __hash__(self):
-        return hash(self.key())
+        if self._hash is None:
+            self._hash = hash(self.key())
+        return self._hash
 
     def __repr__(self):
         parts = [
@@ -194,13 +198,33 @@ def _rabin_condition(trees, name_count: int) -> RabinAcceptance:
     return RabinAcceptance(tuple(pairs))
 
 
+def _split(tree: SafraTree):
+    """The step_rows shape of a tree and its node masks, both in `masks` order.
+
+    The shape is the names, then their children and owed indices, all in
+    `masks` order, so it pins each mask to its name; it holds flat tuples
+    of the tree's own objects only.
+    """
+    masks, ann = tree.masks, tree.ann_masks
+    shape = (
+        tuple(masks),
+        tuple(map(tree.children.__getitem__, masks)),
+        None if ann is None else tuple(map(ann.__getitem__, masks)),
+    )
+    return shape, tuple(masks.values())
+
+
 def _to_drw(a: Automaton, step, start: SafraTree, name_count: int) -> Automaton:
-    """Close a history-tree step under the alphabet; name i gives Rabin pair i."""
-    symbols = a.alphabet.symbols
+    """Close a history-tree step under the alphabet; name i gives Rabin pair i.
+
+    A tree's successors are its `step_rows` row, keyed by the shape and the
+    images of its masks, so trees and letters with one key share one step;
+    the steps never read e_set or f_set, which the shape leaves out.
+    """
     return explore(
         a,
         start,
-        lambda tree: [step(tree, symbol, a) for symbol in symbols],
+        step_rows(a, step, _split),
         SafraTree.key,
         lambda trees: _rabin_condition(trees, name_count),
     )

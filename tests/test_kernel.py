@@ -6,6 +6,7 @@ entries are read off the transitions; the compact trees compare and hash
 by their masks and read them back as frozensets.
 """
 
+import hashlib
 import random
 import subprocess
 import sys
@@ -18,13 +19,14 @@ from omegadet import (
     Alphabet,
     Automaton,
     BuchiAcceptance,
+    emit_hoa,
     nbw_to_dpw,
     nsw_to_dpw,
     safra_determinize,
     streett_safra_determinize,
 )
 from omegadet import compact, safra
-from omegadet.automata import mask_states, state_mask
+from omegadet.automata import mask_states, state_mask, step_rows
 from omegadet.compact import CompactSafraTree
 from omegadet.random_gen import random_nbw, random_nsw
 
@@ -265,3 +267,105 @@ class TestMaskTrees:
                     if after not in seen:
                         seen.add(after)
                         todo.append(after)
+
+
+# (module, step name, its initial tree, the sources); the sources are those
+# of the closure tests in test_compact.py, plus the 512-letter full3
+KEY_CASES = [
+    pytest.param(compact, "compact_step", compact.initial_compact_tree,
+                 [random_nbw(4, seed) for seed in range(10)], id="compact_step-nbw4"),
+    pytest.param(compact, "compact_step", compact.initial_compact_tree,
+                 [_full3()], id="compact_step-full3"),
+    pytest.param(compact, "compact_streett_step", compact.initial_compact_streett_tree,
+                 [random_nsw(3, 2, seed) for seed in range(10)], id="compact_streett_step-nsw3x2"),
+    pytest.param(safra, "safra_step", safra.initial_safra_tree,
+                 [random_nbw(4, seed) for seed in range(10)], id="safra_step-nbw4"),
+    pytest.param(safra, "safra_step", safra.initial_safra_tree,
+                 [_full3()], id="safra_step-full3"),
+    pytest.param(safra, "streett_safra_step", safra.initial_streett_safra_tree,
+                 [random_nsw(3, 2, seed) for seed in range(10)], id="streett_safra_step-nsw3x2"),
+]
+
+
+def _signature(out):
+    """All of a step output: shape, bookmarks and, for compact steps, priority."""
+    if isinstance(out, tuple):
+        tree, priority = out
+        return tree.parents, tree.masks, tree.ann_masks, tree.e, tree.f, priority
+    return out.key()
+
+
+class TestStepRowKeys:
+    """`step_rows` shares one step call among the inputs of one image key."""
+
+    @pytest.mark.parametrize("module,step,initial,sources", KEY_CASES)
+    def test_equal_keys_give_equal_outputs(self, module, step, initial, sources):
+        step = getattr(module, step)
+        shared = 0
+        for a in sources:
+            start = initial(a)
+            row = step_rows(a, step, module._split)
+            outputs = {}
+            seen, todo = {start}, [start]
+            for tree in todo:  # `todo` grows while it is walked
+                shape, masks = module._split(tree)
+                outs = [step(tree, symbol, a) for symbol in a.alphabet.symbols]
+                # the closure's row is the step's output on every letter; equal
+                # outputs share one object, so a compact tree there may carry
+                # the bookmarks of another step to the same DPW state
+                assert row(tree) == outs
+                signatures = list(map(_signature, outs))
+                for symbol, out, signature in zip(a.alphabet.symbols, outs, signatures):
+                    images = a.image_masks[symbol]
+                    key = (shape, tuple(images[m] for m in masks))
+                    known = outputs.setdefault(key, signature)
+                    assert known == signature, (tree, symbol)
+                    shared += known is not signature
+                    after = out[0] if isinstance(out, tuple) else out
+                    if after not in seen:
+                        seen.add(after)
+                        todo.append(after)
+        # some key is shared, so the check compared outputs
+        assert shared
+
+    def test_safra_keys_pin_each_mask_to_its_name(self):
+        """Two reference trees that differ only in which son holds which mask."""
+        a = Automaton(
+            Alphabet(("a",)), 3, 0, {(s, "a"): {s} for s in range(3)}, BuchiAcceptance(())
+        )
+        kids = {1: (2, 3), 2: (), 3: ()}
+        one = safra.SafraTree({1: 0b111, 2: 0b010, 3: 0b100}, kids, (), ())
+        two = safra.SafraTree({1: 0b111, 3: 0b010, 2: 0b100}, kids, (), ())
+        assert list(one.masks.values()) == list(two.masks.values())
+        assert safra.safra_step(one, "a", a) != safra.safra_step(two, "a", a)
+        row = step_rows(a, safra.safra_step, safra._split)
+        assert row(one) != row(two)
+
+
+# The full3 closures: step calls, DPW/DRW states and the SHA-256 of the HOA.
+# One step per tree and letter would make 10,752 compact and 28,672 Safra
+# steps; the HOA does not depend on how the steps are shared.
+FULL3_PINS = [
+    pytest.param(compact, "compact_step", nbw_to_dpw, 225, 51,
+                 "2c119e61e51c228e0a5ec5da2017eba8eeb0c3ec8480e2a405e19fdfbfa7566f",
+                 id="nbw_to_dpw"),
+    pytest.param(safra, "safra_step", safra_determinize, 630, 56,
+                 "ce409a4a48932440f42741754f98f664a2c6c0f7d1b6bc1172a5cc7d5c9d541d",
+                 id="safra_determinize"),
+]
+
+
+@pytest.mark.parametrize("module,step,determinize,calls,states,digest", FULL3_PINS)
+def test_full3_closure_counts(monkeypatch, module, step, determinize, calls, states, digest):
+    original = getattr(module, step)
+    count = 0
+
+    def counting(*args):
+        nonlocal count
+        count += 1
+        return original(*args)
+
+    monkeypatch.setattr(module, step, counting)
+    out = determinize(_full3())
+    assert (count, out.state_count) == (calls, states)
+    assert hashlib.sha256(emit_hoa(out).encode("utf-8")).hexdigest() == digest
