@@ -12,13 +12,11 @@ from omegadet.automata import (
     Alphabet,
     Automaton,
     BuchiAcceptance,
+    MalformedAutomaton,
     ParityAcceptance,
     RabinAcceptance,
     StreettAcceptance,
-    build_lk_fixture,
     dualize_parity,
-    nsw_witness_union_nbw,
-    validate_automaton,
 )
 from omegadet.hoa import (
     HoaError,
@@ -65,11 +63,11 @@ __all__ = [
     "DiffReport",
     "HoaError",
     "Lasso",
+    "MalformedAutomaton",
     "ParityAcceptance",
     "RabinAcceptance",
     "SafraTree",
     "StreettAcceptance",
-    "build_lk_fixture",
     "compact_step",
     "compact_streett_step",
     "differential_check",
@@ -81,7 +79,6 @@ __all__ = [
     "nbw_to_dpw",
     "nsw_member",
     "nsw_to_dpw",
-    "nsw_witness_union_nbw",
     "parse_hoa",
     "priority_of",
     "random_nbw",
@@ -91,5 +88,4 @@ __all__ = [
     "safra_step",
     "streett_safra_determinize",
     "streett_safra_step",
-    "validate_automaton",
 ]

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 
@@ -30,10 +32,12 @@ class Alphabet:
         return iter(self.symbols)
 
     def __contains__(self, symbol: object) -> bool:
-        return symbol in self.symbols
+        return symbol in self.position
 
-    def index(self, symbol: str) -> int:
-        return self.symbols.index(symbol)
+    @cached_property
+    def position(self) -> dict[str, int]:
+        """Each symbol's place in `symbols` (a repeated symbol keeps its last)."""
+        return {sym: i for i, sym in enumerate(self.symbols)}
 
 
 @dataclass(frozen=True)
@@ -109,7 +113,8 @@ class Automaton:
 
     transitions maps (state, symbol) to the successor set; pairs without an
     entry have no successors.  `deterministic` promises a total transition
-    function with exactly one successor everywhere.
+    function with exactly one successor everywhere.  The constructor raises
+    `MalformedAutomaton` if that fails or a state, symbol or priority is out of range.
     """
 
     alphabet: Alphabet
@@ -126,6 +131,8 @@ class Automaton:
             if targets
         }
         object.__setattr__(self, "transitions", frozen)
+        if diagnostics := _faults(self):
+            raise MalformedAutomaton(diagnostics)
 
     def successors(self, state: int, symbol: str) -> frozenset[int]:
         return self.transitions.get((state, symbol), frozenset())
@@ -203,70 +210,94 @@ def mask_states(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _check_state_set(
-    diags: list[str], states: Iterable[int], count: int, what: str
-) -> None:
-    for s in states:
-        if not (0 <= s < count):
-            diags.append(f"{what}: state {s} out of range [0, {count})")
+class MalformedAutomaton(ValueError):
+    """An automaton that breaks the rules of `Automaton`; one diagnostic per fault."""
+
+    def __init__(self, diagnostics: list[str]) -> None:
+        self.diagnostics = diagnostics
+        more = f" (and {len(diagnostics) - 1} more)" if len(diagnostics) > 1 else ""
+        super().__init__(f"malformed automaton: {diagnostics[0]}{more}")
 
 
-def validate_automaton(a: Automaton) -> list[str]:
-    """Structural diagnostics; an empty list means the automaton is well formed."""
-    diags: list[str] = []
-    if len(a.alphabet) == 0:
-        diags.append("alphabet: empty")
-    seen: set[str] = set()
-    for sym in a.alphabet:
-        if sym in seen:
-            diags.append(f"alphabet: duplicate symbol {sym!r}")
-        seen.add(sym)
-    if a.state_count < 1:
-        diags.append(f"state_count: {a.state_count} < 1")
-    if not (0 <= a.initial < a.state_count):
-        diags.append(f"initial: state {a.initial} out of range [0, {a.state_count})")
-    for (s, sym), targets in sorted(
-        a.transitions.items(), key=lambda kv: (kv[0][0], str(kv[0][1]))
-    ):
-        if not (0 <= s < a.state_count):
-            diags.append(f"transition source: state {s} out of range [0, {a.state_count})")
-        if sym not in a.alphabet:
-            diags.append(f"transition: unknown symbol {sym!r} at state {s}")
-        _check_state_set(diags, targets, a.state_count, f"transition ({s}, {sym!r})")
-    if a.deterministic:
-        for s in a.states():
-            for sym in a.alphabet:
-                targets = a.successors(s, sym)
-                if len(targets) != 1:
-                    diags.append(
-                        f"deterministic: ({s}, {sym!r}) has {len(targets)} successors, want 1"
-                    )
+def _faults(a: Automaton) -> list[str]:
+    """One message per fault of a, in the order the rules are stated.
+
+    A well-formed automaton is recognised in a few whole-table passes, and
+    faults are listed one by one only when they fail; no pass outgrows the
+    table, whatever the declared state count.
+    """
+    n = a.state_count
+    position = a.alphabet.position
+    rows = a.transitions
     acc = a.acceptance
+    fits, sets = True, ()
+    if isinstance(acc, ParityAcceptance):
+        p = acc.priorities
+        fits = len(p) == n and min(p, default=0) >= 0 and max(p, default=0) < acc.index
+    elif isinstance(acc, BuchiAcceptance):
+        sets = (acc.accepting,)
+    elif isinstance(acc, (RabinAcceptance, StreettAcceptance)):
+        sets = chain.from_iterable(acc.pairs)
+    else:
+        fits = False
+    states = set(map(itemgetter(0), rows)).union((a.initial,), *rows.values(), *sets)
+    # with sources and symbols in range, n·|Σ| distinct keys make a total table
+    if (
+        fits
+        and 0 <= min(states)
+        and max(states) < n
+        and 0 < len(position) == len(a.alphabet)
+        and position.keys() >= set(map(itemgetter(1), rows))
+        and not (
+            a.deterministic
+            and (len(rows) != n * len(position) or max(map(len, rows.values())) != 1)
+        )
+    ):
+        return []
+
+    def outside(states: Iterable[int], what: str) -> list[str]:
+        return [f"{what}: state {s} out of range [0, {n})" for s in states if not 0 <= s < n]
+
+    diags = [] if position else ["alphabet: empty"]
+    repeats = [sym for i, sym in enumerate(a.alphabet) if position[sym] != i]
+    diags += [f"alphabet: duplicate symbol {sym!r}" for sym in repeats]
+    if n < 1:
+        diags.append(f"state_count: {n} < 1")
+    diags += outside((a.initial,), "initial")
+    for s, sym in sorted(rows, key=lambda key: (key[0], str(key[1]))):
+        diags += outside((s,), "transition source")
+        if sym not in position:
+            diags.append(f"transition: unknown symbol {sym!r} at state {s}")
+        diags += outside(rows[s, sym], f"transition ({s}, {sym!r})")
+    if a.deterministic:
+        # every state before the first bad one has a row per symbol in the
+        # table, so the first bad state is at most len(rows)
+        for s in range(min(n, len(rows) + 1)):
+            bad = [
+                f"deterministic: ({s}, {sym!r}) has {k} successors, want 1"
+                for sym in a.alphabet
+                if (k := len(a.successors(s, sym))) != 1
+            ]
+            diags += bad
+            if bad:
+                break
     if isinstance(acc, BuchiAcceptance):
-        _check_state_set(diags, acc.accepting, a.state_count, "accepting set")
+        diags += outside(acc.accepting, "accepting set")
     elif isinstance(acc, (RabinAcceptance, StreettAcceptance)):
         for i, (left, right) in enumerate(acc.pairs):
-            _check_state_set(diags, left, a.state_count, f"pair {i} first set")
-            _check_state_set(diags, right, a.state_count, f"pair {i} second set")
+            diags += outside(left, f"pair {i} first set")
+            diags += outside(right, f"pair {i} second set")
     elif isinstance(acc, ParityAcceptance):
         if acc.index < 1:
             diags.append(f"parity: index {acc.index} < 1")
-        if len(acc.priorities) != a.state_count:
-            diags.append(
-                f"parity: {len(acc.priorities)} priorities for {a.state_count} states"
-            )
+        if len(acc.priorities) != n:
+            diags.append(f"parity: {len(acc.priorities)} priorities for {n} states")
         for s, p in enumerate(acc.priorities):
-            if not (0 <= p < acc.index):
+            if not 0 <= p < acc.index:
                 diags.append(f"parity: state {s} priority {p} out of range [0, {acc.index})")
     else:
         diags.append(f"acceptance: unknown condition {type(acc).__name__}")
     return diags
-
-
-def is_total(a: Automaton) -> bool:
-    return all(
-        a.successors(s, sym) for s in a.states() for sym in a.alphabet
-    )
 
 
 def dualize_parity(a: Automaton) -> Automaton:
@@ -275,150 +306,11 @@ def dualize_parity(a: Automaton) -> Automaton:
         raise ValueError("dualize_parity: parity acceptance required")
     if not a.deterministic:
         raise ValueError("dualize_parity: deterministic automaton required")
-    if not is_total(a):
-        raise ValueError("dualize_parity: total transition function required")
     acc = ParityAcceptance(
         priorities=tuple(p + 1 for p in a.acceptance.priorities),
         index=a.acceptance.index + 1,
     )
     return replace(a, acceptance=acc)
-
-
-# ---------------------------------------------------------------------------
-# Streett -> Buchi witness-set union
-# ---------------------------------------------------------------------------
-
-_WITNESS_PAIR_LIMIT = 12
-
-
-def nsw_witness_union_nbw(a: Automaton) -> Automaton:
-    """Buchi automaton equivalent to a nondeterministic Streett automaton.
-
-    For every subset J of the pair indices, a run may jump from a plain copy
-    of the automaton into a J-tagged copy that (a) dies on touching G_j for
-    any j outside J and (b) cycles a pointer through the R_j of J in
-    descending index order, hitting an accepting flank each time the pointer
-    wraps.  Accepting such a cycle infinitely often certifies inf∩R_j≠∅ for
-    all j in J while the kill rule certifies inf∩G_j=∅ for the rest.
-
-    Intended as a test oracle; the state count is exponential in the number
-    of pairs, hence the hard cap.
-    """
-    if not isinstance(a.acceptance, StreettAcceptance):
-        raise ValueError("nsw_witness_union_nbw: Streett acceptance required")
-    pairs = a.acceptance.pairs
-    k = len(pairs)
-    if k > _WITNESS_PAIR_LIMIT:
-        raise ValueError(
-            f"nsw_witness_union_nbw: {k} pairs exceeds the supported maximum "
-            f"of {_WITNESS_PAIR_LIMIT}"
-        )
-
-    # copy m+1 is the tagged copy of witness mask m: the G sets of the pairs
-    # outside m kill it, and its pointer cycles through the R sets of m
-    kill = []
-    rounds = []
-    for mask in range(1 << k):
-        inside = [j for j in range(k) if mask & (1 << j)]
-        outside = [g for j, (_, g) in enumerate(pairs) if j not in inside]
-        kill.append(frozenset().union(*outside))
-        rounds.append(tuple(pairs[j][0] for j in reversed(inside)))
-
-    def targets(node: tuple[int, int, int], sym: str) -> list[tuple[int, int, int]]:
-        copy, s, i = node
-        out = []
-        for t in a.successors(s, sym):
-            if copy == 0:
-                out.append((0, t, 0))
-                out.extend((m + 1, t, 0) for m in range(1 << k) if t not in kill[m])
-            elif t not in kill[copy - 1]:
-                ring = rounds[copy - 1]
-                at = 0 if i == len(ring) else i
-                out.append((copy, t, at + 1 if ring and t in ring[at] else at))
-        return out
-
-    # nodes sort into the canonical order: the plain copy first, then each
-    # witness copy by ascending mask, inner states by (state, progress)
-    start = (0, a.initial, 0)
-    order, _ = reach(
-        start, lambda node: [t for sym in a.alphabet for t in targets(node, sym)]
-    )
-    states = sorted(order)
-    number = {node: n for n, node in enumerate(states)}
-    return Automaton(
-        alphabet=a.alphabet,
-        state_count=len(states),
-        initial=number[start],
-        transitions={
-            (number[node], sym): frozenset(number[t] for t in targets(node, sym))
-            for node in states
-            for sym in a.alphabet
-        },
-        acceptance=BuchiAcceptance(
-            frozenset(
-                number[n] for n in states if n[0] and n[2] == len(rounds[n[0] - 1])
-            )
-        ),
-        deterministic=False,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Scaling fixture family
-# ---------------------------------------------------------------------------
-
-
-def build_lk_fixture(k: int) -> Automaton:
-    """k-state Buchi automaton for: the least symbol read infinitely often is even.
-
-    The alphabet is "1".."k".  State 0 guesses; for each even e it can commit
-    to the claim "every symbol from now on is >= e and e recurs", tracked by
-    a waiting/visiting checker pair (the e=k checker needs no waiting state).
-    """
-    if k < 1:
-        raise ValueError("build_lk_fixture: k must be >= 1")
-    symbols = tuple(str(i) for i in range(1, k + 1))
-    guess = 0
-    wait: dict[int, int] = {}
-    hit: dict[int, int] = {}
-    next_state = 1
-    for e in range(2, k + 1, 2):
-        if e != k:
-            wait[e] = next_state
-            next_state += 1
-        hit[e] = next_state
-        next_state += 1
-    assert next_state == k
-
-    transitions: dict[tuple[int, str], set[int]] = {}
-
-    def add(src: int, sym: int, dst: int) -> None:
-        transitions.setdefault((src, str(sym)), set()).add(dst)
-
-    for sym in range(1, k + 1):
-        add(guess, sym, guess)
-        for e in hit:
-            # enter the e-checker while reading a symbol the checker allows
-            if sym == e:
-                add(guess, sym, hit[e])
-            elif sym > e and e in wait:
-                add(guess, sym, wait[e])
-    for e in hit:
-        for sym in range(e, k + 1):
-            if e in wait:
-                add(wait[e], sym, hit[e] if sym == e else wait[e])
-            if sym == e:
-                add(hit[e], sym, hit[e])
-            elif e in wait:
-                add(hit[e], sym, wait[e])
-    return Automaton(
-        alphabet=Alphabet(symbols),
-        state_count=k,
-        initial=guess,
-        transitions={key: frozenset(v) for key, v in transitions.items()},
-        acceptance=BuchiAcceptance(frozenset(hit.values())),
-        deterministic=False,
-    )
 
 
 # ---------------------------------------------------------------------------

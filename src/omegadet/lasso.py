@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from omegadet.automata import (
     Automaton,
     BuchiAcceptance,
-    ParityAcceptance,
     RabinAcceptance,
     StreettAcceptance,
     mask_states,
@@ -72,9 +71,7 @@ def _accepts_infinity_set(acceptance, inf_states: frozenset[int]) -> bool:
         return all(
             (inf_states & r) or not (inf_states & g) for r, g in acceptance.pairs
         )
-    if isinstance(acceptance, ParityAcceptance):
-        return min(acceptance.priorities[s] for s in inf_states) % 2 == 0
-    raise ValueError(f"unknown acceptance condition {type(acceptance).__name__}")
+    return min(acceptance.priorities[s] for s in inf_states) % 2 == 0  # parity
 
 
 def run_deterministic(a: Automaton, lasso: Lasso) -> CycleVerdict:

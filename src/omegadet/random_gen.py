@@ -34,8 +34,6 @@ def _random_transitions(rng, n, density):
 def random_nbw(
     n: int, seed: int, density: float = 0.5, acceptance_density: float = 0.4
 ) -> Automaton:
-    if n < 1:
-        raise ValueError(f"random_nbw: n {n} < 1")
     rng = random.Random(seed)
     transitions = _random_transitions(rng, n, density)
     accepting = frozenset(s for s in range(n) if rng.random() < acceptance_density)
@@ -49,8 +47,6 @@ def random_nbw(
 
 
 def random_nsw(n: int, k: int, seed: int) -> Automaton:
-    if n < 1:
-        raise ValueError(f"random_nsw: n {n} < 1")
     rng = random.Random(seed)
     transitions = _random_transitions(rng, n, 0.5)
     pairs = []

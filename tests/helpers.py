@@ -3,7 +3,7 @@
 import os
 from pathlib import Path
 
-from omegadet import Automaton, Lasso
+from omegadet import Alphabet, Automaton, BuchiAcceptance, Lasso, StreettAcceptance
 from omegadet.automata import mask_states, reach
 from omegadet.lasso import _fair_cycle, _sccs
 
@@ -40,6 +40,12 @@ def structurally_equal(a: Automaton, b: Automaton) -> bool:
             ):
                 return False
     return True
+
+
+def is_total(a: Automaton) -> bool:
+    return all(
+        a.successors(s, sym) for s in a.states() for sym in a.alphabet
+    )
 
 
 def reachable_states(a: Automaton) -> frozenset[int]:
@@ -92,3 +98,140 @@ def product_nsw_member(a: Automaton, lasso: Lasso) -> bool:
     """The Streett pairs over the product with the lasso's whole shape graph."""
     nodes, edges = _lasso_product(a, lasso, 1 << a.initial)
     return bool(_fair_cycle(_sccs(nodes, edges), edges, a.acceptance.pairs))
+
+
+# ---------------------------------------------------------------------------
+# Streett -> Buchi witness-set union
+# ---------------------------------------------------------------------------
+
+_WITNESS_PAIR_LIMIT = 12
+
+
+def nsw_witness_union_nbw(a: Automaton) -> Automaton:
+    """Buchi automaton equivalent to a nondeterministic Streett automaton.
+
+    For every subset J of the pair indices, a run may jump from a plain copy
+    of the automaton into a J-tagged copy that (a) dies on touching G_j for
+    any j outside J and (b) cycles a pointer through the R_j of J in
+    descending index order, hitting an accepting flank each time the pointer
+    wraps.  Accepting such a cycle infinitely often certifies inf∩R_j≠∅ for
+    all j in J while the kill rule certifies inf∩G_j=∅ for the rest.
+
+    Intended as a test oracle; the state count is exponential in the number
+    of pairs, hence the hard cap.
+    """
+    if not isinstance(a.acceptance, StreettAcceptance):
+        raise ValueError("nsw_witness_union_nbw: Streett acceptance required")
+    pairs = a.acceptance.pairs
+    k = len(pairs)
+    if k > _WITNESS_PAIR_LIMIT:
+        raise ValueError(
+            f"nsw_witness_union_nbw: {k} pairs exceeds the supported maximum "
+            f"of {_WITNESS_PAIR_LIMIT}"
+        )
+
+    # copy m+1 is the tagged copy of witness mask m: the G sets of the pairs
+    # outside m kill it, and its pointer cycles through the R sets of m
+    kill = []
+    rounds = []
+    for mask in range(1 << k):
+        inside = [j for j in range(k) if mask & (1 << j)]
+        outside = [g for j, (_, g) in enumerate(pairs) if j not in inside]
+        kill.append(frozenset().union(*outside))
+        rounds.append(tuple(pairs[j][0] for j in reversed(inside)))
+
+    def targets(node: tuple[int, int, int], sym: str) -> list[tuple[int, int, int]]:
+        copy, s, i = node
+        out = []
+        for t in a.successors(s, sym):
+            if copy == 0:
+                out.append((0, t, 0))
+                out.extend((m + 1, t, 0) for m in range(1 << k) if t not in kill[m])
+            elif t not in kill[copy - 1]:
+                ring = rounds[copy - 1]
+                at = 0 if i == len(ring) else i
+                out.append((copy, t, at + 1 if ring and t in ring[at] else at))
+        return out
+
+    # nodes sort into the canonical order: the plain copy first, then each
+    # witness copy by ascending mask, inner states by (state, progress)
+    start = (0, a.initial, 0)
+    order, _ = reach(
+        start, lambda node: [t for sym in a.alphabet for t in targets(node, sym)]
+    )
+    states = sorted(order)
+    number = {node: n for n, node in enumerate(states)}
+    return Automaton(
+        alphabet=a.alphabet,
+        state_count=len(states),
+        initial=number[start],
+        transitions={
+            (number[node], sym): frozenset(number[t] for t in targets(node, sym))
+            for node in states
+            for sym in a.alphabet
+        },
+        acceptance=BuchiAcceptance(
+            frozenset(
+                number[n] for n in states if n[0] and n[2] == len(rounds[n[0] - 1])
+            )
+        ),
+        deterministic=False,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Scaling fixture family
+# ---------------------------------------------------------------------------
+
+
+def build_lk_fixture(k: int) -> Automaton:
+    """k-state Buchi automaton for: the least symbol read infinitely often is even.
+
+    The alphabet is "1".."k".  State 0 guesses; for each even e it can commit
+    to the claim "every symbol from now on is >= e and e recurs", tracked by
+    a waiting/visiting checker pair (the e=k checker needs no waiting state).
+    """
+    if k < 1:
+        raise ValueError("build_lk_fixture: k must be >= 1")
+    symbols = tuple(str(i) for i in range(1, k + 1))
+    guess = 0
+    wait: dict[int, int] = {}
+    hit: dict[int, int] = {}
+    next_state = 1
+    for e in range(2, k + 1, 2):
+        if e != k:
+            wait[e] = next_state
+            next_state += 1
+        hit[e] = next_state
+        next_state += 1
+    assert next_state == k
+
+    transitions: dict[tuple[int, str], set[int]] = {}
+
+    def add(src: int, sym: int, dst: int) -> None:
+        transitions.setdefault((src, str(sym)), set()).add(dst)
+
+    for sym in range(1, k + 1):
+        add(guess, sym, guess)
+        for e in hit:
+            # enter the e-checker while reading a symbol the checker allows
+            if sym == e:
+                add(guess, sym, hit[e])
+            elif sym > e and e in wait:
+                add(guess, sym, wait[e])
+    for e in hit:
+        for sym in range(e, k + 1):
+            if e in wait:
+                add(wait[e], sym, hit[e] if sym == e else wait[e])
+            if sym == e:
+                add(hit[e], sym, hit[e])
+            elif e in wait:
+                add(hit[e], sym, wait[e])
+    return Automaton(
+        alphabet=Alphabet(symbols),
+        state_count=k,
+        initial=guess,
+        transitions={key: frozenset(v) for key, v in transitions.items()},
+        acceptance=BuchiAcceptance(frozenset(hit.values())),
+        deterministic=False,
+    )

@@ -1,6 +1,7 @@
 """Core types: validation, duals, fixtures, generators."""
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -12,17 +13,15 @@ from omegadet import (
     BuchiAcceptance,
     ParityAcceptance,
     RabinAcceptance,
+    MalformedAutomaton,
     StreettAcceptance,
-    build_lk_fixture,
     dualize_parity,
-    nsw_witness_union_nbw,
-    validate_automaton,
 )
-from omegadet.automata import is_total, reach
+from omegadet.automata import reach
 from omegadet.random_gen import random_nbw, random_nsw
 
 from conftest import make_fair_nsw, make_inf_a, make_inf_a_dpw
-from helpers import reachable_states
+from helpers import build_lk_fixture, is_total, nsw_witness_union_nbw, reachable_states
 
 
 class TestAlphabet:
@@ -30,7 +29,6 @@ class TestAlphabet:
         alpha = Alphabet(("a", "b", "c"))
         assert len(alpha) == 3
         assert list(alpha) == ["a", "b", "c"]
-        assert alpha.index("b") == 1
         assert "c" in alpha
         assert "d" not in alpha
 
@@ -40,63 +38,68 @@ class TestAlphabet:
 
 
 class TestValidate:
+    """The constructor refuses a malformed automaton, naming every fault."""
+
     def test_clean_fixtures_validate(self, inf_a, inf_a_dpw, fair_nsw):
-        assert validate_automaton(inf_a) == []
-        assert validate_automaton(inf_a_dpw) == []
-        assert validate_automaton(fair_nsw) == []
+        for a in (inf_a, inf_a_dpw, fair_nsw):
+            assert replace(a) == a
 
     def test_bad_initial_state(self):
-        a = Automaton(
-            alphabet=Alphabet(("a",)),
-            state_count=1,
-            initial=3,
-            transitions={(0, "a"): frozenset({0})},
-            acceptance=BuchiAcceptance(frozenset()),
-        )
-        diags = validate_automaton(a)
-        assert any("initial" in d for d in diags)
+        with pytest.raises(MalformedAutomaton) as exc:
+            Automaton(
+                alphabet=Alphabet(("a",)),
+                state_count=1,
+                initial=3,
+                transitions={(0, "a"): frozenset({0})},
+                acceptance=BuchiAcceptance(frozenset()),
+            )
+        assert any("initial" in d for d in exc.value.diagnostics)
 
     def test_transition_target_out_of_range(self):
-        a = Automaton(
-            alphabet=Alphabet(("a",)),
-            state_count=1,
-            initial=0,
-            transitions={(0, "a"): frozenset({5})},
-            acceptance=BuchiAcceptance(frozenset()),
-        )
-        assert any("out of range" in d for d in validate_automaton(a))
+        with pytest.raises(MalformedAutomaton) as exc:
+            Automaton(
+                alphabet=Alphabet(("a",)),
+                state_count=1,
+                initial=0,
+                transitions={(0, "a"): frozenset({5})},
+                acceptance=BuchiAcceptance(frozenset()),
+            )
+        assert any("out of range" in d for d in exc.value.diagnostics)
 
     def test_unknown_symbol(self):
-        a = Automaton(
-            alphabet=Alphabet(("a",)),
-            state_count=1,
-            initial=0,
-            transitions={(0, "z"): frozenset({0})},
-            acceptance=BuchiAcceptance(frozenset()),
-        )
-        assert any("unknown symbol" in d for d in validate_automaton(a))
+        with pytest.raises(MalformedAutomaton) as exc:
+            Automaton(
+                alphabet=Alphabet(("a",)),
+                state_count=1,
+                initial=0,
+                transitions={(0, "z"): frozenset({0})},
+                acceptance=BuchiAcceptance(frozenset()),
+            )
+        assert any("unknown symbol" in d for d in exc.value.diagnostics)
 
     def test_deterministic_flag_requires_totality(self):
-        a = Automaton(
-            alphabet=Alphabet(("a", "b")),
-            state_count=1,
-            initial=0,
-            transitions={(0, "a"): frozenset({0})},
-            acceptance=ParityAcceptance((0,), 1),
-            deterministic=True,
-        )
-        assert any("deterministic" in d for d in validate_automaton(a))
+        with pytest.raises(MalformedAutomaton) as exc:
+            Automaton(
+                alphabet=Alphabet(("a", "b")),
+                state_count=1,
+                initial=0,
+                transitions={(0, "a"): frozenset({0})},
+                acceptance=ParityAcceptance((0,), 1),
+                deterministic=True,
+            )
+        assert any("deterministic" in d for d in exc.value.diagnostics)
 
     def test_parity_priority_vector_length(self):
-        a = Automaton(
-            alphabet=Alphabet(("a",)),
-            state_count=2,
-            initial=0,
-            transitions={(0, "a"): frozenset({1}), (1, "a"): frozenset({0})},
-            acceptance=ParityAcceptance((0,), 2),
-            deterministic=True,
-        )
-        assert any("priorities" in d for d in validate_automaton(a))
+        with pytest.raises(MalformedAutomaton) as exc:
+            Automaton(
+                alphabet=Alphabet(("a",)),
+                state_count=2,
+                initial=0,
+                transitions={(0, "a"): frozenset({1}), (1, "a"): frozenset({0})},
+                acceptance=ParityAcceptance((0,), 2),
+                deterministic=True,
+            )
+        assert any("priorities" in d for d in exc.value.diagnostics)
 
     def test_empty_successor_sets_are_dropped(self):
         a = Automaton(
@@ -109,6 +112,110 @@ class TestValidate:
         assert (0, "a") not in a.transitions
         assert not is_total(a)
 
+    def test_edge_and_accepting_state_past_the_states_are_both_named(self):
+        with pytest.raises(MalformedAutomaton) as exc:
+            Automaton(
+                alphabet=Alphabet(("a",)),
+                state_count=2,
+                initial=0,
+                transitions={(0, "a"): frozenset({1}), (1, "a"): frozenset({5})},
+                acceptance=BuchiAcceptance(frozenset({7})),
+            )
+        assert exc.value.diagnostics == [
+            "transition (1, 'a'): state 5 out of range [0, 2)",
+            "accepting set: state 7 out of range [0, 2)",
+        ]
+        assert isinstance(exc.value, ValueError)
+        assert str(exc.value) == (
+            "malformed automaton: transition (1, 'a'): state 5 out of range [0, 2)"
+            " (and 1 more)"
+        )
+
+    @pytest.mark.parametrize(
+        "change,words",
+        [
+            ({"alphabet": Alphabet(())}, "alphabet: empty"),
+            ({"alphabet": Alphabet(("a", "b", "a"))}, "duplicate symbol 'a'"),
+            ({"state_count": 0}, "state_count: 0 < 1"),
+            ({"transitions": {(2, "a"): {0}}}, "transition source: state 2"),
+            ({"transitions": {(0, "a"): {-1}}}, "state -1 out of range"),
+            (
+                {"acceptance": StreettAcceptance((({0}, {1, 3}),))},
+                "pair 0 second set: state 3",
+            ),
+            (
+                {"acceptance": RabinAcceptance((({-2}, {0}),))},
+                "pair 0 first set: state -2",
+            ),
+            ({"acceptance": "Muller"}, "unknown condition str"),
+        ],
+    )
+    def test_each_rule(self, change, words):
+        fields = {
+            "alphabet": Alphabet(("a", "b")),
+            "state_count": 2,
+            "initial": 0,
+            "transitions": {(0, "a"): {1}},
+            "acceptance": BuchiAcceptance({1}),
+            **change,
+        }
+        with pytest.raises(MalformedAutomaton) as exc:
+            Automaton(**fields)
+        assert any(words in d for d in exc.value.diagnostics), exc.value.diagnostics
+
+    def test_a_deterministic_scan_stops_at_the_first_bad_state(self):
+        # a row for state 0 only: states 2, 3, ... are not listed
+        with pytest.raises(MalformedAutomaton) as exc:
+            Automaton(
+                alphabet=Alphabet(("a", "b")),
+                state_count=1000,
+                initial=0,
+                transitions={(0, "a"): {0}, (0, "b"): {0, 1}},
+                acceptance=BuchiAcceptance(()),
+                deterministic=True,
+            )
+        assert exc.value.diagnostics == [
+            "deterministic: (0, 'b') has 2 successors, want 1",
+        ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(min_value=0, max_value=3),
+        initial=st.integers(min_value=-1, max_value=3),
+        rows=st.dictionaries(
+            st.tuples(st.integers(min_value=-1, max_value=3), st.sampled_from("abz")),
+            st.frozensets(st.integers(min_value=-1, max_value=3), max_size=2),
+            max_size=8,
+        ),
+        deterministic=st.booleans(),
+        accepting=st.frozensets(st.integers(min_value=-1, max_value=3), max_size=2),
+        priorities=st.lists(st.integers(min_value=-1, max_value=3), max_size=4),
+        parity=st.booleans(),
+    )
+    def test_refused_exactly_when_a_rule_is_broken(
+        self, n, initial, rows, deterministic, accepting, priorities, parity
+    ):
+        acceptance = (
+            ParityAcceptance(priorities, 3) if parity else BuchiAcceptance(accepting)
+        )
+        states = range(n)
+        rows = {key: targets for key, targets in rows.items() if targets}
+        broken = (
+            initial not in states
+            or any(s not in states or sym == "z" for s, sym in rows)
+            or any(t not in states for ts in rows.values() for t in ts)
+            or (deterministic and any(len(rows.get((s, sym), ())) != 1
+                                      for s in states for sym in "ab"))
+            or (parity and (len(priorities) != n or any(p not in range(3) for p in priorities)))
+            or (not parity and any(s not in states for s in accepting))
+        )
+        try:
+            Automaton(Alphabet(("a", "b")), n, initial, rows, acceptance, deterministic)
+        except MalformedAutomaton as exc:
+            assert broken and exc.diagnostics
+        else:
+            assert not broken
+
 
 class TestDualize:
     def test_shifts_every_priority_up_by_one(self, inf_a_dpw):
@@ -118,8 +225,6 @@ class TestDualize:
         assert dual.transitions == inf_a_dpw.transitions
 
     def test_rejects_nondeterministic_input(self, inf_a_dpw):
-        from dataclasses import replace
-
         nd = replace(inf_a_dpw, deterministic=False)
         with pytest.raises(ValueError, match="deterministic"):
             dualize_parity(nd)
@@ -137,16 +242,16 @@ class TestDualize:
             dualize_parity(rabin)
 
     def test_rejects_partial_input(self):
-        a = Automaton(
-            alphabet=Alphabet(("a", "b")),
-            state_count=1,
-            initial=0,
-            transitions={(0, "a"): frozenset({0})},
-            acceptance=ParityAcceptance((0,), 1),
-            deterministic=True,
-        )
-        with pytest.raises(ValueError, match="total"):
-            dualize_parity(a)
+        # a partial deterministic automaton cannot be built, so cannot be dualized
+        with pytest.raises(MalformedAutomaton, match="has 0 successors, want 1"):
+            Automaton(
+                alphabet=Alphabet(("a", "b")),
+                state_count=1,
+                initial=0,
+                transitions={(0, "a"): frozenset({0})},
+                acceptance=ParityAcceptance((0,), 1),
+                deterministic=True,
+            )
 
 
 class TestNormalizePriorities:
@@ -162,7 +267,6 @@ class TestLkFixture:
         a = build_lk_fixture(k)
         assert a.state_count == k
         assert a.alphabet.symbols == tuple(str(i) for i in range(1, k + 1))
-        assert validate_automaton(a) == []
         assert len(a.acceptance.accepting) == k // 2
 
     def test_guess_state_loops_on_everything(self):
@@ -190,7 +294,6 @@ class TestWitnessUnion:
         # the raw copy keeps the original transition structure on 0..n-1
         for (s, sym), targets in fair_nsw.transitions.items():
             assert targets <= u.successors(s, sym)
-        assert validate_automaton(u) == []
 
     def test_fair_fixture_size(self, fair_nsw):
         u = nsw_witness_union_nbw(fair_nsw)
@@ -279,13 +382,11 @@ class TestRandomGenerators:
     def test_generated_nbw_is_total_and_valid(self, seed):
         a = random_nbw(3, seed=seed)
         assert is_total(a)
-        assert validate_automaton(a) == []
 
     @pytest.mark.parametrize("seed", range(8))
     def test_generated_nsw_is_total_and_valid(self, seed):
         a = random_nsw(3, 2, seed=seed)
         assert is_total(a)
-        assert validate_automaton(a) == []
         assert len(a.acceptance.pairs) == 2
 
     @pytest.mark.parametrize("n", [0, -2])
@@ -304,5 +405,4 @@ class TestRandomGenerators:
 def test_random_nbw_stays_in_bounds(n, seed):
     a = random_nbw(n, seed=seed)
     assert a.state_count == n
-    assert validate_automaton(a) == []
     assert is_total(a)

@@ -10,17 +10,15 @@ from hypothesis import strategies as st
 from omegadet import (
     Lasso,
     ParityAcceptance,
-    build_lk_fixture,
     compact_step,
     compact_streett_step,
     nbw_member,
     nbw_to_dpw,
     nsw_member,
     nsw_to_dpw,
-    nsw_witness_union_nbw,
     priority_of,
     run_deterministic,
-    validate_automaton,
+    safra_determinize,
 )
 from omegadet import compact
 from omegadet.compact import (
@@ -33,7 +31,11 @@ from omegadet.lasso import enumerate_lassos
 from omegadet.random_gen import random_nbw, random_nsw
 
 from conftest import make_loop_nsw
+from helpers import build_lk_fixture, nsw_witness_union_nbw
 from treecheck import assert_tree_invariants, drive_buchi, drive_streett
+
+# k -> states of the reference DRW of the L_k fixture
+LK_DRW_STATES = {1: 1, 2: 3, 3: 5, 4: 9, 5: 13, 6: 21, 7: 29}
 
 
 class TestPriorityOf:
@@ -114,7 +116,6 @@ class TestBuchiDeterminize:
         dpw = nbw_to_dpw(inf_a)
         assert dpw.state_count == 3
         assert dpw.acceptance == ParityAcceptance((0, 3, 0), 4)
-        assert validate_automaton(dpw) == []
         # every a-edge leads to the green state, every b-edge to the odd one
         for state in dpw.states():
             assert dpw.acceptance.priorities[dpw.dstep(state, "a")] == 0
@@ -142,11 +143,15 @@ class TestBuchiDeterminize:
         assert sum(1 for p in dpw.acceptance.priorities if p == 1) == 1
         assert not run_deterministic(dpw, Lasso((), ("a",))).accepted
 
-    @pytest.mark.parametrize("k,states", [(2, 5), (3, 7)])
+    @pytest.mark.parametrize(
+        "k,states", [(1, 2), (2, 5), (3, 7), (4, 14), (5, 18), (6, 32), (7, 40)]
+    )
     def test_lk_golden_sizes(self, k, states):
-        dpw = nbw_to_dpw(build_lk_fixture(k))
+        a = build_lk_fixture(k)
+        dpw = nbw_to_dpw(a)
         assert dpw.state_count == states
         assert max(dpw.acceptance.priorities) <= 2 * k - 1
+        assert safra_determinize(a).state_count == LK_DRW_STATES[k]
 
     def test_requires_buchi(self, fair_nsw):
         with pytest.raises(ValueError):
@@ -198,7 +203,6 @@ class TestStreettDeterminize:
         dpw = nsw_to_dpw(make_loop_nsw(pairs))
         assert dpw.state_count == states
         assert dpw.acceptance.priorities == priorities
-        assert validate_automaton(dpw) == []
 
     def test_index_is_twice_the_name_count(self, fair_nsw):
         # n=2 states, k=1 pair: m = n(k+1) = 4 names

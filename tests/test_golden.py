@@ -11,7 +11,6 @@ import hashlib
 import pytest
 
 from omegadet import (
-    build_lk_fixture,
     emit_hoa,
     nbw_to_dpw,
     nsw_to_dpw,
@@ -19,6 +18,8 @@ from omegadet import (
     streett_safra_determinize,
 )
 from omegadet.random_gen import random_nbw, random_nsw
+
+from helpers import build_lk_fixture
 
 GOLDEN = {
     "nbw_to_dpw": (

@@ -12,10 +12,10 @@ from omegadet import (
     Alphabet,
     Automaton,
     BuchiAcceptance,
+    MalformedAutomaton,
     ParityAcceptance,
     RabinAcceptance,
     StreettAcceptance,
-    build_lk_fixture,
     nbw_to_dpw,
     nsw_to_dpw,
     safra_determinize,
@@ -24,7 +24,7 @@ from omegadet import (
 from omegadet.hoa import HoaError, emit_hoa, parse_hoa
 
 from conftest import make_fair_nsw, make_inf_a, make_inf_a_dpw
-from helpers import child_env, structurally_equal
+from helpers import build_lk_fixture, child_env, structurally_equal
 
 TINY_DPW_DOC = """HOA: v1
 States: 1
@@ -461,9 +461,10 @@ class TestAcceptanceTable:
 
     @pytest.mark.parametrize("priority", [-1, 5])
     def test_emit_refuses_priority_outside_index(self, priority):
-        # such a document would not parse back: "-1" is no mark, 5 no set
-        with pytest.raises(HoaError, match=f"priority {priority} outside"):
-            emit_hoa(_loop(2, ParityAcceptance((0, priority), 5)))
+        # such a document would not parse back: "-1" is no mark, 5 no set;
+        # the automaton cannot be built, so emit_hoa is never handed one
+        with pytest.raises(MalformedAutomaton, match=f"priority {priority} out of range"):
+            _loop(2, ParityAcceptance((0, priority), 5))
 
 
 class TestHeaders:

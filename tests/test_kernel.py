@@ -186,6 +186,44 @@ def test_determinizing_a_huge_declared_automaton_runs_in_bounded_memory():
     assert proc.stdout.split() == ["1", "1"]
 
 
+_HUGE_PARTIAL = """\
+import resource, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from omegadet import Alphabet, Automaton, BuchiAcceptance, MalformedAutomaton
+started = time.perf_counter()
+try:
+    Automaton(
+        Alphabet(("0", "1")), 10**9, 0, {(0, "0"): {0}, (0, "1"): {0}},
+        BuchiAcceptance({0}), deterministic=True,
+    )
+except MalformedAutomaton as err:
+    print(time.perf_counter() - started)
+    print(*err.diagnostics, sep="\\n")
+"""
+
+
+def test_a_huge_partial_deterministic_automaton_is_refused_at_once():
+    """10**9 declared deterministic states with rows for state 0 only.
+
+    The constructor refuses it without a pass over the declared states: in
+    under a second, under a 1 GiB address-space limit.
+    """
+    proc = subprocess.run(
+        [sys.executable, "-c", _HUGE_PARTIAL],
+        env=child_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    seconds, *diagnostics = proc.stdout.splitlines()
+    assert float(seconds) < 1.0
+    assert diagnostics == [
+        "deterministic: (1, '0') has 0 successors, want 1",
+        "deterministic: (1, '1') has 0 successors, want 1",
+    ]
+
+
 class TestWideAutomata:
     """More than 64 states: labels hold bits past any machine word."""
 

@@ -15,7 +15,6 @@ from omegadet import (
     BuchiAcceptance,
     Lasso,
     StreettAcceptance,
-    build_lk_fixture,
     differential_check,
     dualize_parity,
     enumerate_lassos,
@@ -28,7 +27,7 @@ from omegadet import lasso as lasso_module
 from omegadet.random_gen import random_nbw, random_nsw
 
 from conftest import make_loop_nsw
-from helpers import product_nbw_member, product_nsw_member
+from helpers import build_lk_fixture, product_nbw_member, product_nsw_member
 
 
 class TestLasso:
