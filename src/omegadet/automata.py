@@ -125,11 +125,13 @@ class Automaton:
     deterministic: bool = False
 
     def __post_init__(self) -> None:
-        frozen = {
-            key: frozenset(targets)
-            for key, targets in self.transitions.items()
-            if targets
-        }
+        rows = self.transitions
+        # a table of nonempty frozensets, as explore and parse_hoa build it,
+        # is recognised in two whole-table passes and only copied
+        if set(map(type, rows.values())) <= {frozenset} and all(rows.values()):
+            frozen = dict(rows)
+        else:
+            frozen = {key: frozenset(targets) for key, targets in rows.items() if targets}
         object.__setattr__(self, "transitions", frozen)
         if diagnostics := _faults(self):
             raise MalformedAutomaton(diagnostics)
@@ -157,7 +159,12 @@ class Automaton:
 
     @cached_property
     def lasso_memo(self) -> dict:
-        """δ(I, u) and the per-period (explored, good) masks of `omegadet.lasso`."""
+        """The word memo of `omegadet.lasso`.
+
+        δ(I, u) and the per-period (explored, good) masks of the
+        nondeterministic oracles, and the per-period walked pairs and cycles
+        of `run_deterministic`.
+        """
         return {}
 
 
@@ -240,10 +247,19 @@ def _faults(a: Automaton) -> list[str]:
         sets = chain.from_iterable(acc.pairs)
     else:
         fits = False
-    states = set(map(itemgetter(0), rows)).union((a.initial,), *rows.values(), *sets)
+    states = [
+        *map(itemgetter(0), rows),
+        a.initial,
+        *chain.from_iterable(sets),
+        *chain.from_iterable(rows.values()),
+    ]
+    # types before the set: a set keeps one of True and 1, or of 1.0 and 1
+    kinds = set(map(type, states))
+    states = set(states)
     # with sources and symbols in range, n·|Σ| distinct keys make a total table
     if (
         fits
+        and kinds == {int}
         and 0 <= min(states)
         and max(states) < n
         and 0 < len(position) == len(a.alphabet)
@@ -256,7 +272,18 @@ def _faults(a: Automaton) -> list[str]:
         return []
 
     def outside(states: Iterable[int], what: str) -> list[str]:
-        return [f"{what}: state {s} out of range [0, {n})" for s in states if not 0 <= s < n]
+        return [
+            f"{what}: state {s} out of range [0, {n})"
+            if type(s) is int
+            else f"{what}: state {s!r} is not an int"
+            for s in states
+            if type(s) is not int or not 0 <= s < n
+        ]
+
+    def order(key: tuple) -> tuple:
+        """Int sources in order, then the others by their repr."""
+        s, sym = key
+        return (0, s, str(sym)) if type(s) is int else (1, repr(s), str(sym))
 
     diags = [] if position else ["alphabet: empty"]
     repeats = [sym for i, sym in enumerate(a.alphabet) if position[sym] != i]
@@ -264,7 +291,7 @@ def _faults(a: Automaton) -> list[str]:
     if n < 1:
         diags.append(f"state_count: {n} < 1")
     diags += outside((a.initial,), "initial")
-    for s, sym in sorted(rows, key=lambda key: (key[0], str(key[1]))):
+    for s, sym in sorted(rows, key=order):
         diags += outside((s,), "transition source")
         if sym not in position:
             diags.append(f"transition: unknown symbol {sym!r} at state {s}")

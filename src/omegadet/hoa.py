@@ -192,6 +192,13 @@ _STATE_RE = re.compile(
 _EDGE_RE = re.compile(
     r"^(?P<label>\[[^\]]*\])\s*(?P<target>\S+)(?P<acc>\s*\{[^}]*\})?\s*$"
 )
+# One match per line of the body, its lines joined by "\n": (label, target,
+# "") for an edge of a label and a plain target, ("", "", the line stripped)
+# for any other line.  [^\S\n] is \s within a line, as str.strip() sees it.
+_BODY_LINE_RE = re.compile(
+    r"^[^\S\n]*(?:(\[[^\]\n]*\])[^\S\n]*([0-9]{1,9})[^\S\n]*$|(.*\S)?[^\S\n]*$)",
+    re.MULTILINE,
+)
 
 
 def _number(text: str) -> int | None:
@@ -311,11 +318,14 @@ _IGNORED_HEADERS = ("name", "tool")
 def parse_hoa(text: str) -> Automaton:
     """Parse the HOA subset; raises HoaError with a line number on anything else."""
     lines = text.splitlines()
-    numbered = [
-        (i + 1, raw.strip())
-        for i, raw in enumerate(lines)
-        if raw.strip() and not raw.strip().startswith("/*")
-    ]
+    # the header lines up to --BODY--, stripped, without blanks and comments
+    numbered = []
+    for index, raw in enumerate(lines):
+        content = raw.strip()
+        if content and not content.startswith("/*"):
+            numbered.append((index + 1, content))
+            if content == "--BODY--":
+                break
     if not numbered:
         raise HoaError("empty document")
     if numbered[0][1] != "HOA: v1":
@@ -323,11 +333,9 @@ def parse_hoa(text: str) -> Automaton:
 
     headers: dict[str, tuple[int, str]] = {}
     declared_deterministic = False
-    body_at = None
 
-    for pos, (line, content) in enumerate(numbered[1:], start=1):
+    for line, content in numbered[1:]:
         if content == "--BODY--":
-            body_at = pos
             break
         name, colon, value = content.partition(":")
         if not colon:
@@ -343,14 +351,13 @@ def parse_hoa(text: str) -> Automaton:
             declared_deterministic |= "deterministic" in value.split()
         elif name not in _IGNORED_HEADERS:
             raise HoaError(f"unsupported header: {_quote(name)}", line)
-
-    if body_at is None:
+    else:
         raise HoaError("missing --BODY--")
-    last_header_line = numbered[body_at][0]
+    body_line = line
 
     for name in _HEADERS:
         if name not in headers:
-            raise HoaError(f"missing {name}: header", last_header_line)
+            raise HoaError(f"missing {name}: header", body_line)
 
     line, value = headers["States"]
     state_count = _number(value)
@@ -396,65 +403,82 @@ def parse_hoa(text: str) -> Automaton:
         )
 
     symbols = _valuation_symbols(ap_count)
-    # label text -> symbol; a label that fails to parse is never stored,
-    # so it raises again on every line that carries it
+    # label text -> symbol, and target text -> {target}; a text that fails
+    # to parse is never stored, so it raises again on every line that has it
     letters: dict[str, str] = {}
-    transitions: dict[tuple[int, str], set[int]] = {}
+    targets: dict[str, frozenset[int]] = {}
+    transitions: dict[tuple[int, str], frozenset[int]] = {}
     marks_of: dict[int, list[int]] = {}
     current: int | None = None
     ended = False
 
-    for line, content in numbered[body_at + 1:]:
-        if ended:
-            raise HoaError("content after --END--", line)
-        if content == "--END--":
-            ended = True
-            continue
-        if content == "--ABORT--":
-            raise HoaError("document aborted", line)
-        if content.startswith("State:"):
-            match = _STATE_RE.match(content)
+    body = _BODY_LINE_RE.findall("\n".join(lines[body_line:]))
+    for line, (label, target, content) in enumerate(body, start=body_line + 1):
+        if target:  # an edge: the short branch
+            if ended or current is None:
+                raise HoaError(
+                    "content after --END--" if ended else "edge before any State: line",
+                    line,
+                )
+        else:
+            if not content or content.startswith("/*"):
+                continue
+            if ended:
+                raise HoaError("content after --END--", line)
+            if content == "--END--":
+                ended = True
+                continue
+            if content == "--ABORT--":
+                raise HoaError("document aborted", line)
+            if content.startswith("State:"):
+                match = _STATE_RE.match(content)
+                if not match:
+                    raise HoaError(f"malformed State: line {_quote(content)}", line)
+                if match.group("label"):
+                    raise HoaError("state labels are unsupported", line)
+                num = _number(match.group("num"))
+                if num is None:
+                    raise HoaError(f"malformed State: line {_quote(content)}", line)
+                if num >= state_count:
+                    raise HoaError(f"state {_quote(str(num))} out of range", line)
+                if num in marks_of:
+                    raise HoaError(f"duplicate State: {_quote(str(num))}", line)
+                current = num
+                marks_of[num] = _parse_marks(match.group("acc"), set_count, line)
+                continue
+            if current is None:
+                raise HoaError("edge before any State: line", line)
+            match = _EDGE_RE.match(content)
             if not match:
-                raise HoaError(f"malformed State: line {_quote(content)}", line)
-            if match.group("label"):
-                raise HoaError("state labels are unsupported", line)
-            num = _number(match.group("num"))
-            if num is None:
-                raise HoaError(f"malformed State: line {_quote(content)}", line)
-            if num >= state_count:
-                raise HoaError(f"state {_quote(str(num))} out of range", line)
-            if num in marks_of:
-                raise HoaError(f"duplicate State: {_quote(str(num))}", line)
-            current = num
-            marks_of[num] = _parse_marks(match.group("acc"), set_count, line)
-            continue
-        if current is None:
-            raise HoaError("edge before any State: line", line)
-        match = _EDGE_RE.match(content)
-        if not match:
-            if content.startswith("["):
-                raise HoaError(f"malformed edge {_quote(content)}", line)
-            raise HoaError(
-                "implicit (unlabeled) edges are unsupported", line
-            )
-        if match.group("acc"):
-            raise HoaError(
-                "edge acceptance marks are unsupported (state-based only)", line
-            )
-        target = _number(match.group("target"))
-        if target is None:
-            raise HoaError(
-                "unsupported edge target "
-                + _quote(match.group("target"), " (single target state only)"),
-                line,
-            )
-        if target >= state_count:
-            raise HoaError(f"edge target {_quote(str(target))} out of range", line)
-        label = match.group("label")
+                if content.startswith("["):
+                    raise HoaError(f"malformed edge {_quote(content)}", line)
+                raise HoaError(
+                    "implicit (unlabeled) edges are unsupported", line
+                )
+            if match.group("acc"):
+                raise HoaError(
+                    "edge acceptance marks are unsupported (state-based only)", line
+                )
+            label, target = match.group("label", "target")
+        single = targets.get(target)
+        if single is None:
+            number = _number(target)
+            if number is None:
+                raise HoaError(
+                    "unsupported edge target "
+                    + _quote(target, " (single target state only)"),
+                    line,
+                )
+            if number >= state_count:
+                raise HoaError(f"edge target {_quote(str(number))} out of range", line)
+            single = targets[target] = frozenset((number,))
         symbol = letters.get(label)
         if symbol is None:
             symbol = letters[label] = symbols[_parse_label(label, ap_count, line)]
-        transitions.setdefault((current, symbol), set()).add(target)
+        key = (current, symbol)
+        known = transitions.setdefault(key, single)
+        if known is not single:
+            transitions[key] = known | single
 
     if not ended:
         raise HoaError("missing --END--")
@@ -469,7 +493,7 @@ def parse_hoa(text: str) -> Automaton:
             alphabet=Alphabet(symbols),
             state_count=state_count,
             initial=initial,
-            transitions={key: frozenset(v) for key, v in transitions.items()},
+            transitions=transitions,
             acceptance=acceptance,
             deterministic=declared_deterministic,
         )

@@ -1,13 +1,15 @@
 """Ultimately periodic words and membership oracles.
 
 A lasso u·v^ω is the only kind of word the test harness ever feeds an
-automaton.  Deterministic automata are run directly until the (state,
-period-position) pair repeats.  The oracles for nondeterministic ones
-compute δ(I, u) with the automaton's image memo and keep it in a memo per
-word on the automaton, beside the states that v^ω accepts from, kept per
-period.  A query classifies only the states that no earlier query with its
-period reached: the Büchi oracle from their rows of v, the Streett oracle
-from the product with the period's shape graph entered at them.
+automaton.  Deterministic automata are run until the (state,
+period-position) pair repeats; the pairs walked are kept per period in
+tables of ints, so a query walks only until it meets one.  The oracles for
+nondeterministic ones compute δ(I, u) with the automaton's image memo and
+keep it in a memo per word on the automaton, beside the states that v^ω
+accepts from, kept per period.  A query classifies only the states that no
+earlier query with its period reached: the Büchi oracle from their rows of
+v, the Streett oracle from the product with the period's shape graph
+entered at them.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import itertools
 import sys
 from dataclasses import dataclass
+from operator import floordiv
 
 from omegadet.automata import (
     Automaton,
@@ -80,27 +83,59 @@ def run_deterministic(a: Automaton, lasso: Lasso) -> CycleVerdict:
     The pair (state, position in the period) repeats after at most
     |states| * |period| steps past the prefix; the states strictly between
     the two occurrences of the first repeated pair are exactly the ones
-    visited infinitely often.
+    visited infinitely often.  The run from a pair depends on the period
+    alone, so every pair walked is kept per period with its steps to the
+    cycle and the cycle, and a query walks only until it meets a kept pair.
     """
     if not a.deterministic:
         raise ValueError("run_deterministic: deterministic automaton required")
+    memo = _memo(a)
+    transitions = a.transitions
+    prefix, period = lasso.prefix, lasso.period
     state = a.initial
-    for sym in lasso.prefix:
-        state = a.dstep(state, sym)
-    seen: dict[tuple[int, int], int] = {}
+    for sym in prefix:
+        (state,) = transitions[state, sym]
+    key = ("d", period)
+    runs = memo.get(key)
+    if runs is None:
+        runs = memo[key] = ({}, [])
+    walked, cycles = runs
+    width = len(period)
+    # walked maps the pair (q, i), as q * width + i, to steps * unit + 2c + acc:
+    # its steps to the cycle, the cycle's index c in cycles and 1 if the
+    # cycle accepts.  While this query walks, the pair at trail[k] maps to ~k.
+    unit = 2 << (a.state_count * width).bit_length()
     trail: list[int] = []
     pos = 0
-    while (state, pos) not in seen:
-        seen[(state, pos)] = len(trail)
-        trail.append(state)
-        state = a.dstep(state, lasso.period[pos])
-        pos = (pos + 1) % len(lasso.period)
-    first = seen[(state, pos)]
-    cycle = frozenset(trail[first:])
+    pair = state * width
+    found = walked.get(pair)
+    while found is None:
+        walked[pair] = ~len(trail)
+        trail.append(pair)
+        (state,) = transitions[state, period[pos]]
+        pos += 1
+        if pos == width:
+            pos = 0
+        pair = state * width + pos
+        found = walked.get(pair)
+    if found < 0:  # the walk closed on itself: trail[head:] is a new cycle
+        head = ~found
+        loop = trail[head:]
+        cycle = frozenset(map(floordiv, loop, itertools.repeat(width)))
+        found = len(cycles) << 1 | _accepts_infinity_set(a.acceptance, cycle)
+        cycles.append(cycle)
+        for pair in loop:
+            walked[pair] = found
+        del trail[head:]
+    value = found
+    for pair in reversed(trail):
+        value += unit
+        walked[pair] = value
+    index = found % unit
     return CycleVerdict(
-        accepted=_accepts_infinity_set(a.acceptance, cycle),
-        cycle_states=cycle,
-        entry_steps=len(lasso.prefix) + first,
+        accepted=bool(index & 1),
+        cycle_states=cycles[index >> 1],
+        entry_steps=len(prefix) + len(trail) + found // unit,
     )
 
 
@@ -194,16 +229,24 @@ def _fair_cycle(comps, edges, pairs) -> set:
 # ---------------------------------------------------------------------------
 
 # The memo of an automaton (`Automaton.lasso_memo`) maps ("u", u) to δ(I, u)
-# and ("v", v) to the period's (explored, good) masks.  A query adds at most
-# two entries and clears the memo first if they could take it past this many.
+# and ("v", v) to the period's (explored, good) masks for the nondeterministic
+# oracles, and ("d", v) to the period's (walked pairs, cycles) for
+# `run_deterministic`.  A query adds at most two entries and clears the memo
+# first if they could take it past this many.
 _MEMO_LIMIT = 4096
+
+
+def _memo(a: Automaton) -> dict:
+    """The automaton's memo, cleared if a query could take it past the limit."""
+    memo = a.lasso_memo
+    if len(memo) + 2 > _MEMO_LIMIT:
+        memo.clear()
+    return memo
 
 
 def _start(a: Automaton, lasso: Lasso) -> tuple[dict, int]:
     """The automaton's memo and δ(I, u) for a lasso u·v^ω."""
-    memo = a.lasso_memo
-    if len(memo) + 2 > _MEMO_LIMIT:
-        memo.clear()
+    memo = _memo(a)
     key = ("u", lasso.prefix)
     start = memo.get(key)
     if start is None:

@@ -3,9 +3,16 @@
 import os
 from pathlib import Path
 
-from omegadet import Alphabet, Automaton, BuchiAcceptance, Lasso, StreettAcceptance
+from omegadet import (
+    Alphabet,
+    Automaton,
+    BuchiAcceptance,
+    CycleVerdict,
+    Lasso,
+    StreettAcceptance,
+)
 from omegadet.automata import mask_states, reach
-from omegadet.lasso import _fair_cycle, _sccs
+from omegadet.lasso import _accepts_infinity_set, _fair_cycle, _sccs
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -53,6 +60,32 @@ def reachable_states(a: Automaton) -> frozenset[int]:
         a.initial, lambda s: [t for sym in a.alphabet for t in a.successors(s, sym)]
     )
     return frozenset(order)
+
+
+def reference_run(a: Automaton, lasso: Lasso) -> CycleVerdict:
+    """The run of a deterministic automaton on a lasso, walked from scratch.
+
+    The reference for the per-period memo of `run_deterministic`: the run
+    goes until a (state, period position) pair repeats.
+    """
+    state = a.initial
+    for sym in lasso.prefix:
+        state = a.dstep(state, sym)
+    seen: dict[tuple[int, int], int] = {}
+    trail: list[int] = []
+    pos = 0
+    while (state, pos) not in seen:
+        seen[(state, pos)] = len(trail)
+        trail.append(state)
+        state = a.dstep(state, lasso.period[pos])
+        pos = (pos + 1) % len(lasso.period)
+    first = seen[(state, pos)]
+    cycle = frozenset(trail[first:])
+    return CycleVerdict(
+        accepted=_accepts_infinity_set(a.acceptance, cycle),
+        cycle_states=cycle,
+        entry_steps=len(lasso.prefix) + first,
+    )
 
 
 # The virtual root of a product, on no cycle.
@@ -182,6 +215,24 @@ def nsw_witness_union_nbw(a: Automaton) -> Automaton:
 # ---------------------------------------------------------------------------
 # Scaling fixture family
 # ---------------------------------------------------------------------------
+
+
+def full3() -> Automaton:
+    """The full NBW on 3 states: letter i moves s to t iff bit 3s + t of i is set."""
+    symbols = tuple(f"{i:09b}" for i in range(512))
+    transitions = {}
+    for i, sym in enumerate(symbols):
+        for bit in range(9):
+            if (i >> bit) & 1:
+                s, t = divmod(bit, 3)
+                transitions.setdefault((s, sym), set()).add(t)
+    return Automaton(
+        alphabet=Alphabet(symbols),
+        state_count=3,
+        initial=0,
+        transitions=transitions,
+        acceptance=BuchiAcceptance(frozenset({2})),
+    )
 
 
 def build_lk_fixture(k: int) -> Automaton:

@@ -37,6 +37,11 @@ class TestAlphabet:
         assert alpha.symbols == ("x", "y")
 
 
+# states as the hypothesis tests draw them: ints in and out of range, and
+# values that are not ints, two of them equal to an int
+_STATES = st.integers(min_value=-1, max_value=3) | st.sampled_from(["x", 0.5, True, 1.0])
+
+
 class TestValidate:
     """The constructor refuses a malformed automaton, naming every fault."""
 
@@ -112,6 +117,14 @@ class TestValidate:
         assert (0, "a") not in a.transitions
         assert not is_total(a)
 
+    @pytest.mark.parametrize("targets", [frozenset({0}), {0}])
+    def test_the_caller_keeps_its_table(self, targets):
+        rows = {(0, "a"): targets}
+        a = Automaton(Alphabet(("a", "b")), 1, 0, rows, BuchiAcceptance(()))
+        rows[0, "b"] = frozenset({0})
+        assert a.transitions == {(0, "a"): frozenset({0})}
+        assert type(a.transitions[0, "a"]) is frozenset
+
     def test_edge_and_accepting_state_past_the_states_are_both_named(self):
         with pytest.raises(MalformedAutomaton) as exc:
             Automaton(
@@ -148,6 +161,10 @@ class TestValidate:
                 "pair 0 first set: state -2",
             ),
             ({"acceptance": "Muller"}, "unknown condition str"),
+            ({"transitions": {("x", "a"): {0}}}, "transition source: state 'x' is not an int"),
+            ({"transitions": {(0, "a"): {0.5}}}, "(0, 'a'): state 0.5 is not an int"),
+            ({"initial": True}, "initial: state True is not an int"),
+            ({"acceptance": BuchiAcceptance({"q"})}, "accepting set: state 'q' is not an int"),
         ],
     )
     def test_each_rule(self, change, words):
@@ -178,17 +195,32 @@ class TestValidate:
             "deterministic: (0, 'b') has 2 successors, want 1",
         ]
 
+    @pytest.mark.parametrize("other", [True, 1.0])
+    def test_a_non_int_state_is_named_beside_an_equal_int(self, other):
+        # a set of all states would keep 1 and drop True or 1.0
+        with pytest.raises(MalformedAutomaton) as exc:
+            Automaton(
+                alphabet=Alphabet(("a",)),
+                state_count=2,
+                initial=0,
+                transitions={(0, "a"): frozenset({1}), (1, "a"): frozenset({other})},
+                acceptance=BuchiAcceptance({1}),
+            )
+        assert exc.value.diagnostics == [
+            f"transition (1, 'a'): state {other!r} is not an int"
+        ]
+
     @settings(max_examples=300, deadline=None)
     @given(
         n=st.integers(min_value=0, max_value=3),
-        initial=st.integers(min_value=-1, max_value=3),
+        initial=_STATES,
         rows=st.dictionaries(
-            st.tuples(st.integers(min_value=-1, max_value=3), st.sampled_from("abz")),
-            st.frozensets(st.integers(min_value=-1, max_value=3), max_size=2),
+            st.tuples(_STATES, st.sampled_from("abz")),
+            st.frozensets(_STATES, max_size=2),
             max_size=8,
         ),
         deterministic=st.booleans(),
-        accepting=st.frozensets(st.integers(min_value=-1, max_value=3), max_size=2),
+        accepting=st.frozensets(_STATES, max_size=2),
         priorities=st.lists(st.integers(min_value=-1, max_value=3), max_size=4),
         parity=st.booleans(),
     )
@@ -199,15 +231,19 @@ class TestValidate:
             ParityAcceptance(priorities, 3) if parity else BuchiAcceptance(accepting)
         )
         states = range(n)
+
+        def bad(s):  # True in range(2) and 1.0 in range(2) hold
+            return type(s) is not int or s not in states
+
         rows = {key: targets for key, targets in rows.items() if targets}
         broken = (
-            initial not in states
-            or any(s not in states or sym == "z" for s, sym in rows)
-            or any(t not in states for ts in rows.values() for t in ts)
+            bad(initial)
+            or any(bad(s) or sym == "z" for s, sym in rows)
+            or any(bad(t) for ts in rows.values() for t in ts)
             or (deterministic and any(len(rows.get((s, sym), ())) != 1
                                       for s in states for sym in "ab"))
             or (parity and (len(priorities) != n or any(p not in range(3) for p in priorities)))
-            or (not parity and any(s not in states for s in accepting))
+            or (not parity and any(bad(s) for s in accepting))
         )
         try:
             Automaton(Alphabet(("a", "b")), n, initial, rows, acceptance, deterministic)

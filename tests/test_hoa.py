@@ -22,9 +22,10 @@ from omegadet import (
     streett_safra_determinize,
 )
 from omegadet.hoa import HoaError, emit_hoa, parse_hoa
+from omegadet.random_gen import random_nsw
 
 from conftest import make_fair_nsw, make_inf_a, make_inf_a_dpw
-from helpers import build_lk_fixture, child_env, structurally_equal
+from helpers import build_lk_fixture, child_env, full3, structurally_equal
 
 TINY_DPW_DOC = """HOA: v1
 States: 1
@@ -257,6 +258,12 @@ class TestParse:
             parse_hoa(doc)
         assert exc.value.line == 10
         assert "line 10:" in str(exc.value)
+        # blank and comment lines count, and "\r\n" or "\r" ends one line
+        padded = doc.replace("--BODY--\n", "--BODY--\n\n \t\n/* edges */\n")
+        for ending in ("\r\n", "\r"):
+            with pytest.raises(HoaError, match="out of range") as exc:
+                parse_hoa(padded.replace("\n", ending))
+            assert exc.value.line == 13
 
     def test_content_after_end_rejected(self):
         doc = TINY_DPW_DOC + "State: 1\n"
@@ -290,6 +297,53 @@ class TestParse:
             ) + "\n"
             with pytest.raises(HoaError):
                 parse_hoa(doc)
+
+
+def _noisy(doc: str) -> str:
+    """doc with blank and comment lines, spaces and tabs around its tokens, CRLF."""
+    out = ["/* a comment first */", ""]
+    for i, line in enumerate(doc.splitlines()):
+        if line.startswith("["):
+            label, target = line[1:].split("] ")
+            line = f"[ {label.replace('&', ' & ')}\t]\t {target}"
+        elif line.startswith("State:"):
+            line = line.replace("State: ", "State:\t ").replace("{", "\t{ ").replace("}", " }")
+        out.append(f" \t{line}\t ")
+        if i % 3 == 2:
+            out += ["", " \t ", f"/* after line {i + 1} */"]
+    return "\r\n".join(out) + "\r\n"
+
+
+class TestLayout:
+    """Blank lines, comments, whitespace and line endings do not change a parse."""
+
+    @pytest.mark.parametrize(
+        "automaton",
+        [
+            make_inf_a(),
+            make_inf_a_dpw(),
+            safra_determinize(make_inf_a()),
+            random_nsw(4, 2, seed=1),
+            nsw_to_dpw(random_nsw(4, 2, seed=1)),
+            streett_safra_determinize(random_nsw(4, 2, seed=1)),
+            full3(),
+        ],
+        ids=["nbw", "dpw", "drw", "nsw", "nsw-dpw", "nsw-drw", "full3"],
+    )
+    def test_noisy_text_parses_alike(self, automaton):
+        doc = emit_hoa(automaton)
+        noisy = _noisy(doc)
+        assert "\t[ " in noisy and "\t{ " in noisy  # edges and marks are padded
+        assert parse_hoa(noisy) == parse_hoa(doc)
+
+    def test_edge_targets_read_alike_in_every_spelling(self):
+        doc = TestLetterTable.TWO_STATE_DOC
+        spelled = doc.replace("[!0] 1", "[!0] 001").replace("[0] 1", "[0]1")
+        assert parse_hoa(spelled) == parse_hoa(doc)
+
+    def test_a_target_seen_twice_is_one_successor(self):
+        doc = TestLetterTable.TWO_STATE_DOC.replace("[!0] 1\n", "[!0] 1\n[!0] 01\n[!0] 0\n")
+        assert parse_hoa(doc).transitions[0, "0"] == frozenset({0, 1})
 
 
 class TestRoundTrip:

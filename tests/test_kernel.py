@@ -30,7 +30,7 @@ from omegadet.automata import mask_states, state_mask, step_rows
 from omegadet.compact import CompactSafraTree
 from omegadet.random_gen import random_nbw, random_nsw
 
-from helpers import child_env
+from helpers import child_env, full3
 from treecheck import assert_tree_invariants, drive_buchi, drive_streett
 
 
@@ -40,24 +40,6 @@ def _image(a, states, symbol):
     for s in states:
         out |= a.successors(s, symbol)
     return out
-
-
-def _full3():
-    """The full NBW on 3 states: letter i moves s to t iff bit 3s + t of i is set."""
-    symbols = tuple(f"{i:09b}" for i in range(512))
-    transitions = {}
-    for i, sym in enumerate(symbols):
-        for bit in range(9):
-            if (i >> bit) & 1:
-                s, t = divmod(bit, 3)
-                transitions.setdefault((s, sym), set()).add(t)
-    return Automaton(
-        alphabet=Alphabet(symbols),
-        state_count=3,
-        initial=0,
-        transitions=transitions,
-        acceptance=BuchiAcceptance(frozenset({2})),
-    )
 
 
 def _partial():
@@ -78,7 +60,7 @@ def _partial():
 AUTOMATA = (
     [pytest.param(random_nbw(5, seed), id=f"nbw5-{seed}") for seed in range(20)]
     + [pytest.param(random_nsw(4, 2, seed), id=f"nsw4x2-{seed}") for seed in range(20)]
-    + [pytest.param(_partial(), id="partial"), pytest.param(_full3(), id="full3")]
+    + [pytest.param(_partial(), id="partial"), pytest.param(full3(), id="full3")]
 )
 
 
@@ -313,13 +295,13 @@ KEY_CASES = [
     pytest.param(compact, "compact_step", compact.initial_compact_tree,
                  [random_nbw(4, seed) for seed in range(10)], id="compact_step-nbw4"),
     pytest.param(compact, "compact_step", compact.initial_compact_tree,
-                 [_full3()], id="compact_step-full3"),
+                 [full3()], id="compact_step-full3"),
     pytest.param(compact, "compact_streett_step", compact.initial_compact_streett_tree,
                  [random_nsw(3, 2, seed) for seed in range(10)], id="compact_streett_step-nsw3x2"),
     pytest.param(safra, "safra_step", safra.initial_safra_tree,
                  [random_nbw(4, seed) for seed in range(10)], id="safra_step-nbw4"),
     pytest.param(safra, "safra_step", safra.initial_safra_tree,
-                 [_full3()], id="safra_step-full3"),
+                 [full3()], id="safra_step-full3"),
     pytest.param(safra, "streett_safra_step", safra.initial_streett_safra_tree,
                  [random_nsw(3, 2, seed) for seed in range(10)], id="streett_safra_step-nsw3x2"),
 ]
@@ -404,6 +386,6 @@ def test_full3_closure_counts(monkeypatch, module, step, determinize, calls, sta
         return original(*args)
 
     monkeypatch.setattr(module, step, counting)
-    out = determinize(_full3())
+    out = determinize(full3())
     assert (count, out.state_count) == (calls, states)
     assert hashlib.sha256(emit_hoa(out).encode("utf-8")).hexdigest() == digest

@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import random
 import tracemalloc
 from dataclasses import replace
 
@@ -23,11 +24,23 @@ from omegadet import (
     nsw_member,
     run_deterministic,
 )
+from omegadet import (
+    nbw_to_dpw,
+    nsw_to_dpw,
+    safra_determinize,
+    streett_safra_determinize,
+)
 from omegadet import lasso as lasso_module
 from omegadet.random_gen import random_nbw, random_nsw
 
 from conftest import make_loop_nsw
-from helpers import build_lk_fixture, product_nbw_member, product_nsw_member
+from helpers import (
+    build_lk_fixture,
+    full3,
+    product_nbw_member,
+    product_nsw_member,
+    reference_run,
+)
 
 
 class TestLasso:
@@ -394,11 +407,14 @@ class TestMemoBound:
         try:
             a = random_nbw(5, seed=3)
             b = random_nsw(4, 2, seed=1)
+            d = nbw_to_dpw(a)
             for lasso in enumerate_lassos(a.alphabet.symbols, 3, 4):
                 nbw_member(a, lasso)
                 nsw_member(b, lasso)
+                run_deterministic(d, lasso)
             assert len(a.lasso_memo) > 1 and len(b.lasso_memo) > 1
-            del a, b
+            assert len(d.lasso_memo) > 1
+            del a, b, d
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -412,6 +428,101 @@ class TestMemoBound:
                 assert nsw_member(a, lasso) == want, lasso
                 assert nsw_member(_fresh(a), lasso) == want, lasso
                 assert len(a.lasso_memo) <= 24
+
+
+def _deterministic_cases():
+    """A DPW and a DRW of random_nbw(4, 0..9) and of random_nsw(3, 2, 0..9)."""
+    sources = [
+        (f"nbw4-{seed}", random_nbw(4, seed), nbw_to_dpw, safra_determinize)
+        for seed in range(10)
+    ] + [
+        (f"nsw3x2-{seed}", random_nsw(3, 2, seed), nsw_to_dpw, streett_safra_determinize)
+        for seed in range(10)
+    ]
+    return [
+        pytest.param(determinize, source, id=f"{kind}-{name}")
+        for name, source, dpw, drw in sources
+        for kind, determinize in (("dpw", dpw), ("drw", drw))
+    ]
+
+
+def _deterministic_buchi(n: int, seed: int) -> Automaton:
+    """A random total deterministic Buchi automaton over {a, b}."""
+    rng = random.Random(seed)
+    return Automaton(
+        alphabet=Alphabet(("a", "b")),
+        state_count=n,
+        initial=0,
+        transitions={(s, sym): {rng.randrange(n)} for s in range(n) for sym in "ab"},
+        acceptance=BuchiAcceptance({s for s in range(n) if rng.random() < 0.4}),
+        deterministic=True,
+    )
+
+
+def _assert_runs_match_the_reference(d: Automaton, lassos: list) -> None:
+    """run_deterministic on d agrees with the reference, in order and reversed."""
+    want = [reference_run(d, lasso) for lasso in lassos]
+    forward = _fresh(d)
+    assert [run_deterministic(forward, lasso) for lasso in lassos] == want
+    backward = _fresh(d)
+    got = [run_deterministic(backward, lasso) for lasso in reversed(lassos)]
+    assert got[::-1] == want
+
+
+class TestDeterministicMemo:
+    """run_deterministic keeps every walked pair per period; verdicts stay exact."""
+
+    @pytest.mark.parametrize("determinize,source", _deterministic_cases())
+    def test_verdicts_match_the_reference_run(self, determinize, source):
+        lassos = list(enumerate_lassos(source.alphabet.symbols, 3, 4))
+        _assert_runs_match_the_reference(determinize(source), lassos)
+
+    def test_full3_dpw_matches_the_reference_run(self):
+        d = nbw_to_dpw(full3())
+        rng = random.Random(3)
+        symbols = d.alphabet.symbols
+        periods = [
+            tuple(rng.choice(symbols) for _ in range(rng.randint(1, 4))) for _ in range(40)
+        ]
+        # each period comes back under several prefixes, so later queries
+        # meet pairs that earlier ones walked
+        lassos = [
+            Lasso(tuple(rng.choice(symbols) for _ in range(rng.randint(0, 3))), period)
+            for period in periods
+            for _ in range(8)
+        ]
+        rng.shuffle(lassos)
+        _assert_runs_match_the_reference(d, lassos)
+
+    def test_interleaved_with_nbw_member(self):
+        # a deterministic Buchi automaton keeps both oracles' entries in one memo
+        for seed in range(5):
+            a = _deterministic_buchi(6, seed)
+            for lasso in enumerate_lassos(("a", "b"), 3, 4):
+                member = nbw_member(a, lasso)
+                verdict = run_deterministic(a, lasso)
+                assert member == nbw_member(_fresh(a), lasso) == product_nbw_member(a, lasso)
+                assert verdict == run_deterministic(_fresh(a), lasso) == reference_run(a, lasso)
+                assert verdict.accepted == member
+
+    def test_tables_hold_ints_only(self):
+        # the cyclic collector does not track a dict of ints, however large
+        d = nsw_to_dpw(random_nsw(4, 2, seed=5))
+        for lasso in enumerate_lassos(d.alphabet.symbols, 3, 4):
+            run_deterministic(d, lasso)
+        tables = [runs[0] for key, runs in d.lasso_memo.items() if key[0] == "d"]
+        assert len(tables) == 30
+        for table in tables:
+            assert table and not gc.is_tracked(table)
+            assert {type(x) for item in table.items() for x in item} == {int}
+
+    def test_memo_stays_within_the_cap(self, monkeypatch):
+        monkeypatch.setattr(lasso_module, "_MEMO_LIMIT", 5)
+        d = nsw_to_dpw(random_nsw(4, 2, seed=5))
+        lassos = list(enumerate_lassos(d.alphabet.symbols, 3, 4))
+        for lasso in lassos + lassos[::-1]:
+            assert run_deterministic(d, lasso) == reference_run(d, lasso)
+            assert len(d.lasso_memo) <= 5
 
 
 class TestNswMember:
