@@ -33,10 +33,10 @@ class CompactSafraTree:
     is the label of name i+1 as a state mask (bit s for state s).  Parent
     names are smaller than child names.  ann_masks[i] holds bit j for
     every pair index j (1-based) that name i+1 still owes; it is empty for
-    the Buchi construction.  labels and anns read the masks as frozensets.
-    A tree is its shape: e/f are the deletion/completion bookmarks of the
-    step that produced it, kept readable but left out of equality and
-    hashing.  The empty tree (no nodes, e=1) is the rejecting sink.
+    the Buchi construction.  A tree is its shape: e/f are the
+    deletion/completion bookmarks of the step that produced it, kept
+    readable but left out of equality and hashing.  The empty tree (no
+    nodes, e=1) is the rejecting sink.
     """
 
     parents: tuple[int, ...]
@@ -44,14 +44,6 @@ class CompactSafraTree:
     e: int = field(compare=False)
     f: int = field(compare=False)
     ann_masks: tuple[int, ...] = ()
-
-    @property
-    def labels(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(mask_states(m)) for m in self.masks)
-
-    @property
-    def anns(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(mask_states(m)) for m in self.ann_masks)
 
 
 def priority_of(e: int, f: int) -> int:

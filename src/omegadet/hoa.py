@@ -189,14 +189,13 @@ _STATE_RE = re.compile(
     r"^State:\s*(?P<label>\[[^\]]*\]\s*)?(?P<num>[0-9]+)"
     r"(?P<name>\s+\"[^\"]*\")?(?P<acc>\s*\{[^}]*\})?\s*$"
 )
-_EDGE_RE = re.compile(
-    r"^(?P<label>\[[^\]]*\])\s*(?P<target>\S+)(?P<acc>\s*\{[^}]*\})?\s*$"
-)
 # One match per line of the body, its lines joined by "\n": (label, target,
-# "") for an edge of a label and a plain target, ("", "", the line stripped)
-# for any other line.  [^\S\n] is \s within a line, as str.strip() sees it.
+# marks, "") for an edge, a label and a target with optional {...} marks (a
+# plain target is tried first), ("", "", "", the line stripped) for any
+# other line.  [^\S\n] is \s within a line, as str.strip() sees it.
 _BODY_LINE_RE = re.compile(
-    r"^[^\S\n]*(?:(\[[^\]\n]*\])[^\S\n]*([0-9]{1,9})[^\S\n]*$|(.*\S)?[^\S\n]*$)",
+    r"^[^\S\n]*(?:(\[[^\]\n]*\])[^\S\n]*(\S+)(?:$|[^\S\n]*(\{[^}\n]*\})?[^\S\n]*$)"
+    r"|(.*\S)?[^\S\n]*$)",
     re.MULTILINE,
 )
 
@@ -251,7 +250,7 @@ def _parse_acc_name(value: str, line: int) -> tuple[str, int]:
 
 
 def _parse_label(text: str, ap_count: int, line: int) -> int:
-    """Complete-conjunction label `[...]` (as _EDGE_RE matched it) -> symbol index."""
+    """Complete-conjunction label `[...]` of an edge -> symbol index."""
     body = text[1:-1].strip()
     shown = f"[{body}]" if len(body) <= _QUOTE_LIMIT else _quote(f"[{body}]")
     if ap_count == 0:
@@ -413,14 +412,8 @@ def parse_hoa(text: str) -> Automaton:
     ended = False
 
     body = _BODY_LINE_RE.findall("\n".join(lines[body_line:]))
-    for line, (label, target, content) in enumerate(body, start=body_line + 1):
-        if target:  # an edge: the short branch
-            if ended or current is None:
-                raise HoaError(
-                    "content after --END--" if ended else "edge before any State: line",
-                    line,
-                )
-        else:
+    for line, (label, target, marks, content) in enumerate(body, start=body_line + 1):
+        if not target:  # any line but an edge continues or raises here
             if not content or content.startswith("/*"):
                 continue
             if ended:
@@ -448,18 +441,18 @@ def parse_hoa(text: str) -> Automaton:
                 continue
             if current is None:
                 raise HoaError("edge before any State: line", line)
-            match = _EDGE_RE.match(content)
-            if not match:
-                if content.startswith("["):
-                    raise HoaError(f"malformed edge {_quote(content)}", line)
-                raise HoaError(
-                    "implicit (unlabeled) edges are unsupported", line
-                )
-            if match.group("acc"):
-                raise HoaError(
-                    "edge acceptance marks are unsupported (state-based only)", line
-                )
-            label, target = match.group("label", "target")
+            if content.startswith("["):
+                raise HoaError(f"malformed edge {_quote(content)}", line)
+            raise HoaError("implicit (unlabeled) edges are unsupported", line)
+        if ended or current is None:
+            raise HoaError(
+                "content after --END--" if ended else "edge before any State: line",
+                line,
+            )
+        if marks:
+            raise HoaError(
+                "edge acceptance marks are unsupported (state-based only)", line
+            )
         single = targets.get(target)
         if single is None:
             number = _number(target)

@@ -8,6 +8,10 @@ compact parity constructions.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cache
+from itertools import repeat
+
 from omegadet.automata import (
     Automaton,
     BuchiAcceptance,
@@ -20,96 +24,50 @@ from omegadet.automata import (
 )
 
 
+@dataclass(frozen=True)
 class SafraTree:
-    """History tree of the reference constructions, held as masks.
+    """History tree of the reference constructions, a record of name-ordered tuples.
 
-    masks maps node name to its nonempty state set (bit s for state s),
-    children maps it to its children, oldest first.  Original names live in
-    [1..n]; e_set holds the names the tree leaves unused, f_set the names
-    whose node finished a breakpoint this step.  ann_masks maps node name
-    to the pair indices (bit j for index j) it still owes in the Streett
-    construction; it is None for Buchi trees and for the empty tree (no
-    nodes), the dead state.  label and ann are read-only frozenset views.
+    names holds the node names, ascending; masks, children and ann_masks
+    hold, in names order, each node's nonempty state set (bit s for state
+    s), its children oldest first and the pair indices (bit j for index j)
+    it still owes in the Streett construction.  ann_masks is None for Buchi
+    trees and for the empty tree (no nodes), the dead state.  Original
+    names live in [1..n]; e_set holds the names the step left unused (a
+    name recycled for a temporary stays in it), f_set the names whose node
+    finished a breakpoint this step.
     """
 
-    __slots__ = ("masks", "children", "e_set", "f_set", "ann_masks", "_key", "_hash")
+    names: tuple[int, ...]
+    masks: tuple[int, ...]
+    children: tuple[tuple[int, ...], ...]
+    ann_masks: tuple[int, ...] | None
+    e_set: frozenset[int]
+    f_set: frozenset[int]
 
-    def __init__(self, masks, children, e_set, f_set, ann_masks=None):
-        self.masks = masks
-        self.children = {v: tuple(cs) for v, cs in children.items()}
-        self.e_set = frozenset(e_set)
-        self.f_set = frozenset(f_set)
-        self.ann_masks = ann_masks
-        self._key = None
-        self._hash = None
 
-    @property
-    def label(self):
-        return {v: frozenset(mask_states(m)) for v, m in self.masks.items()}
-
-    @property
-    def ann(self):
-        owed = self.ann_masks
-        return None if owed is None else {v: frozenset(mask_states(m)) for v, m in owed.items()}
-
-    def key(self):
-        if self._key is None:
-            ann = self.ann_masks
-            record = tuple(
-                (
-                    v,
-                    self.children[v],
-                    mask_states(self.masks[v]),
-                    mask_states(ann[v]) if ann is not None else (),
-                )
-                for v in sorted(self.masks)
-            )
-            self._key = (
-                record,
-                tuple(sorted(self.e_set)),
-                tuple(sorted(self.f_set)),
-            )
-        return self._key
-
-    def __eq__(self, other):
-        return isinstance(other, SafraTree) and self.key() == other.key()
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.key())
-        return self._hash
-
-    def __repr__(self):
-        parts = [
-            f"{v}:{list(mask_states(self.masks[v]))}->{list(self.children[v])}"
-            for v in sorted(self.masks)
-        ]
-        return (
-            f"SafraTree({'; '.join(parts)} | E={sorted(self.e_set)}"
-            f" F={sorted(self.f_set)})"
-        )
+def _root_tree(a: Automaton, pool: int, ann_masks=None) -> SafraTree:
+    """Name 1 alone, holding the initial state; names 2..pool are unused."""
+    unused = frozenset(range(2, pool + 1))
+    return SafraTree((1,), (1 << a.initial,), ((),), ann_masks, unused, frozenset())
 
 
 def initial_safra_tree(a: Automaton) -> SafraTree:
-    return SafraTree(
-        masks={1: 1 << a.initial},
-        children={1: ()},
-        e_set=set(range(2, a.state_count + 1)),
-        f_set=set(),
-    )
+    return _root_tree(a, a.state_count)
 
 
 def _dead_safra_tree(n: int) -> SafraTree:
-    return SafraTree(masks={}, children={}, e_set=set(range(1, n + 1)), f_set=set())
+    return SafraTree((), (), (), None, frozenset(range(1, n + 1)), frozenset())
 
 
 def _open(tree: SafraTree, symbol: str, a: Automaton, pool: int) -> WorkTree:
     """Working copy of a tree after reading symbol; temporaries follow the pool."""
     images = a.image_masks[symbol]
+    names = tree.names
     return WorkTree(
-        {v: images[m] for v, m in tree.masks.items()},
-        {v: list(cs) for v, cs in tree.children.items()},
-        None if tree.ann_masks is None else dict(tree.ann_masks),
+        dict(zip(names, map(images.__getitem__, tree.masks))),
+        dict(zip(names, map(list, tree.children))),
+        None if tree.ann_masks is None else dict(zip(names, tree.ann_masks)),
         pool,
     )
 
@@ -121,27 +79,26 @@ def _settle(t: WorkTree, f_marks, pool: int) -> SafraTree:
     f_marks among them.  Names in [1..pool] are static; larger names are
     temporaries the step just created.  Every static name without a
     surviving node goes to e_set and restarts its pair, and the
-    temporaries take the smallest of them.
+    temporaries take the smallest of them.  The survivors are listed by
+    their new names.
     """
     label, kids, ann, removed = t.label, t.kids, t.ann, t.removed
     survivors = {v for v, states in label.items() if states and v not in removed}
     if 1 not in survivors:
         return _dead_safra_tree(pool)
-    e_set = set(range(1, pool + 1)) - survivors
+    e_set = frozenset(range(1, pool + 1)) - survivors
     temps = sorted(v for v in survivors if v > pool)
     free = sorted(e_set)
     assert len(temps) <= len(free), "name pool exhausted"
     rename = dict(zip(temps, free))
-
-    def name(v):
-        return rename.get(v, v)
-
+    names, order = zip(*sorted((rename.get(v, v), v) for v in survivors))
     return SafraTree(
-        {name(v): label[v] for v in survivors},
-        {name(v): [name(c) for c in kids[v] if c in survivors] for v in survivors},
+        names,
+        tuple(map(label.__getitem__, order)),
+        tuple(tuple(rename.get(c, c) for c in kids[v] if c in survivors) for v in order),
+        None if ann is None else tuple(map(ann.__getitem__, order)),
         e_set,
-        f_marks & survivors,
-        None if ann is None else {name(v): ann[v] for v in survivors},
+        frozenset(f_marks & survivors),
     )
 
 
@@ -199,33 +156,40 @@ def _rabin_condition(trees, name_count: int) -> RabinAcceptance:
 
 
 def _split(tree: SafraTree):
-    """The step_rows shape of a tree and its node masks, both in `masks` order.
+    """The step_rows shape of a tree, (names, children, ann_masks), and its node masks.
 
-    The shape is the names, then their children and owed indices, all in
-    `masks` order, so it pins each mask to its name; it holds flat tuples
-    of the tree's own objects only.
+    The masks are in names order, so the shape pins each mask to its name;
+    the steps never read e_set or f_set, which the shape leaves out.
     """
-    masks, ann = tree.masks, tree.ann_masks
-    shape = (
-        tuple(masks),
-        tuple(map(tree.children.__getitem__, masks)),
-        None if ann is None else tuple(map(ann.__getitem__, masks)),
+    return (tree.names, tree.children, tree.ann_masks), tree.masks
+
+
+def _drw_state_key(tree: SafraTree, decode):
+    """Sort key of a DRW state: per node its name, children, states and owed indices.
+
+    The masks are read as sorted tuples, so the numbering does not depend
+    on the representation; then come the sorted E and F name sets.
+    """
+    owed = repeat(()) if tree.ann_masks is None else map(decode, tree.ann_masks)
+    return (
+        tuple(zip(tree.names, tree.children, map(decode, tree.masks), owed)),
+        tuple(sorted(tree.e_set)),
+        tuple(sorted(tree.f_set)),
     )
-    return shape, tuple(masks.values())
 
 
 def _to_drw(a: Automaton, step, start: SafraTree, name_count: int) -> Automaton:
     """Close a history-tree step under the alphabet; name i gives Rabin pair i.
 
-    A tree's successors are its `step_rows` row, keyed by the shape and the
-    images of its masks, so trees and letters with one key share one step;
-    the steps never read e_set or f_set, which the shape leaves out.
+    A tree's successors are its `step_rows` row, so trees and letters whose
+    shape and mask images agree share one step.
     """
+    decode = cache(mask_states)
     return explore(
         a,
         start,
         step_rows(a, step, _split),
-        SafraTree.key,
+        lambda tree: _drw_state_key(tree, decode),
         lambda trees: _rabin_condition(trees, name_count),
     )
 
@@ -244,14 +208,8 @@ def safra_determinize(a: Automaton) -> Automaton:
 
 def initial_streett_safra_tree(a: Automaton) -> SafraTree:
     k = len(a.acceptance.pairs)
-    m = a.state_count * (k + 1)
-    return SafraTree(
-        masks={1: 1 << a.initial},
-        children={1: ()},
-        e_set=set(range(2, m + 1)),
-        f_set=set(),
-        ann_masks={1: (1 << (k + 1)) - 2},
-    )
+    # bits 1..k: every pair index is owed
+    return _root_tree(a, a.state_count * (k + 1), ((1 << (k + 1)) - 2,))
 
 
 def streett_safra_step(

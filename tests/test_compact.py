@@ -21,6 +21,7 @@ from omegadet import (
     safra_determinize,
 )
 from omegadet import compact
+from omegadet.automata import mask_states
 from omegadet.compact import (
     EMPTY_TREE,
     CompactSafraTree,
@@ -73,7 +74,7 @@ class TestBuchiStep:
     def test_initial_tree(self, inf_a):
         tree = initial_compact_tree(inf_a)
         assert tree.parents == (0,)
-        assert tree.labels == (frozenset({0}),)
+        assert _states(tree.masks) == ((0,),)
 
     def test_progress_step_goes_green(self, inf_a):
         # delta({0}, a) = {1} is swallowed by the root's child, so the root
@@ -82,13 +83,13 @@ class TestBuchiStep:
         tree, priority = compact_step(initial_compact_tree(inf_a), "a", inf_a)
         assert priority == 0
         assert tree.parents == (0,)
-        assert tree.labels == (frozenset({1}),)
+        assert _states(tree.masks) == ((1,),)
         assert (tree.e, tree.f) == (2, 1)
 
     def test_waiting_step_is_odd(self, inf_a):
         tree, priority = compact_step(initial_compact_tree(inf_a), "b", inf_a)
         assert priority == 3
-        assert tree.labels == (frozenset({0}),)
+        assert _states(tree.masks) == ((0,),)
         assert (tree.e, tree.f) == (3, 3)
 
     def test_blocked_run_hits_the_sink(self):
@@ -166,8 +167,8 @@ class TestStreettStep:
             tree, priority = compact_streett_step(tree, "a", a)
             assert priority == 1
             assert (tree.e, tree.f) == (2, 2)
-            assert tree.labels == (frozenset({0}), frozenset({0}))
-            assert tree.anns == (frozenset({1}), frozenset())
+            assert _states(tree.masks) == ((0,), (0,))
+            assert _states(tree.ann_masks) == ((1,), ())
 
     def test_satisfied_pair_collapses_even(self):
         a = make_loop_nsw([((0,), (0,))])
@@ -227,20 +228,21 @@ class TestStreettDeterminize:
             )
 
 
-def _shape(tree):
-    return (tree.parents, tree.labels, tree.anns)
+def _states(masks):
+    """Each mask read as its ascending states (or pair indices)."""
+    return tuple(map(mask_states, masks))
 
 
 def _step_outputs(a, start, step):
     """Every (tree, symbol, step output) reachable from start, by shape."""
-    seen = {_shape(start)}
+    seen = {start}
     queue = [start]
     for tree in queue:
         for symbol in a.alphabet.symbols:
             out = step(tree, symbol, a)
             yield tree, symbol, out
-            if _shape(out[0]) not in seen:
-                seen.add(_shape(out[0]))
+            if out[0] not in seen:
+                seen.add(out[0])
                 queue.append(out[0])
 
 
@@ -280,11 +282,16 @@ class TestTreeIdentity:
 
     @pytest.mark.parametrize("a,step,initial,_", STEP_CASES)
     def test_step_outputs_hold_tuples_of_frozensets(self, a, step, initial, _):
+        """Read with `mask_states`, the masks give each name's label and owed set."""
+        pairs = len(getattr(a.acceptance, "pairs", ()))
         for _, _, (tree, _) in _step_outputs(a, initial(a), getattr(compact, step)):
             assert type(tree.parents) is tuple
-            assert type(tree.labels) is tuple and type(tree.anns) is tuple
-            assert all(type(label) is frozenset for label in tree.labels)
-            assert all(type(ann) is frozenset for ann in tree.anns)
+            assert type(tree.masks) is tuple and type(tree.ann_masks) is tuple
+            labels = [frozenset(states) for states in _states(tree.masks)]
+            assert all(label and max(label) < a.state_count for label in labels)
+            anns = [frozenset(owed) for owed in _states(tree.ann_masks)]
+            assert len(anns) == (len(labels) if pairs else 0)
+            assert all(owed <= set(range(1, pairs + 1)) for owed in anns)
 
     @pytest.mark.parametrize("a,step,initial,determinize", STEP_CASES)
     def test_closure_steps_each_shape_and_letter_once(

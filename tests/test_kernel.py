@@ -2,14 +2,15 @@
 
 Tree labels are state masks (bit s for state s).  Each automaton holds,
 per symbol, a memo of the images of the masks asked for, whose one-state
-entries are read off the transitions; the compact trees compare and hash
-by their masks and read them back as frozensets.
+entries are read off the transitions; the compact and reference trees
+compare and hash by their masks, which `mask_states` reads back.
 """
 
 import hashlib
 import random
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from functools import cached_property
 
@@ -235,9 +236,8 @@ class TestMaskTrees:
         tree = CompactSafraTree(
             (0, 1), (0b1011 | 1 << 70, 0b10), e=3, f=1, ann_masks=(0b110, 0b10)
         )
-        assert tree.labels == (frozenset({0, 1, 3, 70}), frozenset({1}))
-        assert tree.anns == (frozenset({1, 2}), frozenset({1}))
-        assert [sorted(label) for label in tree.labels] == [[0, 1, 3, 70], [1]]
+        assert tuple(map(mask_states, tree.masks)) == ((0, 1, 3, 70), (1,))
+        assert tuple(map(mask_states, tree.ann_masks)) == ((1, 2), (1,))
 
     def test_bookmarks_stay_out_of_equality_and_hash(self):
         one = CompactSafraTree((0, 1), (0b11, 0b10), e=2, f=1)
@@ -256,37 +256,81 @@ class TestMaskTrees:
 
     @pytest.mark.parametrize("streett", [False, True], ids=["buchi", "streett"])
     def test_reference_trees_are_mask_records(self, streett):
-        """Every reachable reference tree holds int masks; label and ann read them."""
-        for seed in range(10):
-            if streett:
-                a, step = random_nsw(3, 2, seed), safra.streett_safra_step
-                start = safra.initial_streett_safra_tree(a)
-            else:
-                a, step = random_nbw(4, seed), safra.safra_step
-                start = safra.initial_safra_tree(a)
-            seen, todo = {start}, [start]
-            while todo:
-                tree = todo.pop()
-                assert all(type(m) is int for m in tree.masks.values())
-                assert all(type(cs) is tuple for cs in tree.children.values())
+        """Every reachable reference tree is a record of name-ordered int tuples."""
+        for a, step, start in _reference_cases(streett):
+            for tree in _reachable(a, step, start):
+                names = tree.names
+                assert type(names) is tuple and list(names) == sorted(set(names))
+                assert type(tree.masks) is tuple and len(tree.masks) == len(names)
+                assert all(type(m) is int and m for m in tree.masks)
+                assert type(tree.children) is tuple and len(tree.children) == len(names)
+                for kids in tree.children:
+                    assert type(kids) is tuple and set(kids) <= set(names)
                 assert type(tree.e_set) is frozenset and type(tree.f_set) is frozenset
-                assert tree.label == {
-                    v: frozenset(mask_states(m)) for v, m in tree.masks.items()
-                }
-                if streett:
-                    owed = tree.ann_masks or {}
-                    assert owed.keys() == tree.masks.keys()
-                    assert all(type(m) is int for m in owed.values())
-                    assert (tree.ann or {}) == {
-                        v: frozenset(mask_states(m)) for v, m in owed.items()
-                    }
+                owed = tree.ann_masks
+                if streett and names:
+                    assert type(owed) is tuple and len(owed) == len(names)
+                    assert all(type(m) is int for m in owed)
                 else:
-                    assert tree.ann_masks is None
+                    assert owed is None
+
+    @pytest.mark.parametrize("streett", [False, True], ids=["buchi", "streett"])
+    def test_equal_reference_trees_share_one_step_per_letter(self, streett):
+        """A tree equal to one reached before, by another path, costs no step.
+
+        Its names are ascending like every tree's, so its `step_rows` shape
+        and masks are those of the tree first reached.
+        """
+        shared = 0
+        for a, step, start in _reference_cases(streett):
+            calls = 0
+
+            def counting(*args):
+                nonlocal calls
+                calls += 1
+                return step(*args)
+
+            row = step_rows(a, counting, safra._split)
+            trees = _reachable(a, step, start)
+            first = {tree: tree for tree in trees}
+            for tree in trees:
+                row(tree)
+            assert calls <= len(trees) * len(a.alphabet)
+            paths = Counter()
+            for tree in trees:
                 for symbol in a.alphabet.symbols:
-                    after = step(tree, symbol, a)
-                    if after not in seen:
-                        seen.add(after)
-                        todo.append(after)
+                    again = step(tree, symbol, a)  # a new object
+                    known = first[again]
+                    before = calls
+                    assert row(again) == row(known) and calls == before
+                    paths[known] += 1
+            shared += sum(count > 1 for count in paths.values())
+        assert shared
+
+
+def _reference_cases(streett):
+    """(source, step, initial tree) of the reference construction on ten sources."""
+    if streett:
+        return [
+            (a, safra.streett_safra_step, safra.initial_streett_safra_tree(a))
+            for a in (random_nsw(3, 2, seed) for seed in range(10))
+        ]
+    return [
+        (a, safra.safra_step, safra.initial_safra_tree(a))
+        for a in (random_nbw(4, seed) for seed in range(10))
+    ]
+
+
+def _reachable(a, step, start):
+    """The trees reachable from start by direct step calls, breadth first."""
+    seen, todo = {start}, [start]
+    for tree in todo:  # `todo` grows while it is walked
+        for symbol in a.alphabet.symbols:
+            after = step(tree, symbol, a)
+            if after not in seen:
+                seen.add(after)
+                todo.append(after)
+    return todo
 
 
 # (module, step name, its initial tree, the sources); the sources are those
@@ -312,7 +356,7 @@ def _signature(out):
     if isinstance(out, tuple):
         tree, priority = out
         return tree.parents, tree.masks, tree.ann_masks, tree.e, tree.f, priority
-    return out.key()
+    return safra._drw_state_key(out, mask_states)
 
 
 class TestStepRowKeys:
@@ -353,10 +397,11 @@ class TestStepRowKeys:
         a = Automaton(
             Alphabet(("a",)), 3, 0, {(s, "a"): {s} for s in range(3)}, BuchiAcceptance(())
         )
-        kids = {1: (2, 3), 2: (), 3: ()}
-        one = safra.SafraTree({1: 0b111, 2: 0b010, 3: 0b100}, kids, (), ())
-        two = safra.SafraTree({1: 0b111, 3: 0b010, 2: 0b100}, kids, (), ())
-        assert list(one.masks.values()) == list(two.masks.values())
+        names, kids, none = (1, 2, 3), ((2, 3), (), ()), frozenset()
+        one = safra.SafraTree(names, (0b111, 0b010, 0b100), kids, None, none, none)
+        two = safra.SafraTree(names, (0b111, 0b100, 0b010), kids, None, none, none)
+        assert safra._split(one)[0] == safra._split(two)[0]
+        assert sorted(one.masks) == sorted(two.masks)
         assert safra.safra_step(one, "a", a) != safra.safra_step(two, "a", a)
         row = step_rows(a, safra.safra_step, safra._split)
         assert row(one) != row(two)
@@ -369,7 +414,7 @@ FULL3_PINS = [
     pytest.param(compact, "compact_step", nbw_to_dpw, 225, 51,
                  "2c119e61e51c228e0a5ec5da2017eba8eeb0c3ec8480e2a405e19fdfbfa7566f",
                  id="nbw_to_dpw"),
-    pytest.param(safra, "safra_step", safra_determinize, 630, 56,
+    pytest.param(safra, "safra_step", safra_determinize, 441, 56,
                  "ce409a4a48932440f42741754f98f664a2c6c0f7d1b6bc1172a5cc7d5c9d541d",
                  id="safra_determinize"),
 ]

@@ -13,6 +13,7 @@ from omegadet import (
     streett_safra_determinize,
     streett_safra_step,
 )
+from omegadet.automata import mask_states
 from omegadet.safra import (
     SafraTree,
     initial_safra_tree,
@@ -24,11 +25,22 @@ from omegadet.random_gen import random_nbw, random_nsw
 from conftest import make_loop_nsw
 
 
+def _labels(tree):
+    """Each node name with its states, ascending."""
+    return dict(zip(tree.names, map(mask_states, tree.masks)))
+
+
+def _anns(tree):
+    """Each node name with the pair indices it still owes, ascending."""
+    return dict(zip(tree.names, map(mask_states, tree.ann_masks)))
+
+
 class TestBuchiTrees:
     def test_initial_tree(self, inf_a):
         tree = initial_safra_tree(inf_a)
-        assert tree.label == {1: frozenset({0})}
-        assert tree.children == {1: ()}
+        assert _labels(tree) == {1: (0,)}
+        assert tree.children == ((),)
+        assert tree.ann_masks is None
         assert tree.e_set == frozenset({2})
         assert tree.f_set == frozenset()
 
@@ -37,19 +49,23 @@ class TestBuchiTrees:
         # the whole label, the root collapses green, name 2 stays unused.
         tree = safra_step(initial_safra_tree(inf_a), "a", inf_a)
         assert tree == SafraTree(
-            masks={1: 0b10},
-            children={1: ()},
-            e_set={2},
-            f_set={1},
+            names=(1,),
+            masks=(0b10,),
+            children=((),),
+            ann_masks=None,
+            e_set=frozenset({2}),
+            f_set=frozenset({1}),
         )
 
     def test_step_on_b_keeps_waiting(self, inf_a):
         tree = safra_step(initial_safra_tree(inf_a), "b", inf_a)
         assert tree == SafraTree(
-            masks={1: 0b01},
-            children={1: ()},
-            e_set={2},
-            f_set=(),
+            names=(1,),
+            masks=(0b01,),
+            children=((),),
+            ann_masks=None,
+            e_set=frozenset({2}),
+            f_set=frozenset(),
         )
 
     def test_f_marks_do_not_linger(self, inf_a):
@@ -68,7 +84,8 @@ class TestBuchiTrees:
             acceptance=BuchiAcceptance(frozenset({0})),
         )
         dead = safra_step(initial_safra_tree(blocked), "b", blocked)
-        assert dead.label == {}
+        assert dead.names == dead.masks == dead.children == ()
+        assert dead.e_set == frozenset({1})
         assert safra_step(dead, "a", blocked) == dead
 
 
@@ -102,8 +119,8 @@ class TestBuchiDeterminize:
 class TestStreettTrees:
     def test_initial_tree(self, fair_nsw):
         tree = initial_streett_safra_tree(fair_nsw)
-        assert tree.label == {1: frozenset({0})}
-        assert tree.ann == {1: frozenset({1})}
+        assert _labels(tree) == {1: (0,)}
+        assert _anns(tree) == {1: (1,)}
         # m = n(k+1) = 4 names in play
         assert tree.e_set == frozenset({2, 3, 4})
 
@@ -114,8 +131,9 @@ class TestStreettTrees:
         tree = initial_streett_safra_tree(a)
         for symbol in ("a", "b", "a", "a"):
             tree = streett_safra_step(tree, symbol, a)
-            assert tree.label == {1: frozenset({0}), 2: frozenset({0})}
-            assert tree.ann == {1: frozenset({1}), 2: frozenset()}
+            assert _labels(tree) == {1: (0,), 2: (0,)}
+            assert _anns(tree) == {1: (1,), 2: ()}
+            assert tree.children == ((2,), ())
             assert tree.e_set == frozenset({2})
             assert tree.f_set == frozenset()
 
@@ -130,7 +148,7 @@ class TestStreettTrees:
         a = make_loop_nsw([])
         tree = streett_safra_step(initial_streett_safra_tree(a), "b", a)
         assert tree.f_set == frozenset({1})
-        assert tree.label == {1: frozenset({0})}
+        assert _labels(tree) == {1: (0,)}
 
 
 class TestStreettDeterminize:

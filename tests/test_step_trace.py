@@ -4,7 +4,8 @@ test_golden.py pins the emitted automata, which erase the e/f bookmarks of
 the compact trees: when f < e the priority ignores e, so a wrong e can go
 unseen there.  These digests pin, for every step reachable from the
 initial tree, the successor tree together with its bookmarks and priority
-(compact steps) or its full key with the E and F name sets (Safra steps).
+(compact steps) or its DRW state key, which holds the E and F name sets
+(Safra steps).  Every tree's masks are read as sorted tuples.
 """
 
 import hashlib
@@ -13,6 +14,7 @@ from collections import deque
 import pytest
 
 from omegadet import compact, safra
+from omegadet.automata import mask_states
 from omegadet.random_gen import random_nbw, random_nsw
 
 SEEDS = range(30)
@@ -57,9 +59,9 @@ GOLDEN = {
 }
 
 
-def _trace(a, start, step, identity, record, digest) -> None:
+def _trace(a, start, step, record, digest) -> None:
     """Feed the record of every step reachable from start, breadth first."""
-    seen = {identity(start)}
+    seen = {start}
     queue = deque([start])
     while queue:
         tree = queue.popleft()
@@ -67,25 +69,25 @@ def _trace(a, start, step, identity, record, digest) -> None:
             out = step(tree, symbol, a)
             digest.update(f"{record(out)!r}\n".encode("utf-8"))
             nxt = out[0] if isinstance(out, tuple) else out
-            if identity(nxt) not in seen:
-                seen.add(identity(nxt))
+            if nxt not in seen:
+                seen.add(nxt)
                 queue.append(nxt)
-
-
-def _compact_identity(tree):
-    return (tree.parents, tree.labels, tree.anns)
 
 
 def _compact_record(out):
     tree, priority = out
     return (
         tree.parents,
-        tuple(tuple(sorted(l)) for l in tree.labels),
-        tuple(tuple(sorted(h)) for h in tree.anns),
+        tuple(map(mask_states, tree.masks)),
+        tuple(map(mask_states, tree.ann_masks)),
         tree.e,
         tree.f,
         priority,
     )
+
+
+def _safra_record(tree):
+    return safra._drw_state_key(tree, mask_states)
 
 
 def _nbw(n):
@@ -98,20 +100,15 @@ def _nsw(n, k):
 
 CASES = {
     "compact_step": (
-        compact.initial_compact_tree, compact.compact_step,
-        _compact_identity, _compact_record,
+        compact.initial_compact_tree, compact.compact_step, _compact_record,
     ),
     "compact_streett_step": (
         compact.initial_compact_streett_tree, compact.compact_streett_step,
-        _compact_identity, _compact_record,
+        _compact_record,
     ),
-    "safra_step": (
-        safra.initial_safra_tree, safra.safra_step,
-        safra.SafraTree.key, safra.SafraTree.key,
-    ),
+    "safra_step": (safra.initial_safra_tree, safra.safra_step, _safra_record),
     "streett_safra_step": (
-        safra.initial_streett_safra_tree, safra.streett_safra_step,
-        safra.SafraTree.key, safra.SafraTree.key,
+        safra.initial_streett_safra_tree, safra.streett_safra_step, _safra_record,
     ),
 }
 
@@ -136,10 +133,10 @@ PINS = {
 @pytest.mark.parametrize("name", list(GOLDEN))
 def test_step_trace_is_pinned(name):
     case, source = PINS[name]
-    initial, step, identity, record = CASES[case]
+    initial, step, record = CASES[case]
     digest = hashlib.sha256()
     for seed in SEEDS:
         a = source(seed)
         digest.update(f"seed {seed}\n".encode("utf-8"))
-        _trace(a, initial(a), step, identity, record, digest)
+        _trace(a, initial(a), step, record, digest)
     assert digest.hexdigest() == GOLDEN[name]

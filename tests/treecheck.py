@@ -4,6 +4,7 @@ import random
 from collections import defaultdict
 
 from omegadet import Automaton
+from omegadet.automata import mask_states
 from omegadet.compact import (
     CompactSafraTree,
     compact_step,
@@ -21,9 +22,11 @@ def assert_tree_invariants(tree, priority: int, name_bound: int, pair_count=None
     variant; pair_count enables the annotation checks.
     """
     count = len(tree.parents)
-    assert len(tree.labels) == count
+    labels = [frozenset(mask_states(m)) for m in tree.masks]
+    anns = [frozenset(mask_states(m)) for m in tree.ann_masks]
+    assert len(labels) == count
     if pair_count is not None:
-        assert len(tree.anns) == count
+        assert len(anns) == count
 
     if count == 0:
         # rejecting sink: no tree, constant odd priority
@@ -36,18 +39,18 @@ def assert_tree_invariants(tree, priority: int, name_bound: int, pair_count=None
     for i in range(1, count):
         assert 1 <= tree.parents[i] <= i
 
-    for label in tree.labels:
+    for label in labels:
         assert label, "empty node survived a step"
 
     children = defaultdict(list)
     for i in range(1, count):
         children[tree.parents[i]].append(i + 1)
     for parent, kids in children.items():
-        parent_label = tree.labels[parent - 1]
+        parent_label = labels[parent - 1]
         union = set()
         occupancy = 0
         for kid in kids:
-            kid_label = tree.labels[kid - 1]
+            kid_label = labels[kid - 1]
             assert kid_label <= parent_label
             union |= kid_label
             occupancy += len(kid_label)
@@ -62,9 +65,9 @@ def assert_tree_invariants(tree, priority: int, name_bound: int, pair_count=None
     if pair_count is not None:
         full = set(range(1, pair_count + 1))
         for i in range(count):
-            assert set(tree.anns[i]) <= full
+            assert set(anns[i]) <= full
         for i in range(1, count):
-            assert tree.anns[i] <= tree.anns[tree.parents[i] - 1]
+            assert anns[i] <= anns[tree.parents[i] - 1]
 
 
 def drive_buchi(a: Automaton, rng: random.Random, steps: int):
