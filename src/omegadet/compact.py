@@ -6,6 +6,13 @@ the smallest name whose node was deleted (e) and the smallest name whose
 node finished a round (f).  Ordering the two events by name yields a
 min-even parity condition, so the deterministic automaton needs no pair
 bookkeeping at all — just one priority per transition target.
+
+Names also order the tree: a parent is named before its children and an
+older sibling before a younger one.  So the Buchi step is a few passes in
+name order over flat lists indexed by name.  The Streett step settles
+siblings by owed index, not by name, and edits a `WorkTree` instead
+(`_open`, then `_close`).  Both steps end in `_renamed`, which renames the
+survivors 1..N and prices the step.
 """
 
 from __future__ import annotations
@@ -77,35 +84,48 @@ def _open(tree: CompactSafraTree, symbol: str, a: Automaton) -> WorkTree:
     return WorkTree(label, kids, ann, len(label))
 
 
-def _close(t: WorkTree, f: int, bound: int):
-    """Sweep emptied nodes, rename the survivors 1..N in order, price the step.
+def _renamed(survivors, par, label, ann, last: int, f: int, bound: int):
+    """The survivors renamed 1..N in order, as a tree, and the step's priority.
 
-    e is the smallest removed name, or bound when nothing was removed.
-    Names grow from parent to child, so the smallest name of a removed
-    subtree is its root; every name below e survives, and a tree holds
-    fewer than bound nodes, so e never exceeds bound.  Removed sets are
-    closed under subtrees, so each survivor's parent survives too.
-    Returns the successor tree and its priority.
+    survivors are ascending old names, each with its parent among them;
+    par, label and ann (None for Buchi) are read by old name, and par[1]
+    is 0.  last is the last name the step handed out.  e is the smallest
+    removed name, or bound when nothing was removed.  Names grow from
+    parent to child, so the smallest name of a removed subtree is its
+    root; every name below e survives, and a tree holds fewer than bound
+    nodes, so e never exceeds bound.
+    """
+    if not survivors or survivors[0] != 1:
+        return EMPTY_TREE, 1
+    count = len(survivors)
+    e = bound
+    if count < last:
+        e = next((i for i, v in enumerate(survivors, 1) if i != v), count + 1)
+    new = dict(zip(survivors, range(1, count + 1)))
+    new[0] = 0
+    out = CompactSafraTree(
+        parents=tuple(map(new.__getitem__, map(par.__getitem__, survivors))),
+        masks=tuple(map(label.__getitem__, survivors)),
+        e=e,
+        f=f,
+        ann_masks=() if ann is None else tuple(map(ann.__getitem__, survivors)),
+    )
+    return out, priority_of(e, f)
+
+
+def _close(t: WorkTree, f: int, bound: int):
+    """Sweep emptied and cut nodes of a `WorkTree`, then rename and price the step.
+
+    Removed sets are closed under subtrees, and a child's label is a
+    subset of its parent's, so each survivor's parent survives too.
     """
     label, kids, removed = t.label, t.kids, t.removed
     # label holds every name 1..last in ascending order; deep nodes
     # emptied by ancestor-level removals are swept here
     survivors = [v for v, states in label.items() if states and v not in removed]
-    if not survivors or survivors[0] != 1:
-        return EMPTY_TREE, 1
-    count = len(survivors)
-    e = bound
-    if count < t.last:
-        e = next((i for i, v in enumerate(survivors, 1) if i != v), count + 1)
-    parent = {c: i for i, v in enumerate(survivors, 1) for c in kids[v]}
-    out = CompactSafraTree(
-        parents=(0, *map(parent.__getitem__, survivors[1:])),
-        masks=tuple(map(label.__getitem__, survivors)),
-        e=e,
-        f=f,
-        ann_masks=() if t.ann is None else tuple(map(t.ann.__getitem__, survivors)),
-    )
-    return out, priority_of(e, f)
+    par = {c: v for v in survivors for c in kids[v]}
+    par[1] = 0
+    return _renamed(survivors, par, label, t.ann, t.last, f, bound)
 
 
 def initial_compact_tree(a: Automaton) -> CompactSafraTree:
@@ -118,7 +138,9 @@ def compact_step(
     """One transition of the compact Buchi construction.
 
     Returns the successor tree and the priority of the transition; the
-    successor of the empty tree is the empty tree with priority 1.
+    successor of the empty tree is the empty tree with priority 1.  The
+    passes run over label and par, lists indexed by name, with the sprouts
+    appended after the old names.
     """
     if not isinstance(a.acceptance, BuchiAcceptance):
         raise ValueError("compact_step: Buchi acceptance required")
@@ -127,36 +149,51 @@ def compact_step(
     if count == 0:
         return EMPTY_TREE, 1
     alpha = a.acceptance.accepting_mask
-    t = _open(tree, symbol, a)
-    label, kids = t.label, t.kids
+    images = a.image_masks[symbol]
+    # label and par by name; index 0 stands for the root's missing parent
+    label = [0, *map(images.__getitem__, tree.masks)]
+    par = [0, *tree.parents]
 
-    # sprout: accepting part of each pre-existing label, names keep growing
+    # sprout: the accepting part of each old label, under names after the
+    # old ones, so every parent is named before its children
     for v in range(1, count + 1):
         birth = label[v] & alpha
         if birth:
-            t.sprout(v, birth)
+            label.append(birth)
+            par.append(v)
+    last = len(label) - 1
 
-    # duplicated states settle on the smaller-named sibling; every kids
-    # list is in name order, and parents come before their children
-    for sons in kids.values():
-        if len(sons) > 1:
-            t.settle(sons)
+    # settle, parents first and older siblings first: a node keeps what
+    # its parent kept and no older sibling claimed.  A child's label is a
+    # subset of its parent's, so a state settled away from a node leaves
+    # its whole subtree.  Afterwards claimed[v] is the union of v's children
+    claimed = [0] * (last + 1)
+    for v in range(2, last + 1):
+        p = par[v]
+        states = label[v] & label[p] & ~claimed[p]
+        label[v] = states
+        claimed[p] |= states
 
-    # a label covered by its children closes a round: keep the node, drop
-    # the subtree below it; label's keys are in name order
-    greens = []
-    for v, states in label.items():
-        covered = 0
-        for c in kids[v]:
-            covered |= label[c]
-        if states == covered:
-            greens.append(v)
-    for g in greens:
-        if g not in t.removed:
-            t.prune(g)
+    # a label its children cover closes a round (an emptied leaf too): the
+    # node stays and everything below it goes; f is the smallest such
+    # name, and the first found, as parents come before their children
+    f = 0
+    cut = [False] * (last + 1)
+    survivors = []
+    for v in range(1, last + 1):
+        if cut[par[v]]:
+            cut[v] = True
+            continue
+        states = label[v]
+        if states == claimed[v]:
+            cut[v] = True
+            if not f:
+                f = v
+        if states:
+            survivors.append(v)
 
     # empty nodes disappear too; the smallest deleted name is e
-    return _close(t, min(greens, default=n + 1), n + 1)
+    return _renamed(survivors, par, label, None, last, f or n + 1, n + 1)
 
 
 # ---------------------------------------------------------------------------

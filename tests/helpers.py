@@ -12,6 +12,7 @@ from omegadet import (
     StreettAcceptance,
 )
 from omegadet.automata import mask_states, reach
+from omegadet.compact import EMPTY_TREE, _close, _open
 from omegadet.lasso import _accepts_infinity_set, _fair_cycle, _sccs
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -131,6 +132,55 @@ def product_nsw_member(a: Automaton, lasso: Lasso) -> bool:
     """The Streett pairs over the product with the lasso's whole shape graph."""
     nodes, edges = _lasso_product(a, lasso, 1 << a.initial)
     return bool(_fair_cycle(_sccs(nodes, edges), edges, a.acceptance.pairs))
+
+
+# ---------------------------------------------------------------------------
+# The compact Buchi step on a WorkTree
+# ---------------------------------------------------------------------------
+
+
+def worktree_compact_step(tree, symbol: str, a: Automaton):
+    """The compact Buchi step as edits of a `WorkTree`, the reference for `compact_step`.
+
+    It sprouts, settles sibling lists in name order with `settle` (which
+    strips a duplicate state from the son's whole subtree), prunes below
+    every node its children cover, and sweeps and renames in `_close`.
+    """
+    n = a.state_count
+    count = len(tree.parents)
+    if count == 0:
+        return EMPTY_TREE, 1
+    alpha = a.acceptance.accepting_mask
+    t = _open(tree, symbol, a)
+    label, kids = t.label, t.kids
+
+    # sprout: accepting part of each pre-existing label, names keep growing
+    for v in range(1, count + 1):
+        birth = label[v] & alpha
+        if birth:
+            t.sprout(v, birth)
+
+    # duplicated states settle on the smaller-named sibling; every kids
+    # list is in name order, and parents come before their children
+    for sons in kids.values():
+        if len(sons) > 1:
+            t.settle(sons)
+
+    # a label covered by its children closes a round: keep the node, drop
+    # the subtree below it; label's keys are in name order
+    greens = []
+    for v, states in label.items():
+        covered = 0
+        for c in kids[v]:
+            covered |= label[c]
+        if states == covered:
+            greens.append(v)
+    for g in greens:
+        if g not in t.removed:
+            t.prune(g)
+
+    # empty nodes disappear too; the smallest deleted name is e
+    return _close(t, min(greens, default=n + 1), n + 1)
 
 
 # ---------------------------------------------------------------------------

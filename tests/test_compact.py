@@ -8,6 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omegadet import (
+    Alphabet,
+    Automaton,
+    BuchiAcceptance,
     Lasso,
     ParityAcceptance,
     compact_step,
@@ -21,7 +24,7 @@ from omegadet import (
     safra_determinize,
 )
 from omegadet import compact
-from omegadet.automata import mask_states
+from omegadet.automata import mask_states, state_mask
 from omegadet.compact import (
     EMPTY_TREE,
     CompactSafraTree,
@@ -32,7 +35,12 @@ from omegadet.lasso import enumerate_lassos
 from omegadet.random_gen import random_nbw, random_nsw
 
 from conftest import make_loop_nsw
-from helpers import build_lk_fixture, nsw_witness_union_nbw
+from helpers import (
+    build_lk_fixture,
+    full3,
+    nsw_witness_union_nbw,
+    worktree_compact_step,
+)
 from treecheck import assert_tree_invariants, drive_buchi, drive_streett
 
 # k -> states of the reference DRW of the L_k fixture
@@ -93,8 +101,6 @@ class TestBuchiStep:
         assert (tree.e, tree.f) == (3, 3)
 
     def test_blocked_run_hits_the_sink(self):
-        from omegadet import Alphabet, Automaton, BuchiAcceptance
-
         blocked = Automaton(
             alphabet=Alphabet(("a", "b")),
             state_count=1,
@@ -110,6 +116,41 @@ class TestBuchiStep:
         assert again == EMPTY_TREE
         assert (again.e, again.f) == (1, 1)
         assert priority == 1
+
+    def test_settled_state_leaves_the_grandchildren(self):
+        # letter a sends 3 to {0, 3}, so son 3 meets its older brother 2 on
+        # state 0; 3 keeps {1, 2, 3}, and 0 leaves its son 4 and its
+        # grandson 5 as well, which hold {2, 3} and {3} afterwards.  No
+        # label is covered and no name goes, so e = f = n + 1
+        a = _one_letter_nbw(5, {3: (0, 3)}, accepting=())
+        tree = _tree((0, 1, 1, 3, 4), ({0, 1, 2, 3, 4}, {0}, {1, 2, 3}, {2, 3}, {3}))
+        out, priority = _checked_step(tree, "a", a)
+        assert out.parents == (0, 1, 1, 3, 4)
+        assert _states(out.masks) == ((0, 1, 2, 3, 4), (0,), (1, 2, 3), (2, 3), (3,))
+        assert (out.e, out.f, priority) == (6, 6, 9)
+
+    def test_emptied_sprout_is_green_and_can_be_f(self):
+        # 1 sprouts {1} as name 3 and 2 sprouts {1} as name 4; the older
+        # son 2 holds 1, so sprout 3 is emptied.  An empty leaf equals the
+        # union of its children, none, so 3 is the first green name.  It is
+        # also the first name removed: e = f = 3, and the priority is odd
+        a = _one_letter_nbw(3, {}, accepting=(1,))
+        tree = _tree((0, 1), ({0, 1, 2}, {1, 2}))
+        out, priority = _checked_step(tree, "a", a)
+        assert out.parents == (0, 1, 2)
+        assert _states(out.masks) == ((0, 1, 2), (1, 2), (1,))
+        assert (out.e, out.f, priority) == (3, 3, 3)
+
+    def test_green_below_a_green_goes_with_its_subtree(self):
+        # letter a kills 2 and 3: 2 holds {1}, covered by its son 3, and
+        # so is 3 by its son 4.  Both are green; 2 keeps its name, 3 and 4
+        # go with the subtree below 2, f = 2 and e = 3, an even priority
+        a = _one_letter_nbw(4, {2: (), 3: ()}, accepting=())
+        tree = _tree((0, 1, 2, 3), ({0, 1, 2, 3}, {1, 2, 3}, {1, 2}, {1}))
+        out, priority = _checked_step(tree, "a", a)
+        assert out.parents == (0, 1)
+        assert _states(out.masks) == ((0, 1), (1,))
+        assert (out.e, out.f, priority) == (3, 2, 2)
 
 
 class TestBuchiDeterminize:
@@ -128,8 +169,6 @@ class TestBuchiDeterminize:
             assert run_deterministic(dpw, lasso).accepted == nbw_member(inf_a, lasso)
 
     def test_empty_alpha_language_is_empty(self):
-        from omegadet import Alphabet, Automaton, BuchiAcceptance
-
         hopeless = Automaton(
             alphabet=Alphabet(("a",)),
             state_count=1,
@@ -231,6 +270,34 @@ class TestStreettDeterminize:
 def _states(masks):
     """Each mask read as its ascending states (or pair indices)."""
     return tuple(map(mask_states, masks))
+
+
+def _one_letter_nbw(n, moves, accepting):
+    """An NBW on states 0..n-1 over {a}: a sends s to moves[s], or to s itself."""
+    return Automaton(
+        alphabet=Alphabet(("a",)),
+        state_count=n,
+        initial=0,
+        transitions={
+            (s, "a"): frozenset(targets)
+            for s in range(n)
+            if (targets := moves.get(s, (s,)))
+        },
+        acceptance=BuchiAcceptance(frozenset(accepting)),
+    )
+
+
+def _tree(parents, labels):
+    return CompactSafraTree(parents, tuple(map(state_mask, labels)), e=2, f=1)
+
+
+def _checked_step(tree, symbol, a):
+    """compact_step's output, after checking it against the WorkTree rule."""
+    out = compact_step(tree, symbol, a)
+    old = worktree_compact_step(tree, symbol, a)
+    assert out == old
+    assert (out[0].e, out[0].f) == (old[0].e, old[0].f)
+    return out
 
 
 def _step_outputs(a, start, step):
@@ -365,3 +432,79 @@ def test_streett_step_invariants_property(n, k, seed, word):
     for symbol in word:
         tree, priority = compact_streett_step(tree, symbol, a)
         assert_tree_invariants(tree, priority, n * (k + 1), pair_count=k)
+
+
+# Sources of the WorkTree comparison: small random NBWs, sparse
+# Tabakov-Vardi NBWs at three acceptance densities, and the 512-letter
+# full NBW on 3 states
+ORACLE_SOURCES = [
+    pytest.param([random_nbw(n, seed) for seed in range(20)], id=f"nbw{n}")
+    for n in range(1, 7)
+] + [
+    pytest.param(
+        [
+            random_nbw(n, seed, density=1.5 / n, acceptance_density=d)
+            for seed in range(10)
+        ],
+        id=f"tv{n}-{d}",
+    )
+    for n in (6, 10, 14)
+    for d in (0.1, 0.5, 0.9)
+] + [pytest.param([full3()], id="full3")]
+
+
+class TestBuchiStepMatchesWorkTree:
+    """The name-order passes give what the WorkTree edits give."""
+
+    @pytest.mark.parametrize("sources", ORACLE_SOURCES)
+    def test_every_reachable_step(self, sources):
+        for a in sources:
+            for tree, symbol, (out, priority) in _step_outputs(
+                a, initial_compact_tree(a), compact_step
+            ):
+                old, old_priority = worktree_compact_step(tree, symbol, a)
+                assert (out, priority) == (old, old_priority), (tree, symbol)
+                assert (out.e, out.f) == (old.e, old.f), (tree, symbol)
+
+
+@st.composite
+def _nbw_and_tree(draw):
+    """A random NBW and a compact tree on its states, reachable or not.
+
+    Each new node takes a parent named before it and a nonempty part of
+    what the parent holds and no older sibling does, so the tree meets
+    `assert_tree_invariants`; it has at most n nodes.
+    """
+    n = draw(st.integers(min_value=1, max_value=6))
+    a = random_nbw(
+        n,
+        draw(st.integers(min_value=0, max_value=5_000)),
+        acceptance_density=draw(st.sampled_from([0.1, 0.5, 0.9])),
+    )
+    root = draw(st.integers(min_value=1, max_value=(1 << n) - 1))
+    parents, masks, free = [0], [root], [root]
+    for _ in range(draw(st.integers(min_value=0, max_value=n - 1))):
+        open_names = [v for v, room in enumerate(free, 1) if room]
+        if not open_names:
+            break
+        p = draw(st.sampled_from(open_names))
+        mask = draw(st.integers(min_value=1, max_value=free[p - 1])) & free[p - 1]
+        mask = mask or free[p - 1] & -free[p - 1]
+        free[p - 1] &= ~mask
+        parents.append(p)
+        masks.append(mask)
+        free.append(mask)
+    tree = CompactSafraTree(tuple(parents), tuple(masks), e=2, f=1)
+    return a, tree, draw(st.sampled_from(a.alphabet.symbols))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_nbw_and_tree())
+def test_buchi_step_matches_worktree_on_any_tree(case):
+    a, tree, symbol = case
+    assert_tree_invariants(tree, priority_of(tree.e, tree.f), a.state_count)
+    out, priority = compact_step(tree, symbol, a)
+    old, old_priority = worktree_compact_step(tree, symbol, a)
+    assert (out, priority) == (old, old_priority)
+    assert (out.e, out.f) == (old.e, old.f)
+    assert_tree_invariants(out, priority, a.state_count)
