@@ -8,11 +8,12 @@ min-even parity condition, so the deterministic automaton needs no pair
 bookkeeping at all — just one priority per transition target.
 
 Names also order the tree: a parent is named before its children and an
-older sibling before a younger one.  So the Buchi step is a few passes in
-name order over flat lists indexed by name.  The Streett step settles
-siblings by owed index, not by name, and edits a `WorkTree` instead
-(`_open`, then `_close`).  Both steps end in `_renamed`, which renames the
-survivors 1..N and prices the step.
+older sibling before a younger one.  So both steps work on flat lists
+indexed by name, with fresh names appended: the Buchi step is a few passes
+in name order, and the Streett step a walk over the sons, which settles
+siblings by owed index, then one pass in name order that drops what the
+walk emptied or cut.  Both end in `_renamed`, which renames the survivors
+1..N and prices the step.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from omegadet.automata import (
     BuchiAcceptance,
     ParityAcceptance,
     StreettAcceptance,
-    WorkTree,
     explore,
     mask_states,
     step_rows,
@@ -72,18 +72,6 @@ def priority_of(e: int, f: int) -> int:
 EMPTY_TREE = CompactSafraTree(parents=(), masks=(), e=1, f=1)
 
 
-def _open(tree: CompactSafraTree, symbol: str, a: Automaton) -> WorkTree:
-    """Working copy of a tree after reading symbol; fresh names follow the last one."""
-    images = a.image_masks[symbol]
-    label = {v: images[m] for v, m in enumerate(tree.masks, 1)}
-    kids: dict[int, list[int]] = {v: [] for v in label}
-    for v, p in enumerate(tree.parents, 1):
-        if p:
-            kids[p].append(v)
-    ann = dict(enumerate(tree.ann_masks, 1)) if tree.ann_masks else None
-    return WorkTree(label, kids, ann, len(label))
-
-
 def _renamed(survivors, par, label, ann, last: int, f: int, bound: int):
     """The survivors renamed 1..N in order, as a tree, and the step's priority.
 
@@ -111,21 +99,6 @@ def _renamed(survivors, par, label, ann, last: int, f: int, bound: int):
         ann_masks=() if ann is None else tuple(map(ann.__getitem__, survivors)),
     )
     return out, priority_of(e, f)
-
-
-def _close(t: WorkTree, f: int, bound: int):
-    """Sweep emptied and cut nodes of a `WorkTree`, then rename and price the step.
-
-    Removed sets are closed under subtrees, and a child's label is a
-    subset of its parent's, so each survivor's parent survives too.
-    """
-    label, kids, removed = t.label, t.kids, t.removed
-    # label holds every name 1..last in ascending order; deep nodes
-    # emptied by ancestor-level removals are swept here
-    survivors = [v for v, states in label.items() if states and v not in removed]
-    par = {c: v for v in survivors for c in kids[v]}
-    par[1] = 0
-    return _renamed(survivors, par, label, t.ann, t.last, f, bound)
 
 
 def initial_compact_tree(a: Automaton) -> CompactSafraTree:
@@ -228,25 +201,39 @@ def compact_streett_step(
     if not isinstance(a.acceptance, StreettAcceptance):
         raise ValueError("compact_streett_step: Streett acceptance required")
     pairs = a.acceptance.pair_masks
-    n = a.state_count
-    m = n * (len(pairs) + 1)
-    count = len(tree.parents)
-    if count == 0:
+    m = a.state_count * (len(pairs) + 1)
+    if not tree.parents:
         return EMPTY_TREE, 1
+    # index 0 stands for the root's missing parent
+    label = [0, *map(a.image_masks[symbol].__getitem__, tree.masks)]
+    par = [0, *tree.parents]
+    ann = [0, *tree.ann_masks]
+    kids: list[list[int]] = [[] for _ in label]
+    for v, p in enumerate(tree.parents[1:], 2):
+        kids[p].append(v)
+    # cut[v]: v finished a round, so it stays and everything below it goes
+    cut = [False] * len(label)
 
-    t = _open(tree, symbol, a)
-    label, kids, ann = t.label, t.kids, t.ann
-    finished: set[int] = set()
+    def sprout(owner: int, states: int, owed: int) -> None:
+        kids[owner].append(len(label))
+        kids.append([])
+        label.append(states)
+        par.append(owner)
+        ann.append(owed)
+        cut.append(False)
 
+    # post-order over the sons, oldest first; kids[v] stays ascending.  A
+    # state taken from a son leaves the son's label only: the walk reads
+    # no deeper label afterwards, and the sweep below clears the rest
     def process(v: int) -> None:
         owed = ann[v]
         if not kids[v]:
             if not owed:
                 # nothing owed: the empty round completes on every letter
-                finished.add(v)
+                cut[v] = True
                 return
-            t.sprout(v, label[v], owed ^ _top_bit(owed))
-        sons = sorted(kids[v])
+            sprout(v, label[v], owed ^ _top_bit(owed))
+        sons = kids[v][:]
         for c in sons:
             process(c)
         for c in sons:
@@ -262,22 +249,30 @@ def compact_streett_step(
             r_owed = owed ^ _top_bit(lower) if lower else owed
             moving = label[c] & (r_j | g_j)
             if moving:
-                t.strip(c, moving)
+                label[c] &= ~moving
                 for s in mask_states(moving):
                     hit = 1 << s
-                    t.sprout(v, hit, r_owed if hit & r_j else owed ^ missing)
-        # duplicated states settle on the son owing the smallest index,
-        # ties on name; a son owes at most one index fewer than v, so its
-        # missing mask orders as that index
-        t.settle(sorted(kids[v], key=lambda c: (owed & ~ann[c], c)))
-        # emptied sons leave; _close sweeps their empty subtrees
-        kids[v] = [c for c in kids[v] if label[c]]
-        if kids[v] and all(ann[c] == owed for c in kids[v]):
-            t.prune(v)
-            finished.add(v)
+                    sprout(v, hit, r_owed if hit & r_j else owed ^ missing)
+        # duplicated states settle on the son owing the smallest index; a
+        # son owes at most one index fewer than v, so its missing mask
+        # orders as that index, and the stable sort breaks ties on name
+        claimed = 0
+        for c in sorted(kids[v], key=lambda c: owed & ~ann[c]):
+            label[c] &= ~claimed
+            claimed |= label[c]
+        # emptied sons leave, and the sweep drops their subtrees
+        alive = [c for c in kids[v] if label[c]]
+        cut[v] = bool(alive) and all(ann[c] == owed for c in alive)
 
     process(1)
-    return _close(t, min(finished, default=m + 1), m + 1)
+    # parents first: the children of a cut node go, and any other node
+    # keeps what its parent kept, so a state taken from a node leaves its
+    # whole subtree, and an emptied node takes its subtree along
+    for v, p in enumerate(par[2:], 2):
+        label[v] = 0 if cut[p] else label[v] & label[p]
+    survivors = [v for v in range(1, len(label)) if label[v]]
+    f = cut.index(True) if True in cut else m + 1
+    return _renamed(survivors, par, label, ann, len(label) - 1, f, m + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -93,11 +93,15 @@ def run_deterministic(a: Automaton, lasso: Lasso) -> CycleVerdict:
     transitions = a.transitions
     prefix, period = lasso.prefix, lasso.period
     state = a.initial
-    for sym in prefix:
-        (state,) = transitions[state, sym]
+    try:
+        for sym in prefix:
+            (state,) = transitions[state, sym]
+    except KeyError:  # the table is total, so a symbol is unknown
+        _check_symbols(a, prefix, "run_deterministic")
     key = ("d", period)
     runs = memo.get(key)
     if runs is None:
+        _check_symbols(a, period, "run_deterministic")
         runs = memo[key] = ({}, [])
     walked, cycles = runs
     width = len(period)
@@ -244,18 +248,12 @@ def _memo(a: Automaton) -> dict:
     return memo
 
 
-def _start(a: Automaton, lasso: Lasso) -> tuple[dict, int]:
-    """The automaton's memo and δ(I, u) for a lasso u·v^ω."""
-    memo = _memo(a)
-    key = ("u", lasso.prefix)
-    start = memo.get(key)
-    if start is None:
-        images = a.image_masks
-        start = 1 << a.initial
-        for x in lasso.prefix:
-            start = images[x][start]
-        memo[key] = start
-    return memo, start
+def _check_symbols(a: Automaton, word: tuple[str, ...], oracle: str) -> None:
+    """Raise ValueError naming the first symbol of word outside a's alphabet."""
+    position = a.alphabet.position
+    for symbol in word:
+        if symbol not in position:
+            raise ValueError(f"{oracle}: symbol {symbol!r} is not in the alphabet")
 
 
 def _classify_buchi(
@@ -331,17 +329,28 @@ def _classify_streett(
     return explored, good | state_mask(state for state, pos in marked if not pos)
 
 
-def _member(a: Automaton, lasso: Lasso, classify) -> bool:
+def _member(a: Automaton, lasso: Lasso, classify, oracle: str) -> bool:
     """The lasso's verdict, read off its period's (explored, good) masks.
 
     `classify` extends them first if δ(I, u) holds states that no earlier
-    query with this period explored.
+    query with this period explored.  A word's symbols are checked before
+    its first memo entry, so a bad query leaves the memo as it was.
     """
-    memo, start = _start(a, lasso)
-    key = ("v", lasso.period)
-    explored, good = memo.get(key, (0, 0))
+    memo = _memo(a)
+    prefix, period = lasso.prefix, lasso.period
+    masks = memo.get(("v", period))
+    start = memo.get(("u", prefix))
+    if masks is None or start is None:
+        _check_symbols(a, prefix + period, oracle)
+    if start is None:
+        images = a.image_masks
+        start = 1 << a.initial
+        for x in prefix:
+            start = images[x][start]
+        memo["u", prefix] = start
+    explored, good = masks or (0, 0)
     if start & ~explored:
-        explored, good = memo[key] = classify(a, lasso.period, start, explored, good)
+        explored, good = memo["v", period] = classify(a, period, start, explored, good)
     return bool(start & good)
 
 
@@ -358,7 +367,7 @@ def nbw_member(a: Automaton, lasso: Lasso) -> bool:
     """
     if not isinstance(a.acceptance, BuchiAcceptance):
         raise ValueError("nbw_member: Buchi acceptance required")
-    return _member(a, lasso, _classify_buchi)
+    return _member(a, lasso, _classify_buchi, "nbw_member")
 
 
 def nsw_member(a: Automaton, lasso: Lasso) -> bool:
@@ -372,7 +381,7 @@ def nsw_member(a: Automaton, lasso: Lasso) -> bool:
     """
     if not isinstance(a.acceptance, StreettAcceptance):
         raise ValueError("nsw_member: Streett acceptance required")
-    return _member(a, lasso, _classify_streett)
+    return _member(a, lasso, _classify_streett, "nsw_member")
 
 
 def lasso_member(a: Automaton, lasso: Lasso) -> bool:

@@ -8,16 +8,16 @@ compact parity constructions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from itertools import repeat
+from typing import Iterable
 
 from omegadet.automata import (
     Automaton,
     BuchiAcceptance,
     RabinAcceptance,
     StreettAcceptance,
-    WorkTree,
     explore,
     mask_states,
     step_rows,
@@ -44,6 +44,80 @@ class SafraTree:
     ann_masks: tuple[int, ...] | None
     e_set: frozenset[int]
     f_set: frozenset[int]
+
+
+@dataclass(eq=False, slots=True)
+class WorkTree:
+    """A history tree that one step edits in place.
+
+    label, kids and ann map each name to its states as a mask (see
+    `state_mask`), its children oldest first and the pair indices it still
+    owes as a mask (ann is None for Buchi trees).  last is the last name
+    handed out and removed holds the names cut so far.  A child's label is
+    a subset of its parent's, so a node whose label empties has an empty
+    subtree.
+    """
+
+    label: dict[int, int]
+    kids: dict[int, list[int]]
+    ann: dict[int, int] | None
+    last: int
+    removed: set[int] = field(default_factory=set)
+
+    def preorder(self, v: int) -> list[int]:
+        """Names of v's subtree, each before its children, oldest child first."""
+        kids = self.kids
+        names = []
+        stack = [v]
+        while stack:
+            x = stack.pop()
+            names.append(x)
+            stack.extend(reversed(kids[x]))
+        return names
+
+    def _subtree(self, v: int) -> list[int]:
+        """Names of v's subtree, each before its children; cheaper than preorder."""
+        kids = self.kids
+        names = [v]
+        for x in names:  # `names` grows while it is walked
+            names.extend(kids[x])
+        return names
+
+    def sprout(self, owner: int, states: int, owed: int | None = None) -> None:
+        """Add a youngest child of owner under a fresh name."""
+        self.last = name = self.last + 1
+        self.kids[owner].append(name)
+        self.kids[name] = []
+        self.label[name] = states
+        if self.ann is not None:
+            self.ann[name] = owed
+
+    def strip(self, v: int, states: int) -> None:
+        """Remove states from every label in v's subtree."""
+        label = self.label
+        keep = ~states
+        for x in self._subtree(v):
+            label[x] &= keep
+
+    def settle(self, sons: Iterable[int]) -> None:
+        """In the order given, each son keeps only the states no earlier son holds."""
+        label = self.label
+        claimed = 0
+        for c in sons:
+            dup = label[c] & claimed
+            if dup:
+                self.strip(c, dup)
+            claimed |= label[c]
+
+    def cut(self, v: int) -> None:
+        """Record v's subtree as removed."""
+        self.removed.update(self._subtree(v))
+
+    def prune(self, v: int) -> None:
+        """Cut everything below v."""
+        for c in self.kids[v]:
+            self.cut(c)
+        self.kids[v] = []
 
 
 def _root_tree(a: Automaton, pool: int, ann_masks=None) -> SafraTree:

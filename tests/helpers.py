@@ -12,8 +12,9 @@ from omegadet import (
     StreettAcceptance,
 )
 from omegadet.automata import mask_states, reach
-from omegadet.compact import EMPTY_TREE, _close, _open
+from omegadet.compact import EMPTY_TREE, _renamed, _top_bit
 from omegadet.lasso import _accepts_infinity_set, _fair_cycle, _sccs
+from omegadet.safra import WorkTree
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -135,8 +136,35 @@ def product_nsw_member(a: Automaton, lasso: Lasso) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# The compact Buchi step on a WorkTree
+# The compact steps on a WorkTree
 # ---------------------------------------------------------------------------
+
+
+def _open(tree, symbol: str, a: Automaton) -> WorkTree:
+    """Working copy of a compact tree after reading symbol; fresh names follow the last one."""
+    images = a.image_masks[symbol]
+    label = {v: images[m] for v, m in enumerate(tree.masks, 1)}
+    kids: dict[int, list[int]] = {v: [] for v in label}
+    for v, p in enumerate(tree.parents, 1):
+        if p:
+            kids[p].append(v)
+    ann = dict(enumerate(tree.ann_masks, 1)) if tree.ann_masks else None
+    return WorkTree(label, kids, ann, len(label))
+
+
+def _close(t: WorkTree, f: int, bound: int):
+    """Sweep emptied and cut nodes of a `WorkTree`, then rename and price the step.
+
+    Removed sets are closed under subtrees, and a child's label is a
+    subset of its parent's, so each survivor's parent survives too.
+    """
+    label, kids, removed = t.label, t.kids, t.removed
+    # label holds every name 1..last in ascending order; deep nodes
+    # emptied by ancestor-level removals are swept here
+    survivors = [v for v, states in label.items() if states and v not in removed]
+    par = {c: v for v in survivors for c in kids[v]}
+    par[1] = 0
+    return _renamed(survivors, par, label, t.ann, t.last, f, bound)
 
 
 def worktree_compact_step(tree, symbol: str, a: Automaton):
@@ -181,6 +209,57 @@ def worktree_compact_step(tree, symbol: str, a: Automaton):
 
     # empty nodes disappear too; the smallest deleted name is e
     return _close(t, min(greens, default=n + 1), n + 1)
+
+
+def worktree_compact_streett_step(tree, symbol: str, a: Automaton):
+    """The compact Streett step as edits of a `WorkTree`, the reference for `compact_streett_step`.
+
+    A state that moves or settles away from a son is stripped from the
+    son's whole subtree at once, duplicates settle on the son owing the
+    smallest index with ties on name, and a finished node is pruned on the
+    spot; `_close` sweeps and renames.
+    """
+    pairs = a.acceptance.pair_masks
+    m = a.state_count * (len(pairs) + 1)
+    if not tree.parents:
+        return EMPTY_TREE, 1
+    t = _open(tree, symbol, a)
+    label, kids, ann = t.label, t.kids, t.ann
+    finished: set[int] = set()
+
+    def process(v: int) -> None:
+        owed = ann[v]
+        if not kids[v]:
+            if not owed:
+                finished.add(v)
+                return
+            t.sprout(v, label[v], owed ^ _top_bit(owed))
+        sons = sorted(kids[v])
+        for c in sons:
+            process(c)
+        for c in sons:
+            missing = owed & ~ann[c]
+            if not missing:
+                continue
+            j = missing.bit_length() - 1
+            assert missing == 1 << j, "a son owes at most one index fewer"
+            r_j, g_j = pairs[j - 1]
+            lower = owed & (missing - 1)
+            r_owed = owed ^ _top_bit(lower) if lower else owed
+            moving = label[c] & (r_j | g_j)
+            if moving:
+                t.strip(c, moving)
+                for s in mask_states(moving):
+                    hit = 1 << s
+                    t.sprout(v, hit, r_owed if hit & r_j else owed ^ missing)
+        t.settle(sorted(kids[v], key=lambda c: (owed & ~ann[c], c)))
+        kids[v] = [c for c in kids[v] if label[c]]
+        if kids[v] and all(ann[c] == owed for c in kids[v]):
+            t.prune(v)
+            finished.add(v)
+
+    process(1)
+    return _close(t, min(finished, default=m + 1), m + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from omegadet import (
     BuchiAcceptance,
     Lasso,
     ParityAcceptance,
+    StreettAcceptance,
     compact_step,
     compact_streett_step,
     nbw_member,
@@ -40,6 +42,7 @@ from helpers import (
     full3,
     nsw_witness_union_nbw,
     worktree_compact_step,
+    worktree_compact_streett_step,
 )
 from treecheck import assert_tree_invariants, drive_buchi, drive_streett
 
@@ -228,6 +231,41 @@ class TestStreettStep:
         with pytest.raises(ValueError):
             nsw_to_dpw(inf_a)
 
+    def test_moved_state_leaves_the_grandchildren(self):
+        # son 2 misses index 2, whose R set holds state 1: an R-hit moves 1
+        # from 2 to a sprout 4 owing {2}, and 1 leaves 2's son 3 as well.
+        # 3 is a leaf owing nothing, so it finishes; no name goes, so
+        # f = 3 < e = m + 1 = 7, an even priority
+        a = _one_letter_nsw(2, {}, [((), ()), ((1,), ())])
+        tree = _tree((0, 1, 2), ({0, 1}, {0, 1}, {0, 1}), ({1, 2}, {1}, ()))
+        out, priority = _checked_step(tree, "a", a)
+        assert out.parents == (0, 1, 2, 1)
+        assert _states(out.masks) == ((0, 1), (0,), (0,), (1,))
+        assert _states(out.ann_masks) == ((1, 2), (1,), (), (2,))
+        assert (out.e, out.f, priority) == (7, 3, 4)
+
+    def test_duplicate_settles_on_the_son_owing_the_smaller_index(self):
+        # a sends every state to 0, so sons 2 (owing {1}, missing index 2)
+        # and 3 (owing {2}, missing index 1) both hold 0.  The younger son
+        # 3 misses the smaller index and keeps it; 2 empties and goes with
+        # its sprout 4, which finished first: e = 2 <= f = 4, priority 1
+        a = _one_letter_nsw(3, {1: (0,), 2: (0,)}, [((), ()), ((), ())])
+        tree = _tree((0, 1, 1), ({0, 1, 2}, {1}, {2}), ({1, 2}, {1}, {2}))
+        out, priority = _checked_step(tree, "a", a)
+        assert out.parents == (0, 1, 2)
+        assert _states(out.masks) == ((0,), (0,), (0,))
+        assert _states(out.ann_masks) == ((1, 2), (2,), ())
+        assert (out.e, out.f, priority) == (2, 4, 1)
+
+    def test_leaf_owing_nothing_finishes_and_can_be_f(self):
+        # the leaf 2 owes nothing and finishes on every letter; its parent
+        # owes {1}, which 2 does not match, so f = 2 and e = m + 1 = 3
+        a = _one_letter_nsw(1, {}, [((), ())])
+        tree = _tree((0, 1), ({0}, {0}), ({1}, ()))
+        out, priority = _checked_step(tree, "a", a)
+        assert out == tree
+        assert (out.e, out.f, priority) == (3, 2, 2)
+
 
 class TestStreettDeterminize:
     @pytest.mark.parametrize(
@@ -287,14 +325,26 @@ def _one_letter_nbw(n, moves, accepting):
     )
 
 
-def _tree(parents, labels):
-    return CompactSafraTree(parents, tuple(map(state_mask, labels)), e=2, f=1)
+def _one_letter_nsw(n, moves, pairs):
+    """As `_one_letter_nbw`, with the Streett pairs (R, G) given as state lists."""
+    acceptance = StreettAcceptance(tuple((frozenset(r), frozenset(g)) for r, g in pairs))
+    return replace(_one_letter_nbw(n, moves, ()), acceptance=acceptance)
+
+
+def _tree(parents, labels, owed=()):
+    """A compact tree; owed gives each name's owed pair indices (Streett only)."""
+    masks, anns = tuple(map(state_mask, labels)), tuple(map(state_mask, owed))
+    return CompactSafraTree(parents, masks, e=2, f=1, ann_masks=anns)
 
 
 def _checked_step(tree, symbol, a):
-    """compact_step's output, after checking it against the WorkTree rule."""
-    out = compact_step(tree, symbol, a)
-    old = worktree_compact_step(tree, symbol, a)
+    """The compact step's output, after checking it against the WorkTree rule."""
+    if isinstance(a.acceptance, StreettAcceptance):
+        step, oracle = compact_streett_step, worktree_compact_streett_step
+    else:
+        step, oracle = compact_step, worktree_compact_step
+    out = step(tree, symbol, a)
+    old = oracle(tree, symbol, a)
     assert out == old
     assert (out[0].e, out[0].f) == (old[0].e, old[0].f)
     return out
@@ -508,3 +558,66 @@ def test_buchi_step_matches_worktree_on_any_tree(case):
     assert (out, priority) == (old, old_priority)
     assert (out.e, out.f) == (old.e, old.f)
     assert_tree_invariants(out, priority, a.state_count)
+
+
+class TestStreettStepMatchesWorkTree:
+    """The flat-list walk gives what the WorkTree edits give."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_reachable_step(self, n):
+        for k in range(4):
+            for seed in range(10):
+                a = random_nsw(n, k, seed)
+                start = initial_compact_streett_tree(a)
+                for tree, symbol, out in _step_outputs(a, start, compact_streett_step):
+                    old = worktree_compact_streett_step(tree, symbol, a)
+                    case = (k, seed, tree, symbol)
+                    assert out == old, case
+                    assert (out[0].e, out[0].f) == (old[0].e, old[0].f), case
+
+
+@st.composite
+def _nsw_and_tree(draw):
+    """A random NSW and a compact Streett tree on its states, reachable or not.
+
+    Labels nest and siblings are disjoint as in `_nbw_and_tree`, and each
+    son owes what its parent owes or that less one index; the tree has at
+    most m = n(k+1) nodes.
+    """
+    n = draw(st.integers(min_value=1, max_value=5))
+    k = draw(st.integers(min_value=0, max_value=3))
+    a = random_nsw(n, k, draw(st.integers(min_value=0, max_value=5_000)))
+    root = draw(st.integers(min_value=1, max_value=(1 << n) - 1))
+    owed = draw(st.integers(min_value=0, max_value=(1 << k) - 1)) << 1
+    parents, masks, anns, free = [0], [root], [owed], [root]
+    for _ in range(draw(st.integers(min_value=0, max_value=n * (k + 1) - 1))):
+        open_names = [v for v, room in enumerate(free, 1) if room]
+        if not open_names:
+            break
+        p = draw(st.sampled_from(open_names))
+        mask = draw(st.integers(min_value=1, max_value=free[p - 1])) & free[p - 1]
+        mask = mask or free[p - 1] & -free[p - 1]
+        free[p - 1] &= ~mask
+        parent_owed = anns[p - 1]
+        dropped = draw(st.sampled_from([0, *(1 << j for j in mask_states(parent_owed))]))
+        parents.append(p)
+        masks.append(mask)
+        anns.append(parent_owed & ~dropped)
+        free.append(mask)
+    tree = CompactSafraTree(
+        tuple(parents), tuple(masks), e=2, f=1, ann_masks=tuple(anns)
+    )
+    return a, k, tree, draw(st.sampled_from(a.alphabet.symbols))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_nsw_and_tree())
+def test_streett_step_matches_worktree_on_any_tree(case):
+    a, k, tree, symbol = case
+    m = a.state_count * (k + 1)
+    assert_tree_invariants(tree, priority_of(tree.e, tree.f), m, pair_count=k)
+    out, priority = compact_streett_step(tree, symbol, a)
+    old, old_priority = worktree_compact_streett_step(tree, symbol, a)
+    assert (out, priority) == (old, old_priority)
+    assert (out.e, out.f) == (old.e, old.f)
+    assert_tree_invariants(out, priority, m, pair_count=k)

@@ -1,5 +1,6 @@
 """Lasso words and the membership oracles."""
 
+import copy
 import gc
 import itertools
 import random
@@ -523,6 +524,40 @@ class TestDeterministicMemo:
         for lasso in lassos + lassos[::-1]:
             assert run_deterministic(d, lasso) == reference_run(d, lasso)
             assert len(d.lasso_memo) <= 5
+
+
+class TestUnknownSymbols:
+    """An unknown symbol is a ValueError that names it, and the memo stays as it was."""
+
+    @pytest.mark.parametrize(
+        "oracle,make",
+        [
+            (nbw_member, lambda: random_nbw(4, 1)),
+            (nsw_member, lambda: random_nsw(3, 2, 1)),
+            (run_deterministic, lambda: nsw_to_dpw(random_nsw(3, 2, 1))),
+        ],
+        ids=["nbw_member", "nsw_member", "run_deterministic"],
+    )
+    def test_bad_queries_raise_and_leave_the_memo(self, oracle, make):
+        a = make()
+        good = Lasso(("a",), ("b",))
+        want = oracle(a, good)
+        bad = [
+            Lasso(("zz",), ("b",)),
+            Lasso(("a", "zz"), ("b",)),
+            Lasso(("a",), ("zz",)),
+            Lasso((), ("b", "zz")),
+            Lasso(("zz",), ("zz",)),
+        ]
+        for lasso in bad:
+            memo = copy.deepcopy(a.lasso_memo)
+            for _ in range(2):
+                with pytest.raises(ValueError, match=f"{oracle.__name__}: symbol 'zz'"):
+                    oracle(a, lasso)
+                assert a.lasso_memo == memo
+        assert oracle(a, good) == want
+        for lasso in (Lasso((), ("b",)), Lasso(("b", "a"), ("b",))):
+            assert oracle(a, lasso) == oracle(_fresh(a), lasso)
 
 
 class TestNswMember:
