@@ -96,12 +96,6 @@ def _cmd_member(args) -> int:
     period = _split_word(args.period)
     if not period:
         raise CliError("--period must be a nonempty comma-separated word")
-    for sym in prefix + period:
-        if sym not in a.alphabet:
-            known = " ".join(a.alphabet)
-            raise CliError(
-                f"symbol {sym!r} not in the automaton's alphabet ({known})"
-            )
     lasso = Lasso(prefix, period)
     if a.deterministic:
         verdict = run_deterministic(a, lasso)

@@ -10,10 +10,10 @@ bookkeeping at all — just one priority per transition target.
 Names also order the tree: a parent is named before its children and an
 older sibling before a younger one.  So both steps work on flat lists
 indexed by name, with fresh names appended: the Buchi step is a few passes
-in name order, and the Streett step a walk over the sons, which settles
-siblings by owed index, then one pass in name order that drops what the
-walk emptied or cut.  Both end in `_renamed`, which renames the survivors
-1..N and prices the step.
+in name order, and the Streett step one loop over an explicit stack,
+walking the sons in post-order and settling siblings by owed index, then
+one pass in name order that drops what the walk emptied or cut.  Both end
+in `_renamed`, which renames the survivors 1..N and prices the step.
 """
 
 from __future__ import annotations
@@ -208,70 +208,84 @@ def compact_streett_step(
     label = [0, *map(a.image_masks[symbol].__getitem__, tree.masks)]
     par = [0, *tree.parents]
     ann = [0, *tree.ann_masks]
-    kids: list[list[int]] = [[] for _ in label]
+    kids: dict[int, list[int]] = {}
     for v, p in enumerate(tree.parents[1:], 2):
-        kids[p].append(v)
-    # cut[v]: v finished a round, so it stays and everything below it goes
-    cut = [False] * len(label)
+        kids.setdefault(p, []).append(v)
+    # the nodes that finished a round: each stays and everything below goes
+    cut: set[int] = set()
 
-    def sprout(owner: int, states: int, owed: int) -> None:
-        kids[owner].append(len(label))
-        kids.append([])
-        label.append(states)
-        par.append(owner)
-        ann.append(owed)
-        cut.append(False)
-
-    # post-order over the sons, oldest first; kids[v] stays ascending.  A
-    # state taken from a son leaves the son's label only: the walk reads
-    # no deeper label afterwards, and the sweep below clears the rest
-    def process(v: int) -> None:
+    # post-order over the sons, oldest first: v on the stack enters and ~v
+    # leaves.  Fresh names go out in walk order, which fixes the output.  A
+    # state taken from a son leaves the son's label only: the walk reads no
+    # deeper label afterwards, and the sweep below clears the rest
+    stack = [1]
+    while stack:
+        v = stack.pop()
+        if v > 0:
+            sons = kids.get(v)
+            if not sons:
+                owed = ann[v]
+                if not owed:
+                    # nothing owed: the empty round completes on every letter
+                    cut.add(v)
+                    continue
+                # a leaf sprouts a son owing one index fewer, entered next
+                kids[v] = sons = [len(label)]
+                label.append(label[v])
+                par.append(v)
+                ann.append(owed ^ _top_bit(owed))
+            stack.append(~v)
+            stack += reversed(sons)
+            continue
+        v = ~v
         owed = ann[v]
-        if not kids[v]:
-            if not owed:
-                # nothing owed: the empty round completes on every letter
-                cut[v] = True
-                return
-            sprout(v, label[v], owed ^ _top_bit(owed))
-        sons = kids[v][:]
-        for c in sons:
-            process(c)
-        for c in sons:
+        # the sons, and the sprouts made here, each with the index it misses
+        order = []
+        for c in kids[v]:
             missing = owed & ~ann[c]
+            order.append((missing, c))
             if not missing:
                 continue
             j = missing.bit_length() - 1
             assert missing == 1 << j, "a son owes at most one index fewer"
             r_j, g_j = pairs[j - 1]
-            # an R-hit moves on to the largest smaller index (none left:
-            # back to owing all), a G-hit owes j again; one son per state
-            lower = owed & (missing - 1)
-            r_owed = owed ^ _top_bit(lower) if lower else owed
             moving = label[c] & (r_j | g_j)
-            if moving:
-                label[c] &= ~moving
-                for s in mask_states(moving):
-                    hit = 1 << s
-                    sprout(v, hit, r_owed if hit & r_j else owed ^ missing)
-        # duplicated states settle on the son owing the smallest index; a
+            label[c] &= ~moving
+            # an R-hit moves on to the largest smaller index (none left:
+            # back to owing all), a G-hit owes j again; one sprout per state
+            lower = owed & (missing - 1)
+            r_missing = lower and _top_bit(lower)
+            while moving:
+                hit = moving & -moving
+                moving ^= hit
+                gone = r_missing if hit & r_j else missing
+                order.append((gone, len(label)))
+                label.append(hit)
+                par.append(v)
+                ann.append(owed ^ gone)
+        # duplicated states settle on the son owing the smallest index (a
         # son owes at most one index fewer than v, so its missing mask
-        # orders as that index, and the stable sort breaks ties on name
+        # orders as that index), ties on the smaller name.  Emptied sons
+        # leave, and the sweep drops their subtrees
+        order.sort()
         claimed = 0
-        for c in sorted(kids[v], key=lambda c: owed & ~ann[c]):
-            label[c] &= ~claimed
-            claimed |= label[c]
-        # emptied sons leave, and the sweep drops their subtrees
-        alive = [c for c in kids[v] if label[c]]
-        cut[v] = bool(alive) and all(ann[c] == owed for c in alive)
+        whole = True
+        for _, c in order:
+            states = label[c] & ~claimed
+            label[c] = states
+            if states:
+                claimed |= states
+                whole = whole and ann[c] == owed
+        if claimed and whole:
+            cut.add(v)
 
-    process(1)
     # parents first: the children of a cut node go, and any other node
     # keeps what its parent kept, so a state taken from a node leaves its
     # whole subtree, and an emptied node takes its subtree along
     for v, p in enumerate(par[2:], 2):
-        label[v] = 0 if cut[p] else label[v] & label[p]
+        label[v] = 0 if p in cut else label[v] & label[p]
     survivors = [v for v in range(1, len(label)) if label[v]]
-    f = cut.index(True) if True in cut else m + 1
+    f = min(cut, default=m + 1)
     return _renamed(survivors, par, label, ann, len(label) - 1, f, m + 1)
 
 

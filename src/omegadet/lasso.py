@@ -249,11 +249,12 @@ def _memo(a: Automaton) -> dict:
 
 
 def _check_symbols(a: Automaton, word: tuple[str, ...], oracle: str) -> None:
-    """Raise ValueError naming the first symbol of word outside a's alphabet."""
+    """Raise ValueError naming a's alphabet and the first symbol of word outside it."""
     position = a.alphabet.position
     for symbol in word:
         if symbol not in position:
-            raise ValueError(f"{oracle}: symbol {symbol!r} is not in the alphabet")
+            known = " ".join(a.alphabet)
+            raise ValueError(f"{oracle}: symbol {symbol!r} is not in the alphabet ({known})")
 
 
 def _classify_buchi(

@@ -350,6 +350,7 @@ def streett_safra_step(
             f_marks.add(v)
 
     process(1)
+    del process  # it refers to itself: free the step's lists without the collector
     return _settle(t, {v for v in f_marks if v <= m}, m)
 
 

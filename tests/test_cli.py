@@ -152,6 +152,16 @@ class TestMember:
         assert code == 2
         assert "'z'" in err[0] and "(0 1)" in err[0]
 
+    @pytest.mark.parametrize("fixture", ["nbw_file", "nsw_file"])
+    def test_unknown_symbol_is_usage_error_for_nondeterministic_input(
+        self, fixture, request, capsys
+    ):
+        path = request.getfixturevalue(fixture)
+        code = run_cli(["member", "--input", path, "--prefix", "z", "--period", "z"])
+        _, err = lines_of(capsys)
+        assert code == 2
+        assert len(err) == 1 and "_member: symbol 'z'" in err[0]
+
     def test_empty_period_is_usage_error(self, dpw_file, capsys):
         code = run_cli(["member", "--input", dpw_file, "--period", ""])
         _, err = lines_of(capsys)

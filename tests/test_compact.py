@@ -1,5 +1,6 @@
 """Compact trees with dynamic names and the parity determinizations."""
 
+import gc
 import random
 from collections import Counter
 from dataclasses import replace
@@ -24,6 +25,7 @@ from omegadet import (
     priority_of,
     run_deterministic,
     safra_determinize,
+    streett_safra_determinize,
 )
 from omegadet import compact
 from omegadet.automata import mask_states, state_mask
@@ -266,6 +268,31 @@ class TestStreettStep:
         assert out == tree
         assert (out.e, out.f, priority) == (3, 2, 2)
 
+    def test_fresh_names_follow_the_walk_across_cousins(self):
+        # the leaves 2 and 3 owe {1, 2}; the walk enters 2, which sprouts
+        # the chain 4 {1}, 5 {}.  5 finishes; leaving 4, pair 1 moves the
+        # R-hit 0 to 6, which wraps to owing {1}, and the G-hit 1 to 7.
+        # Leaving 2, pair 2 moves the R-hit 2 from 4 to 8 {2}, and it
+        # leaves 5 too.  Only then does 3 sprout 9 {1}, 10 {}, and the same
+        # happens: 11 and 12 from 10, and the G-hit 5 from 9 to 13 {1}.
+        # 5 and 10 finished but end empty, so f = e = 5 and the priority is 7
+        a = _one_letter_nsw(6, {}, [((0, 3), (1, 4)), ((2,), (5,)), ((), ())])
+        tree = _tree(
+            (0, 1, 1),
+            ({0, 1, 2, 3, 4, 5}, {0, 1, 2}, {3, 4, 5}),
+            ({1, 2, 3}, {1, 2}, {1, 2}),
+        )
+        out, priority = _checked_step(tree, "a", a)
+        assert out.parents == (0, 1, 1, 2, 4, 4, 2, 3, 8, 8, 3)
+        assert _states(out.masks) == (
+            (0, 1, 2, 3, 4, 5), (0, 1, 2), (3, 4, 5), (0, 1), (0,), (1,), (2,),
+            (3, 4), (3,), (4,), (5,),
+        )
+        assert _states(out.ann_masks) == (
+            (1, 2, 3), (1, 2), (1, 2), (1,), (1,), (), (2,), (1,), (1,), (), (1,),
+        )
+        assert (out.e, out.f, priority) == (5, 5, 7)
+
 
 class TestStreettDeterminize:
     @pytest.mark.parametrize(
@@ -303,6 +330,29 @@ class TestStreettDeterminize:
                 run_deterministic(direct, lasso).accepted
                 == run_deterministic(via_union, lasso).accepted
             )
+
+
+@pytest.mark.parametrize(
+    "determinize,make",
+    [
+        (nbw_to_dpw, lambda seed: random_nbw(5, seed)),
+        (safra_determinize, lambda seed: random_nbw(5, seed)),
+        (nsw_to_dpw, lambda seed: random_nsw(4, 2, seed)),
+        (streett_safra_determinize, lambda seed: random_nsw(4, 2, seed)),
+    ],
+    ids=["nbw_to_dpw", "safra_determinize", "nsw_to_dpw", "streett_safra_determinize"],
+)
+def test_determinizer_leaves_no_cyclic_garbage(determinize, make):
+    # no step builds a reference cycle, so reference counting alone frees
+    # what a determinization made, and the cyclic collector finds nothing
+    gc.collect()
+    gc.disable()
+    try:
+        for seed in range(3):
+            determinize(make(seed))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _states(masks):
