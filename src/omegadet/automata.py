@@ -369,67 +369,60 @@ def reach(
     return order, edges
 
 
-def step_rows(a: Automaton, step, split) -> Callable[[Hashable], list]:
-    """The successor rows of a tree step, with one step call per image key.
-
-    A tree step reads its symbol only through the images of the tree's node
-    masks.  split(tree) gives (shape, masks): a shape that holds everything
-    else the step reads and tells which node holds each mask, and the node
-    masks.  The key of (tree, symbol) is the shape with the images of
-    the masks on symbol, and the step runs only on keys not seen before, on
-    any tree or symbol.  row(tree) is the step's output on every symbol, in
-    alphabet order.  Equal outputs are one object, the first one made, so
-    the memo keeps each alive once.
-    """
-    images = [(sym, a.image_masks[sym]) for sym in a.alphabet.symbols]
-    shapes: dict = {}
-    outputs: dict = {}
-    distinct: dict = {}
-
-    def row(tree) -> list:
-        shape, masks = split(tree)
-        # a shape is hashed once per row, not once per symbol
-        shape = shapes.setdefault(shape, len(shapes))
-        out = []
-        for sym, image in images:
-            key = (shape, *map(image.__getitem__, masks))
-            nxt = outputs.get(key)
-            if nxt is None:
-                nxt = step(tree, sym, a)
-                nxt = outputs[key] = distinct.setdefault(nxt, nxt)
-            out.append(nxt)
-        return out
-
-    return row
-
-
 def explore(
     a: Automaton,
     start: Hashable,
-    successors: Callable[[Hashable], list],
+    step: Callable[[Hashable, str, Automaton], Hashable],
+    split: Callable[[Hashable], tuple[Hashable, tuple[int, ...]]],
     key: Callable[[Hashable], object],
     acceptance: Callable[[list], AcceptanceCondition],
 ) -> Automaton:
-    """Deterministic automaton over the states reachable from `start`.
+    """Deterministic automaton of the states a tree step reaches from `start`.
 
-    successors(state) gives the successor state on every symbol, in
-    alphabet order.  States are numbered in the order of key(state), not
-    in the order they are found, so the numbering, and with it the emitted
-    HOA, does not depend on hash order.  acceptance(states) builds the
-    condition from the states in that order.
+    step(state, symbol, a) is the successor state.  It reads symbol only
+    through the images of the node masks of the state's tree: split(state)
+    gives (shape, masks), a shape that holds everything else the step reads
+    and tells which node holds each mask, and the masks.  The step runs
+    once per image key, the shape with the images of the masks, shared by
+    every state and symbol.  One table keeps each state as its first
+    instance, both to find new states and to share equal outputs, so a key
+    seen before costs no hash of a state.  States are numbered in the order
+    of key(state), not in the order they are found, so the numbering, and
+    with it the emitted HOA, does not depend on hash order.
+    acceptance(states) builds the condition from the states in that order.
     """
     symbols = a.alphabet.symbols
-    order, edges = reach(start, successors)
+    images = [(sym, a.image_masks[sym]) for sym in symbols]
+    order = [start]
+    first = {start: start}
+    shapes: dict = {}
+    memo: dict = {}
+    rows = []
+    for state in order:  # `order` grows while it is walked
+        shape, masks = split(state)
+        # a shape is hashed once per state, not once per symbol
+        shape = shapes.setdefault(shape, len(shapes))
+        row = []
+        for sym, image in images:
+            image_key = (shape, *map(image.__getitem__, masks))
+            nxt = memo.get(image_key)
+            if nxt is None:
+                out = step(state, sym, a)
+                nxt = memo[image_key] = first.setdefault(out, out)
+                if nxt is out:
+                    order.append(nxt)
+            row.append(nxt)
+        rows.append(row)
     states = sorted(order, key=key)
-    # reach keeps every state as its first instance, so identity numbers
-    # them without hashing a state again
+    # every state is its first instance, so identity numbers them without
+    # hashing a state again
     number = {id(state): i for i, state in enumerate(states)}
     # every transition into state i shares one {i}
     targets = [frozenset({i}) for i in range(len(states))]
     transitions = {
         (number[id(state)], sym): targets[number[id(nxt)]]
-        for state, nexts in edges.items()
-        for sym, nxt in zip(symbols, nexts)
+        for state, row in zip(order, rows)
+        for sym, nxt in zip(symbols, row)
     }
     return Automaton(
         alphabet=a.alphabet,

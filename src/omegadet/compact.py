@@ -28,7 +28,6 @@ from omegadet.automata import (
     StreettAcceptance,
     explore,
     mask_states,
-    step_rows,
 )
 
 
@@ -310,7 +309,7 @@ def _dpw_state_key(state, decode):
 
 
 def _split(tree: CompactSafraTree):
-    """The step_rows shape of a tree, (parents, ann_masks), and its node masks."""
+    """The memo shape of a tree, (parents, ann_masks), and its node masks."""
     return (tree.parents, tree.ann_masks), tree.masks
 
 
@@ -319,17 +318,17 @@ def _to_dpw(a: Automaton, step, start: CompactSafraTree, index: int) -> Automato
 
     A DPW state is what the step returns, (tree, priority).  Trees compare
     by shape, so two steps arriving at the same shape with the same
-    priority are the same state.  A state's successors are the `step_rows`
-    row of its tree, since the priority a state was entered with does not
-    affect them; trees and letters whose shape and mask images agree share
-    one step.
+    priority are the same state.  The priority a state was entered with
+    does not affect its successors, so `explore` steps and splits the
+    state's tree; trees and letters whose shape and mask images agree
+    share one step.
     """
-    row = step_rows(a, step, _split)
     decode = cache(mask_states)
     return explore(
         a,
         (start, priority_of(start.e, start.f)),
-        lambda state: row(state[0]),
+        lambda state, symbol, a: step(state[0], symbol, a),
+        lambda state: _split(state[0]),
         lambda state: _dpw_state_key(state, decode),
         lambda states: ParityAcceptance(
             priorities=tuple(priority for _, priority in states), index=index

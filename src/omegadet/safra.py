@@ -8,7 +8,7 @@ compact parity constructions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from itertools import repeat
 from typing import Iterable
@@ -20,7 +20,6 @@ from omegadet.automata import (
     StreettAcceptance,
     explore,
     mask_states,
-    step_rows,
 )
 
 
@@ -53,16 +52,15 @@ class WorkTree:
     label, kids and ann map each name to its states as a mask (see
     `state_mask`), its children oldest first and the pair indices it still
     owes as a mask (ann is None for Buchi trees).  last is the last name
-    handed out and removed holds the names cut so far.  A child's label is
-    a subset of its parent's, so a node whose label empties has an empty
-    subtree.
+    handed out.  A child's label is a subset of its parent's, so a node
+    whose label empties has an empty subtree, and the nodes still in the
+    tree are those with a nonempty label.
     """
 
     label: dict[int, int]
     kids: dict[int, list[int]]
     ann: dict[int, int] | None
     last: int
-    removed: set[int] = field(default_factory=set)
 
     def preorder(self, v: int) -> list[int]:
         """Names of v's subtree, each before its children, oldest child first."""
@@ -109,14 +107,11 @@ class WorkTree:
                 self.strip(c, dup)
             claimed |= label[c]
 
-    def cut(self, v: int) -> None:
-        """Record v's subtree as removed."""
-        self.removed.update(self._subtree(v))
-
     def prune(self, v: int) -> None:
-        """Cut everything below v."""
-        for c in self.kids[v]:
-            self.cut(c)
+        """Remove everything below v, emptying its labels."""
+        label = self.label
+        for x in self._subtree(v)[1:]:
+            label[x] = 0
         self.kids[v] = []
 
 
@@ -149,15 +144,15 @@ def _open(tree: SafraTree, symbol: str, a: Automaton, pool: int) -> WorkTree:
 def _settle(t: WorkTree, f_marks, pool: int) -> SafraTree:
     """Free the names of dead nodes and pull temporaries back into the pool.
 
-    Survivors are the nodes neither emptied nor cut; f_set keeps the
-    f_marks among them.  Names in [1..pool] are static; larger names are
+    Survivors are the nodes with a nonempty label; f_set keeps the f_marks
+    among them.  Names in [1..pool] are static; larger names are
     temporaries the step just created.  Every static name without a
     surviving node goes to e_set and restarts its pair, and the
     temporaries take the smallest of them.  The survivors are listed by
     their new names.
     """
-    label, kids, ann, removed = t.label, t.kids, t.ann, t.removed
-    survivors = {v for v, states in label.items() if states and v not in removed}
+    label, kids, ann = t.label, t.kids, t.ann
+    survivors = {v for v, states in label.items() if states}
     if 1 not in survivors:
         return _dead_safra_tree(pool)
     e_set = frozenset(range(1, pool + 1)) - survivors
@@ -230,7 +225,7 @@ def _rabin_condition(trees, name_count: int) -> RabinAcceptance:
 
 
 def _split(tree: SafraTree):
-    """The step_rows shape of a tree, (names, children, ann_masks), and its node masks.
+    """The memo shape of a tree, (names, children, ann_masks), and its node masks.
 
     The masks are in names order, so the shape pins each mask to its name;
     the steps never read e_set or f_set, which the shape leaves out.
@@ -255,14 +250,14 @@ def _drw_state_key(tree: SafraTree, decode):
 def _to_drw(a: Automaton, step, start: SafraTree, name_count: int) -> Automaton:
     """Close a history-tree step under the alphabet; name i gives Rabin pair i.
 
-    A tree's successors are its `step_rows` row, so trees and letters whose
-    shape and mask images agree share one step.
+    Trees and letters whose shape and mask images agree share one step.
     """
     decode = cache(mask_states)
     return explore(
         a,
         start,
-        step_rows(a, step, _split),
+        step,
+        _split,
         lambda tree: _drw_state_key(tree, decode),
         lambda trees: _rabin_condition(trees, name_count),
     )
@@ -330,15 +325,16 @@ def streett_safra_step(
             j = missing.bit_length() - 1
             assert missing == 1 << j, "a son owes at most one index fewer"
             r_j, g_j = pairs[j - 1]
-            for s in mask_states(label[c] & (r_j | g_j)):
+            # the moving states leave the son's subtree at once; an R-hit
+            # moves on to the largest smaller index, a G-hit owes j again
+            moving = label[c] & (r_j | g_j)
+            if moving:
+                t.strip(c, moving)
+            lower = owed & (missing - 1)
+            drop = (1 << (lower.bit_length() - 1)) if lower else 0
+            for s in mask_states(moving):
                 hit = 1 << s
-                t.strip(c, hit)
-                if hit & r_j:
-                    lower = owed & (missing - 1)
-                    drop = (1 << (lower.bit_length() - 1)) if lower else 0
-                    t.sprout(v, hit, owed ^ drop)
-                else:
-                    t.sprout(v, hit, owed ^ missing)
+                t.sprout(v, hit, owed ^ (drop if hit & r_j else missing))
         # duplicated states settle on the son owing the smallest index
         # (a son owes at most one index fewer than v, so its missing mask
         # orders as that index); the stable sort breaks ties on age

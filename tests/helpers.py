@@ -153,15 +153,14 @@ def _open(tree, symbol: str, a: Automaton) -> WorkTree:
 
 
 def _close(t: WorkTree, f: int, bound: int):
-    """Sweep emptied and cut nodes of a `WorkTree`, then rename and price the step.
+    """Sweep the emptied nodes of a `WorkTree`, then rename and price the step.
 
-    Removed sets are closed under subtrees, and a child's label is a
-    subset of its parent's, so each survivor's parent survives too.
+    Pruning empties whole subtrees, and a child's label is a subset of its
+    parent's, so each survivor's parent survives too.
     """
-    label, kids, removed = t.label, t.kids, t.removed
-    # label holds every name 1..last in ascending order; deep nodes
-    # emptied by ancestor-level removals are swept here
-    survivors = [v for v, states in label.items() if states and v not in removed]
+    label, kids = t.label, t.kids
+    # label holds every name 1..last in ascending order
+    survivors = [v for v, states in label.items() if states]
     par = {c: v for v in survivors for c in kids[v]}
     par[1] = 0
     return _renamed(survivors, par, label, t.ann, t.last, f, bound)
@@ -204,8 +203,7 @@ def worktree_compact_step(tree, symbol: str, a: Automaton):
         if states == covered:
             greens.append(v)
     for g in greens:
-        if g not in t.removed:
-            t.prune(g)
+        t.prune(g)
 
     # empty nodes disappear too; the smallest deleted name is e
     return _close(t, min(greens, default=n + 1), n + 1)

@@ -27,7 +27,7 @@ from omegadet import (
     safra_determinize,
     streett_safra_determinize,
 )
-from omegadet import compact
+from omegadet import compact, safra
 from omegadet.automata import mask_states, state_mask
 from omegadet.compact import (
     EMPTY_TREE,
@@ -401,36 +401,58 @@ def _checked_step(tree, symbol, a):
 
 
 def _step_outputs(a, start, step):
-    """Every (tree, symbol, step output) reachable from start, by shape."""
+    """Every (tree, symbol, step output) reachable from start, by shape.
+
+    A compact step's output is (tree, priority), a Safra step's the tree.
+    """
     seen = {start}
     queue = [start]
     for tree in queue:
         for symbol in a.alphabet.symbols:
             out = step(tree, symbol, a)
             yield tree, symbol, out
-            if out[0] not in seen:
-                seen.add(out[0])
-                queue.append(out[0])
+            after = out[0] if isinstance(out, tuple) else out
+            if after not in seen:
+                seen.add(after)
+                queue.append(after)
 
 
 def _image_key(a, tree, symbol):
-    """What a compact step reads: the shape and the images of the masks."""
+    """What a tree step reads: the shape and the images of the masks."""
     images = a.image_masks[symbol]
-    return tree.parents, tree.ann_masks, tuple(images[m] for m in tree.masks)
+    if isinstance(tree, CompactSafraTree):
+        shape = tree.parents, tree.ann_masks
+    else:
+        shape = tree.names, tree.children, tree.ann_masks
+    return shape, tuple(images[m] for m in tree.masks)
 
 
-# (source, step name, its initial tree, its determinizer)
-STEP_CASES = [
+# (source, module, step name, its initial tree, its determinizer)
+COMPACT_STEP_CASES = [
     pytest.param(
-        random_nbw(4, seed), "compact_step", initial_compact_tree, nbw_to_dpw,
+        random_nbw(4, seed), compact, "compact_step", initial_compact_tree, nbw_to_dpw,
         id=f"nbw4-{seed}",
     )
     for seed in range(10)
 ] + [
     pytest.param(
-        random_nsw(3, 2, seed), "compact_streett_step",
+        random_nsw(3, 2, seed), compact, "compact_streett_step",
         initial_compact_streett_tree, nsw_to_dpw,
         id=f"nsw3x2-{seed}",
+    )
+    for seed in range(10)
+]
+STEP_CASES = COMPACT_STEP_CASES + [
+    pytest.param(
+        random_nbw(4, seed), safra, "safra_step", safra.initial_safra_tree,
+        safra_determinize, id=f"safra-nbw4-{seed}",
+    )
+    for seed in range(10)
+] + [
+    pytest.param(
+        random_nsw(3, 2, seed), safra, "streett_safra_step",
+        safra.initial_streett_safra_tree, streett_safra_determinize,
+        id=f"safra-nsw3x2-{seed}",
     )
     for seed in range(10)
 ]
@@ -447,8 +469,8 @@ class TestTreeIdentity:
         assert (one.e, one.f) == (2, 1)
         assert (two.e, two.f) == (4, 3)
 
-    @pytest.mark.parametrize("a,step,initial,_", STEP_CASES)
-    def test_step_outputs_hold_tuples_of_frozensets(self, a, step, initial, _):
+    @pytest.mark.parametrize("a,_,step,initial,__", COMPACT_STEP_CASES)
+    def test_step_outputs_hold_tuples_of_frozensets(self, a, _, step, initial, __):
         """Read with `mask_states`, the masks give each name's label and owed set."""
         pairs = len(getattr(a.acceptance, "pairs", ()))
         for _, _, (tree, _) in _step_outputs(a, initial(a), getattr(compact, step)):
@@ -460,9 +482,9 @@ class TestTreeIdentity:
             assert len(anns) == (len(labels) if pairs else 0)
             assert all(owed <= set(range(1, pairs + 1)) for owed in anns)
 
-    @pytest.mark.parametrize("a,step,initial,determinize", STEP_CASES)
+    @pytest.mark.parametrize("a,module,step,initial,determinize", STEP_CASES)
     def test_closure_steps_each_shape_and_letter_once(
-        self, monkeypatch, a, step, initial, determinize
+        self, monkeypatch, a, module, step, initial, determinize
     ):
         """The closure steps once per image key of a reachable (tree, letter).
 
@@ -470,7 +492,7 @@ class TestTreeIdentity:
         masks, so the key is the shape with those images, not the letter:
         trees and letters with one key share one step call.
         """
-        original = getattr(compact, step)
+        original = getattr(module, step)
         expected = {
             _image_key(a, tree, symbol)
             for tree, symbol, _ in _step_outputs(a, initial(a), original)
@@ -481,10 +503,44 @@ class TestTreeIdentity:
             calls[_image_key(a, tree, symbol)] += 1
             return original(tree, symbol, a)
 
-        monkeypatch.setattr(compact, step, counting)
+        monkeypatch.setattr(module, step, counting)
         determinize(a)
         assert set(calls) == expected
         assert set(calls.values()) == {1}
+
+    @pytest.mark.parametrize(
+        "module,step,determinize",
+        [(compact, "compact_step", nbw_to_dpw), (safra, "safra_step", safra_determinize)],
+        ids=["nbw_to_dpw", "safra_determinize"],
+    )
+    def test_closure_hashes_no_tree_on_a_memo_hit(self, monkeypatch, module, step, determinize):
+        """One state table: a key seen before gives its state without a hash.
+
+        The closure hashes the start state once and each step's output once,
+        to find it among the states, so full3's 512 letters cost no hash on
+        a memo hit: 226 compact and 442 Safra hashes in all.
+        """
+        original = getattr(module, step)
+        steps = hashes = 0
+
+        def counting(*args):
+            nonlocal steps
+            steps += 1
+            return original(*args)
+
+        def counting_hash(tree_hash):
+            def hash_(tree):
+                nonlocal hashes
+                hashes += 1
+                return tree_hash(tree)
+
+            return hash_
+
+        monkeypatch.setattr(module, step, counting)
+        for tree_type in (CompactSafraTree, safra.SafraTree):
+            monkeypatch.setattr(tree_type, "__hash__", counting_hash(tree_type.__hash__))
+        determinize(full3())
+        assert steps and hashes <= steps + 1
 
 
 class TestStepInvariants:

@@ -26,8 +26,8 @@ from omegadet import (
     safra_determinize,
     streett_safra_determinize,
 )
-from omegadet import compact, safra
-from omegadet.automata import mask_states, state_mask, step_rows
+from omegadet import automata, compact, safra
+from omegadet.automata import mask_states, reach, state_mask
 from omegadet.compact import CompactSafraTree
 from omegadet.random_gen import random_nbw, random_nsw
 
@@ -275,36 +275,34 @@ class TestMaskTrees:
                     assert owed is None
 
     @pytest.mark.parametrize("streett", [False, True], ids=["buchi", "streett"])
-    def test_equal_reference_trees_share_one_step_per_letter(self, streett):
+    def test_equal_reference_trees_share_one_step_per_letter(self, monkeypatch, streett):
         """A tree equal to one reached before, by another path, costs no step.
 
-        Its names are ascending like every tree's, so its `step_rows` shape
-        and masks are those of the tree first reached.
+        Its names are ascending like every tree's, so its memo shape and
+        masks are those of the tree first reached: the closure steps one
+        instance of each tree, once per letter at most.
         """
+        determinize = streett_safra_determinize if streett else safra_determinize
         shared = 0
         for a, step, start in _reference_cases(streett):
-            calls = 0
+            calls = []
 
-            def counting(*args):
-                nonlocal calls
-                calls += 1
-                return step(*args)
+            def counting(tree, symbol, a):
+                calls.append((tree, symbol))
+                return step(tree, symbol, a)
 
-            row = step_rows(a, counting, safra._split)
-            trees = _reachable(a, step, start)
-            first = {tree: tree for tree in trees}
-            for tree in trees:
-                row(tree)
-            assert calls <= len(trees) * len(a.alphabet)
-            paths = Counter()
-            for tree in trees:
-                for symbol in a.alphabet.symbols:
-                    again = step(tree, symbol, a)  # a new object
-                    known = first[again]
-                    before = calls
-                    assert row(again) == row(known) and calls == before
-                    paths[known] += 1
+            with monkeypatch.context() as patch:
+                patch.setattr(safra, step.__name__, counting)
+                determinize(a)
+            assert max(Counter(calls).values()) == 1
+            assert len({id(tree) for tree, _ in calls}) == len({tree for tree, _ in calls})
+            paths = Counter(
+                step(tree, symbol, a)
+                for tree in _reachable(a, step, start)
+                for symbol in a.alphabet.symbols
+            )
             shared += sum(count > 1 for count in paths.values())
+        # some tree is reached by more than one path, so the check saw one
         assert shared
 
 
@@ -333,21 +331,24 @@ def _reachable(a, step, start):
     return todo
 
 
-# (module, step name, its initial tree, the sources); the sources are those
-# of the closure tests in test_compact.py, plus the 512-letter full3
+# (module, step name, its initial tree, its determinizer, the sources); the
+# sources are those of the closure tests in test_compact.py, plus the
+# 512-letter full3
 KEY_CASES = [
-    pytest.param(compact, "compact_step", compact.initial_compact_tree,
+    pytest.param(compact, "compact_step", compact.initial_compact_tree, nbw_to_dpw,
                  [random_nbw(4, seed) for seed in range(10)], id="compact_step-nbw4"),
-    pytest.param(compact, "compact_step", compact.initial_compact_tree,
+    pytest.param(compact, "compact_step", compact.initial_compact_tree, nbw_to_dpw,
                  [full3()], id="compact_step-full3"),
     pytest.param(compact, "compact_streett_step", compact.initial_compact_streett_tree,
-                 [random_nsw(3, 2, seed) for seed in range(10)], id="compact_streett_step-nsw3x2"),
-    pytest.param(safra, "safra_step", safra.initial_safra_tree,
+                 nsw_to_dpw, [random_nsw(3, 2, seed) for seed in range(10)],
+                 id="compact_streett_step-nsw3x2"),
+    pytest.param(safra, "safra_step", safra.initial_safra_tree, safra_determinize,
                  [random_nbw(4, seed) for seed in range(10)], id="safra_step-nbw4"),
-    pytest.param(safra, "safra_step", safra.initial_safra_tree,
+    pytest.param(safra, "safra_step", safra.initial_safra_tree, safra_determinize,
                  [full3()], id="safra_step-full3"),
     pytest.param(safra, "streett_safra_step", safra.initial_streett_safra_tree,
-                 [random_nsw(3, 2, seed) for seed in range(10)], id="streett_safra_step-nsw3x2"),
+                 streett_safra_determinize, [random_nsw(3, 2, seed) for seed in range(10)],
+                 id="streett_safra_step-nsw3x2"),
 ]
 
 
@@ -359,25 +360,47 @@ def _signature(out):
     return safra._drw_state_key(out, mask_states)
 
 
-class TestStepRowKeys:
-    """`step_rows` shares one step call among the inputs of one image key."""
+def _unshared_explore(a, start, step, split, key, acceptance):
+    """`automata.explore` without the memo: every state steps on every letter."""
+    symbols = a.alphabet.symbols
+    order, edges = reach(start, lambda state: [step(state, sym, a) for sym in symbols])
+    states = sorted(order, key=key)
+    number = {id(state): i for i, state in enumerate(states)}
+    return Automaton(
+        alphabet=a.alphabet,
+        state_count=len(states),
+        initial=number[id(start)],
+        transitions={
+            (number[id(state)], sym): {number[id(nxt)]}
+            for state, nexts in edges.items()
+            for sym, nxt in zip(symbols, nexts)
+        },
+        acceptance=acceptance(states),
+        deterministic=True,
+    )
 
-    @pytest.mark.parametrize("module,step,initial,sources", KEY_CASES)
-    def test_equal_keys_give_equal_outputs(self, module, step, initial, sources):
+
+class TestStepRowKeys:
+    """The closure shares one step call among the inputs of one image key."""
+
+    @pytest.mark.parametrize("module,step,initial,determinize,sources", KEY_CASES)
+    def test_equal_keys_give_equal_outputs(
+        self, monkeypatch, module, step, initial, determinize, sources
+    ):
+        """Equal keys give equal outputs, so sharing a step changes no transition.
+
+        The determinizer's automaton is the one the closure builds when
+        every state steps on every letter.
+        """
         step = getattr(module, step)
         shared = 0
         for a in sources:
             start = initial(a)
-            row = step_rows(a, step, module._split)
             outputs = {}
             seen, todo = {start}, [start]
             for tree in todo:  # `todo` grows while it is walked
                 shape, masks = module._split(tree)
                 outs = [step(tree, symbol, a) for symbol in a.alphabet.symbols]
-                # the closure's row is the step's output on every letter; equal
-                # outputs share one object, so a compact tree there may carry
-                # the bookmarks of another step to the same DPW state
-                assert row(tree) == outs
                 signatures = list(map(_signature, outs))
                 for symbol, out, signature in zip(a.alphabet.symbols, outs, signatures):
                     images = a.image_masks[symbol]
@@ -391,6 +414,16 @@ class TestStepRowKeys:
                         todo.append(after)
         # some key is shared, so the check compared outputs
         assert shared
+        explore = automata.explore
+        unshared = []
+
+        def both(*args):
+            unshared.append(_unshared_explore(*args))
+            return explore(*args)
+
+        monkeypatch.setattr(module, "explore", both)
+        for a in sources:
+            assert determinize(a) == unshared.pop()
 
     def test_safra_keys_pin_each_mask_to_its_name(self):
         """Two reference trees that differ only in which son holds which mask."""
@@ -400,11 +433,13 @@ class TestStepRowKeys:
         names, kids, none = (1, 2, 3), ((2, 3), (), ()), frozenset()
         one = safra.SafraTree(names, (0b111, 0b010, 0b100), kids, None, none, none)
         two = safra.SafraTree(names, (0b111, 0b100, 0b010), kids, None, none, none)
-        assert safra._split(one)[0] == safra._split(two)[0]
-        assert sorted(one.masks) == sorted(two.masks)
+        (shape, masks), (other_shape, other_masks) = safra._split(one), safra._split(two)
+        assert shape == other_shape and sorted(masks) == sorted(other_masks)
         assert safra.safra_step(one, "a", a) != safra.safra_step(two, "a", a)
-        row = step_rows(a, safra.safra_step, safra._split)
-        assert row(one) != row(two)
+        # each mask keeps its name's place, so the two keys on "a" differ
+        images = a.image_masks["a"]
+        assert list(map(images.__getitem__, masks)) == [0b111, 0b010, 0b100]
+        assert list(map(images.__getitem__, other_masks)) == [0b111, 0b100, 0b010]
 
 
 # The full3 closures: step calls, DPW/DRW states and the SHA-256 of the HOA.
