@@ -172,7 +172,7 @@ def emit_hoa(a: Automaton) -> str:
         (sym, f"[{_symbol_label(i, ap_count)}] ") for i, sym in enumerate(a.alphabet)
     ]
     for s in a.states():
-        suffix = " {" + " ".join(str(x) for x in marks[s]) + "}" if marks[s] else ""
+        suffix = " {" + " ".join(map(str, marks[s])) + "}" if marks[s] else ""
         lines.append(f"State: {s}{suffix}")
         for sym, label in letters:
             for t in sorted(a.successors(s, sym)):

@@ -3,7 +3,12 @@
 These are the classic history-tree determinizations with *static* node
 names: a name, once freed, signals a restart through the Rabin pair of
 that name.  They exist as an independently auditable baseline for the
-compact parity constructions.
+compact parity constructions, and share no tree-update rule with them.
+Static names are recycled, so they order neither age nor depth: both
+steps run on flat lists indexed by name, temporaries appended after the
+pool, walking the tree in preorder or, for Streett, in post-order on an
+explicit stack, and end in `_closed`, which frees dead names and gives
+the surviving temporaries the smallest freed ones.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import repeat
-from typing import Iterable
+from operator import itemgetter
 
 from omegadet.automata import (
     Automaton,
@@ -45,76 +50,6 @@ class SafraTree:
     f_set: frozenset[int]
 
 
-@dataclass(eq=False, slots=True)
-class WorkTree:
-    """A history tree that one step edits in place.
-
-    label, kids and ann map each name to its states as a mask (see
-    `state_mask`), its children oldest first and the pair indices it still
-    owes as a mask (ann is None for Buchi trees).  last is the last name
-    handed out.  A child's label is a subset of its parent's, so a node
-    whose label empties has an empty subtree, and the nodes still in the
-    tree are those with a nonempty label.
-    """
-
-    label: dict[int, int]
-    kids: dict[int, list[int]]
-    ann: dict[int, int] | None
-    last: int
-
-    def preorder(self, v: int) -> list[int]:
-        """Names of v's subtree, each before its children, oldest child first."""
-        kids = self.kids
-        names = []
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            names.append(x)
-            stack.extend(reversed(kids[x]))
-        return names
-
-    def _subtree(self, v: int) -> list[int]:
-        """Names of v's subtree, each before its children; cheaper than preorder."""
-        kids = self.kids
-        names = [v]
-        for x in names:  # `names` grows while it is walked
-            names.extend(kids[x])
-        return names
-
-    def sprout(self, owner: int, states: int, owed: int | None = None) -> None:
-        """Add a youngest child of owner under a fresh name."""
-        self.last = name = self.last + 1
-        self.kids[owner].append(name)
-        self.kids[name] = []
-        self.label[name] = states
-        if self.ann is not None:
-            self.ann[name] = owed
-
-    def strip(self, v: int, states: int) -> None:
-        """Remove states from every label in v's subtree."""
-        label = self.label
-        keep = ~states
-        for x in self._subtree(v):
-            label[x] &= keep
-
-    def settle(self, sons: Iterable[int]) -> None:
-        """In the order given, each son keeps only the states no earlier son holds."""
-        label = self.label
-        claimed = 0
-        for c in sons:
-            dup = label[c] & claimed
-            if dup:
-                self.strip(c, dup)
-            claimed |= label[c]
-
-    def prune(self, v: int) -> None:
-        """Remove everything below v, emptying its labels."""
-        label = self.label
-        for x in self._subtree(v)[1:]:
-            label[x] = 0
-        self.kids[v] = []
-
-
 def _root_tree(a: Automaton, pool: int, ann_masks=None) -> SafraTree:
     """Name 1 alone, holding the initial state; names 2..pool are unused."""
     unused = frozenset(range(2, pool + 1))
@@ -129,45 +64,57 @@ def _dead_safra_tree(n: int) -> SafraTree:
     return SafraTree((), (), (), None, frozenset(range(1, n + 1)), frozenset())
 
 
-def _open(tree: SafraTree, symbol: str, a: Automaton, pool: int) -> WorkTree:
-    """Working copy of a tree after reading symbol; temporaries follow the pool."""
-    images = a.image_masks[symbol]
-    names = tree.names
-    return WorkTree(
-        dict(zip(names, map(images.__getitem__, tree.masks))),
-        dict(zip(names, map(list, tree.children))),
-        None if tree.ann_masks is None else dict(zip(names, tree.ann_masks)),
-        pool,
-    )
+def _opened(tree: SafraTree, symbol: str, a: Automaton, pool: int):
+    """A tree after reading symbol as lists indexed by name: label, kids and ann.
 
-
-def _settle(t: WorkTree, f_marks, pool: int) -> SafraTree:
-    """Free the names of dead nodes and pull temporaries back into the pool.
-
-    Survivors are the nodes with a nonempty label; f_set keeps the f_marks
-    among them.  Names in [1..pool] are static; larger names are
-    temporaries the step just created.  Every static name without a
-    surviving node goes to e_set and restarts its pair, and the
-    temporaries take the smallest of them.  The survivors are listed by
-    their new names.
+    Each list has pool + 1 entries, unused names holding a zero label and
+    no children; ann is None for Buchi trees.  A step appends its
+    temporaries, named pool + 1 onwards, to every list.
     """
-    label, kids, ann = t.label, t.kids, t.ann
-    survivors = {v for v, states in label.items() if states}
-    if 1 not in survivors:
+    images = a.image_masks[symbol]
+    label = [0] * (pool + 1)
+    kids = [()] * (pool + 1)
+    for v, states, sons in zip(tree.names, tree.masks, tree.children):
+        label[v] = images[states]
+        kids[v] = sons
+    ann = None
+    if tree.ann_masks is not None:
+        ann = [0] * (pool + 1)
+        for v, owed in zip(tree.names, tree.ann_masks):
+            ann[v] = owed
+    return label, kids, ann
+
+
+def _closed(label, kids, ann, pool: int, finished) -> SafraTree:
+    """The nodes with a nonempty label as a tree, temporaries renamed into the pool.
+
+    A child's label must be a subset of its parent's, so the survivors
+    form a tree.  Names in [1..pool] are static; larger names are
+    temporaries the step just made.  Every static name without a
+    surviving node goes to e_set and restarts its pair, and the
+    temporaries, in order, take the smallest of them.  finished are the
+    static names of surviving nodes that completed a round, the f_set.
+    """
+    if not label[1]:
         return _dead_safra_tree(pool)
-    e_set = frozenset(range(1, pool + 1)) - survivors
-    temps = sorted(v for v in survivors if v > pool)
-    free = sorted(e_set)
-    assert len(temps) <= len(free), "name pool exhausted"
-    rename = dict(zip(temps, free))
-    names, order = zip(*sorted((rename.get(v, v), v) for v in survivors))
+    unused = [v for v in range(2, pool + 1) if not label[v]]
+    temps = [v for v in range(pool + 1, len(label)) if label[v]]
+    assert len(temps) <= len(unused), "name pool exhausted"
+    new = list(range(len(label)))  # new[old name]
+    old = new[1 : pool + 1]  # old[new name - 1]
+    for v, name in zip(temps, unused):
+        new[v] = name
+        old[name - 1] = v
+    # the survivors' old names, in the order of their new names
+    order = list(filter(label.__getitem__, old))
+    renamed = new.__getitem__
     return SafraTree(
-        names,
+        tuple(map(renamed, order)),
         tuple(map(label.__getitem__, order)),
-        tuple(tuple(rename.get(c, c) for c in kids[v] if c in survivors) for v in order),
+        tuple([tuple(map(renamed, filter(label.__getitem__, kids[v]))) for v in order]),
         None if ann is None else tuple(map(ann.__getitem__, order)),
-        e_set,
-        frozenset(f_marks & survivors),
+        frozenset(unused),
+        frozenset(finished),
     )
 
 
@@ -185,43 +132,56 @@ def safra_step(tree: SafraTree, symbol: str, a: Automaton) -> SafraTree:
     if not tree.masks:
         return _dead_safra_tree(n)
     alpha = a.acceptance.accepting_mask
-    t = _open(tree, symbol, a, n)
-    label, kids = t.label, t.kids
+    label, kids, _ = _opened(tree, symbol, a, n)
 
-    # sprout: the accepting part of each label starts a new youngest child
-    order = t.preorder(1)
-    for v in order:
+    # sprout in preorder, oldest child first: the accepting part of each
+    # label starts a new youngest child, named after the pool in that order
+    order = []
+    stack = [1]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        sons = kids[v]
+        stack += reversed(sons)
         birth = label[v] & alpha
         if birth:
-            t.sprout(v, birth)
+            kids[v] = (*sons, len(label))
+            label.append(birth)
+            kids.append(())
 
-    # older siblings keep duplicated states; parents settle before
-    # children, and the sprouts are leaves
+    # parents first, older siblings first: a child keeps what its parent
+    # kept and no older sibling claimed.  A child's label is a subset of
+    # its parent's, so a state settled away from a node leaves its whole
+    # subtree as the pass goes down.  A nonempty node its children cover
+    # finishes a breakpoint: its children are emptied, and with them the
+    # rest of its subtree.  An emptied node is not green
+    greens = []
     for v in order:
-        if len(kids[v]) > 1:
-            t.settle(kids[v])
-
-    # breakpoints: children covering a nonempty parent end the round
-    greens = set()
-    for v, states in label.items():
-        covered = 0
-        for c in kids[v]:
-            covered |= label[c]
-        if states and states == covered:
-            greens.add(v)
-    for g in greens:
-        t.prune(g)
-    assert all(v <= n for v in greens), "fresh node cannot finish a breakpoint"
-    return _settle(t, greens, n)
+        sons = kids[v]
+        if not sons:
+            continue
+        room = states = label[v]
+        for c in sons:
+            kept = label[c] & room
+            label[c] = kept
+            room ^= kept
+        if states and not room:
+            greens.append(v)
+            for c in sons:
+                label[c] = 0
+    return _closed(label, kids, None, n, greens)
 
 
 def _rabin_condition(trees, name_count: int) -> RabinAcceptance:
-    pairs = []
-    for i in range(1, name_count + 1):
-        e_i = frozenset(s for s, t in enumerate(trees) if i in t.e_set)
-        f_i = frozenset(s for s, t in enumerate(trees) if i in t.f_set)
-        pairs.append((e_i, f_i))
-    return RabinAcceptance(tuple(pairs))
+    """Pair i is (the states whose tree has i in e_set, those with i in f_set)."""
+    e = [[] for _ in range(name_count + 1)]
+    f = [[] for _ in range(name_count + 1)]
+    for s, tree in enumerate(trees):
+        for i in tree.e_set:
+            e[i].append(s)
+        for i in tree.f_set:
+            f[i].append(s)
+    return RabinAcceptance(tuple(zip(map(frozenset, e[1:]), map(frozenset, f[1:]))))
 
 
 def _split(tree: SafraTree):
@@ -297,57 +257,93 @@ def streett_safra_step(
     if not isinstance(a.acceptance, StreettAcceptance):
         raise ValueError("streett_safra_step: Streett acceptance required")
     pairs = a.acceptance.pair_masks
-    k = len(pairs)
-    n = a.state_count
-    m = n * (k + 1)
+    m = a.state_count * (len(pairs) + 1)
     if not tree.masks:
         return _dead_safra_tree(m)
 
-    t = _open(tree, symbol, a, m)
-    label, kids, ann = t.label, t.kids, t.ann
-    f_marks: set[int] = set()
+    label, kids, ann = _opened(tree, symbol, a, m)
+    # the nodes that completed a round: each stays and everything below goes
+    finished = []
+    # the nodes with children, parents first: the final sweep's order
+    entered = []
 
-    def process(v: int) -> None:
+    # post-order over the sons, oldest first: v on the stack enters and ~v
+    # leaves.  Temporaries are named in walk order, which fixes the
+    # output.  A state taken from a son leaves the son's label only: the
+    # walk reads no deeper label afterwards, and the sweep clears the rest
+    stack = [1]
+    while stack:
+        v = stack.pop()
+        if v > 0:
+            sons = kids[v]
+            if not sons:
+                owed = ann[v]
+                if not owed:
+                    # nothing owed: the empty round completes on every letter
+                    finished.append(v)
+                    continue
+                # a leaf sprouts a son owing one index fewer, entered next
+                kids[v] = sons = (len(label),)
+                label.append(label[v])
+                kids.append(())
+                ann.append(owed ^ (1 << (owed.bit_length() - 1)))
+            entered.append(v)
+            stack.append(~v)
+            stack += reversed(sons)
+            continue
+        v = ~v
         owed = ann[v]
-        if not kids[v]:
-            if not owed:
-                # nothing owed: the empty round completes on every letter
-                f_marks.add(v)
-                return
-            t.sprout(v, label[v], owed ^ (1 << (owed.bit_length() - 1)))
-        sons = list(kids[v])
-        for c in sons:
-            process(c)
-        for c in sons:
+        first = len(label)
+        for c in kids[v]:
             missing = owed & ~ann[c]
             if not missing:
                 continue
             j = missing.bit_length() - 1
             assert missing == 1 << j, "a son owes at most one index fewer"
             r_j, g_j = pairs[j - 1]
-            # the moving states leave the son's subtree at once; an R-hit
-            # moves on to the largest smaller index, a G-hit owes j again
             moving = label[c] & (r_j | g_j)
-            if moving:
-                t.strip(c, moving)
+            label[c] ^= moving
+            # an R-hit moves on to the largest smaller index (none left:
+            # back to owing all), a G-hit owes j again; one sprout per state
             lower = owed & (missing - 1)
-            drop = (1 << (lower.bit_length() - 1)) if lower else 0
-            for s in mask_states(moving):
-                hit = 1 << s
-                t.sprout(v, hit, owed ^ (drop if hit & r_j else missing))
-        # duplicated states settle on the son owing the smallest index
-        # (a son owes at most one index fewer than v, so its missing mask
-        # orders as that index); the stable sort breaks ties on age
-        t.settle(sorted(kids[v], key=lambda c: owed & ~ann[c]))
-        # emptied sons leave; _settle sweeps their empty subtrees
-        kids[v] = [c for c in kids[v] if label[c]]
-        if kids[v] and all(ann[c] == owed for c in kids[v]):
-            t.prune(v)
-            f_marks.add(v)
+            r_missing = lower and 1 << (lower.bit_length() - 1)
+            while moving:
+                hit = moving & -moving
+                moving ^= hit
+                label.append(hit)
+                kids.append(())
+                ann.append(owed ^ (r_missing if hit & r_j else missing))
+        if len(label) > first:
+            kids[v] += tuple(range(first, len(label)))
+        # the sons, then the sprouts made here, oldest first, each with the
+        # index it misses
+        order = [(owed & ~ann[c], c) for c in kids[v]]
+        # duplicated states settle on the son owing the smallest index (a
+        # son owes at most one index fewer than v, so its missing mask
+        # orders as that index), ties on age: static names are recycled,
+        # so a name does not tell age, and the stable sort keeps kids order
+        order.sort(key=itemgetter(0))
+        claimed = 0
+        whole = True
+        for _, c in order:
+            kept = label[c] & ~claimed
+            label[c] = kept
+            if kept:
+                claimed |= kept
+                whole = whole and ann[c] == owed
+        if claimed and whole:
+            finished.append(v)
 
-    process(1)
-    del process  # it refers to itself: free the step's lists without the collector
-    return _settle(t, {v for v in f_marks if v <= m}, m)
+    # parents first, in entry order (a parent may be named after its
+    # child): the children of a finished node go, and any other node's
+    # children keep what it kept, so a state taken from a node leaves its
+    # whole subtree, and an emptied node takes its subtree along
+    done = set(finished)
+    for v in entered:
+        keep = 0 if v in done else label[v]
+        for c in kids[v]:
+            label[c] &= keep
+    return _closed(label, kids, ann, m, [v for v in finished if v <= m and label[v]])
 
 
 def streett_safra_determinize(a: Automaton) -> Automaton:

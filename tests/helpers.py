@@ -1,7 +1,9 @@
 """Checks and plumbing that several test modules share but the package never calls."""
 
 import os
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 from omegadet import (
     Alphabet,
@@ -14,7 +16,7 @@ from omegadet import (
 from omegadet.automata import mask_states, reach
 from omegadet.compact import EMPTY_TREE, _renamed, _top_bit
 from omegadet.lasso import _accepts_infinity_set, _fair_cycle, _sccs
-from omegadet.safra import WorkTree
+from omegadet.safra import SafraTree, _dead_safra_tree
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -133,6 +135,81 @@ def product_nsw_member(a: Automaton, lasso: Lasso) -> bool:
     """The Streett pairs over the product with the lasso's whole shape graph."""
     nodes, edges = _lasso_product(a, lasso, 1 << a.initial)
     return bool(_fair_cycle(_sccs(nodes, edges), edges, a.acceptance.pairs))
+
+
+# ---------------------------------------------------------------------------
+# WorkTree: a history tree edited in place, the oracles' representation
+# ---------------------------------------------------------------------------
+
+
+@dataclass(eq=False, slots=True)
+class WorkTree:
+    """A history tree that one step edits in place.
+
+    label, kids and ann map each name to its states as a mask (see
+    `state_mask`), its children oldest first and the pair indices it still
+    owes as a mask (ann is None for Buchi trees).  last is the last name
+    handed out.  A child's label is a subset of its parent's, so a node
+    whose label empties has an empty subtree, and the nodes still in the
+    tree are those with a nonempty label.
+    """
+
+    label: dict[int, int]
+    kids: dict[int, list[int]]
+    ann: dict[int, int] | None
+    last: int
+
+    def preorder(self, v: int) -> list[int]:
+        """Names of v's subtree, each before its children, oldest child first."""
+        kids = self.kids
+        names = []
+        stack = [v]
+        while stack:
+            x = stack.pop()
+            names.append(x)
+            stack.extend(reversed(kids[x]))
+        return names
+
+    def _subtree(self, v: int) -> list[int]:
+        """Names of v's subtree, each before its children; cheaper than preorder."""
+        kids = self.kids
+        names = [v]
+        for x in names:  # `names` grows while it is walked
+            names.extend(kids[x])
+        return names
+
+    def sprout(self, owner: int, states: int, owed: int | None = None) -> None:
+        """Add a youngest child of owner under a fresh name."""
+        self.last = name = self.last + 1
+        self.kids[owner].append(name)
+        self.kids[name] = []
+        self.label[name] = states
+        if self.ann is not None:
+            self.ann[name] = owed
+
+    def strip(self, v: int, states: int) -> None:
+        """Remove states from every label in v's subtree."""
+        label = self.label
+        keep = ~states
+        for x in self._subtree(v):
+            label[x] &= keep
+
+    def settle(self, sons: Iterable[int]) -> None:
+        """In the order given, each son keeps only the states no earlier son holds."""
+        label = self.label
+        claimed = 0
+        for c in sons:
+            dup = label[c] & claimed
+            if dup:
+                self.strip(c, dup)
+            claimed |= label[c]
+
+    def prune(self, v: int) -> None:
+        """Remove everything below v, emptying its labels."""
+        label = self.label
+        for x in self._subtree(v)[1:]:
+            label[x] = 0
+        self.kids[v] = []
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +335,142 @@ def worktree_compact_streett_step(tree, symbol: str, a: Automaton):
 
     process(1)
     return _close(t, min(finished, default=m + 1), m + 1)
+
+
+# ---------------------------------------------------------------------------
+# The Safra reference steps on a WorkTree
+# ---------------------------------------------------------------------------
+
+
+def _open_safra(tree: SafraTree, symbol: str, a: Automaton, pool: int) -> WorkTree:
+    """Working copy of a Safra tree after reading symbol; temporaries follow the pool."""
+    images = a.image_masks[symbol]
+    names = tree.names
+    return WorkTree(
+        dict(zip(names, map(images.__getitem__, tree.masks))),
+        dict(zip(names, map(list, tree.children))),
+        None if tree.ann_masks is None else dict(zip(names, tree.ann_masks)),
+        pool,
+    )
+
+
+def _settle_safra(t: WorkTree, f_marks, pool: int) -> SafraTree:
+    """Free the names of dead nodes and pull temporaries back into the pool.
+
+    Survivors are the nodes with a nonempty label; f_set keeps the f_marks
+    among them.  Names in [1..pool] are static; larger names are
+    temporaries the step just created.  Every static name without a
+    surviving node goes to e_set and restarts its pair, and the
+    temporaries take the smallest of them.  The survivors are listed by
+    their new names.
+    """
+    label, kids, ann = t.label, t.kids, t.ann
+    survivors = {v for v, states in label.items() if states}
+    if 1 not in survivors:
+        return _dead_safra_tree(pool)
+    e_set = frozenset(range(1, pool + 1)) - survivors
+    temps = sorted(v for v in survivors if v > pool)
+    free = sorted(e_set)
+    assert len(temps) <= len(free), "name pool exhausted"
+    rename = dict(zip(temps, free))
+    names, order = zip(*sorted((rename.get(v, v), v) for v in survivors))
+    return SafraTree(
+        names,
+        tuple(map(label.__getitem__, order)),
+        tuple(tuple(rename.get(c, c) for c in kids[v] if c in survivors) for v in order),
+        None if ann is None else tuple(map(ann.__getitem__, order)),
+        e_set,
+        frozenset(f_marks & survivors),
+    )
+
+
+def worktree_safra_step(tree: SafraTree, symbol: str, a: Automaton) -> SafraTree:
+    """The Safra Buchi step as edits of a `WorkTree`, the reference for `safra_step`.
+
+    It sprouts in preorder, settles sibling lists parents first with
+    `settle` (which strips a duplicate state from the son's whole subtree),
+    marks green every nonempty node its children cover, prunes below the
+    greens, and frees and recycles names in `_settle_safra`.
+    """
+    n = a.state_count
+    if not tree.masks:
+        return _dead_safra_tree(n)
+    alpha = a.acceptance.accepting_mask
+    t = _open_safra(tree, symbol, a, n)
+    label, kids = t.label, t.kids
+
+    order = t.preorder(1)
+    for v in order:
+        birth = label[v] & alpha
+        if birth:
+            t.sprout(v, birth)
+
+    for v in order:
+        if len(kids[v]) > 1:
+            t.settle(kids[v])
+
+    greens = set()
+    for v, states in label.items():
+        covered = 0
+        for c in kids[v]:
+            covered |= label[c]
+        if states and states == covered:
+            greens.add(v)
+    for g in greens:
+        t.prune(g)
+    assert all(v <= n for v in greens), "fresh node cannot finish a breakpoint"
+    return _settle_safra(t, greens, n)
+
+
+def worktree_streett_safra_step(tree: SafraTree, symbol: str, a: Automaton) -> SafraTree:
+    """The Safra Streett step as edits of a `WorkTree`, the reference for `streett_safra_step`.
+
+    A recursive walk over the sons, oldest first: a moving state is
+    stripped from the son's whole subtree at once, duplicates settle on
+    the son owing the smallest index with ties on age (a stable sort of
+    the kids list), and a finished node is pruned on the spot.
+    """
+    pairs = a.acceptance.pair_masks
+    m = a.state_count * (len(pairs) + 1)
+    if not tree.masks:
+        return _dead_safra_tree(m)
+    t = _open_safra(tree, symbol, a, m)
+    label, kids, ann = t.label, t.kids, t.ann
+    f_marks: set[int] = set()
+
+    def process(v: int) -> None:
+        owed = ann[v]
+        if not kids[v]:
+            if not owed:
+                f_marks.add(v)
+                return
+            t.sprout(v, label[v], owed ^ _top_bit(owed))
+        sons = list(kids[v])
+        for c in sons:
+            process(c)
+        for c in sons:
+            missing = owed & ~ann[c]
+            if not missing:
+                continue
+            j = missing.bit_length() - 1
+            assert missing == 1 << j, "a son owes at most one index fewer"
+            r_j, g_j = pairs[j - 1]
+            moving = label[c] & (r_j | g_j)
+            if moving:
+                t.strip(c, moving)
+            lower = owed & (missing - 1)
+            drop = _top_bit(lower) if lower else 0
+            for s in mask_states(moving):
+                hit = 1 << s
+                t.sprout(v, hit, owed ^ (drop if hit & r_j else missing))
+        t.settle(sorted(kids[v], key=lambda c: owed & ~ann[c]))
+        kids[v] = [c for c in kids[v] if label[c]]
+        if kids[v] and all(ann[c] == owed for c in kids[v]):
+            t.prune(v)
+            f_marks.add(v)
+
+    process(1)
+    return _settle_safra(t, {v for v in f_marks if v <= m}, m)
 
 
 # ---------------------------------------------------------------------------

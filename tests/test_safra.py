@@ -1,8 +1,13 @@
 """Reference Rabin-producing tree constructions."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omegadet import (
+    Alphabet,
+    Automaton,
+    BuchiAcceptance,
     Lasso,
     RabinAcceptance,
     nbw_member,
@@ -11,9 +16,10 @@ from omegadet import (
     safra_determinize,
     safra_step,
     streett_safra_determinize,
+    StreettAcceptance,
     streett_safra_step,
 )
-from omegadet.automata import mask_states
+from omegadet.automata import mask_states, state_mask
 from omegadet.safra import (
     SafraTree,
     initial_safra_tree,
@@ -23,6 +29,7 @@ from omegadet.lasso import enumerate_lassos
 from omegadet.random_gen import random_nbw, random_nsw
 
 from conftest import make_loop_nsw
+from helpers import full3, worktree_safra_step, worktree_streett_safra_step
 
 
 def _labels(tree):
@@ -178,3 +185,248 @@ class TestStreettDeterminize:
         drw = streett_safra_determinize(a)
         for lasso in enumerate_lassos(("a", "b"), 2, 2):
             assert run_deterministic(drw, lasso).accepted == nsw_member(a, lasso)
+
+
+def _one_letter(n, moves, acceptance):
+    """An automaton on states 0..n-1 reading "a"; moves maps a state to its successors."""
+    return Automaton(
+        alphabet=Alphabet(("a",)),
+        state_count=n,
+        initial=0,
+        transitions={(s, "a"): frozenset(ts) for s, ts in moves.items()},
+        acceptance=acceptance,
+    )
+
+
+def _tree(pool, nodes, anns=None):
+    """A SafraTree from {name: (states, children oldest first)}, e_set the unused names."""
+    names = tuple(sorted(nodes))
+    return SafraTree(
+        names,
+        tuple(state_mask(nodes[v][0]) for v in names),
+        tuple(tuple(nodes[v][1]) for v in names),
+        None if anns is None else tuple(state_mask(anns[v]) for v in names),
+        frozenset(range(1, pool + 1)) - frozenset(names),
+        frozenset(),
+    )
+
+
+class TestHandWorkedSteps:
+    """Single steps on trees whose names do not follow age or depth."""
+
+    def test_temporary_takes_the_smallest_freed_name(self):
+        # 0 is accepting: the root sprouts a temporary for {0}, which takes
+        # name 2, the smallest unused one, though it is younger than 3.
+        a = _one_letter(4, {0: {0}, 1: {1}, 2: {2}}, BuchiAcceptance({0}))
+        tree = _tree(4, {1: ((0, 1, 2), (3,)), 3: ((1,), ())})
+        assert safra_step(tree, "a", a) == SafraTree(
+            names=(1, 2, 3),
+            masks=(0b111, 0b1, 0b10),
+            children=((3, 2), (), ()),
+            ann_masks=None,
+            e_set=frozenset({2, 4}),
+            f_set=frozenset(),
+        )
+
+    def test_recycled_parent_name(self):
+        # 4 is the parent of 2 and 5; the older son 5 keeps state 1, so the
+        # younger son 2 empties, and its son 3 with it although 3 > 2 < 4.
+        a = _one_letter(5, {0: {1}, 1: {1}, 2: {2}, 3: {3}}, BuchiAcceptance(()))
+        tree = _tree(5, {
+            1: ((0, 1, 2, 3), (4,)),
+            2: ((1,), (3,)),
+            3: ((1,), ()),
+            4: ((0, 1, 2), (5, 2)),
+            5: ((0,), ()),
+        })
+        assert safra_step(tree, "a", a) == SafraTree(
+            names=(1, 4, 5),
+            masks=(0b1110, 0b110, 0b10),
+            children=((4,), (5,), ()),
+            ann_masks=None,
+            e_set=frozenset({2, 3}),
+            f_set=frozenset(),
+        )
+
+    def test_emptied_node_with_children_is_not_green(self):
+        # 2 and 3 both move to state 2; the older son 2 keeps it, so 3 and
+        # its son 4 empty.  Nothing covers the root, which keeps state 3,
+        # and the emptied 3 finishes no breakpoint.
+        a = _one_letter(4, {0: {2}, 1: {2}, 3: {3}}, BuchiAcceptance(()))
+        tree = _tree(4, {
+            1: ((0, 1, 3), (2, 3)),
+            2: ((0,), ()),
+            3: ((1,), (4,)),
+            4: ((1,), ()),
+        })
+        assert safra_step(tree, "a", a) == SafraTree(
+            names=(1, 2),
+            masks=(0b1100, 0b100),
+            children=((2,), ()),
+            ann_masks=None,
+            e_set=frozenset({3, 4}),
+            f_set=frozenset(),
+        )
+
+    def test_streett_sons_settle_by_age_not_name(self):
+        # One pair with empty R and G, m = 8 names.  The sons 3 (older) and
+        # 2 both move to state 2, owing the same index: 3 keeps it, and 2
+        # and the son it sprouted go.  3's sprout, which owes nothing,
+        # takes the freed name 2 but, being a temporary, marks no f; the
+        # leaf 4 owes nothing and does.
+        a = _one_letter(4, {0: {2}, 1: {2}, 3: {3}}, StreettAcceptance([((), ())]))
+        tree = _tree(
+            8,
+            {1: ((0, 1, 3), (3, 2, 4)), 2: ((1,), ()), 3: ((0,), ()), 4: ((3,), ())},
+            {1: (1,), 2: (1,), 3: (1,), 4: ()},
+        )
+        assert streett_safra_step(tree, "a", a) == SafraTree(
+            names=(1, 2, 3, 4),
+            masks=(0b1100, 0b100, 0b100, 0b1000),
+            children=((3, 4), (), (2,), ()),
+            ann_masks=(0b10, 0, 0b10, 0),
+            e_set=frozenset({2, 5, 6, 7, 8}),
+            f_set=frozenset({4}),
+        )
+
+
+def _distinct_steps(a, start, step):
+    """(tree, symbol, output) for every reachable step, once per image key.
+
+    A step reads only the tree's shape and the images of its masks, so two
+    (tree, letter) pairs with the same key have the same output under both
+    the step and its oracle; the walk compares each key once.
+    """
+    seen = {start}
+    queue = [start]
+    outputs = {}
+    for tree in queue:
+        shape = tree.names, tree.children, tree.ann_masks
+        for symbol in a.alphabet.symbols:
+            images = a.image_masks[symbol]
+            key = shape, tuple(map(images.__getitem__, tree.masks))
+            out = outputs.get(key)
+            if out is None:
+                out = outputs[key] = step(tree, symbol, a)
+                yield tree, symbol, out
+            if out not in seen:
+                seen.add(out)
+                queue.append(out)
+
+
+# Sources of the WorkTree comparison: small random NBWs, sparse
+# Tabakov-Vardi NBWs at three acceptance densities, and the 512-letter
+# full NBW on 3 states
+BUCHI_SOURCES = [
+    pytest.param([random_nbw(n, seed) for seed in range(20)], id=f"nbw{n}")
+    for n in range(1, 7)
+] + [
+    pytest.param(
+        [
+            random_nbw(n, seed, density=1.5 / n, acceptance_density=d)
+            for seed in range(seeds)
+        ],
+        id=f"tv{n}-{d}",
+    )
+    for n, seeds in ((6, 10), (10, 5), (14, 1))
+    for d in (0.1, 0.5, 0.9)
+] + [pytest.param([full3()], id="full3")]
+
+
+class TestSafraStepsMatchWorkTree:
+    """The flat-list steps give what the WorkTree edits give.
+
+    `SafraTree` equality compares every field, e_set and f_set included.
+    """
+
+    @pytest.mark.parametrize("sources", BUCHI_SOURCES)
+    def test_every_reachable_buchi_step(self, sources):
+        for a in sources:
+            start = initial_safra_tree(a)
+            for tree, symbol, old in _distinct_steps(a, start, worktree_safra_step):
+                assert safra_step(tree, symbol, a) == old, (tree, symbol)
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_every_reachable_streett_step(self, n):
+        for k in range(1, 4):
+            for seed in range(4):
+                a = random_nsw(n, k, seed)
+                start = initial_streett_safra_tree(a)
+                for tree, symbol, old in _distinct_steps(
+                    a, start, worktree_streett_safra_step
+                ):
+                    new = streett_safra_step(tree, symbol, a)
+                    assert new == old, (k, seed, tree, symbol)
+
+
+@st.composite
+def _safra_case(draw, streett):
+    """A random NBW or NSW, a well-formed Safra tree on its states, and a letter.
+
+    Labels nest and siblings are disjoint; in a Streett tree each son owes
+    what its parent owes or that less one index.  The root is named 1 and
+    the other nodes draw distinct names from the pool in any order, so a
+    parent may carry a larger name than its child or its older sibling.
+    The tree need not be reachable.
+    """
+    if streett:
+        n = draw(st.integers(min_value=1, max_value=4))
+        k = draw(st.integers(min_value=0, max_value=3))
+        a = random_nsw(n, k, draw(st.integers(min_value=0, max_value=5_000)))
+        pool = n * (k + 1)
+    else:
+        n = draw(st.integers(min_value=1, max_value=6))
+        k = 0
+        a = random_nbw(
+            n,
+            draw(st.integers(min_value=0, max_value=5_000)),
+            acceptance_density=draw(st.sampled_from([0.1, 0.5, 0.9])),
+        )
+        pool = n
+    root = draw(st.integers(min_value=1, max_value=(1 << n) - 1))
+    owed = draw(st.integers(min_value=0, max_value=(1 << k) - 1)) << 1
+    # nodes by age: parent index, mask, owed indices, states no child holds
+    parents, masks, anns, free = [-1], [root], [owed], [root]
+    for _ in range(draw(st.integers(min_value=0, max_value=pool - 1))):
+        open_nodes = [i for i, room in enumerate(free) if room]
+        if not open_nodes:
+            break
+        p = draw(st.sampled_from(open_nodes))
+        mask = draw(st.integers(min_value=1, max_value=free[p])) & free[p]
+        mask = mask or free[p] & -free[p]
+        free[p] &= ~mask
+        dropped = draw(st.sampled_from([0, *(1 << j for j in mask_states(anns[p]))]))
+        parents.append(p)
+        masks.append(mask)
+        anns.append(anns[p] & ~dropped)
+        free.append(mask)
+    names = [1, *draw(st.permutations(range(2, pool + 1)))[: len(masks) - 1]]
+    kids = {v: [] for v in names}
+    for i, p in enumerate(parents[1:], 1):
+        kids[names[p]].append(names[i])
+    nodes = sorted(zip(names, masks, anns))
+    tree = SafraTree(
+        tuple(v for v, _, _ in nodes),
+        tuple(mask for _, mask, _ in nodes),
+        tuple(tuple(kids[v]) for v, _, _ in nodes),
+        tuple(owed for _, _, owed in nodes) if streett else None,
+        frozenset(range(2, pool + 1)) - frozenset(names),
+        frozenset(),
+    )
+    return a, tree, draw(st.sampled_from(a.alphabet.symbols))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_safra_case(streett=False))
+def test_buchi_step_matches_worktree_on_any_tree(case):
+    a, tree, symbol = case
+    assert safra_step(tree, symbol, a) == worktree_safra_step(tree, symbol, a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_safra_case(streett=True))
+def test_streett_step_matches_worktree_on_any_tree(case):
+    a, tree, symbol = case
+    assert streett_safra_step(tree, symbol, a) == worktree_streett_safra_step(
+        tree, symbol, a
+    )
