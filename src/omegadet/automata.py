@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, compress, repeat
+from operator import is_, itemgetter, or_
 from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 
@@ -166,6 +166,30 @@ class Automaton:
         of `run_deterministic`.
         """
         return {}
+
+
+class _Columns(dict):
+    """Memo from a state mask to its images under every letter, in alphabet order.
+
+    A one-state (or empty) column is read off the image memos, any larger
+    one is the OR of two smaller columns, so the image memos gain entries
+    for one-state masks only.
+    """
+
+    __slots__ = ("images",)
+
+    def __init__(self, images: list[dict[int, int]]) -> None:
+        super().__init__()
+        self.images = images
+
+    def __missing__(self, mask: int) -> list[int]:
+        low = mask & -mask
+        if mask == low:
+            column = list(map(itemgetter(mask), self.images))
+        else:
+            column = list(map(or_, self[low], self[mask ^ low]))
+        self[mask] = column
+        return column
 
 
 class _Images(dict):
@@ -369,6 +393,14 @@ def reach(
     return order, edges
 
 
+# Above this many letters a closure reads each state's keys in C, through
+# one column per node mask: its images under every letter.  On smaller
+# alphabets the columns cost more than they save, and a state's few keys
+# are built one by one.  The crossover, measured on random 8-state NBWs,
+# lies at about 8 letters (3 APs).
+_COLUMN_LETTERS = 8
+
+
 def explore(
     a: Automaton,
     start: Hashable,
@@ -392,38 +424,53 @@ def explore(
     acceptance(states) builds the condition from the states in that order.
     """
     symbols = a.alphabet.symbols
-    images = [(sym, a.image_masks[sym]) for sym in symbols]
+    images = list(map(a.image_masks.__getitem__, symbols))
+    size = len(symbols)
+    columns = _Columns(images) if size > _COLUMN_LETTERS else None
     order = [start]
     first = {start: start}
     shapes: dict = {}
     memo: dict = {}
     rows = []
+
+    def visit(state, i: int, image_key) -> Hashable:
+        """The state's successor on letter i; the step runs if the key is new."""
+        nxt = memo.get(image_key)
+        if nxt is None:
+            out = step(state, symbols[i], a)
+            nxt = memo[image_key] = first.setdefault(out, out)
+            if nxt is out:
+                order.append(nxt)
+        return nxt
+
     for state in order:  # `order` grows while it is walked
         shape, masks = split(state)
         # a shape is hashed once per state, not once per symbol
         shape = shapes.setdefault(shape, len(shapes))
-        row = []
-        for sym, image in images:
-            image_key = (shape, *map(image.__getitem__, masks))
-            nxt = memo.get(image_key)
-            if nxt is None:
-                out = step(state, sym, a)
-                nxt = memo[image_key] = first.setdefault(out, out)
-                if nxt is out:
-                    order.append(nxt)
-            row.append(nxt)
+        if columns is None:
+            row = []
+            for i, image in enumerate(images):
+                image_key = (shape, *map(image.__getitem__, masks))
+                nxt = memo.get(image_key)
+                row.append(visit(state, i, image_key) if nxt is None else nxt)
+        else:
+            # every letter's key, and its successor if the key is known, in
+            # C; then the letters whose key was new when read, in order
+            keys = list(zip(repeat(shape, size), *map(columns.__getitem__, masks)))
+            row = list(map(memo.get, keys))
+            for i in compress(range(size), map(is_, row, repeat(None))):
+                row[i] = visit(state, i, keys[i])
         rows.append(row)
     states = sorted(order, key=key)
     # every state is its first instance, so identity numbers them without
-    # hashing a state again
+    # hashing a state again, and every transition into state i shares one {i}
     number = {id(state): i for i, state in enumerate(states)}
-    # every transition into state i shares one {i}
-    targets = [frozenset({i}) for i in range(len(states))]
-    transitions = {
-        (number[id(state)], sym): targets[number[id(nxt)]]
-        for state, row in zip(order, rows)
-        for sym, nxt in zip(symbols, row)
-    }
+    target = {id(state): frozenset({i}) for i, state in enumerate(states)}
+    transitions: dict = {}
+    for state, row in zip(order, rows):
+        s = number[id(state)]
+        for sym, nxt in zip(symbols, row):
+            transitions[s, sym] = target[id(nxt)]
     return Automaton(
         alphabet=a.alphabet,
         state_count=len(states),

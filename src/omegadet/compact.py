@@ -84,12 +84,16 @@ def _renamed(survivors, par, label, ann, last: int, f: int, bound: int):
     """
     if not survivors or survivors[0] != 1:
         return EMPTY_TREE, 1
+    # new[v] is the new name of survivor v, and new[0] stays 0
+    new = [0] * (last + 1)
+    e = 0
+    for i, v in enumerate(survivors, 1):
+        new[v] = i
+        if i != v and not e:
+            e = i
     count = len(survivors)
-    e = bound
-    if count < last:
-        e = next((i for i, v in enumerate(survivors, 1) if i != v), count + 1)
-    new = dict(zip(survivors, range(1, count + 1)))
-    new[0] = 0
+    if not e:
+        e = bound if count == last else count + 1
     out = CompactSafraTree(
         parents=tuple(map(new.__getitem__, map(par.__getitem__, survivors))),
         masks=tuple(map(label.__getitem__, survivors)),
@@ -97,7 +101,8 @@ def _renamed(survivors, par, label, ann, last: int, f: int, bound: int):
         f=f,
         ann_masks=() if ann is None else tuple(map(ann.__getitem__, survivors)),
     )
-    return out, priority_of(e, f)
+    # priority_of(e, f), whose checks hold here: e >= 2, as name 1 survives
+    return out, 2 * f - 2 if f < e else 2 * e - 3
 
 
 def initial_compact_tree(a: Automaton) -> CompactSafraTree:

@@ -12,6 +12,9 @@ AP j), so emitted alphabets always have power-of-two size.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
+from itertools import cycle, islice, product
+from operator import add
 
 from omegadet.automata import (
     Alphabet,
@@ -134,11 +137,39 @@ def _symbol_label(i: int, ap_count: int) -> str:
     ) or "t"
 
 
-def _valuation_symbols(ap_count: int) -> tuple[str, ...]:
-    return tuple(
+# The two caches below hold immutable values that depend on the AP count
+# alone, so sharing them between documents changes no result.  Documents of
+# one or two AP counts are the usual case; at 16 APs the labels take 6.9 MB
+# and the alphabet, with its position table, 8.5 MB.
+@lru_cache(maxsize=4)
+def _edge_labels(ap_count: int) -> tuple[str, ...]:
+    """The `[label] ` prefix of an edge on each letter, by letter index."""
+    return tuple(f"[{_symbol_label(i, ap_count)}] " for i in range(1 << ap_count))
+
+
+@lru_cache(maxsize=4)
+def _valuation_alphabet(ap_count: int) -> Alphabet:
+    """The alphabet of a document: letter i is named by its AP values, AP 0 first."""
+    return Alphabet(tuple(
         "".join("1" if (i >> j) & 1 else "0" for j in range(ap_count)) or "t"
         for i in range(1 << ap_count)
-    )
+    ))
+
+
+# Per AP count, the canonical label texts, the spellings `_edge_labels`
+# writes, with their symbols, filled as documents read them: at most 2**AP
+# entries per count.  A canonical text names the same letter in every
+# document of its AP count, so sharing the table changes no result.
+_CANONICAL_LETTERS: dict[int, dict[str, str]] = {}
+
+
+class _TargetTexts(dict):
+    """Memo from a one-state successor set to its target's text."""
+
+    def __missing__(self, targets: frozenset[int]) -> str:
+        (t,) = targets
+        text = self[targets] = str(t)
+        return text
 
 
 def emit_hoa(a: Automaton) -> str:
@@ -167,16 +198,29 @@ def emit_hoa(a: Automaton) -> str:
     for i, states in enumerate(sets):
         for s in states:
             marks[s].append(i)
-    # each letter's label text is built once per document, not once per edge
-    letters = [
-        (sym, f"[{_symbol_label(i, ap_count)}] ") for i, sym in enumerate(a.alphabet)
-    ]
+    heads = []
     for s in a.states():
         suffix = " {" + " ".join(map(str, marks[s])) + "}" if marks[s] else ""
-        lines.append(f"State: {s}{suffix}")
-        for sym, label in letters:
-            for t in sorted(a.successors(s, sym)):
-                lines.append(f"{label}{t}")
+        heads.append(f"State: {s}{suffix}")
+    labels = _edge_labels(ap_count)
+    # the successor set of every (state, letter), state by state
+    rows = map(a.transitions.get, product(a.states(), a.alphabet.symbols))
+    if a.deterministic:
+        # the constructor gives a deterministic automaton one target per
+        # letter, so every edge line is built in C; each state's line then
+        # goes before the state's first edge
+        start = len(lines)
+        lines += map(add, cycle(labels), map(_TargetTexts().__getitem__, rows))
+        for s, head in enumerate(heads):
+            first = start + s * len(labels)
+            lines[first] = f"{head}\n{lines[first]}"
+    else:
+        edges = zip(cycle(labels), rows)
+        for head in heads:
+            lines.append(head)
+            for label, targets in islice(edges, len(labels)):
+                for t in sorted(targets or ()):
+                    lines.append(f"{label}{t}")
     lines.append("--END--")
     return "\n".join(lines) + "\n"
 
@@ -401,9 +445,12 @@ def parse_hoa(text: str) -> Automaton:
             f"initial state {_quote(str(initial))} out of range", headers["Start"][0]
         )
 
-    symbols = _valuation_symbols(ap_count)
-    # label text -> symbol, and target text -> {target}; a text that fails
-    # to parse is never stored, so it raises again on every line that has it
+    alphabet = _valuation_alphabet(ap_count)
+    # label text -> symbol: the canonical texts through the table this AP
+    # count shares with every document, the others through this document's
+    # own; and target text -> {target}.  A text that fails to parse is never
+    # stored, so it raises again on every line that has it
+    canonical = _CANONICAL_LETTERS.setdefault(ap_count, {})
     letters: dict[str, str] = {}
     targets: dict[str, frozenset[int]] = {}
     transitions: dict[tuple[int, str], frozenset[int]] = {}
@@ -465,9 +512,12 @@ def parse_hoa(text: str) -> Automaton:
             if number >= state_count:
                 raise HoaError(f"edge target {_quote(str(number))} out of range", line)
             single = targets[target] = frozenset((number,))
-        symbol = letters.get(label)
+        symbol = canonical.get(label) or letters.get(label)
         if symbol is None:
-            symbol = letters[label] = symbols[_parse_label(label, ap_count, line)]
+            index = _parse_label(label, ap_count, line)
+            symbol = alphabet.symbols[index]
+            spelling = f"[{_symbol_label(index, ap_count)}]"
+            (canonical if label == spelling else letters)[label] = symbol
         key = (current, symbol)
         known = transitions.setdefault(key, single)
         if known is not single:
@@ -483,7 +533,7 @@ def parse_hoa(text: str) -> Automaton:
     acceptance = _build_acceptance(kind, sets, state_count)
     try:
         return Automaton(
-            alphabet=Alphabet(symbols),
+            alphabet=alphabet,
             state_count=state_count,
             initial=initial,
             transitions=transitions,

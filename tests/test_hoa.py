@@ -21,6 +21,7 @@ from omegadet import (
     safra_determinize,
     streett_safra_determinize,
 )
+from omegadet import hoa
 from omegadet.hoa import HoaError, emit_hoa, parse_hoa
 from omegadet.random_gen import random_nsw
 
@@ -106,6 +107,31 @@ class TestEmit:
         doc = emit_hoa(one_symbol)
         assert "AP: 0" in doc
         assert "[t] 0" in doc
+
+    def test_several_targets_are_written_in_ascending_order(self):
+        # a letter without an edge writes no line, and a set of several
+        # targets is sorted whatever its hash order
+        a = Automaton(
+            alphabet=Alphabet(("x", "y")),
+            state_count=12,
+            initial=0,
+            transitions={
+                (0, "x"): frozenset({11, 2, 0, 9}),
+                (0, "y"): frozenset({10}),
+                (1, "y"): frozenset({1, 0}),
+            },
+            acceptance=BuchiAcceptance(frozenset({0})),
+        )
+        body = emit_hoa(a).split("--BODY--\n")[1]
+        assert body.startswith(
+            "State: 0 {0}\n[!0] 0\n[!0] 2\n[!0] 9\n[!0] 11\n[0] 10\n"
+            "State: 1\n[0] 0\n[0] 1\nState: 2\n"
+        )
+        assert parse_hoa(emit_hoa(a)).transitions == {
+            (0, "0"): frozenset({0, 2, 9, 11}),
+            (0, "1"): frozenset({10}),
+            (1, "1"): frozenset({0, 1}),
+        }
 
     def test_rejects_non_power_of_two_alphabet(self):
         l3 = build_lk_fixture(3)
@@ -758,3 +784,70 @@ State: 1
         with pytest.raises(HoaError, match="missing AP") as err:
             parse_hoa(wider)
         assert err.value.line == 9
+
+    TWO_AP_DOC = """HOA: v1
+States: 2
+Start: 0
+AP: 2 "p0" "p1"
+acc-name: Buchi
+Acceptance: 1 Inf(0)
+--BODY--
+State: 0 {0}
+[!0&!1] 1
+[0&!1] 0
+[!0&1] 0
+[0&1] 1
+State: 1
+[0&!1] 1
+--END--
+"""
+
+    @pytest.mark.parametrize(
+        "canonical,spelling",
+        [
+            ("[0&!1] 0", "[!1 & 0] 0"),
+            ("[0&!1] 0", "[ !1&0 ] 0"),
+            ("[!0&!1] 1", "[!1&!0] 1"),
+            ("[0&1] 1", "[1 &0] 1"),
+            ("[0&!1] 1", "[! 1 & 0] 1"),
+        ],
+    )
+    def test_other_spellings_read_as_their_letter(self, monkeypatch, canonical, spelling):
+        monkeypatch.setattr(hoa, "_CANONICAL_LETTERS", {})
+        # the first parse fills the shared table with the canonical texts
+        expected = parse_hoa(self.TWO_AP_DOC)
+        used = {"[!0&!1]", "[0&!1]", "[!0&1]", "[0&1]"}
+        assert set(hoa._CANONICAL_LETTERS[2]) == used
+        assert parse_hoa(self.TWO_AP_DOC.replace(canonical, spelling)) == expected
+        # another spelling stays with its own document
+        assert set(hoa._CANONICAL_LETTERS[2]) == used
+
+    def test_a_bad_label_raises_in_every_document(self):
+        parse_hoa(self.TWO_STATE_DOC)
+        bad = self.TWO_STATE_DOC.replace("State: 1\n[!0] 0", "State: 1\n[!0&0] 0")
+        for _ in range(2):
+            with pytest.raises(HoaError, match="twice") as err:
+                parse_hoa(bad)
+            assert err.value.line == 12
+
+    def test_a_wide_document_shares_only_the_labels_it_uses(self, monkeypatch):
+        monkeypatch.setattr(hoa, "_CANONICAL_LETTERS", {})
+        # the document of TestParse.test_ap_limit_itself_parses, with three edges
+        names = " ".join(f'"p{j}"' for j in range(16))
+        doc = TINY_DPW_DOC.replace('AP: 1 "p0"', f"AP: 16 {names}")
+        doc = doc.replace("properties: deterministic\n", "")
+        labels = [
+            "&".join(f"!{j}" for j in range(16)),
+            "&".join(map(str, range(16))),
+            "&".join(f"{j}" if j % 3 else f"!{j}" for j in range(16)),
+        ]
+        doc = doc.replace("[!0] 0\n[0] 0\n", "".join(f"[{x}] 0\n" for x in labels))
+        a = parse_hoa(doc)
+        assert len(a.alphabet) == 1 << 16
+        assert hoa._CANONICAL_LETTERS == {
+            16: {
+                f"[{labels[0]}]": "0" * 16,
+                f"[{labels[1]}]": "1" * 16,
+                f"[{labels[2]}]": "".join("1" if j % 3 else "0" for j in range(16)),
+            }
+        }

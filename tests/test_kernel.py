@@ -469,3 +469,36 @@ def test_full3_closure_counts(monkeypatch, module, step, determinize, calls, sta
     out = determinize(full3())
     assert (count, out.state_count) == (calls, states)
     assert hashlib.sha256(emit_hoa(out).encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("module,step,determinize,sources", [
+    pytest.param(compact, "compact_step", nbw_to_dpw,
+                 [random_nbw(5, seed) for seed in range(5)] + [full3()], id="compact_step"),
+    pytest.param(compact, "compact_streett_step", nsw_to_dpw,
+                 [random_nsw(3, 2, seed) for seed in range(5)], id="compact_streett_step"),
+    pytest.param(safra, "safra_step", safra_determinize,
+                 [random_nbw(4, seed) for seed in range(5)] + [full3()], id="safra_step"),
+    pytest.param(safra, "streett_safra_step", streett_safra_determinize,
+                 [random_nsw(3, 2, seed) for seed in range(5)], id="streett_safra_step"),
+])
+def test_both_key_paths_make_the_same_steps(monkeypatch, module, step, determinize, sources):
+    """`explore` reads a row's keys letter by letter on small alphabets and
+    through mask columns on large ones; either way, on any alphabet, the
+    closure makes the same steps in the same order and builds one automaton."""
+    original = getattr(module, step)
+    calls = []
+
+    def recording(tree, symbol, a):
+        calls.append((tree, symbol))
+        return original(tree, symbol, a)
+
+    monkeypatch.setattr(module, step, recording)
+    for a in sources:
+        built, steps = [], []
+        for letters in (0, 1 << 20):
+            monkeypatch.setattr(automata, "_COLUMN_LETTERS", letters)
+            calls.clear()
+            built.append(determinize(a))
+            steps.append(list(calls))
+        assert steps[0] == steps[1]
+        assert built[0] == built[1]

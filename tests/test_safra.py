@@ -1,7 +1,7 @@
 """Reference Rabin-producing tree constructions."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from omegadet import (
@@ -423,8 +423,27 @@ def test_buchi_step_matches_worktree_on_any_tree(case):
     assert safra_step(tree, symbol, a) == worktree_safra_step(tree, symbol, a)
 
 
+# Two sons owe the same index and both read state 2; the younger, 3, has the
+# smaller name.  Age, not name, decides which keeps the state, and random
+# trees draw this case too rarely to pin that on every run.
+_SAME_INDEX_SONS = (
+    _one_letter(
+        3,
+        {0: {2}, 1: {2}, 2: {0}},
+        StreettAcceptance([((), ()), ((), ())]),
+    ),
+    _tree(
+        9,
+        {1: ((0, 1, 2), (5, 3)), 3: ((1,), ()), 5: ((0,), ())},
+        {1: (1, 2), 3: (1,), 5: (1,)},
+    ),
+    "a",
+)
+
+
 @settings(max_examples=200, deadline=None)
 @given(_safra_case(streett=True))
+@example(_SAME_INDEX_SONS)
 def test_streett_step_matches_worktree_on_any_tree(case):
     a, tree, symbol = case
     assert streett_safra_step(tree, symbol, a) == worktree_streett_safra_step(

@@ -65,3 +65,24 @@ def test_bench_pairs_refuses_checkouts_with_different_benchmarks(tmp_path):
     assert proc.returncode == 2
     assert "different benchmarks" in proc.stderr
     assert not output.exists()
+
+
+def test_hoa_digests_pins_the_full_n3_output():
+    """The DPW and DRW texts of full-n3 at seed 3, as one digest per automaton.
+
+    A change to the determinizers or to `emit_hoa` that moves a byte of
+    this output fails here; one that is meant to must say why.
+    """
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "hoa_digests.py"),
+         "--workload", "full-n3", "--seed", "3"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    )
+    lines = proc.stdout.splitlines()
+    assert [line.split()[0] for line in lines] == [*map(str, range(7)), "all"]
+    assert lines[-1] == (
+        "all bb108db47010ef536249f80733926e9fc065dc4704a029b62a3e88ae1da1dd8c"
+    )
