@@ -406,7 +406,6 @@ def explore(
     start: Hashable,
     step: Callable[[Hashable, str, Automaton], Hashable],
     split: Callable[[Hashable], tuple[Hashable, tuple[int, ...]]],
-    key: Callable[[Hashable], object],
     acceptance: Callable[[list], AcceptanceCondition],
 ) -> Automaton:
     """Deterministic automaton of the states a tree step reaches from `start`.
@@ -416,31 +415,31 @@ def explore(
     gives (shape, masks), a shape that holds everything else the step reads
     and tells which node holds each mask, and the masks.  The step runs
     once per image key, the shape with the images of the masks, shared by
-    every state and symbol.  One table keeps each state as its first
-    instance, both to find new states and to share equal outputs, so a key
-    seen before costs no hash of a state.  States are numbered in the order
-    of key(state), not in the order they are found, so the numbering, and
-    with it the emitted HOA, does not depend on hash order.
-    acceptance(states) builds the condition from the states in that order.
+    every state and symbol.  One table numbers the states, so a key seen
+    before gives its successor's number without a hash of a state.  State i
+    is the i-th state found breadth first from `start`, letters in alphabet
+    order, and `start` is 0; no step depends on hash order, so neither does
+    the numbering.  acceptance(states) builds the condition from the states
+    in that order.
     """
     symbols = a.alphabet.symbols
     images = list(map(a.image_masks.__getitem__, symbols))
     size = len(symbols)
     columns = _Columns(images) if size > _COLUMN_LETTERS else None
     order = [start]
-    first = {start: start}
+    number = {start: 0}
     shapes: dict = {}
     memo: dict = {}
     rows = []
 
-    def visit(state, i: int, image_key) -> Hashable:
-        """The state's successor on letter i; the step runs if the key is new."""
+    def visit(state, i: int, image_key) -> int:
+        """The state's successor on letter i, by number; the step runs if the key is new."""
         nxt = memo.get(image_key)
         if nxt is None:
             out = step(state, symbols[i], a)
-            nxt = memo[image_key] = first.setdefault(out, out)
-            if nxt is out:
-                order.append(nxt)
+            nxt = memo[image_key] = number.setdefault(out, len(order))
+            if nxt == len(order):
+                order.append(out)
         return nxt
 
     for state in order:  # `order` grows while it is walked
@@ -461,21 +460,17 @@ def explore(
             for i in compress(range(size), map(is_, row, repeat(None))):
                 row[i] = visit(state, i, keys[i])
         rows.append(row)
-    states = sorted(order, key=key)
-    # every state is its first instance, so identity numbers them without
-    # hashing a state again, and every transition into state i shares one {i}
-    number = {id(state): i for i, state in enumerate(states)}
-    target = {id(state): frozenset({i}) for i, state in enumerate(states)}
+    # every transition into state i shares one {i}
+    target = [frozenset({i}) for i in range(len(order))]
     transitions: dict = {}
-    for state, row in zip(order, rows):
-        s = number[id(state)]
+    for s, row in enumerate(rows):
         for sym, nxt in zip(symbols, row):
-            transitions[s, sym] = target[id(nxt)]
+            transitions[s, sym] = target[nxt]
     return Automaton(
         alphabet=a.alphabet,
-        state_count=len(states),
-        initial=number[id(start)],
+        state_count=len(order),
+        initial=0,
         transitions=transitions,
-        acceptance=acceptance(states),
+        acceptance=acceptance(order),
         deterministic=True,
     )

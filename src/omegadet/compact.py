@@ -19,7 +19,6 @@ in `_renamed`, which renames the survivors 1..N and prices the step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
 
 from omegadet.automata import (
     Automaton,
@@ -27,7 +26,6 @@ from omegadet.automata import (
     ParityAcceptance,
     StreettAcceptance,
     explore,
-    mask_states,
 )
 
 
@@ -302,17 +300,6 @@ def _top_bit(mask: int) -> int:
     return 1 << (mask.bit_length() - 1)
 
 
-def _dpw_state_key(state, decode):
-    """Sort key of a DPW state: the tree with its masks read as sorted tuples."""
-    tree, priority = state
-    return (
-        tree.parents,
-        tuple(map(decode, tree.masks)),
-        tuple(map(decode, tree.ann_masks)),
-        priority,
-    )
-
-
 def _split(tree: CompactSafraTree):
     """The memo shape of a tree, (parents, ann_masks), and its node masks."""
     return (tree.parents, tree.ann_masks), tree.masks
@@ -328,13 +315,11 @@ def _to_dpw(a: Automaton, step, start: CompactSafraTree, index: int) -> Automato
     state's tree; trees and letters whose shape and mask images agree
     share one step.
     """
-    decode = cache(mask_states)
     return explore(
         a,
         (start, priority_of(start.e, start.f)),
         lambda state, symbol, a: step(state[0], symbol, a),
         lambda state: _split(state[0]),
-        lambda state: _dpw_state_key(state, decode),
         lambda states: ParityAcceptance(
             priorities=tuple(priority for _, priority in states), index=index
         ),

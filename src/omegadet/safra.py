@@ -14,8 +14,6 @@ the surviving temporaries the smallest freed ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
-from itertools import repeat
 from operator import itemgetter
 
 from omegadet.automata import (
@@ -24,7 +22,6 @@ from omegadet.automata import (
     RabinAcceptance,
     StreettAcceptance,
     explore,
-    mask_states,
 )
 
 
@@ -193,32 +190,16 @@ def _split(tree: SafraTree):
     return (tree.names, tree.children, tree.ann_masks), tree.masks
 
 
-def _drw_state_key(tree: SafraTree, decode):
-    """Sort key of a DRW state: per node its name, children, states and owed indices.
-
-    The masks are read as sorted tuples, so the numbering does not depend
-    on the representation; then come the sorted E and F name sets.
-    """
-    owed = repeat(()) if tree.ann_masks is None else map(decode, tree.ann_masks)
-    return (
-        tuple(zip(tree.names, tree.children, map(decode, tree.masks), owed)),
-        tuple(sorted(tree.e_set)),
-        tuple(sorted(tree.f_set)),
-    )
-
-
 def _to_drw(a: Automaton, step, start: SafraTree, name_count: int) -> Automaton:
     """Close a history-tree step under the alphabet; name i gives Rabin pair i.
 
     Trees and letters whose shape and mask images agree share one step.
     """
-    decode = cache(mask_states)
     return explore(
         a,
         start,
         step,
         _split,
-        lambda tree: _drw_state_key(tree, decode),
         lambda trees: _rabin_condition(trees, name_count),
     )
 

@@ -1,7 +1,7 @@
 """Checks and plumbing that several test modules share but the package never calls."""
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable
 
@@ -11,6 +11,8 @@ from omegadet import (
     BuchiAcceptance,
     CycleVerdict,
     Lasso,
+    ParityAcceptance,
+    RabinAcceptance,
     StreettAcceptance,
 )
 from omegadet.automata import mask_states, reach
@@ -64,6 +66,36 @@ def reachable_states(a: Automaton) -> frozenset[int]:
         a.initial, lambda s: [t for sym in a.alphabet for t in a.successors(s, sym)]
     )
     return frozenset(order)
+
+
+def bfs_numbered(d: Automaton) -> Automaton:
+    """d with its states renumbered breadth first, letters in alphabet order.
+
+    The initial state becomes 0.  d must be a deterministic parity or
+    Rabin automaton, as the determinizers build, whose states are all
+    reachable.
+    """
+    order, _ = reach(d.initial, lambda s: [d.dstep(s, sym) for sym in d.alphabet])
+    number = {s: i for i, s in enumerate(order)}
+
+    def renamed(states: Iterable[int]) -> frozenset[int]:
+        return frozenset(number[s] for s in states)
+
+    acc = d.acceptance
+    if isinstance(acc, ParityAcceptance):
+        acc = ParityAcceptance(tuple(acc.priorities[s] for s in order), acc.index)
+    else:
+        acc = RabinAcceptance(tuple((renamed(e), renamed(f)) for e, f in acc.pairs))
+    return replace(
+        d,
+        initial=0,
+        transitions={
+            (i, sym): renamed(d.successors(s, sym))
+            for i, s in enumerate(order)
+            for sym in d.alphabet
+        },
+        acceptance=acc,
+    )
 
 
 def reference_run(a: Automaton, lasso: Lasso) -> CycleVerdict:

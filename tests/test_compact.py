@@ -162,7 +162,7 @@ class TestBuchiDeterminize:
     def test_inf_a_golden(self, inf_a):
         dpw = nbw_to_dpw(inf_a)
         assert dpw.state_count == 3
-        assert dpw.acceptance == ParityAcceptance((0, 3, 0), 4)
+        assert dpw.acceptance == ParityAcceptance((0, 0, 3), 4)
         # every a-edge leads to the green state, every b-edge to the odd one
         for state in dpw.states():
             assert dpw.acceptance.priorities[dpw.dstep(state, "a")] == 0

@@ -3,14 +3,20 @@
 The hash-seed test in test_hoa.py only shows that output is stable within
 one checkout.  These digests pin the state numbering, the acceptance sets
 and the HOA text of every construction, so a refactoring of the explorer
-or of the tree types that reorders states fails here.
+or of the tree types that reorders states fails here.  States are numbered
+in the order the closure finds them, breadth first from the initial tree,
+letters in alphabet order; the tests below check that rule, and that the
+Büchi output does not depend on the names of the source states.
 """
 
 import hashlib
+import random
 
 import pytest
 
 from omegadet import (
+    Automaton,
+    BuchiAcceptance,
     emit_hoa,
     nbw_to_dpw,
     nsw_to_dpw,
@@ -19,56 +25,56 @@ from omegadet import (
 )
 from omegadet.random_gen import random_nbw, random_nsw
 
-from helpers import build_lk_fixture
+from helpers import bfs_numbered, build_lk_fixture, full3
 
 GOLDEN = {
     "nbw_to_dpw": (
-        "012b02bebe5b944eb17c3f49e68ff709f21ab83a320ea816e2f85bf3bac78ca7",
-        "0d55b6efe391f7405d1f04ff45dbf84cef276ae2a5cd7f27a0d57463395a5645",
-        "304120f19903ae73c65494ef9f045456ddeeb9a92bd13fb1e9f17635c2a72916",
-        "b09b9cc74f094885fac49823436c83366843be0e38621082c60e5a85a5a9208c",
-        "8958cdfa5f5eb3ba530632f77fbcbd94f1658172c7d54435e0a0dee11e3c9366",
-        "76666c5baa1554805fe807c4144de561102a29785c4e1efd4ac01aa5b641bb80",
-        "c3e5421a1f2e7e3ad28ec5376b341910a81ff3bbe117c25ad10fa044c7fe8e2b",
-        "46fb86e44aa08d0cb82a5cb4351ed3a37458baacbb136734d8a134c3038372eb",
-        "16f8bb37b906799c7939063c0fdb1e287fdf21b16ca7da9e4dcadd7bfee02ec7",
-        "cb99c0637870f7de5f0116df1a2e106b29b4ca86ff0b090f171fbb9aea768fd9",
+        "cfd64d495e14c553a38ff16200df7284be60288a188fec8795f00992adb7d113",
+        "59434afab50c63935531016aee351bfc3d70035279141f289c75d5c43b964301",
+        "9dc22a8dc7348f46b23d05c36d6c761b8205f567a29ab03499b562ccdc7adbde",
+        "6f054008bc3b4a72bad0072d8dc56941aa61a26c205c67dc9f75bfd86476892b",
+        "29892d1e61ab29085cb3305f77a468632f8a0c13992289dc216707d57c32f19d",
+        "4ba590ceb00fb6d806e84732ac86cd135add31274bfc5dcc2ec166e093451fb3",
+        "80628c413f45e0c8f726571186cce2d72f28f0d10f2ec5ec3f04ffebffd96ceb",
+        "1323f7038324c1cb72b8b8b720c19ec06b4e1a8d72190758fb8cf02e39dc2633",
+        "846f0084e7f731c12a57497db590d768b9069ec6da7ee596ec6130d26aac799d",
+        "cfa6678caf40e9c02bbcce4b51222e8050445b6fd9524f3c4a31682cf20be8c5",
     ),
     "safra_determinize": (
-        "73e841a92992ed129647f2eda24075f41eae28735047c1e6eb0f3cf310d0273e",
-        "462b4746685f87e488e76d50205e7487bf8349b02604785f895c7eaf717cd660",
-        "aaca0439f6d69768780b1d4b36bbd716d9fb3118dbc95c6348edc480bad0ebec",
-        "44cbb2637839ddc1b2e7cb5a43c2ed8a401381fc99fe9d0a69dca3b3ac063c6b",
-        "dd72f9b5e903994a1f71e8a2c684e06d10c8cd2e7e608eb667715c493ed5b5d7",
-        "9f0c741a07450cf12f3f28f815e0849b2dbc4033fe295c81e0f87cb086e0f5a0",
-        "2677da78b3011329d20931443c43c8da0b6e400abd4c6e0c31db5a45c5d559cd",
-        "7cac111437b8748020e994368447905ea4158f60b5314f665af0954259b71185",
-        "3b88746ddf11e33f6fec8c877c922f86511aa1f844425e1bb2c2f0d3b820b2cf",
-        "54d24c117ef5f056359a93ca308482dead74a78e521138ad3aecb1ac502c1d91",
+        "a68bd8fe06ab4db75c01f4087d4d921fe836cfd8463994550b6b1281560779fa",
+        "577a3aafd5b5fd7f5a9b22c9fd2f13eeac222c5dd5d3b44b99f928b2c29d8071",
+        "3dfbbc4434635b7db278fa56892d68f1bce33cb5350d82fbb264610312b1288d",
+        "f01ae310ca4d059c053c59315eb5a8767c121cd71df22749eb6cdc9544a72934",
+        "a85a277bd7124ba2571d57285ddb4c6abfab9a1c4994b2447c16cd4f74ca1d3b",
+        "e2384f09ce10452b2059118bb18f236ec2eed5ef5205b5fb77859b0fbe028e11",
+        "f7a3daaccf124f96e6ae97556435d3348ab4ce1421b9d3e33c6d1f7f88db083f",
+        "b9d9b38c5abb327c8a1ea57a00f7349775cf437f0e98aa648e35562605e965a8",
+        "117e35d3c74fa8bc97482ff4f350865c69bf109dd95c2bc8d46b645aaf96c6c1",
+        "de9e9d4c175f25caeaeaf2401424a95532e82fc0b13d4c8db18d5f89f4ff7411",
     ),
     "nsw_to_dpw": (
-        "f30abbf7b25bccdea1f9dc29f204b6a045dc81449ef5a4e9d794e2effc291a71",
-        "6c127d23d50d3157624eaa540486759654b882cd1c7b6190dd8f48766a381a0a",
-        "03c9cbbc1c080881a46a19c168e0ea871cdfe4086597291732cbbbeb6e4a6dab",
-        "0469a3361e067b50221db3fbc0681a4b5afd86f05165bbea4a10c77618b2ec10",
-        "66fb549541e27fef46075be6555b950c87a36e7c359bfaa3d0a34af4d7060b4c",
-        "a4e91941006f2fe2d4d7f91e82e0ee29e5a68211174a8a324af3c1802fe3e58c",
-        "b106289aa383ae6e7a29d5edf5cb64df71650c2e4a9c6ee7522af3ae32527c23",
-        "638fbc077415894b9aa417a2b6ec2a377c135b069ff312b0573732a1827577b9",
-        "1c3834c5e701f337f17f861a7a0d1e6da714746d95207cf228ea0683b06f1743",
-        "91b467b15537069db03898c432387adcc27294b5809b53f4583d8cd570bbdcf3",
+        "b1f74e467fd51a16623a0adba32818d533c84a100a3b310f4df1c749e2b1cd9e",
+        "9170cff75435d701e05f0df75a83899a4d4702433c3ef98f504ad660629238e6",
+        "df13c631068d387c85f82e4a46dc2b9b6f4279929ca330a3598c1b4bca2f2267",
+        "1e4b6176488beb80517bea7250390cbe7594afd0dfb549b01e61439c2700ad9f",
+        "e329d17472102179c2d7286e73df287622676405328183023991775bafa976b9",
+        "4c29c2aefd8ba0b64e66ca276fb345a99f10630c07c5eca93b5e417fb58c7ec6",
+        "11e151441dc7eba875aa1ec747f1641bf2f5861e9d6b60def4008278db9bedc3",
+        "7ac7673a594febd0f435d433d34dbcc59df7b94acd138229c1b42160f19cf670",
+        "e32be26c1089669d370eddd1b59eac5515667c78eac8f4113da0b389928906fe",
+        "7820296eb4b6d8df0c1fe19701ba1280176eacaf448dcd4b39fa4ae2ae329f9c",
     ),
     "streett_safra_determinize": (
-        "77201af0618ea37560d273e2e389dad7f066fbba1506712e4d8920779218c1a1",
-        "2c59d6298a0b331398c339de45a25d5f27f51dc1d0058245c5ea681dd0b784b8",
-        "637adb48ce6856767b0f019d9b4748ef7a6cc6bd5d497dc93ffd9b3d6448951b",
-        "d268f7dd0091dfd1e59a89ed7cc2bb449b7802ad70f99f39961a5655b05abbd1",
-        "bffb456d7f98e75a3eb2727cb82c160cec2da6b7a1b2b94b7411db09d56aa499",
-        "bb229bb58cc4abca6acfeff721f731756161ab515412d5727276a712de6432ee",
-        "a6d41030ec7de407296c91018a1599531dcd043f2a7029aca2660c238e54e9bf",
-        "85febf6bd7e0e118cf62dee3044b63c94bceabd9fd60e79a99e610565e5256c1",
-        "f16a71ebd81109b7fa135262c37431a3b16562bf66c96f7fd413a3bcde90c426",
-        "657c781c2019ff2ad460b88114c68fc18d2dd9844f11bd3b9115b7a13b4e7226",
+        "7658f3f6fede1b8195eaa792e00d58896ed4ced0dd7d198296e13b7507ea823d",
+        "deb3cadeb8629229d3e5505751169be023445184bd6fd6fcbc3547fd6040a96f",
+        "f2b82b190cf816ac7c65ee6b9846b13a5cd84abcb32c47609b5e84617f148d3d",
+        "870aefed3a565d93ea3c6b3a51e28031f7f2423cd64be1df7a1ba4b8102cc50e",
+        "44153af321a045daa93f741f0007c88d0dd8916d59f743f2bafb4e343999b373",
+        "ac745bab62e19d9666044c07f366f6eae25a8c3f3b0f4d7973dc504ada8ec1dc",
+        "c15aaef5b195572ffbeff56d4c907d975998c18e8a97af165dd4f1a0d4e3c4e1",
+        "385f7e6e0310132eef5865c4485f5da3a531646ac7ad249882da9d6bedf40947",
+        "3acda4aef2374f538aaf349cc89bf38ef5e341ea095b09ad77843cd642d22bbe",
+        "4bc92275323c25129713fbfbf70cbe0d9ec0f709a1f2b7a99f444713b965e0cc",
     ),
 }
 
@@ -103,7 +109,7 @@ SOURCE_GOLDEN = {
 
 # L_5 has five letters, which HOA cannot name with atomic propositions, so
 # its DPW is pinned through a plain listing instead of emit_hoa.
-LK5_DPW = "e27143f02b7d39ee92a5aeec2bd67d7325638cd0942bdbc243316768972642f7"
+LK5_DPW = "30968553e41960e45ebf4ef338eeca5394f5baea09ebdbd9379a943371d96823"
 
 
 def _sha(text: str) -> str:
@@ -147,3 +153,60 @@ def test_lk5_dpw_is_pinned():
         f"{s} {sym} {dpw.dstep(s, sym)}" for s in dpw.states() for sym in dpw.alphabet
     ]
     assert _sha("\n".join(lines)) == LK5_DPW
+
+
+BFS_CASES = [
+    pytest.param(
+        construct,
+        [*(random_nbw(n, seed) for n in range(2, 8) for seed in range(10)),
+         build_lk_fixture(5), full3()],
+        id=construct.__name__,
+    )
+    for construct in (nbw_to_dpw, safra_determinize)
+] + [
+    pytest.param(
+        construct,
+        [random_nsw(n, k, seed) for n in range(2, 5) for k in range(1, 4) for seed in range(5)],
+        id=construct.__name__,
+    )
+    for construct in (nsw_to_dpw, streett_safra_determinize)
+]
+
+
+@pytest.mark.parametrize("construct,sources", BFS_CASES)
+def test_states_are_numbered_breadth_first(construct, sources):
+    for a in sources:
+        d = construct(a)
+        assert d == bfs_numbered(d)
+
+
+def _permuted(a: Automaton, perm: list[int]) -> Automaton:
+    """a with state s renamed perm[s]."""
+    return Automaton(
+        alphabet=a.alphabet,
+        state_count=a.state_count,
+        initial=perm[a.initial],
+        transitions={
+            (perm[s], sym): frozenset(perm[t] for t in targets)
+            for (s, sym), targets in a.transitions.items()
+        },
+        acceptance=BuchiAcceptance(frozenset(perm[s] for s in a.acceptance.accepting)),
+    )
+
+
+@pytest.mark.parametrize("construct", [nbw_to_dpw, safra_determinize])
+@pytest.mark.parametrize("n", range(2, 8))
+def test_buchi_output_ignores_source_state_names(construct, n):
+    """Renaming the source's states leaves the emitted HOA byte-identical.
+
+    A Büchi tree orders its nodes by age and depth, never by the states
+    they hold, so a renamed source gives the same trees with renamed
+    masks, found in the same order.  Streett output is left out: the
+    Streett steps make their sprouts in state-bit order, so it depends on
+    the state names.
+    """
+    for seed in range(20):
+        a = random_nbw(n, seed)
+        perm = list(range(n))
+        random.Random(seed).shuffle(perm)
+        assert emit_hoa(construct(_permuted(a, perm))) == emit_hoa(construct(a))

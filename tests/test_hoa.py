@@ -23,7 +23,7 @@ from omegadet import (
 )
 from omegadet import hoa
 from omegadet.hoa import HoaError, emit_hoa, parse_hoa
-from omegadet.random_gen import random_nsw
+from omegadet.random_gen import random_nbw, random_nsw
 
 from conftest import make_fair_nsw, make_inf_a, make_inf_a_dpw
 from helpers import build_lk_fixture, child_env, full3, structurally_equal
@@ -142,16 +142,23 @@ class TestEmit:
         assert emit_hoa(inf_a) == emit_hoa(inf_a)
 
     def test_emit_is_stable_across_hash_seeds(self, inf_a):
-        # set/dict iteration must not leak into the bytes
+        # set/dict iteration must not leak into the bytes of any determinizer
         script = (
             "from omegadet import Alphabet, Automaton, BuchiAcceptance, nbw_to_dpw\n"
+            "from omegadet import nsw_to_dpw, safra_determinize, streett_safra_determinize\n"
             "from omegadet.hoa import emit_hoa\n"
+            "from omegadet.random_gen import random_nbw, random_nsw\n"
             "import sys\n"
             "a = Automaton(alphabet=Alphabet(('a', 'b')), state_count=2, initial=0,\n"
             "    transitions={(0, 'a'): frozenset({1}), (0, 'b'): frozenset({0}),\n"
             "                 (1, 'a'): frozenset({1}), (1, 'b'): frozenset({0})},\n"
             "    acceptance=BuchiAcceptance(frozenset({1})))\n"
+            "nbw, nsw = random_nbw(5, 6), random_nsw(4, 2, 6)\n"
             "sys.stdout.write(emit_hoa(nbw_to_dpw(a)))\n"
+            "sys.stdout.write(emit_hoa(nbw_to_dpw(nbw)))\n"
+            "sys.stdout.write(emit_hoa(safra_determinize(nbw)))\n"
+            "sys.stdout.write(emit_hoa(nsw_to_dpw(nsw)))\n"
+            "sys.stdout.write(emit_hoa(streett_safra_determinize(nsw)))\n"
         )
         env = child_env()
         outputs = set()
@@ -172,8 +179,17 @@ class TestEmit:
         assert len(outputs) == 1
         (doc,) = outputs
         assert doc.startswith("HOA: v1\n")
-        # the script's automaton is the inf_a fixture
-        assert doc == emit_hoa(nbw_to_dpw(inf_a))
+        # the script's first automaton is the inf_a fixture
+        nbw, nsw = random_nbw(5, 6), random_nsw(4, 2, 6)
+        assert doc == "".join(
+            map(emit_hoa, (
+                nbw_to_dpw(inf_a),
+                nbw_to_dpw(nbw),
+                safra_determinize(nbw),
+                nsw_to_dpw(nsw),
+                streett_safra_determinize(nsw),
+            ))
+        )
 
 
 class TestParse:

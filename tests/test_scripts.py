@@ -84,5 +84,5 @@ def test_hoa_digests_pins_the_full_n3_output():
     lines = proc.stdout.splitlines()
     assert [line.split()[0] for line in lines] == [*map(str, range(7)), "all"]
     assert lines[-1] == (
-        "all bb108db47010ef536249f80733926e9fc065dc4704a029b62a3e88ae1da1dd8c"
+        "all 9134fa1d4779df5f0ab7db906eb34da1c41baca39d54feaa56bbcee099136d67"
     )

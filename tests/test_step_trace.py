@@ -4,12 +4,14 @@ test_golden.py pins the emitted automata, which erase the e/f bookmarks of
 the compact trees: when f < e the priority ignores e, so a wrong e can go
 unseen there.  These digests pin, for every step reachable from the
 initial tree, the successor tree together with its bookmarks and priority
-(compact steps) or its DRW state key, which holds the E and F name sets
-(Safra steps).  Every tree's masks are read as sorted tuples.
+(compact steps) or, per node, its name, children, states and owed
+indices, then the E and F name sets (Safra steps).  Every tree's masks
+are read as sorted tuples.
 """
 
 import hashlib
 from collections import deque
+from itertools import repeat
 
 import pytest
 
@@ -87,7 +89,12 @@ def _compact_record(out):
 
 
 def _safra_record(tree):
-    return safra._drw_state_key(tree, mask_states)
+    owed = repeat(()) if tree.ann_masks is None else map(mask_states, tree.ann_masks)
+    return (
+        tuple(zip(tree.names, tree.children, map(mask_states, tree.masks), owed)),
+        tuple(sorted(tree.e_set)),
+        tuple(sorted(tree.f_set)),
+    )
 
 
 def _nbw(n):
