@@ -405,22 +405,22 @@ def explore(
     a: Automaton,
     start: Hashable,
     step: Callable[[Hashable, str, Automaton], Hashable],
-    split: Callable[[Hashable], tuple[Hashable, tuple[int, ...]]],
+    split: Callable[[Hashable], tuple[Hashable, Hashable, tuple[int, ...]]],
     acceptance: Callable[[list], AcceptanceCondition],
 ) -> Automaton:
     """Deterministic automaton of the states a tree step reaches from `start`.
 
-    step(state, symbol, a) is the successor state.  It reads symbol only
-    through the images of the node masks of the state's tree: split(state)
-    gives (shape, masks), a shape that holds everything else the step reads
-    and tells which node holds each mask, and the masks.  The step runs
-    once per image key, the shape with the images of the masks, shared by
-    every state and symbol.  One table numbers the states, so a key seen
-    before gives its successor's number without a hash of a state.  State i
-    is the i-th state found breadth first from `start`, letters in alphabet
-    order, and `start` is 0; no step depends on hash order, so neither does
-    the numbering.  acceptance(states) builds the condition from the states
-    in that order.
+    split(state) gives (tree, shape, masks): the tree the state's successors
+    depend on, a shape that holds all else of the tree that the step reads
+    and tells which node holds each mask, and the node masks.  step(tree,
+    symbol, a) is the successor state; it reads symbol only through the
+    images of the masks, so it runs once per image key, the shape with the
+    images of the masks, shared by every state and symbol.  One table
+    numbers the states, so a key seen before gives its successor's number
+    without a hash of a state.  State i is the i-th state found breadth
+    first from `start`, letters in alphabet order, and `start` is 0; no
+    step depends on hash order, so neither does the numbering.
+    acceptance(states) builds the condition from the states in that order.
     """
     symbols = a.alphabet.symbols
     images = list(map(a.image_masks.__getitem__, symbols))
@@ -432,18 +432,18 @@ def explore(
     memo: dict = {}
     rows = []
 
-    def visit(state, i: int, image_key) -> int:
-        """The state's successor on letter i, by number; the step runs if the key is new."""
+    def visit(tree, i: int, image_key) -> int:
+        """The tree's successor on letter i, by number; the step runs if the key is new."""
         nxt = memo.get(image_key)
         if nxt is None:
-            out = step(state, symbols[i], a)
+            out = step(tree, symbols[i], a)
             nxt = memo[image_key] = number.setdefault(out, len(order))
             if nxt == len(order):
                 order.append(out)
         return nxt
 
     for state in order:  # `order` grows while it is walked
-        shape, masks = split(state)
+        tree, shape, masks = split(state)
         # a shape is hashed once per state, not once per symbol
         shape = shapes.setdefault(shape, len(shapes))
         if columns is None:
@@ -451,14 +451,14 @@ def explore(
             for i, image in enumerate(images):
                 image_key = (shape, *map(image.__getitem__, masks))
                 nxt = memo.get(image_key)
-                row.append(visit(state, i, image_key) if nxt is None else nxt)
+                row.append(visit(tree, i, image_key) if nxt is None else nxt)
         else:
             # every letter's key, and its successor if the key is known, in
             # C; then the letters whose key was new when read, in order
             keys = list(zip(repeat(shape, size), *map(columns.__getitem__, masks)))
             row = list(map(memo.get, keys))
             for i in compress(range(size), map(is_, row, repeat(None))):
-                row[i] = visit(state, i, keys[i])
+                row[i] = visit(tree, i, keys[i])
         rows.append(row)
     # every transition into state i shares one {i}
     target = [frozenset({i}) for i in range(len(order))]

@@ -300,42 +300,43 @@ def _top_bit(mask: int) -> int:
     return 1 << (mask.bit_length() - 1)
 
 
-def _split(tree: CompactSafraTree):
-    """The memo shape of a tree, (parents, ann_masks), and its node masks."""
-    return (tree.parents, tree.ann_masks), tree.masks
-
-
-def _to_dpw(a: Automaton, step, start: CompactSafraTree, index: int) -> Automaton:
-    """Close the compact tree step under the alphabet.
+def _split(state: tuple[CompactSafraTree, int]):
+    """A DPW state's tree, the tree's memo shape, (parents, ann_masks), and its masks.
 
     A DPW state is what the step returns, (tree, priority).  Trees compare
     by shape, so two steps arriving at the same shape with the same
     priority are the same state.  The priority a state was entered with
-    does not affect its successors, so `explore` steps and splits the
-    state's tree; trees and letters whose shape and mask images agree
-    share one step.
+    does not affect its successors, so `explore` steps the tree alone.
     """
-    return explore(
-        a,
-        (start, priority_of(start.e, start.f)),
-        lambda state, symbol, a: step(state[0], symbol, a),
-        lambda state: _split(state[0]),
-        lambda states: ParityAcceptance(
-            priorities=tuple(priority for _, priority in states), index=index
-        ),
-    )
+    tree, _ = state
+    return tree, (tree.parents, tree.ann_masks), tree.masks
+
+
+def _parity(index: int):
+    """The acceptance of a DPW of this index: each state's entry priority."""
+    return lambda states: ParityAcceptance(tuple(p for _, p in states), index)
 
 
 def nbw_to_dpw(a: Automaton) -> Automaton:
-    """Deterministic parity automaton equivalent to a nondeterministic Buchi one."""
+    """Deterministic parity automaton equivalent to a nondeterministic Buchi one.
+
+    The closure of `compact_step` from the initial tree and its priority.
+    """
     if not isinstance(a.acceptance, BuchiAcceptance):
         raise ValueError("nbw_to_dpw: Buchi acceptance required")
-    return _to_dpw(a, compact_step, initial_compact_tree(a), 2 * a.state_count)
+    tree = initial_compact_tree(a)
+    start = (tree, priority_of(tree.e, tree.f))
+    return explore(a, start, compact_step, _split, _parity(2 * a.state_count))
 
 
 def nsw_to_dpw(a: Automaton) -> Automaton:
-    """Deterministic parity automaton equivalent to a nondeterministic Streett one."""
+    """Deterministic parity automaton equivalent to a nondeterministic Streett one.
+
+    The closure of `compact_streett_step` from the initial tree and its priority.
+    """
     if not isinstance(a.acceptance, StreettAcceptance):
         raise ValueError("nsw_to_dpw: Streett acceptance required")
     m = a.state_count * (len(a.acceptance.pairs) + 1)
-    return _to_dpw(a, compact_streett_step, initial_compact_streett_tree(a), 2 * m)
+    tree = initial_compact_streett_tree(a)
+    start = (tree, priority_of(tree.e, tree.f))
+    return explore(a, start, compact_streett_step, _split, _parity(2 * m))

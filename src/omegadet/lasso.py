@@ -470,6 +470,5 @@ def differential_check(
         if all(v == verdicts[0] for v in verdicts):
             agreed += 1
         else:
-            flipped = next(v for v in verdicts if v != verdicts[0])
-            disagreements.append((lasso, verdicts[0], flipped))
+            disagreements.append((lasso, verdicts[0], not verdicts[0]))
     return DiffReport(agreed=agreed, disagreements=tuple(disagreements))

@@ -169,46 +169,41 @@ def safra_step(tree: SafraTree, symbol: str, a: Automaton) -> SafraTree:
     return _closed(label, kids, None, n, greens)
 
 
-def _rabin_condition(trees, name_count: int) -> RabinAcceptance:
-    """Pair i is (the states whose tree has i in e_set, those with i in f_set)."""
-    e = [[] for _ in range(name_count + 1)]
-    f = [[] for _ in range(name_count + 1)]
-    for s, tree in enumerate(trees):
-        for i in tree.e_set:
-            e[i].append(s)
-        for i in tree.f_set:
-            f[i].append(s)
-    return RabinAcceptance(tuple(zip(map(frozenset, e[1:]), map(frozenset, f[1:]))))
+def _rabin(name_count: int):
+    """The acceptance of a DRW: name i gives Rabin pair i, (the states whose
+    tree has i in e_set, those with i in f_set)."""
+
+    def condition(trees) -> RabinAcceptance:
+        e = [[] for _ in range(name_count + 1)]
+        f = [[] for _ in range(name_count + 1)]
+        for s, tree in enumerate(trees):
+            for i in tree.e_set:
+                e[i].append(s)
+            for i in tree.f_set:
+                f[i].append(s)
+        return RabinAcceptance(tuple(zip(map(frozenset, e[1:]), map(frozenset, f[1:]))))
+
+    return condition
 
 
 def _split(tree: SafraTree):
-    """The memo shape of a tree, (names, children, ann_masks), and its node masks.
+    """A DRW state, which is its own tree, the tree's memo shape, (names,
+    children, ann_masks), and its masks.
 
     The masks are in names order, so the shape pins each mask to its name;
     the steps never read e_set or f_set, which the shape leaves out.
     """
-    return (tree.names, tree.children, tree.ann_masks), tree.masks
-
-
-def _to_drw(a: Automaton, step, start: SafraTree, name_count: int) -> Automaton:
-    """Close a history-tree step under the alphabet; name i gives Rabin pair i.
-
-    Trees and letters whose shape and mask images agree share one step.
-    """
-    return explore(
-        a,
-        start,
-        step,
-        _split,
-        lambda trees: _rabin_condition(trees, name_count),
-    )
+    return tree, (tree.names, tree.children, tree.ann_masks), tree.masks
 
 
 def safra_determinize(a: Automaton) -> Automaton:
-    """Deterministic Rabin automaton equivalent to a nondeterministic Buchi one."""
+    """Deterministic Rabin automaton equivalent to a nondeterministic Buchi one.
+
+    The closure of `safra_step` from the initial tree.
+    """
     if not isinstance(a.acceptance, BuchiAcceptance):
         raise ValueError("safra_determinize: Buchi acceptance required")
-    return _to_drw(a, safra_step, initial_safra_tree(a), a.state_count)
+    return explore(a, initial_safra_tree(a), safra_step, _split, _rabin(a.state_count))
 
 
 # ---------------------------------------------------------------------------
@@ -328,9 +323,11 @@ def streett_safra_step(
 
 
 def streett_safra_determinize(a: Automaton) -> Automaton:
-    """Deterministic Rabin automaton equivalent to a nondeterministic Streett one."""
+    """Deterministic Rabin automaton equivalent to a nondeterministic Streett one.
+
+    The closure of `streett_safra_step` from the initial tree.
+    """
     if not isinstance(a.acceptance, StreettAcceptance):
         raise ValueError("streett_safra_determinize: Streett acceptance required")
-    k = len(a.acceptance.pairs)
-    m = a.state_count * (k + 1)
-    return _to_drw(a, streett_safra_step, initial_streett_safra_tree(a), m)
+    m = a.state_count * (len(a.acceptance.pairs) + 1)
+    return explore(a, initial_streett_safra_tree(a), streett_safra_step, _split, _rabin(m))

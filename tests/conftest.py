@@ -1,4 +1,9 @@
-"""Shared fixtures: tiny automata whose languages were worked out by hand."""
+"""Shared fixtures: tiny automata whose languages were worked out by hand,
+and a wall limit on every test."""
+
+import dis
+import signal
+from types import TracebackType
 
 import pytest
 
@@ -9,6 +14,54 @@ from omegadet import (
     ParityAcceptance,
     StreettAcceptance,
 )
+
+# A test that runs longer than this fails with a traceback of where it was,
+# so that a step that never stops growing its trees fails one test instead
+# of hanging the run.  The slowest test takes a few seconds.
+TEST_WALL_LIMIT_S = 120
+
+
+def _with_line_numbers(tb: TracebackType | None) -> TracebackType | None:
+    """The traceback with a line number on every entry.
+
+    A signal can land on an instruction that has none (a loop's jump back,
+    in CPython 3.11), which pytest cannot print; such an entry takes the
+    line of the nearest instruction before it.
+    """
+    entries = []
+    while tb is not None:
+        entries.append(tb)
+        tb = tb.tb_next
+    out = None
+    for tb in reversed(entries):
+        line = tb.tb_lineno
+        if line is None:
+            code = tb.tb_frame.f_code
+            lines = [n for start, n in dis.findlinestarts(code) if start <= tb.tb_lasti and n]
+            line = lines[-1] if lines else code.co_firstlineno
+        out = TracebackType(out, tb.tb_frame, tb.tb_lasti, line)
+    return out
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_call(item):
+    """Run the test under a SIGALRM timer of TEST_WALL_LIMIT_S (POSIX only)."""
+    if not hasattr(signal, "setitimer"):
+        return (yield)
+    limit = TEST_WALL_LIMIT_S
+
+    def expire(signum, frame):
+        raise TimeoutError(f"{item.nodeid} ran longer than {limit} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, limit)
+    try:
+        return (yield)
+    except TimeoutError as exc:
+        raise exc.with_traceback(_with_line_numbers(exc.__traceback__))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def make_inf_a() -> Automaton:

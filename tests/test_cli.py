@@ -23,6 +23,7 @@ from omegadet import (
     safra_determinize,
     streett_safra_determinize,
 )
+from omegadet import cli
 from omegadet.cli import _build_parser, run_cli
 from omegadet.hoa import emit_hoa, parse_hoa
 
@@ -110,6 +111,13 @@ class TestDeterminize:
         assert code == 2
         assert err and err[0].startswith("error:")
 
+    def test_unwritable_output_is_usage_error(self, nbw_file, tmp_path, capsys):
+        out_path = tmp_path / "no-such-dir" / "out.hoa"
+        code = run_cli(["determinize", "--input", nbw_file, "--output", str(out_path)])
+        _, err = lines_of(capsys)
+        assert code == 2
+        assert err == [f"error: cannot write {out_path}: No such file or directory"]
+
     def test_missing_input_file(self, tmp_path, capsys):
         code = run_cli(
             ["determinize",
@@ -161,6 +169,12 @@ class TestMember:
         _, err = lines_of(capsys)
         assert code == 2
         assert len(err) == 1 and "_member: symbol 'z'" in err[0]
+
+    def test_empty_symbol_is_usage_error(self, dpw_file, capsys):
+        code = run_cli(["member", "--input", dpw_file, "--period", "0,,1"])
+        _, err = lines_of(capsys)
+        assert code == 2
+        assert err == ["error: empty symbol in word '0,,1'"]
 
     def test_empty_period_is_usage_error(self, dpw_file, capsys):
         code = run_cli(["member", "--input", dpw_file, "--period", ""])
@@ -244,6 +258,20 @@ class TestXcheck:
         assert code == 0
         assert out[0] == "checked: 4"
         assert out[-1] == "disagreements: 0"
+
+    def test_random_mode_reports_a_disagreement(self, monkeypatch, capsys):
+        # a determinizer that complements: every lasso disagrees, the first
+        # automaton stops the check
+        monkeypatch.setattr(cli, "nbw_to_dpw", lambda a: dualize_parity(nbw_to_dpw(a)))
+        code = run_cli(
+            ["xcheck", "--random", "3", "--states", "2", "--seed", "1",
+             "--max-prefix", "0", "--max-period", "1"]
+        )
+        out, _ = lines_of(capsys)
+        assert code == 1
+        assert out[:4] == ["automaton: 0", "lassos: 2", "agreed: 0", "disagreements: 2"]
+        assert out[4].startswith("first-disagreement: ")
+        assert out[5:] in (["left: true", "right: false"], ["left: false", "right: true"])
 
     def test_random_mode_is_reproducible(self, capsys):
         args = ["xcheck", "--random", "3", "--states", "2", "--seed", "9",

@@ -35,6 +35,7 @@ from omegadet.compact import (
     initial_compact_streett_tree,
     initial_compact_tree,
 )
+from omegadet.hoa import emit_hoa, parse_hoa
 from omegadet.lasso import enumerate_lassos
 from omegadet.random_gen import random_nbw, random_nsw
 
@@ -43,6 +44,7 @@ from helpers import (
     build_lk_fixture,
     full3,
     nsw_witness_union_nbw,
+    structurally_equal,
     worktree_compact_step,
     worktree_compact_streett_step,
 )
@@ -353,6 +355,76 @@ def test_determinizer_leaves_no_cyclic_garbage(determinize, make):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda nsw, _: compact_step(initial_compact_tree(nsw), "r", nsw),
+         "compact_step: Buchi acceptance required"),
+        (lambda _, nbw: compact_streett_step(initial_compact_tree(nbw), "a", nbw),
+         "compact_streett_step: Streett acceptance required"),
+        (lambda nsw, _: safra.safra_step(safra.initial_safra_tree(nsw), "r", nsw),
+         "safra_step: Buchi acceptance required"),
+        (lambda _, nbw: safra.streett_safra_step(safra.initial_safra_tree(nbw), "a", nbw),
+         "streett_safra_step: Streett acceptance required"),
+        (lambda nsw, _: safra_determinize(nsw), "safra_determinize: Buchi acceptance required"),
+        (lambda _, nbw: streett_safra_determinize(nbw),
+         "streett_safra_determinize: Streett acceptance required"),
+    ],
+    ids=["compact_step", "compact_streett_step", "safra_step", "streett_safra_step",
+         "safra_determinize", "streett_safra_determinize"],
+)
+def test_wrong_acceptance_is_refused(call, message, fair_nsw, inf_a):
+    """Each step and reference determinizer names itself and the acceptance it needs."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(fair_nsw, inf_a)
+
+
+def _partial_nsw(n: int, k: int, seed: int) -> Automaton:
+    """`random_nsw(n, k, seed)` with about a third of its (state, letter) rows
+    dropped, so that its runs can die."""
+    a = random_nsw(n, k, seed)
+    rng = random.Random(seed)
+    rows = {key: targets for key, targets in a.transitions.items() if rng.random() >= 1 / 3}
+    return replace(a, transitions=rows)
+
+
+PARTIAL_NSWS = [_partial_nsw(2 + seed % 3, 1 + seed % 2, seed) for seed in range(60)]
+
+
+@pytest.mark.parametrize(
+    "module,step,determinize",
+    [
+        (compact, "compact_streett_step", nsw_to_dpw),
+        (safra, "streett_safra_step", streett_safra_determinize),
+    ],
+    ids=["nsw_to_dpw", "streett_safra_determinize"],
+)
+def test_partial_nsw_languages(monkeypatch, module, step, determinize):
+    """Where every run of a partial NSW has died, the closure steps the dead
+    tree, a rejecting sink; both determinizers keep the NSW's language on
+    every lasso with |u| <= 3, |v| <= 4, and their output survives HOA."""
+    original = getattr(module, step)
+    sink_steps = 0
+
+    def counting(tree, symbol, a):
+        nonlocal sink_steps
+        # the empty tree of either construction has no node masks
+        sink_steps += not tree.masks
+        return original(tree, symbol, a)
+
+    monkeypatch.setattr(module, step, counting)
+    lassos = 0
+    for a in PARTIAL_NSWS:
+        assert structurally_equal(parse_hoa(emit_hoa(a)), a)
+        d = determinize(a)
+        assert structurally_equal(parse_hoa(emit_hoa(d)), d)
+        for lasso in enumerate_lassos(a.alphabet.symbols, 3, 4):
+            assert run_deterministic(d, lasso).accepted == nsw_member(a, lasso), str(lasso)
+            lassos += 1
+    assert lassos == 27_000
+    assert sink_steps
 
 
 def _states(masks):

@@ -55,6 +55,18 @@ State: 0 {0}
 --END--
 """
 
+ZERO_AP_DOC = """HOA: v1
+States: 1
+Start: 0
+AP: 0
+acc-name: Buchi
+Acceptance: 1 Inf(0)
+--BODY--
+State: 0 {0}
+[t] 0
+--END--
+"""
+
 
 def tiny_dpw() -> Automaton:
     return Automaton(
@@ -224,10 +236,37 @@ class TestParse:
             ("[!0] 0", "0", "implicit"),
             ("--END--", "", "missing --END--"),
             ("Start: 0", "Start: 0&1", "initial state"),
+            ("[!0] 0", "[t] 0", r"incomplete label \[t\]: every AP must appear"),
+            ("[!0] 0", "[f] 0", r"incomplete label \[f\]: every AP must appear"),
+            ("[!0] 0", "[!0 | 0] 0", r"label \[!0 \| 0\] is not a conjunction"),
+            ("--BODY--\n", "--BODY--\n[0] 0\n", "edge before any State: line"),
+            ("--END--\n", "--END--\n[0] 0\n", "content after --END--"),
+            ("State: 0 {0}", "State: 0", "one priority per state; state 0 has 0"),
         ],
     )
     def test_rejections_name_the_construct(self, needle, replacement, fragment):
         doc = TINY_DPW_DOC.replace(needle, replacement)
+        with pytest.raises(HoaError, match=fragment):
+            parse_hoa(doc)
+
+    @pytest.mark.parametrize(
+        "doc,fragment",
+        [
+            ("", "empty document"),
+            ("\n/* nothing here */\n \t\n", "empty document"),
+            (TINY_DPW_DOC.split("--BODY--")[0], "missing --BODY--"),
+            (
+                ZERO_AP_DOC.replace("[t] 0", "[0] 0"),
+                r"label \[0\] must be \[t\] in a document with 0 APs",
+            ),
+            (
+                emit_hoa(make_inf_a_dpw()).replace("State: 0 {0}", "State: 0 {0 1}"),
+                "one priority per state; state 0 has 2",
+            ),
+        ],
+        ids=["empty", "blank", "no-body", "zero-ap-label", "two-priorities"],
+    )
+    def test_rejections_of_whole_documents(self, doc, fragment):
         with pytest.raises(HoaError, match=fragment):
             parse_hoa(doc)
 

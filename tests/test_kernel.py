@@ -364,12 +364,17 @@ def _signature(out):
 
 
 def _unshared_explore(a, start, step, split, acceptance):
-    """`automata.explore` without the memo: every state steps on every letter.
+    """`automata.explore` without the memo: every state's tree steps on every letter.
 
     States are numbered in the order `reach` finds them.
     """
     symbols = a.alphabet.symbols
-    order, edges = reach(start, lambda state: [step(state, sym, a) for sym in symbols])
+
+    def successors(state):
+        tree = split(state)[0]
+        return [step(tree, sym, a) for sym in symbols]
+
+    order, edges = reach(start, successors)
     number = {id(state): i for i, state in enumerate(order)}
     return Automaton(
         alphabet=a.alphabet,
@@ -401,10 +406,13 @@ class TestStepRowKeys:
         shared = 0
         for a in sources:
             start = initial(a)
+            if module is compact:
+                # a DPW state is a tree with the priority it was entered with
+                start = (start, compact.priority_of(start.e, start.f))
             outputs = {}
             seen, todo = {start}, [start]
-            for tree in todo:  # `todo` grows while it is walked
-                shape, masks = module._split(tree)
+            for state in todo:  # `todo` grows while it is walked
+                tree, shape, masks = module._split(state)
                 outs = [step(tree, symbol, a) for symbol in a.alphabet.symbols]
                 signatures = list(map(_signature, outs))
                 for symbol, out, signature in zip(a.alphabet.symbols, outs, signatures):
@@ -413,10 +421,9 @@ class TestStepRowKeys:
                     known = outputs.setdefault(key, signature)
                     assert known == signature, (tree, symbol)
                     shared += known is not signature
-                    after = out[0] if isinstance(out, tuple) else out
-                    if after not in seen:
-                        seen.add(after)
-                        todo.append(after)
+                    if out not in seen:
+                        seen.add(out)
+                        todo.append(out)
         # some key is shared, so the check compared outputs
         assert shared
         explore = automata.explore
@@ -438,7 +445,8 @@ class TestStepRowKeys:
         names, kids, none = (1, 2, 3), ((2, 3), (), ()), frozenset()
         one = safra.SafraTree(names, (0b111, 0b010, 0b100), kids, None, none, none)
         two = safra.SafraTree(names, (0b111, 0b100, 0b010), kids, None, none, none)
-        (shape, masks), (other_shape, other_masks) = safra._split(one), safra._split(two)
+        (tree, shape, masks), (other, other_shape, other_masks) = map(safra._split, (one, two))
+        assert tree is one and other is two
         assert shape == other_shape and sorted(masks) == sorted(other_masks)
         assert safra.safra_step(one, "a", a) != safra.safra_step(two, "a", a)
         # each mask keeps its name's place, so the two keys on "a" differ

@@ -108,6 +108,23 @@ class TestRunDeterministic:
             verdict = run_deterministic(inf_a_dpw, Lasso(prefix, period))
             assert verdict.accepted == want, (prefix, period)
 
+    def test_verdicts_on_handmade_dsw(self, inf_a_dpw):
+        # Streett pair (R={0}, G={1}): b infinitely often needs a infinitely often
+        pair = (frozenset({0}), frozenset({1}))
+        dsw = replace(inf_a_dpw, acceptance=StreettAcceptance((pair,)))
+        cases = [
+            ((), ("a",), True),
+            ((), ("b",), False),
+            ((), ("a", "b"), True),
+            (("a", "a"), ("b",), False),
+            (("b",), ("b", "a", "b"), True),
+        ]
+        for prefix, period, want in cases:
+            verdict = run_deterministic(dsw, Lasso(prefix, period))
+            assert verdict.accepted == want, (prefix, period)
+        for lasso in enumerate_lassos(("a", "b"), 2, 3):
+            assert run_deterministic(dsw, lasso).accepted == nsw_member(dsw, lasso)
+
     def test_cycle_detection_on_pure_period(self, inf_a_dpw):
         verdict = run_deterministic(inf_a_dpw, Lasso((), ("a", "b")))
         assert verdict.cycle_states == frozenset({0, 1})
@@ -642,6 +659,34 @@ class TestRouterAndDiff:
         with pytest.raises(ValueError, match="134480384 lassos exceed"):
             differential_check([a, a], 0, 3)
         assert differential_check([a, a], 0, 1).agreed == 512
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_lasso_count_matches_the_enumeration(self, size):
+        symbols = "abc"[:size]
+        for max_prefix, max_period in itertools.product(range(4), range(1, 5)):
+            count = lasso_module._lasso_count(size, max_prefix, max_period)
+            assert count == len(list(enumerate_lassos(symbols, max_prefix, max_period)))
+
+    def test_diff_refuses_one_lasso_past_the_limit_over_one_letter(self, monkeypatch):
+        a = Automaton(
+            alphabet=Alphabet(("a",)),
+            state_count=1,
+            initial=0,
+            transitions={(0, "a"): frozenset({0})},
+            acceptance=BuchiAcceptance(frozenset({0})),
+        )
+
+        def no_query(*_):
+            raise AssertionError("a lasso was queried")
+
+        monkeypatch.setattr(lasso_module, "lasso_member", no_query)
+        # 101 prefixes times 9,901 periods
+        with pytest.raises(ValueError, match="1000001 lassos exceed the limit of 1000000"):
+            differential_check([a], 100, 9_901)
+
+    def test_diff_needs_an_automaton(self):
+        with pytest.raises(ValueError, match="need at least one automaton"):
+            differential_check([], 1, 1)
 
     def test_diff_refuses_huge_bounds_without_counting(self, inf_a):
         with pytest.raises(ValueError, match="more than 2\\*\\*64 lassos"):
