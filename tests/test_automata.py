@@ -161,11 +161,11 @@ class TestValidate:
                 "pair 0 first set: state -2",
             ),
             ({"acceptance": "Muller"}, "unknown condition str"),
-            ({"acceptance": ParityAcceptance((0, 0), 0)}, "parity: index 0 < 1"),
             ({"transitions": {("x", "a"): {0}}}, "transition source: state 'x' is not an int"),
             ({"transitions": {(0, "a"): {0.5}}}, "(0, 'a'): state 0.5 is not an int"),
             ({"initial": True}, "initial: state True is not an int"),
             ({"acceptance": BuchiAcceptance({"q"})}, "accepting set: state 'q' is not an int"),
+            ({"acceptance": ParityAcceptance((0, 0), 0)}, "parity: index 0 < 1"),
         ],
     )
     def test_each_rule(self, change, words):
