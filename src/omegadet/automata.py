@@ -3,16 +3,18 @@
 Automata are immutable: a shared transition table over an explicit
 alphabet plus one acceptance condition.  The transition relation is kept
 partial (missing entries mean "no successor"); deterministic automata are
-required to be total with singleton successor sets.
+required to be total with singleton successor sets, and keep one target
+per state and letter in flat rows.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain, compress, repeat
+from itertools import chain, compress, islice, product, repeat
 from operator import is_, itemgetter, or_
-from typing import Callable, Hashable, Iterable, Iterator, Mapping
+from typing import Callable, Hashable, Iterable, Iterator
 
 
 @dataclass(frozen=True)
@@ -115,6 +117,13 @@ class Automaton:
     entry have no successors.  `deterministic` promises a total transition
     function with exactly one successor everywhere.  The constructor raises
     `MalformedAutomaton` if that fails or a state, symbol or priority is out of range.
+
+    transitions may be a dict or a `RowView`.  A deterministic automaton
+    keeps one table, `rows`: the target of state s on the i-th letter is
+    rows[s·|Σ| + i], and its `transitions` is a `RowView` over them, with one
+    shared {t} per target t.  Any other automaton keeps a dict of nonempty
+    frozensets.  Either way the constructor makes its own table, so a
+    caller's dict or list is never aliased.
     """
 
     alphabet: Alphabet
@@ -125,24 +134,34 @@ class Automaton:
     deterministic: bool = False
 
     def __post_init__(self) -> None:
-        rows = self.transitions
-        # a table of nonempty frozensets, as explore and parse_hoa build it,
-        # is recognised in two whole-table passes and only copied
-        if set(map(type, rows.values())) <= {frozenset} and all(rows.values()):
-            frozen = dict(rows)
-        else:
-            frozen = {key: frozenset(targets) for key, targets in rows.items() if targets}
+        table = self.transitions
+        frozen = _row_view(self, table) if self.deterministic else None
+        if frozen is None:
+            if isinstance(table, RowView):
+                # a set per entry, not the view's shared ones: a row that
+                # failed its checks may hold True beside 1, or 1.0
+                table = dict(zip(table, map(frozenset, zip(table.rows))))
+            # a table of nonempty frozensets, as parse_hoa builds it, is
+            # recognised in two whole-table passes and only copied
+            if set(map(type, table.values())) <= {frozenset} and all(table.values()):
+                frozen = dict(table)
+            else:
+                frozen = {key: frozenset(targets) for key, targets in table.items() if targets}
         object.__setattr__(self, "transitions", frozen)
         if diagnostics := _faults(self):
             raise MalformedAutomaton(diagnostics)
+
+    @property
+    def rows(self) -> tuple[int, ...]:
+        """The target of state s on the i-th letter at s·|Σ| + i; deterministic automata only."""
+        return self.transitions.rows
 
     def successors(self, state: int, symbol: str) -> frozenset[int]:
         return self.transitions.get((state, symbol), frozenset())
 
     def dstep(self, state: int, symbol: str) -> int:
-        """Unique successor; only meaningful on deterministic automata."""
-        (target,) = self.transitions[(state, symbol)]
-        return target
+        """Unique successor; deterministic automata only."""
+        return self.transitions.target(state, symbol)
 
     def states(self) -> range:
         return range(self.state_count)
@@ -155,17 +174,111 @@ class Automaton:
     @cached_property
     def image_masks(self) -> dict[str, dict[int, int]]:
         """Per symbol, a memo from a state mask to the mask of all its successors."""
-        return {sym: _Images(self.transitions, sym) for sym in self.alphabet}
+        table = self.transitions
+        return {sym: _Images(table, sym, i) for i, sym in enumerate(self.alphabet)}
 
     @cached_property
     def lasso_memo(self) -> dict:
         """The word memo of `omegadet.lasso`.
 
         δ(I, u) and the per-period (explored, good) masks of the
-        nondeterministic oracles, and the per-period walked pairs and cycles
-        of `run_deterministic`.
+        nondeterministic oracles, and the per-period walked pairs, cycles and
+        letter indices of `run_deterministic`.
         """
         return {}
+
+
+class RowView(Mapping):
+    """The transition mapping of a deterministic automaton, read off flat rows.
+
+    rows[s·|Σ| + i] is the target of state s on the i-th letter of the
+    alphabet; the view maps (s, symbol) to {target}, one shared frozenset
+    per target, keys in state then alphabet order.  The rows are copied into
+    a tuple, so the view never changes.
+    """
+
+    __slots__ = ("alphabet", "rows", "_sets")
+
+    def __init__(self, alphabet: Alphabet, rows: Iterable[int]) -> None:
+        self.alphabet = alphabet
+        self.rows = tuple(rows)
+        self._sets = _Singletons()
+
+    def target(self, state: int, symbol: str) -> int:
+        """The target of state on symbol; KeyError if the view has no such entry."""
+        i = self.alphabet.position.get(symbol)
+        if i is not None and isinstance(state, int) and state >= 0:
+            cell = state * len(self.alphabet) + i
+            if cell < len(self.rows):
+                return self.rows[cell]
+        raise KeyError((state, symbol))
+
+    def __getitem__(self, key: tuple[int, str]) -> frozenset[int]:
+        if type(key) is not tuple or len(key) != 2:
+            raise KeyError(key)
+        return self._sets[self.target(*key)]
+
+    def __iter__(self) -> Iterator[tuple[int, str]]:
+        size = len(self.alphabet)
+        states = range(-(-len(self.rows) // size))
+        return islice(product(states, self.alphabet.symbols), len(self.rows))
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, RowView) and other.alphabet.symbols == self.alphabet.symbols:
+            return self.rows == other.rows
+        return super().__eq__(other)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+class _Singletons(dict):
+    """Memo from a state to {state}."""
+
+    def __missing__(self, state: int) -> frozenset[int]:
+        single = self[state] = frozenset((state,))
+        return single
+
+
+def _row_view(a: Automaton, table: Mapping) -> RowView | None:
+    """a's table as a row view, or None if it is not total with one int target in range each.
+
+    A view over a's alphabet is kept as it is, any other table is read into
+    rows once; its entry count is compared with n·|Σ| before n·|Σ| slots
+    are allocated.  The rows are then checked in whole-row passes: n·|Σ|
+    targets, all of type int, in [0, n).
+    """
+    n, alphabet = a.state_count, a.alphabet
+    size = len(alphabet)
+    if isinstance(table, RowView) and table.alphabet.symbols == alphabet.symbols:
+        view = table
+    else:
+        if len(table) != n * size:
+            return None
+        position = alphabet.position
+        rows = [None] * len(table)
+        try:
+            for (s, symbol), targets in table.items():
+                if type(s) is not int or not 0 <= s < n:
+                    return None
+                # distinct keys fill distinct cells, so n·|Σ| keys fill all
+                (rows[s * size + position[symbol]],) = targets
+        except (KeyError, TypeError, ValueError):
+            return None
+        view = RowView(alphabet, rows)
+    rows = view.rows
+    if (
+        rows
+        and len(rows) == n * size
+        and set(map(type, rows)) == {int}
+        and min(rows) >= 0
+        and max(rows) < n
+    ):
+        return view
+    return None
 
 
 class _Columns(dict):
@@ -193,18 +306,20 @@ class _Columns(dict):
 
 
 class _Images(dict):
-    """Image memo of one symbol.
+    """Image memo of the `index`-th letter, `symbol`.
 
-    A one-state mask is read off the transitions, any larger mask is the OR
-    of its one-state entries, and the empty mask maps to itself.
+    A one-state mask is read off the transitions, off the rows themselves
+    if they are a `RowView`; any larger mask is the OR of its one-state
+    entries, and the empty mask maps to itself.
     """
 
-    __slots__ = ("transitions", "symbol")
+    __slots__ = ("transitions", "symbol", "index")
 
-    def __init__(self, transitions: Mapping, symbol: str) -> None:
+    def __init__(self, transitions: Mapping, symbol: str, index: int) -> None:
         super().__init__()
         self.transitions = transitions
         self.symbol = symbol
+        self.index = index
 
     def __missing__(self, mask: int) -> int:
         if mask & (mask - 1):
@@ -215,8 +330,13 @@ class _Images(dict):
                 out |= self[low]
                 rest ^= low
         elif mask:
-            key = (mask.bit_length() - 1, self.symbol)
-            out = state_mask(self.transitions.get(key, ()))
+            s = mask.bit_length() - 1
+            table = self.transitions
+            # a type test, since an ABC's isinstance costs a microsecond here
+            if type(table) is RowView:
+                out = 1 << table.rows[s * len(table.alphabet) + self.index]
+            else:
+                out = state_mask(table.get((s, self.symbol), ()))
         else:
             out = 0
         self[mask] = out
@@ -255,11 +375,13 @@ def _faults(a: Automaton) -> list[str]:
 
     A well-formed automaton is recognised in a few whole-table passes, and
     faults are listed one by one only when they fail; no pass outgrows the
-    table, whatever the declared state count.
+    table, whatever the declared state count.  A `RowView` table has passed
+    `_row_view`'s checks, so only the rest is checked.
     """
     n = a.state_count
     position = a.alphabet.position
     rows = a.transitions
+    dense = isinstance(rows, RowView)
     acc = a.acceptance
     fits, sets = True, ()
     if isinstance(acc, ParityAcceptance):
@@ -271,12 +393,9 @@ def _faults(a: Automaton) -> list[str]:
         sets = chain.from_iterable(acc.pairs)
     else:
         fits = False
-    states = [
-        *map(itemgetter(0), rows),
-        a.initial,
-        *chain.from_iterable(sets),
-        *chain.from_iterable(rows.values()),
-    ]
+    states = [a.initial, *chain.from_iterable(sets)]
+    if not dense:
+        states += [*map(itemgetter(0), rows), *chain.from_iterable(rows.values())]
     # types before the set: a set keeps one of True and 1, or of 1.0 and 1
     kinds = set(map(type, states))
     states = set(states)
@@ -287,10 +406,13 @@ def _faults(a: Automaton) -> list[str]:
         and 0 <= min(states)
         and max(states) < n
         and 0 < len(position) == len(a.alphabet)
-        and position.keys() >= set(map(itemgetter(1), rows))
-        and not (
-            a.deterministic
-            and (len(rows) != n * len(position) or max(map(len, rows.values())) != 1)
+        and (
+            dense
+            or position.keys() >= set(map(itemgetter(1), rows))
+            and not (
+                a.deterministic
+                and (len(rows) != n * len(position) or max(map(len, rows.values())) != 1)
+            )
         )
     ):
         return []
@@ -361,6 +483,7 @@ def dualize_parity(a: Automaton) -> Automaton:
         priorities=tuple(p + 1 for p in a.acceptance.priorities),
         index=a.acceptance.index + 1,
     )
+    # the new automaton shares a's row view
     return replace(a, acceptance=acc)
 
 
@@ -419,7 +542,8 @@ def explore(
     numbers the states, so a key seen before gives its successor's number
     without a hash of a state.  State i is the i-th state found breadth
     first from `start`, letters in alphabet order, and `start` is 0; no
-    step depends on hash order, so neither does the numbering.
+    step depends on hash order, so neither does the numbering.  The
+    successor numbers, state by state, are the automaton's rows.
     acceptance(states) builds the condition from the states in that order.
     """
     symbols = a.alphabet.symbols
@@ -447,11 +571,10 @@ def explore(
         # a shape is hashed once per state, not once per symbol
         shape = shapes.setdefault(shape, len(shapes))
         if columns is None:
-            row = []
             for i, image in enumerate(images):
                 image_key = (shape, *map(image.__getitem__, masks))
                 nxt = memo.get(image_key)
-                row.append(visit(tree, i, image_key) if nxt is None else nxt)
+                rows.append(visit(tree, i, image_key) if nxt is None else nxt)
         else:
             # every letter's key, and its successor if the key is known, in
             # C; then the letters whose key was new when read, in order
@@ -459,18 +582,12 @@ def explore(
             row = list(map(memo.get, keys))
             for i in compress(range(size), map(is_, row, repeat(None))):
                 row[i] = visit(tree, i, keys[i])
-        rows.append(row)
-    # every transition into state i shares one {i}
-    target = [frozenset({i}) for i in range(len(order))]
-    transitions: dict = {}
-    for s, row in enumerate(rows):
-        for sym, nxt in zip(symbols, row):
-            transitions[s, sym] = target[nxt]
+            rows += row
     return Automaton(
         alphabet=a.alphabet,
         state_count=len(order),
         initial=0,
-        transitions=transitions,
+        transitions=RowView(a.alphabet, rows),
         acceptance=acceptance(order),
         deterministic=True,
     )

@@ -23,7 +23,9 @@ from omegadet.automata import (
     MalformedAutomaton,
     ParityAcceptance,
     RabinAcceptance,
+    RowView,
     StreettAcceptance,
+    _Singletons,
 )
 
 
@@ -157,19 +159,10 @@ def _valuation_alphabet(ap_count: int) -> Alphabet:
 
 
 # Per AP count, the canonical label texts, the spellings `_edge_labels`
-# writes, with their symbols, filled as documents read them: at most 2**AP
-# entries per count.  A canonical text names the same letter in every
+# writes, with their letter indices, filled as documents read them: at most
+# 2**AP entries per count.  A canonical text names the same letter in every
 # document of its AP count, so sharing the table changes no result.
-_CANONICAL_LETTERS: dict[int, dict[str, str]] = {}
-
-
-class _TargetTexts(dict):
-    """Memo from a one-state successor set to its target's text."""
-
-    def __missing__(self, targets: frozenset[int]) -> str:
-        (t,) = targets
-        text = self[targets] = str(t)
-        return text
+_CANONICAL_LETTERS: dict[int, dict[str, int]] = {}
 
 
 def emit_hoa(a: Automaton) -> str:
@@ -203,18 +196,18 @@ def emit_hoa(a: Automaton) -> str:
         suffix = " {" + " ".join(map(str, marks[s])) + "}" if marks[s] else ""
         heads.append(f"State: {s}{suffix}")
     labels = _edge_labels(ap_count)
-    # the successor set of every (state, letter), state by state
-    rows = map(a.transitions.get, product(a.states(), a.alphabet.symbols))
     if a.deterministic:
-        # the constructor gives a deterministic automaton one target per
-        # letter, so every edge line is built in C; each state's line then
-        # goes before the state's first edge
+        # every edge line is built in C from the rows, with one text per
+        # state; each state's line then goes before the state's first edge
         start = len(lines)
-        lines += map(add, cycle(labels), map(_TargetTexts().__getitem__, rows))
+        texts = list(map(str, a.states()))
+        lines += map(add, cycle(labels), map(texts.__getitem__, a.rows))
         for s, head in enumerate(heads):
             first = start + s * len(labels)
             lines[first] = f"{head}\n{lines[first]}"
     else:
+        # the successor set of every (state, letter), state by state
+        rows = map(a.transitions.get, product(a.states(), a.alphabet.symbols))
         edges = zip(cycle(labels), rows)
         for head in heads:
             lines.append(head)
@@ -354,6 +347,14 @@ def _parse_marks(text: str | None, set_count: int, line: int) -> list[int]:
     return marks
 
 
+def _spelled(cells: dict[int, int], symbols: tuple[str, ...]) -> dict:
+    """The (state, symbol) table of cells[s·|Σ| + i], the target of s on letter i."""
+    size = len(symbols)
+    return {
+        (cell // size, symbols[cell % size]): frozenset((t,)) for cell, t in cells.items()
+    }
+
+
 _HEADERS = ("States", "Start", "AP", "acc-name", "Acceptance")
 _IGNORED_HEADERS = ("name", "tool")
 
@@ -446,13 +447,20 @@ def parse_hoa(text: str) -> Automaton:
         )
 
     alphabet = _valuation_alphabet(ap_count)
-    # label text -> symbol: the canonical texts through the table this AP
-    # count shares with every document, the others through this document's
-    # own; and target text -> {target}.  A text that fails to parse is never
-    # stored, so it raises again on every line that has it
+    symbols = alphabet.symbols
+    size = len(symbols)
+    # label text -> letter index: the canonical texts through the table this
+    # AP count shares with every document, the others through this
+    # document's own; and target text -> target.  A text that fails to
+    # parse is never stored, so it raises again on every line that has it
     canonical = _CANONICAL_LETTERS.setdefault(ap_count, {})
-    letters: dict[str, str] = {}
-    targets: dict[str, frozenset[int]] = {}
+    letters: dict[str, int] = {}
+    targets: dict[str, int] = {}
+    singles = _Singletons()
+    # a 'deterministic' document fills cells[s·|Σ| + i] with the target of
+    # state s on letter i, until an edge gives a cell a second target; from
+    # then on, as any other document, it fills a (state, symbol) table
+    cells: dict[int, int] | None = {} if declared_deterministic else None
     transitions: dict[tuple[int, str], frozenset[int]] = {}
     marks_of: dict[int, list[int]] = {}
     current: int | None = None
@@ -500,8 +508,8 @@ def parse_hoa(text: str) -> Automaton:
             raise HoaError(
                 "edge acceptance marks are unsupported (state-based only)", line
             )
-        single = targets.get(target)
-        if single is None:
+        number = targets.get(target)
+        if number is None:
             number = _number(target)
             if number is None:
                 raise HoaError(
@@ -511,14 +519,20 @@ def parse_hoa(text: str) -> Automaton:
                 )
             if number >= state_count:
                 raise HoaError(f"edge target {_quote(str(number))} out of range", line)
-            single = targets[target] = frozenset((number,))
-        symbol = canonical.get(label) or letters.get(label)
-        if symbol is None:
+            targets[target] = number
+        index = canonical.get(label)
+        if index is None:
+            index = letters.get(label)
+        if index is None:
             index = _parse_label(label, ap_count, line)
-            symbol = alphabet.symbols[index]
             spelling = f"[{_symbol_label(index, ap_count)}]"
-            (canonical if label == spelling else letters)[label] = symbol
-        key = (current, symbol)
+            (canonical if label == spelling else letters)[label] = index
+        if cells is not None:
+            if cells.setdefault(current * size + index, number) == number:
+                continue
+            transitions, cells = _spelled(cells, symbols), None
+        key = (current, symbols[index])
+        single = singles[number]
         known = transitions.setdefault(key, single)
         if known is not single:
             transitions[key] = known | single
@@ -531,6 +545,15 @@ def parse_hoa(text: str) -> Automaton:
         for mark in marks:
             sets[mark].add(s)
     acceptance = _build_acceptance(kind, sets, state_count)
+    if cells is not None:
+        # rows only for a total table: a count check allocates nothing per
+        # declared state, and distinct cells in range make a full count total
+        total = state_count * size
+        transitions = (
+            RowView(alphabet, map(cells.__getitem__, range(total)))
+            if len(cells) == total
+            else _spelled(cells, symbols)
+        )
     try:
         return Automaton(
             alphabet=alphabet,

@@ -85,25 +85,27 @@ def run_deterministic(a: Automaton, lasso: Lasso) -> CycleVerdict:
     the two occurrences of the first repeated pair are exactly the ones
     visited infinitely often.  The run from a pair depends on the period
     alone, so every pair walked is kept per period with its steps to the
-    cycle and the cycle, and a query walks only until it meets a kept pair.
+    cycle and the cycle, beside the period's letter indices, and a query
+    walks only until it meets a kept pair.
     """
     if not a.deterministic:
         raise ValueError("run_deterministic: deterministic automaton required")
     memo = _memo(a)
-    transitions = a.transitions
+    rows, position = a.rows, a.alphabet.position
+    size = len(a.alphabet)
     prefix, period = lasso.prefix, lasso.period
     state = a.initial
     try:
         for sym in prefix:
-            (state,) = transitions[state, sym]
+            state = rows[state * size + position[sym]]
     except KeyError:  # the table is total, so a symbol is unknown
         _check_symbols(a, prefix, "run_deterministic")
     key = ("d", period)
     runs = memo.get(key)
     if runs is None:
         _check_symbols(a, period, "run_deterministic")
-        runs = memo[key] = ({}, [])
-    walked, cycles = runs
+        runs = memo[key] = ({}, [], tuple(map(position.__getitem__, period)))
+    walked, cycles, letters = runs
     width = len(period)
     # walked maps the pair (q, i), as q * width + i, to steps * unit + 2c + acc:
     # its steps to the cycle, the cycle's index c in cycles and 1 if the
@@ -116,7 +118,7 @@ def run_deterministic(a: Automaton, lasso: Lasso) -> CycleVerdict:
     while found is None:
         walked[pair] = ~len(trail)
         trail.append(pair)
-        (state,) = transitions[state, period[pos]]
+        state = rows[state * size + letters[pos]]
         pos += 1
         if pos == width:
             pos = 0
@@ -234,9 +236,9 @@ def _fair_cycle(comps, edges, pairs) -> set:
 
 # The memo of an automaton (`Automaton.lasso_memo`) maps ("u", u) to δ(I, u)
 # and ("v", v) to the period's (explored, good) masks for the nondeterministic
-# oracles, and ("d", v) to the period's (walked pairs, cycles) for
-# `run_deterministic`.  A query adds at most two entries and clears the memo
-# first if they could take it past this many.
+# oracles, and ("d", v) to the period's (walked pairs, cycles, letter
+# indices) for `run_deterministic`.  A query adds at most two entries and
+# clears the memo first if they could take it past this many.
 _MEMO_LIMIT = 4096
 
 

@@ -899,10 +899,12 @@ State: 1
         doc = doc.replace("[!0] 0\n[0] 0\n", "".join(f"[{x}] 0\n" for x in labels))
         a = parse_hoa(doc)
         assert len(a.alphabet) == 1 << 16
+        # each text keeps the index of the letter it names
+        position = a.alphabet.position
         assert hoa._CANONICAL_LETTERS == {
             16: {
-                f"[{labels[0]}]": "0" * 16,
-                f"[{labels[1]}]": "1" * 16,
-                f"[{labels[2]}]": "".join("1" if j % 3 else "0" for j in range(16)),
+                f"[{labels[0]}]": position["0" * 16],
+                f"[{labels[1]}]": position["1" * 16],
+                f"[{labels[2]}]": position["".join("1" if j % 3 else "0" for j in range(16))],
             }
         }
