@@ -118,12 +118,14 @@ class Automaton:
     function with exactly one successor everywhere.  The constructor raises
     `MalformedAutomaton` if that fails or a state, symbol or priority is out of range.
 
-    transitions may be a dict or a `RowView`.  A deterministic automaton
-    keeps one table, `rows`: the target of state s on the i-th letter is
-    rows[s·|Σ| + i], and its `transitions` is a `RowView` over them, with one
-    shared {t} per target t.  Any other automaton keeps a dict of nonempty
-    frozensets.  Either way the constructor makes its own table, so a
-    caller's dict or list is never aliased.
+    transitions may be a dict or a `RowView`.  A dict is copied once, with
+    its empty entries dropped, and `_row_view` alone judges whether the
+    table is deterministic.  A deterministic automaton keeps one table,
+    `rows`: the target of state s on the i-th letter is rows[s·|Σ| + i], and
+    its `transitions` is a `RowView` over them, with one shared {t} per
+    target t.  Any other automaton keeps a dict of nonempty frozensets.
+    Either way the constructor makes its own table, so a caller's dict or
+    list is never aliased.
     """
 
     alphabet: Alphabet
@@ -135,18 +137,20 @@ class Automaton:
 
     def __post_init__(self) -> None:
         table = self.transitions
+        view = isinstance(table, RowView)
+        if not view:
+            # one copy, without empty entries; a table of nonempty
+            # frozensets, as parse_hoa builds it, is recognised in two
+            # whole-table passes and only copied
+            if set(map(type, table.values())) <= {frozenset} and all(table.values()):
+                table = dict(table)
+            else:
+                table = {key: frozenset(targets) for key, targets in table.items() if targets}
         frozen = _row_view(self, table) if self.deterministic else None
         if frozen is None:
-            if isinstance(table, RowView):
-                # a set per entry, not the view's shared ones: a row that
-                # failed its checks may hold True beside 1, or 1.0
-                table = dict(zip(table, map(frozenset, zip(table.rows))))
-            # a table of nonempty frozensets, as parse_hoa builds it, is
-            # recognised in two whole-table passes and only copied
-            if set(map(type, table.values())) <= {frozenset} and all(table.values()):
-                frozen = dict(table)
-            else:
-                frozen = {key: frozenset(targets) for key, targets in table.items() if targets}
+            # a set per entry of a view, not its shared ones: a row that
+            # failed its checks may hold True beside 1, or 1.0
+            frozen = dict(zip(table, map(frozenset, zip(table.rows)))) if view else table
         object.__setattr__(self, "transitions", frozen)
         if diagnostics := _faults(self):
             raise MalformedAutomaton(diagnostics)
@@ -154,6 +158,8 @@ class Automaton:
     @property
     def rows(self) -> tuple[int, ...]:
         """The target of state s on the i-th letter at s·|Σ| + i; deterministic automata only."""
+        if not self.deterministic:
+            raise ValueError("rows: deterministic automaton required")
         return self.transitions.rows
 
     def successors(self, state: int, symbol: str) -> frozenset[int]:
@@ -161,6 +167,8 @@ class Automaton:
 
     def dstep(self, state: int, symbol: str) -> int:
         """Unique successor; deterministic automata only."""
+        if not self.deterministic:
+            raise ValueError("dstep: deterministic automaton required")
         return self.transitions.target(state, symbol)
 
     def states(self) -> range:
@@ -175,7 +183,7 @@ class Automaton:
     def image_masks(self) -> dict[str, dict[int, int]]:
         """Per symbol, a memo from a state mask to the mask of all its successors."""
         table = self.transitions
-        return {sym: _Images(table, sym, i) for i, sym in enumerate(self.alphabet)}
+        return {sym: _Images(table, sym) for sym in self.alphabet}
 
     @cached_property
     def lasso_memo(self) -> dict:
@@ -306,20 +314,18 @@ class _Columns(dict):
 
 
 class _Images(dict):
-    """Image memo of the `index`-th letter, `symbol`.
+    """Image memo of `symbol`.
 
-    A one-state mask is read off the transitions, off the rows themselves
-    if they are a `RowView`; any larger mask is the OR of its one-state
-    entries, and the empty mask maps to itself.
+    A one-state mask is read off the transitions, any larger mask is the OR
+    of its one-state entries, and the empty mask maps to itself.
     """
 
-    __slots__ = ("transitions", "symbol", "index")
+    __slots__ = ("transitions", "symbol")
 
-    def __init__(self, transitions: Mapping, symbol: str, index: int) -> None:
+    def __init__(self, transitions: Mapping, symbol: str) -> None:
         super().__init__()
         self.transitions = transitions
         self.symbol = symbol
-        self.index = index
 
     def __missing__(self, mask: int) -> int:
         if mask & (mask - 1):
@@ -331,12 +337,7 @@ class _Images(dict):
                 rest ^= low
         elif mask:
             s = mask.bit_length() - 1
-            table = self.transitions
-            # a type test, since an ABC's isinstance costs a microsecond here
-            if type(table) is RowView:
-                out = 1 << table.rows[s * len(table.alphabet) + self.index]
-            else:
-                out = state_mask(table.get((s, self.symbol), ()))
+            out = state_mask(self.transitions.get((s, self.symbol), ()))
         else:
             out = 0
         self[mask] = out
@@ -376,7 +377,8 @@ def _faults(a: Automaton) -> list[str]:
     A well-formed automaton is recognised in a few whole-table passes, and
     faults are listed one by one only when they fail; no pass outgrows the
     table, whatever the declared state count.  A `RowView` table has passed
-    `_row_view`'s checks, so only the rest is checked.
+    `_row_view`'s checks, so only the rest is checked; a deterministic
+    automaton with a dict table has failed them, so its faults are listed.
     """
     n = a.state_count
     position = a.alphabet.position
@@ -406,14 +408,7 @@ def _faults(a: Automaton) -> list[str]:
         and 0 <= min(states)
         and max(states) < n
         and 0 < len(position) == len(a.alphabet)
-        and (
-            dense
-            or position.keys() >= set(map(itemgetter(1), rows))
-            and not (
-                a.deterministic
-                and (len(rows) != n * len(position) or max(map(len, rows.values())) != 1)
-            )
-        )
+        and (dense or not a.deterministic and position.keys() >= set(map(itemgetter(1), rows)))
     ):
         return []
 

@@ -347,14 +347,6 @@ def _parse_marks(text: str | None, set_count: int, line: int) -> list[int]:
     return marks
 
 
-def _spelled(cells: dict[int, int], symbols: tuple[str, ...]) -> dict:
-    """The (state, symbol) table of cells[s·|Σ| + i], the target of s on letter i."""
-    size = len(symbols)
-    return {
-        (cell // size, symbols[cell % size]): frozenset((t,)) for cell, t in cells.items()
-    }
-
-
 _HEADERS = ("States", "Start", "AP", "acc-name", "Acceptance")
 _IGNORED_HEADERS = ("name", "tool")
 
@@ -456,12 +448,11 @@ def parse_hoa(text: str) -> Automaton:
     canonical = _CANONICAL_LETTERS.setdefault(ap_count, {})
     letters: dict[str, int] = {}
     targets: dict[str, int] = {}
+    # cells[s·|Σ| + i] is the first target of state s on letter i, and
+    # more[s·|Σ| + i] all its targets once an edge gives it a second one
+    cells: dict[int, int] = {}
+    more: dict[int, frozenset[int]] = {}
     singles = _Singletons()
-    # a 'deterministic' document fills cells[s·|Σ| + i] with the target of
-    # state s on letter i, until an edge gives a cell a second target; from
-    # then on, as any other document, it fills a (state, symbol) table
-    cells: dict[int, int] | None = {} if declared_deterministic else None
-    transitions: dict[tuple[int, str], frozenset[int]] = {}
     marks_of: dict[int, list[int]] = {}
     current: int | None = None
     ended = False
@@ -527,15 +518,9 @@ def parse_hoa(text: str) -> Automaton:
             index = _parse_label(label, ap_count, line)
             spelling = f"[{_symbol_label(index, ap_count)}]"
             (canonical if label == spelling else letters)[label] = index
-        if cells is not None:
-            if cells.setdefault(current * size + index, number) == number:
-                continue
-            transitions, cells = _spelled(cells, symbols), None
-        key = (current, symbols[index])
-        single = singles[number]
-        known = transitions.setdefault(key, single)
-        if known is not single:
-            transitions[key] = known | single
+        if cells.setdefault(current * size + index, number) != number:
+            cell = current * size + index
+            more[cell] = more.get(cell, singles[cells[cell]]) | singles[number]
 
     if not ended:
         raise HoaError("missing --END--")
@@ -545,15 +530,18 @@ def parse_hoa(text: str) -> Automaton:
         for mark in marks:
             sets[mark].add(s)
     acceptance = _build_acceptance(kind, sets, state_count)
-    if cells is not None:
-        # rows only for a total table: a count check allocates nothing per
-        # declared state, and distinct cells in range make a full count total
-        total = state_count * size
-        transitions = (
-            RowView(alphabet, map(cells.__getitem__, range(total)))
-            if len(cells) == total
-            else _spelled(cells, symbols)
-        )
+    # rows only for a 'deterministic' document with one target per cell and
+    # a total table: a count check allocates nothing per declared state, and
+    # distinct cells in range make a full count total.  Any other document
+    # gets the (state, symbol) table, keys in the order of their first edge
+    total = state_count * size
+    if declared_deterministic and not more and len(cells) == total:
+        transitions = RowView(alphabet, map(cells.__getitem__, range(total)))
+    else:
+        transitions = {
+            (cell // size, symbols[cell % size]): more.get(cell) or singles[t]
+            for cell, t in cells.items()
+        }
     try:
         return Automaton(
             alphabet=alphabet,

@@ -5,7 +5,9 @@ automaton: on a deterministic one it is a view over the rows.  These tests
 pin that view to the dict tables the determinizers built before the rows,
 pin the step counts of the perfbench corpora, and check that every fault of
 a deterministic table is still named as it was, through the constructor and
-through `parse_hoa`.
+through `parse_hoa`.  They also pin the tables `parse_hoa` fills for the
+sources of the corpora, key order included, and check that the constructor
+judges a table deterministic by one rule.
 """
 
 import hashlib
@@ -23,12 +25,14 @@ from omegadet import (
     Automaton,
     BuchiAcceptance,
     HoaError,
+    Lasso,
     MalformedAutomaton,
     ParityAcceptance,
     compact,
     dualize_parity,
     emit_hoa,
     parse_hoa,
+    run_deterministic,
     safra,
 )
 from omegadet.automata import RowView
@@ -136,6 +140,61 @@ def test_random_tables_are_pinned(source, determinize, digest):
         assert structurally_equal(parse_hoa(emit_hoa(d)), d)
 
 
+def _fill_digest(automata) -> str:
+    """sha256 over each automaton's `deterministic` and table, in the table's key order."""
+    h = hashlib.sha256()
+    for a in automata:
+        table = [(key, sorted(targets)) for key, targets in a.transitions.items()]
+        h.update(repr((a.deterministic, table)).encode())
+    return h.hexdigest()
+
+
+# `_fill_digest` of the parsed sources of each perfbench workload at seed 3,
+# as `parse_hoa` filled them before it had one fill path.
+SOURCE_FILL_PINS = {
+    "tv-buchi": "131103848d23d23cd7895bb794625d4973c648e48315d89a04253f4a252317ef",
+    "full-n3": "b0d86c95197a8a1bb3708874ad20e71fcca4e5cbdf2868f04552ef568c9a7ede",
+    "streett": "c7c8efd79d48f7efed8b79011fbe480270c923bcf87055b266d568297db1442f",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(SOURCE_FILL_PINS))
+def test_source_tables_are_filled_as_before(workload):
+    sources = [parse_hoa(text) for text in _perfbench_corpus().build(workload, 3).inputs]
+    assert _fill_digest(sources) == SOURCE_FILL_PINS[workload]
+
+
+_HEAD = 'HOA: v1\nStates: 3\nStart: 0\nAP: 1 "p0"\nacc-name: Buchi\nAcceptance: 1 Inf(0)\n'
+
+
+def test_a_table_keeps_the_order_of_its_first_edges():
+    """Keys come in the order their first edge comes, with every target once."""
+    doc = _HEAD + (
+        "--BODY--\nState: 0 {0}\n[0] 2\n[!0] 1\n[0] 0\n[0] 2\n[0] 1\n"
+        "State: 2\n[!0] 0\n[!0] 2\n[!0] 0\n[0] 1\nState: 1\n[0] 1\n--END--\n"
+    )
+    a = parse_hoa(doc)
+    assert not a.deterministic and type(a.transitions) is dict
+    assert [(key, sorted(targets)) for key, targets in a.transitions.items()] == [
+        ((0, "1"), [0, 1, 2]), ((0, "0"), [1]), ((2, "0"), [0, 2]), ((2, "1"), [1]),
+        ((1, "1"), [1]),
+    ]
+
+
+def test_a_late_second_target_of_a_deterministic_document_is_named():
+    """State 0's second target on letter 1 comes after the edges of states 2 and 1."""
+    doc = _HEAD + (
+        "properties: deterministic\n--BODY--\nState: 2\n[!0] 1\n[0] 0\n"
+        "State: 1\n[0] 2\n[!0] 1\nState: 0 {0}\n[0] 1\n[!0] 0\n[0] 1\n[0] 2\n--END--\n"
+    )
+    with pytest.raises(HoaError) as err:
+        parse_hoa(doc)
+    assert (str(err.value), err.value.line) == (
+        "malformed automaton: deterministic: (0, '1') has 2 successors, want 1",
+        None,
+    )
+
+
 def _two_letter_dpw(rows) -> Automaton:
     return Automaton(
         alphabet=Alphabet(("a", "b")),
@@ -189,6 +248,13 @@ class TestTheView:
     def test_dualizing_shares_the_rows(self):
         a = _two_letter_dpw(RowView(Alphabet(("a", "b")), [1, 0, 0, 1]))
         assert dualize_parity(a).rows is a.rows
+
+    @pytest.mark.parametrize("reader", ["rows", "dstep"])
+    def test_only_a_deterministic_automaton_has_rows(self, reader):
+        a = random_nbw(3, 0)
+        assert not a.deterministic
+        with pytest.raises(ValueError, match=f"^{reader}: deterministic automaton required$"):
+            a.rows if reader == "rows" else a.dstep(0, a.alphabet.symbols[0])
 
     def test_a_nondeterministic_copy_gets_a_dict(self):
         a = _two_letter_dpw(RowView(Alphabet(("a", "b")), [1, 0, 0, 1]))
@@ -336,24 +402,46 @@ def test_a_deterministic_document_of_a_billion_states_fails_in_bounded_memory():
 
 
 _STATES = st.integers(min_value=-1, max_value=3) | st.sampled_from(["x", 0.5, True, 1.0])
+# Entries that name no successor: the constructor drops them before it
+# judges the table, wherever they are.
+_FALSY = st.sampled_from([frozenset(), [], None])
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    n=st.integers(min_value=0, max_value=3),
-    table=st.dictionaries(
+@st.composite
+def _falsy_entries(draw, n):
+    """Falsy entries under a key of the table, an unknown symbol or a source out of range."""
+    known = st.tuples(st.integers(0, max(n - 1, 0)), st.sampled_from("ab"))
+    unknown = st.tuples(st.integers(0, max(n - 1, 0)), st.just("z"))
+    outside = st.tuples(st.sampled_from([-1, n, n + 1]), st.sampled_from("ab"))
+    return draw(st.dictionaries(known | unknown | outside, _FALSY, max_size=3))
+
+
+@st.composite
+def _tables(draw):
+    """n, and a table of n states over a and b: random entries, then falsy ones."""
+    n = draw(st.integers(min_value=0, max_value=3))
+    table = draw(st.dictionaries(
         st.tuples(_STATES, st.sampled_from("abz")),
         st.frozensets(_STATES, max_size=2),
         max_size=8,
-    ),
-    as_rows=st.booleans(),
-)
-def test_a_deterministic_automaton_is_refused_or_has_rows(n, table, as_rows):
+    ))
+    if draw(st.booleans()):
+        # total and in range, so only the falsy entries below can spoil it
+        targets = st.integers(0, max(n - 1, 0)).map(lambda t: frozenset((t,)))
+        table = {(s, sym): draw(targets) for s in range(n) for sym in "ab"}
+    table.update(draw(_falsy_entries(n)))
+    return n, table
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables=_tables(), as_rows=st.booleans())
+def test_a_deterministic_automaton_is_refused_or_has_rows(tables, as_rows):
     """Whatever the table, the rows' checks and the listing of faults agree."""
+    n, table = tables
     alphabet = Alphabet(("a", "b"))
     if as_rows:
         # the same entries in a view, in table order
-        table = RowView(alphabet, [next(iter(ts), "x") for ts in table.values()])
+        table = RowView(alphabet, [next(iter(ts or ()), "x") for ts in table.values()])
     try:
         a = Automaton(alphabet, n, 0, table, BuchiAcceptance(()), deterministic=True)
     except MalformedAutomaton as exc:
@@ -361,3 +449,21 @@ def test_a_deterministic_automaton_is_refused_or_has_rows(n, table, as_rows):
     else:
         assert type(a.transitions) is RowView
         assert len(a.rows) == n * 2
+        if not as_rows:
+            assert a.transitions == {key: frozenset(ts) for key, ts in table.items() if ts}
+
+
+def test_an_empty_entry_does_not_keep_a_table_from_its_rows():
+    """An empty entry for an unknown symbol is no successor: the table is total."""
+    a = Automaton(
+        Alphabet(("a",)),
+        1,
+        0,
+        {(0, "a"): frozenset({0}), (0, "z"): frozenset()},
+        ParityAcceptance((0,), 1),
+        deterministic=True,
+    )
+    assert type(a.transitions) is RowView
+    assert a.rows == (0,) and a.dstep(0, "a") == 0
+    assert run_deterministic(a, Lasso((), ("a",))).accepted
+    assert structurally_equal(parse_hoa(emit_hoa(a)), a)

@@ -86,3 +86,32 @@ def test_hoa_digests_pins_the_full_n3_output():
     assert lines[-1] == (
         "all 9134fa1d4779df5f0ab7db906eb34da1c41baca39d54feaa56bbcee099136d67"
     )
+
+
+def _mutants():
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "scripts" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    return mutants
+
+
+def test_every_mutant_text_occurs_once():
+    """A refactor that moves a catalogue entry's text must update the entry."""
+    catalogue = _mutants().CATALOGUE
+    assert len({m.name for m in catalogue}) == len(catalogue)
+    for m in catalogue:
+        assert (ROOT / m.path).read_text().count(m.old) == 1, m.name
+        assert m.new != m.old and m.reason, m.name
+
+
+def test_a_mutant_changes_its_copy_only(tmp_path):
+    mutants = _mutants()
+    entry = mutants.CATALOGUE[0]
+    before = (ROOT / entry.path).read_text()
+    mutants.prepare(ROOT, tmp_path, entry)
+    assert (ROOT / entry.path).read_text() == before
+    assert (tmp_path / entry.path).read_text() == before.replace(entry.old, entry.new)
+    assert (tmp_path / "tests" / "test_scripts.py").exists()
+    output = "....F\n= short test summary info =\nFAILED tests/test_a.py::test_b[x - y] - Assert\n"
+    assert mutants.first_failure(output) == "tests/test_a.py::test_b[x - y]"
+    assert mutants.first_failure("5 passed\n") is None
