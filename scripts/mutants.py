@@ -5,12 +5,14 @@ Each catalogue entry names a file, an exact text that occurs once in it,
 the text that replaces it and a one-line reason: what the mutation breaks,
 or why no test can tell it from the original.  For each entry the script
 copies src/ and tests/, with what the tests read (perfbench/, scripts/,
-BENCHMARK.json, pyproject.toml and README.md), into a temporary directory, applies
-the mutation there and runs the tier-1 command with `-x -p no:cacheprovider`
-in one child process at a time, less the catalogue's own two tests.  The child runs under a wall limit and an
-address-space limit (RLIMIT_AS, set in the child), so a mutant that loops
-or grows without bound ends as one failing test, a MemoryError or a
-timeout.  An unmutated copy runs first; if it fails, no mutant is run.
+BENCHMARK.json, pyproject.toml and README.md), into a temporary directory,
+applies the mutation there and runs the tier-1 command with `-x -p
+no:cacheprovider` in one child process at a time, less the catalogue's own
+two tests.  The child runs under a wall limit of SECONDS and an
+address-space limit of MEMORY_BYTES (RLIMIT_AS, set in the child), so a
+mutant that loops or grows without bound ends as one failing test, a
+MemoryError or a timeout.  An unmutated copy runs first; if it fails, no
+mutant is run.
 One line per entry:
 
   killed     NAME  first failing test  (seconds)
@@ -18,14 +20,11 @@ One line per entry:
   timed-out  NAME  (seconds)
 
 The checkout itself is never changed.  Usage (from the repository root):
-  python3 scripts/mutants.py                         # every entry
-  python3 scripts/mutants.py --only judge-no-listing --only read-self-loop
-  python3 scripts/mutants.py --list
+  python3 scripts/mutants.py
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import re
 import resource
@@ -42,6 +41,9 @@ ROOT = Path(__file__).resolve().parents[1]
 # What the tier-1 tests read besides src/ and tests/.
 COPIED = ("src", "tests", "perfbench", "scripts", "BENCHMARK.json", "pyproject.toml", "README.md")
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-x", "-p", "no:cacheprovider"]
+# Per run: the wall limit, and the address-space limit set in the child.
+SECONDS = 600
+MEMORY_BYTES = 2 << 30
 # The catalogue's own tests read the mutated file, so they fail on every mutant.
 OWN_TESTS = (
     "tests/test_scripts.py::test_every_mutant_text_occurs_once",
@@ -76,6 +78,12 @@ CATALOGUE = (
         "(cell // size, symbols[cell % size]): more.get(cell) or singles[t]",
         "(cell // size, symbols[cell % size]): singles[t]",
         "a nondeterministic document keeps one target per cell",
+    ),
+    Mutant(
+        "fill-row-unscaled", "src/omegadet/hoa.py",
+        "                row = num * size",
+        "                row = num",
+        "state s's edges fill the cells of letters s, s + 1, ... of state 0",
     ),
     # the constructor judges determinism once, on the normalised table
     Mutant(
@@ -232,12 +240,12 @@ def first_failure(output: str) -> str | None:
     return None
 
 
-def run_tier1(work: Path, seconds: float, memory_mb: int) -> tuple[str, str, float]:
+def run_tier1(work: Path) -> tuple[str, str, float]:
     """(verdict, first failing test or "", seconds) of tier-1 in work."""
 
     def limit() -> None:
-        soft = memory_mb << 20
-        resource.setrlimit(resource.RLIMIT_AS, (soft, resource.getrlimit(resource.RLIMIT_AS)[1]))
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        resource.setrlimit(resource.RLIMIT_AS, (MEMORY_BYTES, hard))
 
     env = {**os.environ, "PYTHONPATH": str(work / "src")}
     start = time.monotonic()
@@ -252,7 +260,7 @@ def run_tier1(work: Path, seconds: float, memory_mb: int) -> tuple[str, str, flo
         start_new_session=True,
     )
     try:
-        output, _ = proc.communicate(timeout=seconds)
+        output, _ = proc.communicate(timeout=SECONDS)
     except subprocess.TimeoutExpired:
         # the tests' own children are in the same session
         os.killpg(proc.pid, signal.SIGKILL)
@@ -265,27 +273,10 @@ def run_tier1(work: Path, seconds: float, memory_mb: int) -> tuple[str, str, flo
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--only", action="append", default=[], metavar="NAME",
-                        help="run this entry only (repeatable)")
-    parser.add_argument("--list", action="store_true", help="print the catalogue and exit")
-    parser.add_argument("--seconds", type=float, default=600, help="wall limit per run")
-    parser.add_argument("--memory-mb", type=int, default=2048, help="RLIMIT_AS per run")
-    args = parser.parse_args()
-
-    names = {m.name for m in CATALOGUE}
-    unknown = [name for name in args.only if name not in names]
-    if unknown:
-        parser.error(f"unknown entries: {' '.join(unknown)}")
-    chosen = [m for m in CATALOGUE if not args.only or m.name in args.only]
-    if args.list:
-        for m in chosen:
-            print(f"{m.name}  {m.path}  {m.reason}")
-        return
-    for mutant in [None, *chosen]:
+    for mutant in [None, *CATALOGUE]:
         with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
             prepare(ROOT, Path(tmp), mutant)
-            verdict, test, took = run_tier1(Path(tmp), args.seconds, args.memory_mb)
+            verdict, test, took = run_tier1(Path(tmp))
         if mutant is None:
             if verdict != "survived":
                 sys.exit(f"the unmutated copy did not pass: {verdict} {test}")

@@ -401,7 +401,6 @@ def _faults(a: Automaton) -> list[str]:
     # types before the set: a set keeps one of True and 1, or of 1.0 and 1
     kinds = set(map(type, states))
     states = set(states)
-    # with sources and symbols in range, n·|Σ| distinct keys make a total table
     if (
         fits
         and kinds == {int}

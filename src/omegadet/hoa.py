@@ -454,7 +454,7 @@ def parse_hoa(text: str) -> Automaton:
     more: dict[int, frozenset[int]] = {}
     singles = _Singletons()
     marks_of: dict[int, list[int]] = {}
-    current: int | None = None
+    row: int | None = None  # s·|Σ| of the current state s, from its State: line
     ended = False
 
     body = _BODY_LINE_RE.findall("\n".join(lines[body_line:]))
@@ -482,15 +482,15 @@ def parse_hoa(text: str) -> Automaton:
                     raise HoaError(f"state {_quote(str(num))} out of range", line)
                 if num in marks_of:
                     raise HoaError(f"duplicate State: {_quote(str(num))}", line)
-                current = num
+                row = num * size
                 marks_of[num] = _parse_marks(match.group("acc"), set_count, line)
                 continue
-            if current is None:
+            if row is None:
                 raise HoaError("edge before any State: line", line)
             if content.startswith("["):
                 raise HoaError(f"malformed edge {_quote(content)}", line)
             raise HoaError("implicit (unlabeled) edges are unsupported", line)
-        if ended or current is None:
+        if ended or row is None:
             raise HoaError(
                 "content after --END--" if ended else "edge before any State: line",
                 line,
@@ -518,8 +518,8 @@ def parse_hoa(text: str) -> Automaton:
             index = _parse_label(label, ap_count, line)
             spelling = f"[{_symbol_label(index, ap_count)}]"
             (canonical if label == spelling else letters)[label] = index
-        if cells.setdefault(current * size + index, number) != number:
-            cell = current * size + index
+        cell = row + index
+        if cells.setdefault(cell, number) != number:
             more[cell] = more.get(cell, singles[cells[cell]]) | singles[number]
 
     if not ended:
@@ -530,10 +530,11 @@ def parse_hoa(text: str) -> Automaton:
         for mark in marks:
             sets[mark].add(s)
     acceptance = _build_acceptance(kind, sets, state_count)
-    # rows only for a 'deterministic' document with one target per cell and
-    # a total table: a count check allocates nothing per declared state, and
-    # distinct cells in range make a full count total.  Any other document
-    # gets the (state, symbol) table, keys in the order of their first edge
+    # a 'deterministic' document with one target per cell and a total table
+    # goes to the constructor as rows, which it checks; a count check
+    # allocates nothing per declared state, and distinct cells in range make
+    # a full count total.  Any other document gets the (state, symbol)
+    # table, keys in the order of their first edge
     total = state_count * size
     if declared_deterministic and not more and len(cells) == total:
         transitions = RowView(alphabet, map(cells.__getitem__, range(total)))

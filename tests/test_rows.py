@@ -433,7 +433,7 @@ def _tables(draw):
     return n, table
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(tables=_tables(), as_rows=st.booleans())
 def test_a_deterministic_automaton_is_refused_or_has_rows(tables, as_rows):
     """Whatever the table, the rows' checks and the listing of faults agree."""
