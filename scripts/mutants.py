@@ -114,8 +114,8 @@ CATALOGUE = (
     # the tree steps
     Mutant(
         "compact-largest-green-f", "src/omegadet/compact.py",
-        "            if not f:",
-        "            if True:",
+        "            f = f or v",
+        "            f = v",
         "f is the largest green name, not the smallest",
     ),
     Mutant(
@@ -126,9 +126,33 @@ CATALOGUE = (
     ),
     Mutant(
         "compact-e-always-bound", "src/omegadet/compact.py",
-        "e = bound if count == last else count + 1",
-        "e = bound",
-        "a step that removes only its youngest names is priced as one that removes none",
+        "        if cut[v]:\n            e = e or name",
+        "        if cut[v]:\n            pass",
+        "a step that removes only its youngest names, sprouts under cut nodes, is priced as removing none",
+    ),
+    Mutant(
+        "compact-sprout-takes-claimed", "src/omegadet/compact.py",
+        "elif states := label[v] & alpha & ~claimed[v]:",
+        "elif states := label[v] & alpha:",
+        "a sprout keeps the states its older siblings claimed",
+    ),
+    Mutant(
+        "compact-green-without-sprout", "src/omegadet/compact.py",
+        "if states == claimed[v] | (states & alpha):",
+        "if states == claimed[v]:",
+        "a node is green only when its old children cover it, never its sprout",
+    ),
+    Mutant(
+        "compact-emptied-sprout-not-f", "src/omegadet/compact.py",
+        "            f = f or name\n",
+        "",
+        "an emptied sprout is not green, so it is never f",
+    ),
+    Mutant(
+        "compact-emptied-sprout-not-e", "src/omegadet/compact.py",
+        "            f = f or name\n            e = e or name",
+        "            f = f or name",
+        "an emptied sprout is not priced as removed",
     ),
     Mutant(
         "compact-streett-r-as-g", "src/omegadet/compact.py",

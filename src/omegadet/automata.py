@@ -551,13 +551,11 @@ def explore(
     rows = []
 
     def visit(tree, i: int, image_key) -> int:
-        """The tree's successor on letter i, by number; the step runs if the key is new."""
-        nxt = memo.get(image_key)
-        if nxt is None:
-            out = step(tree, symbols[i], a)
-            nxt = memo[image_key] = number.setdefault(out, len(order))
-            if nxt == len(order):
-                order.append(out)
+        """The tree's successor on letter i, by number, for a key not in the memo."""
+        out = step(tree, symbols[i], a)
+        nxt = memo[image_key] = number.setdefault(out, len(order))
+        if nxt == len(order):
+            order.append(out)
         return nxt
 
     for state in order:  # `order` grows while it is walked
@@ -571,11 +569,13 @@ def explore(
                 rows.append(visit(tree, i, image_key) if nxt is None else nxt)
         else:
             # every letter's key, and its successor if the key is known, in
-            # C; then the letters whose key was new when read, in order
+            # C; then the letters whose key was new when read, in order,
+            # each read again, as an earlier letter may have stepped its key
             keys = list(zip(repeat(shape, size), *map(columns.__getitem__, masks)))
             row = list(map(memo.get, keys))
             for i in compress(range(size), map(is_, row, repeat(None))):
-                row[i] = visit(tree, i, keys[i])
+                nxt = memo.get(keys[i])
+                row[i] = visit(tree, i, keys[i]) if nxt is None else nxt
             rows += row
     return Automaton(
         alphabet=a.alphabet,

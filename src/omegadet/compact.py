@@ -9,11 +9,11 @@ bookkeeping at all — just one priority per transition target.
 
 Names also order the tree: a parent is named before its children and an
 older sibling before a younger one.  So both steps work on flat lists
-indexed by name, with fresh names appended: the Buchi step is a few passes
-in name order, and the Streett step one loop over an explicit stack,
-walking the sons in post-order and settling siblings by owed index, then
-one pass in name order that drops what the walk emptied or cut.  Both end
-in `_renamed`, which renames the survivors 1..N and prices the step.
+indexed by name: the Buchi step is a few passes in name order, and the
+Streett step one loop over an explicit stack, walking the sons in
+post-order and settling siblings by owed index.  Each ends in one pass in
+name order that drops what was emptied or cut, renames the survivors 1..N
+as it meets them and finds e and f.
 """
 
 from __future__ import annotations
@@ -69,40 +69,6 @@ def priority_of(e: int, f: int) -> int:
 EMPTY_TREE = CompactSafraTree(parents=(), masks=(), e=1, f=1)
 
 
-def _renamed(survivors, par, label, ann, last: int, f: int, bound: int):
-    """The survivors renamed 1..N in order, as a tree, and the step's priority.
-
-    survivors are ascending old names, each with its parent among them;
-    par, label and ann (None for Buchi) are read by old name, and par[1]
-    is 0.  last is the last name the step handed out.  e is the smallest
-    removed name, or bound when nothing was removed.  Names grow from
-    parent to child, so the smallest name of a removed subtree is its
-    root; every name below e survives, and a tree holds fewer than bound
-    nodes, so e never exceeds bound.
-    """
-    if not survivors or survivors[0] != 1:
-        return EMPTY_TREE, 1
-    # new[v] is the new name of survivor v, and new[0] stays 0
-    new = [0] * (last + 1)
-    e = 0
-    for i, v in enumerate(survivors, 1):
-        new[v] = i
-        if i != v and not e:
-            e = i
-    count = len(survivors)
-    if not e:
-        e = bound if count == last else count + 1
-    out = CompactSafraTree(
-        parents=tuple(map(new.__getitem__, map(par.__getitem__, survivors))),
-        masks=tuple(map(label.__getitem__, survivors)),
-        e=e,
-        f=f,
-        ann_masks=() if ann is None else tuple(map(ann.__getitem__, survivors)),
-    )
-    # priority_of(e, f), whose checks hold here: e >= 2, as name 1 survives
-    return out, 2 * f - 2 if f < e else 2 * e - 3
-
-
 def initial_compact_tree(a: Automaton) -> CompactSafraTree:
     return CompactSafraTree(parents=(0,), masks=(1 << a.initial,), e=2, f=1)
 
@@ -114,8 +80,8 @@ def compact_step(
 
     Returns the successor tree and the priority of the transition; the
     successor of the empty tree is the empty tree with priority 1.  The
-    passes run over label and par, lists indexed by name, with the sprouts
-    appended after the old names.
+    passes run over label and par, lists indexed by name; a sprout is
+    priced and renamed from its parent's entries, never appended to them.
     """
     if not isinstance(a.acceptance, BuchiAcceptance):
         raise ValueError("compact_step: Buchi acceptance required")
@@ -124,51 +90,69 @@ def compact_step(
     if count == 0:
         return EMPTY_TREE, 1
     alpha = a.acceptance.accepting_mask
-    images = a.image_masks[symbol]
     # label and par by name; index 0 stands for the root's missing parent
-    label = [0, *map(images.__getitem__, tree.masks)]
+    label = [0, *map(a.image_masks[symbol].__getitem__, tree.masks)]
+    if not label[1]:
+        return EMPTY_TREE, 1
     par = [0, *tree.parents]
+    # the nodes whose label meets alpha sprout, named after the old names
+    sprouts = [v for v in range(1, count + 1) if label[v] & alpha]
 
-    # sprout: the accepting part of each old label, under names after the
-    # old ones, so every parent is named before its children
-    for v in range(1, count + 1):
-        birth = label[v] & alpha
-        if birth:
-            label.append(birth)
-            par.append(v)
-    last = len(label) - 1
-
-    # settle, parents first and older siblings first: a node keeps what
-    # its parent kept and no older sibling claimed.  A child's label is a
-    # subset of its parent's, so a state settled away from a node leaves
-    # its whole subtree.  Afterwards claimed[v] is the union of v's children
-    claimed = [0] * (last + 1)
-    for v in range(2, last + 1):
+    # settle the old names, parents first and older siblings first: a node
+    # keeps what its parent kept and no older sibling claimed.  A child's
+    # label is a subset of its parent's, so a state settled away from a
+    # node leaves its whole subtree.  Afterwards claimed[v] is the union of
+    # v's old children, and v's sprout, the youngest, gets what is left of
+    # label[v] & alpha
+    claimed = [0] * (count + 1)
+    for v in range(2, count + 1):
         p = par[v]
         states = label[v] & label[p] & ~claimed[p]
         label[v] = states
         claimed[p] |= states
 
     # a label its children cover closes a round (an emptied leaf too): the
-    # node stays and everything below it goes; f is the smallest such
-    # name, and the first found, as parents come before their children
-    f = 0
-    cut = [False] * (last + 1)
-    survivors = []
-    for v in range(1, last + 1):
-        if cut[par[v]]:
+    # node stays and everything below it goes.  With its sprout, v's
+    # children cover claimed[v] | (label[v] & alpha).  Parents come first,
+    # so f, the smallest such name, and e, the smallest removed one, are
+    # the first found; the survivors are renamed 1.. as they are met
+    f = e = 0
+    cut = [False] * (count + 1)
+    new = [0] * (count + 1)
+    parents, masks = [], []
+    for v in range(1, count + 1):
+        p = par[v]
+        if cut[p]:
             cut[v] = True
+            e = e or v
             continue
         states = label[v]
-        if states == claimed[v]:
+        if states == claimed[v] | (states & alpha):
             cut[v] = True
-            if not f:
-                f = v
+            f = f or v
         if states:
-            survivors.append(v)
+            parents.append(new[p])
+            masks.append(states)
+            new[v] = len(masks)
+        else:
+            e = e or v
 
-    # empty nodes disappear too; the smallest deleted name is e
-    return _renamed(survivors, par, label, None, last, f or n + 1, n + 1)
+    # the sprouts, named after the old names: one under a cut node goes
+    for name, v in enumerate(sprouts, count + 1):
+        if cut[v]:
+            e = e or name
+        elif states := label[v] & alpha & ~claimed[v]:
+            parents.append(new[v])
+            masks.append(states)
+        else:
+            # an emptied sprout is a green leaf, and it goes
+            f = f or name
+            e = e or name
+
+    e, f = e or n + 1, f or n + 1
+    out = CompactSafraTree(tuple(parents), tuple(masks), e, f)
+    # priority_of(e, f), whose checks hold here: e >= 2, as name 1 survives
+    return out, 2 * f - 2 if f < e else 2 * e - 3
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +192,8 @@ def compact_streett_step(
         return EMPTY_TREE, 1
     # index 0 stands for the root's missing parent
     label = [0, *map(a.image_masks[symbol].__getitem__, tree.masks)]
+    if not label[1]:
+        return EMPTY_TREE, 1
     par = [0, *tree.parents]
     ann = [0, *tree.ann_masks]
     kids: dict[int, list[int]] = {}
@@ -283,12 +269,25 @@ def compact_streett_step(
 
     # parents first: the children of a cut node go, and any other node
     # keeps what its parent kept, so a state taken from a node leaves its
-    # whole subtree, and an emptied node takes its subtree along
+    # whole subtree, and an emptied node takes its subtree along.  The
+    # survivors are renamed as they are met; e is the first emptied name
+    e = 0
+    new = [0] * len(label)
+    new[1] = 1
+    parents, masks, anns = [0], [label[1]], [ann[1]]
     for v, p in enumerate(par[2:], 2):
-        label[v] = 0 if p in cut else label[v] & label[p]
-    survivors = [v for v in range(1, len(label)) if label[v]]
-    f = min(cut, default=m + 1)
-    return _renamed(survivors, par, label, ann, len(label) - 1, f, m + 1)
+        states = 0 if p in cut else label[v] & label[p]
+        label[v] = states
+        if states:
+            parents.append(new[p])
+            masks.append(states)
+            anns.append(ann[v])
+            new[v] = len(masks)
+        else:
+            e = e or v
+    e, f = e or m + 1, min(cut, default=m + 1)
+    out = CompactSafraTree(tuple(parents), tuple(masks), e, f, tuple(anns))
+    return out, 2 * f - 2 if f < e else 2 * e - 3
 
 
 # ---------------------------------------------------------------------------

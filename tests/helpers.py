@@ -16,7 +16,7 @@ from omegadet import (
     StreettAcceptance,
 )
 from omegadet.automata import mask_states, reach
-from omegadet.compact import EMPTY_TREE, _renamed, _top_bit
+from omegadet.compact import EMPTY_TREE, CompactSafraTree, _top_bit, priority_of
 from omegadet.lasso import _accepts_infinity_set, _fair_cycle, _sccs
 from omegadet.safra import SafraTree, _dead_safra_tree
 
@@ -265,14 +265,26 @@ def _close(t: WorkTree, f: int, bound: int):
     """Sweep the emptied nodes of a `WorkTree`, then rename and price the step.
 
     Pruning empties whole subtrees, and a child's label is a subset of its
-    parent's, so each survivor's parent survives too.
+    parent's, so each survivor's parent survives too.  The survivors take
+    the names 1..N in the order of their old names; e is the smallest name
+    that went, or bound when none went.
     """
-    label, kids = t.label, t.kids
+    label, kids, ann = t.label, t.kids, t.ann
     # label holds every name 1..last in ascending order
     survivors = [v for v, states in label.items() if states]
-    par = {c: v for v in survivors for c in kids[v]}
-    par[1] = 0
-    return _renamed(survivors, par, label, t.ann, t.last, f, bound)
+    if not label[1]:
+        return EMPTY_TREE, 1
+    new = {v: i for i, v in enumerate(survivors, 1)}
+    par = {c: new[v] for v in survivors for c in kids[v]}
+    e = min((v for v, states in label.items() if not states), default=bound)
+    out = CompactSafraTree(
+        parents=tuple(par.get(v, 0) for v in survivors),
+        masks=tuple(label[v] for v in survivors),
+        e=e,
+        f=f,
+        ann_masks=() if ann is None else tuple(ann[v] for v in survivors),
+    )
+    return out, priority_of(e, f)
 
 
 def worktree_compact_step(tree, symbol: str, a: Automaton):
