@@ -6,13 +6,14 @@ the text that replaces it and a one-line reason: what the mutation breaks,
 or why no test can tell it from the original.  For each entry the script
 copies src/ and tests/, with what the tests read (perfbench/, scripts/,
 BENCHMARK.json, pyproject.toml and README.md), into a temporary directory,
-applies the mutation there and runs the tier-1 command with `-x -p
-no:cacheprovider` in one child process at a time, less the catalogue's own
-two tests.  The child runs under a wall limit of SECONDS and an
+applies the mutation there and runs the tier-1 command with `-x --tb=line
+-p no:cacheprovider` in one child process at a time, less the catalogue's
+own two tests.  The child runs under a wall limit of SECONDS and an
 address-space limit of MEMORY_BYTES (RLIMIT_AS, set in the child), so a
 mutant that loops or grows without bound ends as one failing test, a
-MemoryError or a timeout.  An unmutated copy runs first; if it fails, no
-mutant is run.
+MemoryError or a timeout.  One line per traceback reads no source file, so
+pytest can still name a test that failed with a MemoryError.  An unmutated
+copy runs first; if it fails, no mutant is run.
 One line per entry:
 
   killed     NAME  first failing test  (seconds)
@@ -40,7 +41,10 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parents[1]
 # What the tier-1 tests read besides src/ and tests/.
 COPIED = ("src", "tests", "perfbench", "scripts", "BENCHMARK.json", "pyproject.toml", "README.md")
-TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-x", "-p", "no:cacheprovider"]
+TIER1 = [
+    "-m", "pytest", "-q", "--continue-on-collection-errors",
+    "-x", "--tb=line", "-p", "no:cacheprovider",
+]
 # Per run: the wall limit, and the address-space limit set in the child.
 SECONDS = 600
 MEMORY_BYTES = 2 << 30
@@ -104,6 +108,19 @@ CATALOGUE = (
         "and max(rows) <= n",
         "rows may name state n",
     ),
+    Mutant(
+        "faults-pair-sides-swapped", "src/omegadet/automata.py",
+        'zip(("first", "second"), pair)',
+        'zip(("second", "first"), pair)',
+        "a state outside a pair's second set is named in its first, and the other way round",
+    ),
+    # the transition view
+    Mutant(
+        "view-eq-ignores-alphabet", "src/omegadet/automata.py",
+        "if isinstance(other, RowView) and other.alphabet.symbols == self.alphabet.symbols:",
+        "if isinstance(other, RowView):",
+        "two views with equal rows over different alphabets compare equal",
+    ),
     # the image memo reads every table through .get
     Mutant(
         "read-self-loop", "src/omegadet/automata.py",
@@ -112,6 +129,12 @@ CATALOGUE = (
         "every state gets a self-loop on every letter",
     ),
     # the tree steps
+    Mutant(
+        "priority-tie-even", "src/omegadet/compact.py",
+        "    if f < e:\n        return 2 * f - 2",
+        "    if f <= e:\n        return 2 * f - 2",
+        "a step whose completion and deletion bookmarks are equal gets an even priority",
+    ),
     Mutant(
         "compact-largest-green-f", "src/omegadet/compact.py",
         "            f = f or v",
@@ -227,6 +250,18 @@ CATALOGUE = (
         '("Inf({}) | ", "Fin({}) & ")[p % 2]',
         '("Fin({}) & ", "Inf({}) | ")[p % 2]',
         "a parity Acceptance: formula swaps Inf and Fin, in emit and in the parser's check",
+    ),
+    Mutant(
+        "cli-member-entry-as-cycle-size", "src/omegadet/cli.py",
+        'print(f"cycle-entry: {verdict.entry_steps}")',
+        'print(f"cycle-entry: {len(verdict.cycle_states)}")',
+        "`omegadet member` prints the cycle's size as its entry step",
+    ),
+    Mutant(
+        "cli-xcheck-last-dpw-size", "src/omegadet/cli.py",
+        "worst = max(worst, dpw.state_count)",
+        "worst = dpw.state_count",
+        "`omegadet xcheck --random` reports the last DPW's size, not the largest",
     ),
     Mutant(
         "cli-error-exit-1", "src/omegadet/cli.py",

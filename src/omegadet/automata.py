@@ -57,31 +57,25 @@ class BuchiAcceptance:
 
 
 @dataclass(frozen=True)
-class RabinAcceptance:
+class _PairAcceptance:
+    """A condition given by pairs of state sets; == holds within one subclass only."""
+
+    pairs: tuple[tuple[frozenset[int], frozenset[int]], ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self,
+            "pairs",
+            tuple((frozenset(first), frozenset(second)) for first, second in self.pairs),
+        )
+
+
+class RabinAcceptance(_PairAcceptance):
     """Pairs (E_i, F_i): accept iff some pair has inf∩E_i=∅ and inf∩F_i≠∅."""
 
-    pairs: tuple[tuple[frozenset[int], frozenset[int]], ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "pairs",
-            tuple((frozenset(e), frozenset(f)) for e, f in self.pairs),
-        )
-
-
-@dataclass(frozen=True)
-class StreettAcceptance:
+class StreettAcceptance(_PairAcceptance):
     """Pairs (R_i, G_i): accept iff every pair with inf∩G_i≠∅ has inf∩R_i≠∅."""
-
-    pairs: tuple[tuple[frozenset[int], frozenset[int]], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "pairs",
-            tuple((frozenset(r), frozenset(g)) for r, g in self.pairs),
-        )
 
     @cached_property
     def pair_masks(self) -> tuple[tuple[int, int], ...]:
@@ -139,13 +133,8 @@ class Automaton:
         table = self.transitions
         view = isinstance(table, RowView)
         if not view:
-            # one copy, without empty entries; a table of nonempty
-            # frozensets, as parse_hoa builds it, is recognised in two
-            # whole-table passes and only copied
-            if set(map(type, table.values())) <= {frozenset} and all(table.values()):
-                table = dict(table)
-            else:
-                table = {key: frozenset(targets) for key, targets in table.items() if targets}
+            # one copy, without empty entries
+            table = {key: frozenset(targets) for key, targets in table.items() if targets}
         frozen = _row_view(self, table) if self.deterministic else None
         if frozen is None:
             # a set per entry of a view, not its shared ones: a row that
@@ -385,17 +374,23 @@ def _faults(a: Automaton) -> list[str]:
     rows = a.transitions
     dense = isinstance(rows, RowView)
     acc = a.acceptance
-    fits, sets = True, ()
+    # the condition's state sets, each under its name in the diagnostics;
+    # fits is False outside parity only for an unknown condition
+    fits, named = True, []
     if isinstance(acc, ParityAcceptance):
         p = acc.priorities
         fits = len(p) == n and min(p, default=0) >= 0 and max(p, default=0) < acc.index
     elif isinstance(acc, BuchiAcceptance):
-        sets = (acc.accepting,)
-    elif isinstance(acc, (RabinAcceptance, StreettAcceptance)):
-        sets = chain.from_iterable(acc.pairs)
+        named = [("accepting set", acc.accepting)]
+    elif isinstance(acc, _PairAcceptance):
+        named = [
+            (f"pair {i} {side} set", states)
+            for i, pair in enumerate(acc.pairs)
+            for side, states in zip(("first", "second"), pair)
+        ]
     else:
         fits = False
-    states = [a.initial, *chain.from_iterable(sets)]
+    states = [a.initial, *chain.from_iterable(map(itemgetter(1), named))]
     if not dense:
         states += [*map(itemgetter(0), rows), *chain.from_iterable(rows.values())]
     # types before the set: a set keeps one of True and 1, or of 1.0 and 1
@@ -448,13 +443,9 @@ def _faults(a: Automaton) -> list[str]:
             diags += bad
             if bad:
                 break
-    if isinstance(acc, BuchiAcceptance):
-        diags += outside(acc.accepting, "accepting set")
-    elif isinstance(acc, (RabinAcceptance, StreettAcceptance)):
-        for i, (left, right) in enumerate(acc.pairs):
-            diags += outside(left, f"pair {i} first set")
-            diags += outside(right, f"pair {i} second set")
-    elif isinstance(acc, ParityAcceptance):
+    for what, states in named:
+        diags += outside(states, what)
+    if isinstance(acc, ParityAcceptance):
         if acc.index < 1:
             diags.append(f"parity: index {acc.index} < 1")
         if len(acc.priorities) != n:
@@ -462,7 +453,7 @@ def _faults(a: Automaton) -> list[str]:
         for s, p in enumerate(acc.priorities):
             if not 0 <= p < acc.index:
                 diags.append(f"parity: state {s} priority {p} out of range [0, {acc.index})")
-    else:
+    elif not fits:
         diags.append(f"acceptance: unknown condition {type(acc).__name__}")
     return diags
 

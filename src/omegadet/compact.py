@@ -151,8 +151,7 @@ def compact_step(
 
     e, f = e or n + 1, f or n + 1
     out = CompactSafraTree(tuple(parents), tuple(masks), e, f)
-    # priority_of(e, f), whose checks hold here: e >= 2, as name 1 survives
-    return out, 2 * f - 2 if f < e else 2 * e - 3
+    return out, priority_of(e, f)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +286,7 @@ def compact_streett_step(
             e = e or v
     e, f = e or m + 1, min(cut, default=m + 1)
     out = CompactSafraTree(tuple(parents), tuple(masks), e, f, tuple(anns))
-    return out, 2 * f - 2 if f < e else 2 * e - 3
+    return out, priority_of(e, f)
 
 
 # ---------------------------------------------------------------------------

@@ -181,6 +181,21 @@ class TestValidate:
             Automaton(**fields)
         assert any(words in d for d in exc.value.diagnostics), exc.value.diagnostics
 
+    @pytest.mark.parametrize("condition", [RabinAcceptance, StreettAcceptance])
+    def test_a_condition_without_pairs_is_known(self, condition):
+        # no pair gives no state set to name, and no "unknown condition" line
+        with pytest.raises(MalformedAutomaton) as exc:
+            Automaton(Alphabet(("a",)), 2, 5, {(0, "a"): {1}}, condition(()))
+        assert exc.value.diagnostics == ["initial: state 5 out of range [0, 2)"]
+
+    def test_rabin_and_streett_pairs_differ(self):
+        pairs = (({0}, {1}),)
+        assert RabinAcceptance(pairs) != StreettAcceptance(pairs)
+        assert RabinAcceptance(pairs) == RabinAcceptance([(frozenset({0}), [1])])
+        assert repr(StreettAcceptance(pairs)) == (
+            "StreettAcceptance(pairs=((frozenset({0}), frozenset({1})),))"
+        )
+
     def test_a_deterministic_scan_stops_at_the_first_bad_state(self):
         # a row for state 0 only: states 2, 3, ... are not listed
         with pytest.raises(MalformedAutomaton) as exc:

@@ -146,6 +146,8 @@ class TestMember:
         out, _ = lines_of(capsys)
         assert code == 1
         assert out[0] == "accepted: false"
+        # the run enters its one-state cycle after three steps
+        assert out[1:3] == ["cycle-entry: 3", "cycle-size: 1"]
         assert out[3] == "cycle-priorities: 3"
 
     def test_nondeterministic_input_uses_the_oracle(self, nbw_file, capsys):
@@ -257,6 +259,8 @@ class TestXcheck:
         out, _ = lines_of(capsys)
         assert code == 0
         assert out[0] == "checked: 4"
+        # the DPWs of seeds 5..8 have 6, 10, 5 and 8 states: the largest is not the last
+        assert out[1] == "max-dpw-states: 10"
         assert out[-1] == "disagreements: 0"
 
     def test_random_mode_reports_a_disagreement(self, monkeypatch, capsys):

@@ -245,6 +245,12 @@ class TestTheView:
             a.dstep(2, "a")
         assert repr(a.transitions) == repr(table)
 
+    def test_views_over_different_alphabets_differ(self):
+        ab, ba = Alphabet(("a", "b")), Alphabet(("b", "a"))
+        assert RowView(ab, [1, 0]) != RowView(ba, [1, 0])
+        # the same mapping, read off rows in another letter order
+        assert RowView(ab, [1, 0]) == RowView(ba, [0, 1])
+
     def test_dualizing_shares_the_rows(self):
         a = _two_letter_dpw(RowView(Alphabet(("a", "b")), [1, 0, 0, 1]))
         assert dualize_parity(a).rows is a.rows
