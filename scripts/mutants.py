@@ -207,6 +207,36 @@ CATALOGUE = (
         "RabinAcceptance(tuple(zip(map(frozenset, f[1:]), map(frozenset, e[1:]))))",
         "each DRW pair's E and F sets trade places",
     ),
+    # `_closed`, the end of both reference steps
+    Mutant(
+        "safra-temps-take-largest-free", "src/omegadet/safra.py",
+        "for v, name in zip(temps, free):",
+        "for v, name in zip(temps, free[::-1]):",
+        "the surviving temporaries take the largest free names, not the smallest",
+    ),
+    Mutant(
+        "safra-recycled-name-not-in-e", "src/omegadet/safra.py",
+        "        e_set,\n        f_set,\n",
+        "        e_set.difference(names),\n        f_set,\n",
+        "a name recycled for a temporary is left out of e_set and does not restart its pair",
+    ),
+    Mutant(
+        "safra-name-memo-by-count", "src/omegadet/safra.py",
+        "known = by_static.get(static)\n    if known is None:\n"
+        "        free = tuple(sorted(set(range(2, pool + 1)).difference(static)))\n"
+        "        known = by_static[static] =",
+        "known = by_static.get(len(static))\n    if known is None:\n"
+        "        free = tuple(sorted(set(range(2, pool + 1)).difference(static)))\n"
+        "        known = by_static[len(static)] =",
+        "the name-set memo is read by the number of surviving names, so a step "
+        "takes the e_set of another tree with as many nodes",
+    ),
+    Mutant(
+        "safra-temp-child-keeps-old-name", "src/omegadet/safra.py",
+        "tuple(map(renamed, filter(survives, kids[v])))",
+        "tuple(filter(survives, kids[v]))",
+        "a parent lists a renamed temporary under its name from before the step",
+    ),
     # acceptance and the lasso oracles
     Mutant(
         "dualize-shift-two", "src/omegadet/automata.py",

@@ -163,10 +163,10 @@ class Automaton:
     def states(self) -> range:
         return range(self.state_count)
 
-    # The image memo of the tree steps and the lasso oracles, and the
-    # oracles' word memo: filled on first use, with entries for the masks
-    # and words asked for only, and freed with the automaton; cached properties stay
-    # out of == and repr.
+    # The image memo of the tree steps and the lasso oracles, the oracles'
+    # word memo and the reference steps' name-set memo: filled on first use,
+    # with entries for the masks, words and name tuples asked for only, and
+    # freed with the automaton; cached properties stay out of == and repr.
 
     @cached_property
     def image_masks(self) -> dict[str, dict[int, int]]:
@@ -183,6 +183,16 @@ class Automaton:
         letter indices of `run_deterministic`.
         """
         return {}
+
+    @cached_property
+    def safra_memo(self) -> tuple[dict, dict]:
+        """The name-set memo of `omegadet.safra`.
+
+        By the tuple of a step's surviving static names, ascending, its
+        e_set with its free names, ascending; by the tuple of its finished
+        names, its f_set.
+        """
+        return {}, {}
 
 
 class RowView(Mapping):

@@ -8,12 +8,14 @@ Static names are recycled, so they order neither age nor depth: both
 steps run on flat lists indexed by name, temporaries appended after the
 pool, walking the tree in preorder or, for Streett, in post-order on an
 explicit stack, and end in `_closed`, which frees dead names and gives
-the surviving temporaries the smallest freed ones.
+the surviving temporaries the smallest freed ones; it reads each name set
+from a memo on the automaton, `Automaton.safra_memo`, freed with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from operator import itemgetter
 
 from omegadet.automata import (
@@ -82,7 +84,7 @@ def _opened(tree: SafraTree, symbol: str, a: Automaton, pool: int):
     return label, kids, ann
 
 
-def _closed(label, kids, ann, pool: int, finished) -> SafraTree:
+def _closed(label, kids, ann, pool: int, finished, memo) -> SafraTree:
     """The nodes with a nonempty label as a tree, temporaries renamed into the pool.
 
     A child's label must be a subset of its parent's, so the survivors
@@ -91,27 +93,44 @@ def _closed(label, kids, ann, pool: int, finished) -> SafraTree:
     surviving node goes to e_set and restarts its pair, and the
     temporaries, in order, take the smallest of them.  finished are the
     static names of surviving nodes that completed a round, the f_set.
+    memo is the automaton's `safra_memo`, which gives e_set and the free
+    names by the surviving static names, and f_set by finished.
     """
     if not label[1]:
         return _dead_safra_tree(pool)
-    unused = [v for v in range(2, pool + 1) if not label[v]]
-    temps = [v for v in range(pool + 1, len(label)) if label[v]]
-    assert len(temps) <= len(unused), "name pool exhausted"
-    new = list(range(len(label)))  # new[old name]
-    old = new[1 : pool + 1]  # old[new name - 1]
-    for v, name in zip(temps, unused):
-        new[v] = name
-        old[name - 1] = v
-    # the survivors' old names, in the order of their new names
-    order = list(filter(label.__getitem__, old))
-    renamed = new.__getitem__
+    by_static, by_finished = memo
+    static = tuple(compress(range(pool + 1), label))
+    known = by_static.get(static)
+    if known is None:
+        free = tuple(sorted(set(range(2, pool + 1)).difference(static)))
+        known = by_static[static] = frozenset(free), free
+    e_set, free = known
+    finished = tuple(finished)
+    f_set = by_finished.get(finished)
+    if f_set is None:
+        f_set = by_finished[finished] = frozenset(finished)
+    survives = label.__getitem__
+    temps = tuple(compress(range(pool + 1, len(label)), label[pool + 1 :]))
+    if temps:
+        assert len(temps) <= len(free), "name pool exhausted"
+        new = list(range(len(label)))  # new[old name]
+        for v, name in zip(temps, free):
+            new[v] = name
+        renamed = new.__getitem__
+        # the survivors' old names, in the order of their new names
+        order = sorted(static + temps, key=renamed)
+        names = tuple(map(renamed, order))
+        children = [kids[v] and tuple(map(renamed, filter(survives, kids[v]))) for v in order]
+    else:
+        order = names = static
+        children = [kids[v] and tuple(filter(survives, kids[v])) for v in order]
     return SafraTree(
-        tuple(map(renamed, order)),
-        tuple(map(label.__getitem__, order)),
-        tuple([tuple(map(renamed, filter(label.__getitem__, kids[v]))) for v in order]),
+        names,
+        tuple(map(survives, order)),
+        tuple(children),
         None if ann is None else tuple(map(ann.__getitem__, order)),
-        frozenset(unused),
-        frozenset(finished),
+        e_set,
+        f_set,
     )
 
 
@@ -166,7 +185,7 @@ def safra_step(tree: SafraTree, symbol: str, a: Automaton) -> SafraTree:
             greens.append(v)
             for c in sons:
                 label[c] = 0
-    return _closed(label, kids, None, n, greens)
+    return _closed(label, kids, None, n, greens, a.safra_memo)
 
 
 def _rabin(name_count: int):
@@ -319,7 +338,9 @@ def streett_safra_step(
         keep = 0 if v in done else label[v]
         for c in kids[v]:
             label[c] &= keep
-    return _closed(label, kids, ann, m, [v for v in finished if v <= m and label[v]])
+    return _closed(
+        label, kids, ann, m, [v for v in finished if v <= m and label[v]], a.safra_memo
+    )
 
 
 def streett_safra_determinize(a: Automaton) -> Automaton:

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, report lines, error channel."""
 
 import contextlib
+import functools
 import io
 import shlex
 import subprocess
@@ -496,24 +497,33 @@ class TestUsage:
         assert code == 2
 
 
-# Emitted documents of every acceptance kind the tool reads: the NBW for
-# "infinitely many a", its DPW and Safra DRW, and a two-pair NSW.
-DOCUMENTS = [
-    emit_hoa(make_inf_a()),
-    emit_hoa(nbw_to_dpw(make_inf_a())),
-    emit_hoa(safra_determinize(make_inf_a())),
-    emit_hoa(random_nsw(2, 2, 1)),
-]
+@functools.cache
+def documents() -> tuple[str, ...]:
+    """Emitted documents of every acceptance kind the tool reads: the NBW for
+    "infinitely many a", its DPW and Safra DRW, and a two-pair NSW.
+
+    Built on first use, not at import, so a broken determinizer fails the
+    test that draws a document instead of the module's collection.
+    """
+    return (
+        emit_hoa(make_inf_a()),
+        emit_hoa(nbw_to_dpw(make_inf_a())),
+        emit_hoa(safra_determinize(make_inf_a())),
+        emit_hoa(random_nsw(2, 2, 1)),
+    )
+
+
 MUTATIONS = "0123456789 \n[]{}()!&|:tfInF-\"x"
 
 
 @st.composite
 def input_files(draw):
     """Text of an input file: an emitted document, maybe mutated; None if missing."""
-    choice = draw(st.integers(min_value=-1, max_value=len(DOCUMENTS) - 1))
+    docs = documents()
+    choice = draw(st.integers(min_value=-1, max_value=len(docs) - 1))
     if choice < 0:
         return None
-    text = DOCUMENTS[choice]
+    text = docs[choice]
     rng = draw(st.randoms(use_true_random=False))
     for _ in range(draw(st.integers(min_value=0, max_value=2))):
         # replace, delete or insert one character anywhere in the document

@@ -1,5 +1,6 @@
 """HOA subset reader/printer: golden documents, round-trips, strict rejections."""
 
+import functools
 import subprocess
 import sys
 import time
@@ -398,21 +399,23 @@ def _noisy(doc: str) -> str:
 class TestLayout:
     """Blank lines, comments, whitespace and line endings do not change a parse."""
 
+    # each automaton is built when its test runs, so a broken determinizer
+    # fails that test, not the module's collection
     @pytest.mark.parametrize(
-        "automaton",
+        "build",
         [
-            make_inf_a(),
-            make_inf_a_dpw(),
-            safra_determinize(make_inf_a()),
-            random_nsw(4, 2, seed=1),
-            nsw_to_dpw(random_nsw(4, 2, seed=1)),
-            streett_safra_determinize(random_nsw(4, 2, seed=1)),
-            full3(),
+            make_inf_a,
+            make_inf_a_dpw,
+            lambda: safra_determinize(make_inf_a()),
+            lambda: random_nsw(4, 2, seed=1),
+            lambda: nsw_to_dpw(random_nsw(4, 2, seed=1)),
+            lambda: streett_safra_determinize(random_nsw(4, 2, seed=1)),
+            full3,
         ],
         ids=["nbw", "dpw", "drw", "nsw", "nsw-dpw", "nsw-drw", "full3"],
     )
-    def test_noisy_text_parses_alike(self, automaton):
-        doc = emit_hoa(automaton)
+    def test_noisy_text_parses_alike(self, build):
+        doc = emit_hoa(build())
         noisy = _noisy(doc)
         assert "\t[ " in noisy and "\t{ " in noisy  # edges and marks are padded
         assert parse_hoa(noisy) == parse_hoa(doc)
@@ -754,19 +757,26 @@ def test_unlisted_parity_state_is_reported_before_allocating_per_state():
         "parity automata need exactly one priority per state; state 1 has 0\n"
     )
 
-_MUTATION_DOCS = (
-    TINY_DPW_DOC,
-    MINIMAL_BUCHI_DOC,
-    emit_hoa(make_inf_a_dpw()),
-    emit_hoa(safra_determinize(make_inf_a())),
-    emit_hoa(_loop(3, StreettAcceptance(((frozenset({0}), frozenset({1, 2})),)))),
-)
+
+@functools.cache
+def _mutation_docs() -> tuple[str, ...]:
+    """The documents the parser test mutates, built on first use, not at
+    import, so a broken determinizer fails that test, not the collection."""
+    return (
+        TINY_DPW_DOC,
+        MINIMAL_BUCHI_DOC,
+        emit_hoa(make_inf_a_dpw()),
+        emit_hoa(safra_determinize(make_inf_a())),
+        emit_hoa(_loop(3, StreettAcceptance(((frozenset({0}), frozenset({1, 2})),)))),
+    )
+
+
 _MUTATION_ALPHABET = "0123456789 \n{}[]()&|!:\"tfFinIS-"
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    doc=st.sampled_from(_MUTATION_DOCS),
+    doc=st.deferred(lambda: st.sampled_from(_mutation_docs())),
     edits=st.lists(
         st.tuples(
             st.sampled_from(("replace", "delete", "insert")),

@@ -3,11 +3,12 @@
 `transitions` stays the (state, symbol) -> frozenset mapping of every
 automaton: on a deterministic one it is a view over the rows.  These tests
 pin that view to the dict tables the determinizers built before the rows,
-pin the step counts of the perfbench corpora, and check that every fault of
-a deterministic table is still named as it was, through the constructor and
-through `parse_hoa`.  They also pin the tables `parse_hoa` fills for the
-sources of the corpora, key order included, and check that the constructor
-judges a table deterministic by one rule.
+pin the step counts and the emitted HOA of the perfbench corpora, and
+check that every fault of a deterministic table is still named as it was,
+through the constructor and through `parse_hoa`.  They also pin the
+tables `parse_hoa` fills for the sources of the corpora, key order
+included, and check that the constructor judges a table deterministic by
+one rule.
 """
 
 import hashlib
@@ -89,11 +90,25 @@ CORPUS_PINS = {
     ),
 }
 
+# Per perfbench workload at seed 3, the digest of the emitted DPW and DRW
+# texts, the last line of `scripts/hoa_digests.py`: it pins the acceptance
+# sets, which the table digests leave out.
+HOA_PINS = {
+    "tv-buchi": "2ba49e7db74defc26c0a28b60c0146e9bb854d700ab317c1ea460b38808420cf",
+    "full-n3": "9134fa1d4779df5f0ab7db906eb34da1c41baca39d54feaa56bbcee099136d67",
+    "streett": "2184c38b59cdc1deeb96e0dbbdca13a08994b8c76c0b33099193a51bc09f60cc",
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
 
 @pytest.mark.parametrize("workload", sorted(CORPUS_PINS))
 def test_corpus_tables_and_step_counts_are_pinned(monkeypatch, workload):
     sources = [parse_hoa(text) for text in _perfbench_corpus().build(workload, 3).inputs]
     constructions = _STREETT if workload == "streett" else _BUCHI
+    texts = []  # per construction, the emitted text of each output
     for (module, step, determinize), (calls, digest) in zip(
         constructions, CORPUS_PINS[workload]
     ):
@@ -109,9 +124,12 @@ def test_corpus_tables_and_step_counts_are_pinned(monkeypatch, workload):
         outputs = [determinize(a) for a in sources]
         assert count == calls, step
         assert _table_digest(outputs) == digest
-        for d in outputs:
+        texts.append(list(map(emit_hoa, outputs)))
+        for d, text in zip(outputs, texts[-1]):
             assert len(d.rows) == d.state_count * len(d.alphabet)
-            assert parse_hoa(emit_hoa(d)) == d
+            assert parse_hoa(text) == d
+    lines = [f"{i} {_sha256(dpw)} {_sha256(drw)}" for i, (dpw, drw) in enumerate(zip(*texts))]
+    assert _sha256("\n".join(lines)) == HOA_PINS[workload]
 
 
 # `_table_digest` of the dict tables of ten small random automata each.

@@ -314,6 +314,35 @@ def _distinct_steps(a, start, step):
                 queue.append(out)
 
 
+class TestNameSetMemo:
+    """A step reads e_set and f_set from the memo of its automaton."""
+
+    @pytest.mark.parametrize(
+        "build,start,step",
+        [
+            (lambda: random_nbw(6, 4), initial_safra_tree, safra_step),
+            (lambda: random_nsw(3, 2, 1), initial_streett_safra_tree, streett_safra_step),
+        ],
+        ids=["buchi", "streett"],
+    )
+    def test_equal_name_sets_are_one_object_per_automaton(self, build, start, step):
+        a, again = build(), build()
+        outputs = [out for _, _, out in _distinct_steps(a, start(a), step)]
+        by_static, by_finished = a.safra_memo
+        # the dead tree, which has no names, builds its own sets
+        live = [out for out in outputs if out.names]
+        assert len(by_static) < len(live)
+        e_sets = {}
+        for out in live:
+            assert e_sets.setdefault(out.e_set, out.e_set) is out.e_set
+        # f_set is read by the finished names in the order the step found them
+        assert len({id(out.f_set) for out in live}) <= len(by_finished) < len(live)
+        # an equal automaton has a memo of its own, and the memo stays out of ==
+        assert again == a and "safra_memo" not in vars(again)
+        first = step(start(again), again.alphabet.symbols[0], again)
+        assert first == outputs[0] and first.e_set is not outputs[0].e_set
+
+
 # Sources of the WorkTree comparison: small random NBWs, sparse
 # Tabakov-Vardi NBWs at three acceptance densities, and the 512-letter
 # full NBW on 3 states
