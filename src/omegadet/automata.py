@@ -186,12 +186,7 @@ class Automaton:
 
     @cached_property
     def safra_memo(self) -> tuple[dict, dict]:
-        """The name-set memo of `omegadet.safra`.
-
-        By the tuple of a step's surviving static names, ascending, its
-        e_set with its free names, ascending; by the tuple of its finished
-        names, its f_set.
-        """
+        """The name-set memo of `omegadet.safra`, which alone reads it."""
         return {}, {}
 
 

@@ -93,8 +93,10 @@ def _closed(label, kids, ann, pool: int, finished, memo) -> SafraTree:
     surviving node goes to e_set and restarts its pair, and the
     temporaries, in order, take the smallest of them.  finished are the
     static names of surviving nodes that completed a round, the f_set.
-    memo is the automaton's `safra_memo`, which gives e_set and the free
-    names by the surviving static names, and f_set by finished.
+    memo is the automaton's `safra_memo`, a pair of dicts: the first maps
+    the tuple of surviving static names, ascending, to e_set and the same
+    free names as an ascending tuple, the second the tuple of finished
+    names to f_set.
     """
     if not label[1]:
         return _dead_safra_tree(pool)
@@ -111,19 +113,15 @@ def _closed(label, kids, ann, pool: int, finished, memo) -> SafraTree:
         f_set = by_finished[finished] = frozenset(finished)
     survives = label.__getitem__
     temps = tuple(compress(range(pool + 1, len(label)), label[pool + 1 :]))
-    if temps:
-        assert len(temps) <= len(free), "name pool exhausted"
-        new = list(range(len(label)))  # new[old name]
-        for v, name in zip(temps, free):
-            new[v] = name
-        renamed = new.__getitem__
-        # the survivors' old names, in the order of their new names
-        order = sorted(static + temps, key=renamed)
-        names = tuple(map(renamed, order))
-        children = [kids[v] and tuple(map(renamed, filter(survives, kids[v]))) for v in order]
-    else:
-        order = names = static
-        children = [kids[v] and tuple(filter(survives, kids[v])) for v in order]
+    assert len(temps) <= len(free), "name pool exhausted"
+    new = list(range(len(label)))  # new[old name]
+    for v, name in zip(temps, free):
+        new[v] = name
+    renamed = new.__getitem__
+    # the survivors' old names, in the order of their new names
+    order = sorted(static + temps, key=renamed)
+    names = tuple(map(renamed, order))
+    children = [kids[v] and tuple(map(renamed, filter(survives, kids[v]))) for v in order]
     return SafraTree(
         names,
         tuple(map(survives, order)),
