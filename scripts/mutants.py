@@ -89,6 +89,25 @@ CATALOGUE = (
         "                row = num",
         "state s's edges fill the cells of letters s, s + 1, ... of state 0",
     ),
+    # parse_hoa reads the header in one pass, and each state's marks as they are
+    Mutant(
+        "header-lines-from-0", "src/omegadet/hoa.py",
+        "enumerate(map(str.strip, lines), start=1)",
+        "enumerate(map(str.strip, lines))",
+        "a header diagnostic names the line before the offending one",
+    ),
+    Mutant(
+        "parity-repeated-mark-counts-twice", "src/omegadet/hoa.py",
+        "marks = set(marks_of.get(s, ()))",
+        "marks = marks_of.get(s, ())",
+        "a parity state whose State: line repeats its mark is refused",
+    ),
+    Mutant(
+        "parity-priority-0-unmarked", "src/omegadet/hoa.py",
+        "marks = {s: [p] for s, p in enumerate(acc.priorities)}",
+        "marks = {s: [p] for s, p in enumerate(acc.priorities) if p}",
+        "emit_hoa writes a state of priority 0 without its mark",
+    ),
     # the constructor judges determinism once, on the normalised table
     Mutant(
         "judge-keeps-empty-entries", "src/omegadet/automata.py",
@@ -109,6 +128,12 @@ CATALOGUE = (
         "rows may name state n",
     ),
     Mutant(
+        "faults-negative-priority", "src/omegadet/automata.py",
+        "if not 0 <= p < acc.index:",
+        "if not p < acc.index:",
+        "a negative priority is accepted",
+    ),
+    Mutant(
         "faults-pair-sides-swapped", "src/omegadet/automata.py",
         'zip(("first", "second"), pair)',
         'zip(("second", "first"), pair)',
@@ -127,6 +152,32 @@ CATALOGUE = (
         "out = state_mask(self.transitions.get((s, self.symbol), ()))",
         "out = state_mask(self.transitions.get((s, self.symbol), ())) | mask",
         "every state gets a self-loop on every letter",
+    ),
+    Mutant(
+        "images-assign-not-or", "src/omegadet/automata.py",
+        "out |= self[low]",
+        "out = self[low]",
+        "the image of a mask is the image of its highest state alone",
+    ),
+    # the column memo and explore's column path
+    Mutant(
+        "columns-or-self", "src/omegadet/automata.py",
+        "column = list(map(or_, column, self[1 << s]))",
+        "column = list(map(or_, column, column))",
+        "a column holds the images of its mask's lowest state alone",
+    ),
+    Mutant(
+        "columns-drop-lowest", "src/omegadet/automata.py",
+        "            column = self[low]\n",
+        "            column = self[0]\n",
+        "a column of two or more states leaves out the images of the lowest",
+    ),
+    Mutant(
+        "explore-steps-without-rereading", "src/omegadet/automata.py",
+        "                nxt = memo.get(keys[i])\n"
+        "                row[i] = visit(tree, i, keys[i]) if nxt is None else nxt",
+        "                row[i] = visit(tree, i, keys[i])",
+        "a letter whose key an earlier letter of the row stepped is stepped again",
     ),
     # the tree steps
     Mutant(
@@ -176,6 +227,18 @@ CATALOGUE = (
         "            f = f or name\n            e = e or name",
         "            f = f or name",
         "an emptied sprout is not priced as removed",
+    ),
+    Mutant(
+        "streett-root-owes-from-0", "src/omegadet/compact.py",
+        "ann_masks=((1 << (k + 1)) - 2,)",
+        "ann_masks=((1 << k) - 1,)",
+        "the root of the first Streett tree owes indices 0..k-1, not 1..k",
+    ),
+    Mutant(
+        "compact-split-without-anns", "src/omegadet/compact.py",
+        "return tree, (tree.parents, tree.ann_masks), tree.masks",
+        "return tree, tree.parents, tree.masks",
+        "two Streett trees that differ in owed indices share one step",
     ),
     Mutant(
         "compact-streett-r-as-g", "src/omegadet/compact.py",
@@ -263,6 +326,12 @@ CATALOGUE = (
         "a product component that only reaches a good node is not marked good",
     ),
     Mutant(
+        "fair-cycle-ignores-self-loops", "src/omegadet/lasso.py",
+        "if len(comp) == 1 and comp[0] not in edges.get(comp[0], ()):",
+        "if len(comp) == 1:",
+        "a single node with a self-loop is taken to lie on no cycle",
+    ),
+    Mutant(
         "sccs-low-link-le", "src/omegadet/lasso.py",
         "if index[succ] < low[node]:",
         "if index[succ] <= low[node]:",
@@ -280,6 +349,18 @@ CATALOGUE = (
         '("Inf({}) | ", "Fin({}) & ")[p % 2]',
         '("Fin({}) & ", "Inf({}) | ")[p % 2]',
         "a parity Acceptance: formula swaps Inf and Fin, in emit and in the parser's check",
+    ),
+    Mutant(
+        "emit-start-zero", "src/omegadet/hoa.py",
+        'f"Start: {a.initial}",',
+        '"Start: 0",',
+        "emit_hoa writes state 0 as the initial state",
+    ),
+    Mutant(
+        "cli-stats-index-less-one", "src/omegadet/cli.py",
+        'print(f"max-priority: {max(result.acceptance.priorities)}")',
+        'print(f"max-priority: {result.acceptance.index - 1}")',
+        "`determinize --stats` prints the parity index less one, not the largest priority",
     ),
     Mutant(
         "cli-member-entry-as-cycle-size", "src/omegadet/cli.py",

@@ -176,12 +176,7 @@ class Automaton:
 
     @cached_property
     def lasso_memo(self) -> dict:
-        """The word memo of `omegadet.lasso`.
-
-        δ(I, u) and the per-period (explored, good) masks of the
-        nondeterministic oracles, and the per-period walked pairs, cycles and
-        letter indices of `run_deterministic`.
-        """
+        """The word memo of `omegadet.lasso`, which alone reads it."""
         return {}
 
     @cached_property
@@ -287,8 +282,8 @@ class _Columns(dict):
     """Memo from a state mask to its images under every letter, in alphabet order.
 
     A one-state (or empty) column is read off the image memos, any larger
-    one is the OR of two smaller columns, so the image memos gain entries
-    for one-state masks only.
+    one is the OR of its one-state columns, lowest first, so the image memos
+    gain entries for one-state masks only.
     """
 
     __slots__ = ("images",)
@@ -302,7 +297,9 @@ class _Columns(dict):
         if mask == low:
             column = list(map(itemgetter(mask), self.images))
         else:
-            column = list(map(or_, self[low], self[mask ^ low]))
+            column = self[low]
+            for s in mask_states(mask ^ low):
+                column = list(map(or_, column, self[1 << s]))
         self[mask] = column
         return column
 

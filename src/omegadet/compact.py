@@ -18,7 +18,7 @@ as it meets them and finds e and f.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from omegadet.automata import (
     Automaton,
@@ -160,15 +160,9 @@ def compact_step(
 
 
 def initial_compact_streett_tree(a: Automaton) -> CompactSafraTree:
+    # bits 1..k: every pair index is owed
     k = len(a.acceptance.pairs)
-    return CompactSafraTree(
-        parents=(0,),
-        masks=(1 << a.initial,),
-        # bits 1..k: every pair index is owed
-        ann_masks=((1 << (k + 1)) - 2,),
-        e=2,
-        f=1,
-    )
+    return replace(initial_compact_tree(a), ann_masks=((1 << (k + 1)) - 2,))
 
 
 def compact_streett_step(

@@ -81,8 +81,9 @@ def _acceptance_formula(kind: str, size: int) -> str:
     return outer.join(pairs) or empty
 
 
-def _describe_acceptance(acc) -> tuple[str, int, str, list]:
-    """acc-name, set count, formula and `sets[i]`, the states marked i, of acc."""
+def _describe_acceptance(acc) -> tuple[str, int, str, dict[int, list[int]]]:
+    """acc-name, set count, formula and each marked state's marks, ascending, of acc."""
+    marks: dict[int, list[int]] = {}
     if isinstance(acc, BuchiAcceptance):
         kind, size, sets = "Buchi", 1, [acc.accepting]
     elif isinstance(acc, RabinAcceptance):
@@ -93,35 +94,40 @@ def _describe_acceptance(acc) -> tuple[str, int, str, list]:
         # (R, G) is Fin(G) | Inf(R), so G is the pair's first set
         kind, size = "Streett", len(acc.pairs)
         sets = [states for r, g in acc.pairs for states in (g, r)]
-    else:  # parity
-        kind, size = "parity", acc.index
-        sets = [set() for _ in range(size)]
-        for s, p in enumerate(acc.priorities):
-            sets[p].add(s)
-    return (*_acceptance_name(kind, size), _acceptance_formula(kind, size), sets)
+    else:  # parity: each state is marked with its priority alone
+        kind, size, sets = "parity", acc.index, ()
+        marks = {s: [p] for s, p in enumerate(acc.priorities)}
+    for i, states in enumerate(sets):
+        for s in states:
+            marks.setdefault(s, []).append(i)
+    return (*_acceptance_name(kind, size), _acceptance_formula(kind, size), marks)
 
 
-def _build_acceptance(kind: str, sets: list, state_count: int):
-    """Inverse of `_describe_acceptance` over the same set numbering."""
+def _build_acceptance(kind: str, marks_of: dict, set_count: int, state_count: int):
+    """Inverse of `_describe_acceptance`: the condition of each state's marks."""
+    if kind == "parity":
+        # a mark repeated on a State: line counts once; the loop stops at the
+        # first state without a State: line, so a large States: count
+        # allocates nothing per declared state
+        priorities: list[int] = []
+        for s in range(state_count):
+            marks = set(marks_of.get(s, ()))
+            if len(marks) != 1:
+                raise HoaError(
+                    f"parity automata need exactly one priority per state; state {s}"
+                    f" has {len(marks)}"
+                )
+            priorities += marks  # its one priority
+        return ParityAcceptance(tuple(priorities), set_count)
+    sets: list[set[int]] = [set() for _ in range(set_count)]
+    for s, marks in marks_of.items():
+        for mark in marks:
+            sets[mark].add(s)
     if kind == "Buchi":
         return BuchiAcceptance(sets[0])
     if kind == "Rabin":
         return RabinAcceptance(tuple(zip(sets[0::2], sets[1::2])))
-    if kind == "Streett":
-        return StreettAcceptance(tuple(zip(sets[1::2], sets[0::2])))
-    owned: dict[int, list[int]] = {}
-    for p, states in enumerate(sets):
-        for s in states:
-            owned.setdefault(s, []).append(p)
-    # stops at the first state without a State: line, so a large States:
-    # count allocates nothing per declared state
-    for s in range(state_count):
-        if len(owned.get(s, ())) != 1:
-            raise HoaError(
-                f"parity automata need exactly one priority per state; state {s}"
-                f" has {len(owned.get(s, ()))}"
-            )
-    return ParityAcceptance(tuple(owned[s][0] for s in range(state_count)), len(sets))
+    return StreettAcceptance(tuple(zip(sets[1::2], sets[0::2])))
 
 
 def _check_ap_count(ap_count: int, line: int | None = None) -> None:
@@ -174,7 +180,7 @@ def emit_hoa(a: Automaton) -> str:
             f"alphabet size {size} is not a power of two; cannot map symbols to APs"
         )
     _check_ap_count(ap_count)
-    name, set_count, formula, sets = _describe_acceptance(a.acceptance)
+    name, set_count, formula, marks = _describe_acceptance(a.acceptance)
     lines = [
         "HOA: v1",
         f"States: {a.state_count}",
@@ -187,13 +193,9 @@ def emit_hoa(a: Automaton) -> str:
     if a.deterministic:
         lines.append("properties: deterministic")
     lines.append("--BODY--")
-    marks: dict[int, list[int]] = {s: [] for s in a.states()}
-    for i, states in enumerate(sets):
-        for s in states:
-            marks[s].append(i)
     heads = []
     for s in a.states():
-        suffix = " {" + " ".join(map(str, marks[s])) + "}" if marks[s] else ""
+        suffix = " {" + " ".join(map(str, marks[s])) + "}" if s in marks else ""
         heads.append(f"State: {s}{suffix}")
     labels = _edge_labels(ap_count)
     if a.deterministic:
@@ -354,23 +356,22 @@ _IGNORED_HEADERS = ("name", "tool")
 def parse_hoa(text: str) -> Automaton:
     """Parse the HOA subset; raises HoaError with a line number on anything else."""
     lines = text.splitlines()
-    # the header lines up to --BODY--, stripped, without blanks and comments
-    numbered = []
-    for index, raw in enumerate(lines):
-        content = raw.strip()
-        if content and not content.startswith("/*"):
-            numbered.append((index + 1, content))
-            if content == "--BODY--":
-                break
-    if not numbered:
-        raise HoaError("empty document")
-    if numbered[0][1] != "HOA: v1":
-        raise HoaError("expected 'HOA: v1' on the first line", numbered[0][0])
+    # the header lines up to --BODY--, stripped, without blanks and comments,
+    # each read once: the first here, the others by the loop below
+    numbered = (
+        (line, content)
+        for line, content in enumerate(map(str.strip, lines), start=1)
+        if content and not content.startswith("/*")
+    )
+    line, content = next(numbered, (None, ""))
+    if content != "HOA: v1":
+        message = "expected 'HOA: v1' on the first line" if content else "empty document"
+        raise HoaError(message, line)
 
     headers: dict[str, tuple[int, str]] = {}
     declared_deterministic = False
 
-    for line, content in numbered[1:]:
+    for line, content in numbered:
         if content == "--BODY--":
             break
         name, colon, value = content.partition(":")
@@ -525,11 +526,7 @@ def parse_hoa(text: str) -> Automaton:
     if not ended:
         raise HoaError("missing --END--")
 
-    sets: list[set[int]] = [set() for _ in range(set_count)]
-    for s, marks in marks_of.items():
-        for mark in marks:
-            sets[mark].add(s)
-    acceptance = _build_acceptance(kind, sets, state_count)
+    acceptance = _build_acceptance(kind, marks_of, set_count, state_count)
     # a 'deterministic' document with one target per cell and a total table
     # goes to the constructor as rows, which it checks; a count check
     # allocates nothing per declared state, and distinct cells in range make

@@ -196,13 +196,6 @@ def _sccs(nodes, edges):
     return out
 
 
-def _has_cycle(comp, edges) -> bool:
-    if len(comp) > 1:
-        return True
-    node = comp[0]
-    return node in edges.get(node, ())
-
-
 def _fair_cycle(comps, edges, pairs) -> set:
     """The nodes of the components that lie on a cycle satisfying the Streett pairs.
 
@@ -215,8 +208,8 @@ def _fair_cycle(comps, edges, pairs) -> set:
     """
     fair = set()
     for comp in comps:
-        if not _has_cycle(comp, edges):
-            continue
+        if len(comp) == 1 and comp[0] not in edges.get(comp[0], ()):
+            continue  # a single node without a self-loop lies on no cycle
         states = {node[0] for node in comp}
         bad = [g for r, g in pairs if (states & g) and not (states & r)]
         if not bad:

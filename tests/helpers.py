@@ -1,6 +1,7 @@
 """Checks and plumbing that several test modules share but the package never calls."""
 
 import os
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable
@@ -617,6 +618,24 @@ def full3() -> Automaton:
         transitions=transitions,
         acceptance=BuchiAcceptance(frozenset({2})),
     )
+
+
+def fan(streett: bool) -> Automaton:
+    """As many states as the recursion limit, over 16 letters (4 APs).
+
+    State 0 goes to every state on every letter, and every other state loops
+    on itself; acceptance is F = {0}, or the Streett pair ({0}, Q).  Every
+    determinizer reads the column of the mask of all states, whose size is
+    the recursion limit.  Each gives 3 states.
+    """
+    n = sys.getrecursionlimit()
+    symbols = tuple(f"{i:04b}" for i in range(16))
+    transitions = {(0, sym): range(n) for sym in symbols}
+    transitions.update({(s, sym): {s} for s in range(1, n) for sym in symbols})
+    acceptance = (
+        StreettAcceptance((({0}, range(n)),)) if streett else BuchiAcceptance({0})
+    )
+    return Automaton(Alphabet(symbols), n, 0, transitions, acceptance)
 
 
 def build_lk_fixture(k: int) -> Automaton:

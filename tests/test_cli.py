@@ -29,7 +29,7 @@ from omegadet.cli import _build_parser, run_cli
 from omegadet.hoa import emit_hoa, parse_hoa
 
 from conftest import make_inf_a
-from helpers import child_env
+from helpers import child_env, fan
 
 
 @pytest.fixture
@@ -102,6 +102,19 @@ class TestDeterminize:
             last = f"pairs: {len(result.acceptance.pairs)}"
         assert out_path.read_text() == emit_hoa(result)
         assert out == [f"states: {result.state_count}", last]
+
+    @pytest.mark.parametrize("backend", ["compact", "safra"])
+    @pytest.mark.parametrize("streett", [False, True], ids=["nbw", "nsw"])
+    def test_a_state_set_past_the_recursion_depth(self, backend, streett, tmp_path, capsys):
+        in_path, out_path = tmp_path / "fan.hoa", tmp_path / "out.hoa"
+        in_path.write_text(emit_hoa(fan(streett)))
+        code = run_cli(
+            ["determinize", "--backend", backend, "--input", str(in_path),
+             "--output", str(out_path), "--stats"]
+        )
+        out, _ = lines_of(capsys)
+        assert code == 0
+        assert out[0] == "states: 3"
 
     def test_type_mismatch_is_a_usage_error(self, dpw_file, tmp_path, capsys):
         code = run_cli(

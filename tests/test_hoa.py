@@ -598,6 +598,28 @@ class TestAcceptanceTable:
         assert exc.value.line == 6
         assert len(str(exc.value)) < 100
 
+    def test_state_lines_list_each_states_marks_ascending(self):
+        # pair i is sets 2i (G) and 2i+1 (R); state 1 is in no set
+        pairs = ((frozenset({0}), frozenset({2})), (frozenset({2}), frozenset({0, 2})))
+        a = _loop(3, StreettAcceptance(pairs))
+        heads = [line for line in emit_hoa(a).splitlines() if line.startswith("State:")]
+        assert heads == ["State: 0 {1 2}", "State: 1", "State: 2 {0 2 3}"]
+
+    @pytest.mark.parametrize(
+        "acceptance",
+        [
+            ParityAcceptance((1, 0, 2), 3),
+            RabinAcceptance(((frozenset({1}), frozenset({0, 1})),)),
+        ],
+        ids=["parity", "rabin"],
+    )
+    def test_a_repeated_mark_counts_once(self, acceptance):
+        a = _loop(3, acceptance)
+        doc = emit_hoa(a).replace("State: 0 {1}", "State: 0 {1 1}")
+        doc = doc.replace("State: 1 {0 1}", "State: 1 {1 0 1 0}")
+        assert doc != emit_hoa(a)
+        assert parse_hoa(doc).acceptance == acceptance
+
     @pytest.mark.parametrize("priority", [-1, 5])
     def test_emit_refuses_priority_outside_index(self, priority):
         # such a document would not parse back: "-1" is no mark, 5 no set;
@@ -628,6 +650,23 @@ class TestHeaders:
         ) as exc:
             parse_hoa(doc)
         assert exc.value.line == TINY_DPW_DOC.splitlines().index(first) + 2
+
+    @pytest.mark.parametrize(
+        "doc,message,line",
+        [
+            ("/* c */\n\nHOA: v2\n--BODY--\n", "expected 'HOA: v1' on the first line", 3),
+            ("\n--BODY--\nHOA: v1\n", "expected 'HOA: v1' on the first line", 2),
+            ("HOA: v1\n/* c */\nfoo\n", "unsupported header: 'foo'", 3),
+            ("HOA: v1\n\nStates: 1\n", "missing --BODY--", None),
+            (" \n/* c */\n", "empty document", None),
+        ],
+        ids=["not-v1", "body-first", "bad-header", "no-body", "empty"],
+    )
+    def test_header_pass_reports_the_first_fault(self, doc, message, line):
+        with pytest.raises(HoaError) as exc:
+            parse_hoa(doc)
+        assert exc.value.line == line
+        assert str(exc.value) == (message if line is None else f"line {line}: {message}")
 
     def test_emit_refuses_more_aps_than_parse_accepts(self):
         size = 1 << 17

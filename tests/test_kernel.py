@@ -31,7 +31,7 @@ from omegadet.automata import mask_states, reach, state_mask
 from omegadet.compact import CompactSafraTree
 from omegadet.random_gen import random_nbw, random_nsw
 
-from helpers import child_env, full3
+from helpers import child_env, fan, full3
 from treecheck import assert_tree_invariants, drive_buchi, drive_streett
 
 
@@ -229,6 +229,20 @@ class TestWideAutomata:
             assert_tree_invariants(tree, priority, n * (k + 1), pair_count=k)
             high |= any(m >> 64 for m in tree.masks)
         assert high
+
+
+@pytest.mark.parametrize("streett,determinize", [
+    (False, nbw_to_dpw),
+    (False, safra_determinize),
+    (True, nsw_to_dpw),
+    (True, streett_safra_determinize),
+])
+def test_a_column_of_more_states_than_the_recursion_depth(streett, determinize):
+    """A column is the OR of its one-state columns in a loop, so a mask of
+    as many states as the recursion limit needs no frame per state."""
+    a = fan(streett)
+    assert len(a.alphabet) > automata._COLUMN_LETTERS
+    assert determinize(a).state_count == 3
 
 
 class TestMaskTrees:
