@@ -89,6 +89,12 @@ CATALOGUE = (
         "                row = num",
         "state s's edges fill the cells of letters s, s + 1, ... of state 0",
     ),
+    Mutant(
+        "body-edge-after-end", "src/omegadet/hoa.py",
+        "        if ended:\n",
+        "        if ended and not target:\n",
+        "an edge after --END-- is read as an edge of the last state",
+    ),
     # parse_hoa reads the header in one pass, and each state's marks as they are
     Mutant(
         "header-lines-from-0", "src/omegadet/hoa.py",
@@ -146,6 +152,12 @@ CATALOGUE = (
         "if isinstance(other, RowView):",
         "two views with equal rows over different alphabets compare equal",
     ),
+    Mutant(
+        "view-negative-state", "src/omegadet/automata.py",
+        "if i is not None and isinstance(state, int) and state >= 0:",
+        "if i is not None and isinstance(state, int):",
+        "a negative state reads the rows from their end",
+    ),
     # the image memo reads every table through .get
     Mutant(
         "read-self-loop", "src/omegadet/automata.py",
@@ -158,6 +170,12 @@ CATALOGUE = (
         "out |= self[low]",
         "out = self[low]",
         "the image of a mask is the image of its highest state alone",
+    ),
+    Mutant(
+        "images-empty-as-state-0", "src/omegadet/automata.py",
+        "            rest = mask\n",
+        "            rest = mask or 1\n",
+        "the empty mask maps to the image of state 0, not to 0",
     ),
     # the column memo and explore's column path
     Mutant(
@@ -332,6 +350,18 @@ CATALOGUE = (
         "a single node with a self-loop is taken to lie on no cycle",
     ),
     Mutant(
+        "fair-cycle-no-carve", "src/omegadet/lasso.py",
+        "        work += _sccs(kept, sub_edges)\n",
+        "",
+        "a component with an unfair G-state is rejected even where a fair cycle avoids it",
+    ),
+    Mutant(
+        "fair-cycle-misses-self-loop", "src/omegadet/lasso.py",
+        "        if not bad:\n            return True\n",
+        "        if not bad:\n            return len(comp) > 1\n",
+        "a fair cycle that is one node's self-loop is not found",
+    ),
+    Mutant(
         "sccs-low-link-le", "src/omegadet/lasso.py",
         "if index[succ] < low[node]:",
         "if index[succ] <= low[node]:",
@@ -361,6 +391,12 @@ CATALOGUE = (
         'print(f"max-priority: {max(result.acceptance.priorities)}")',
         'print(f"max-priority: {result.acceptance.index - 1}")',
         "`determinize --stats` prints the parity index less one, not the largest priority",
+    ),
+    Mutant(
+        "cli-member-no-run", "src/omegadet/cli.py",
+        "verdict = run_deterministic(a, lasso) if a.deterministic else None",
+        "verdict = None",
+        "`omegadet member` prints no cycle lines for deterministic input",
     ),
     Mutant(
         "cli-member-entry-as-cycle-size", "src/omegadet/cli.py",

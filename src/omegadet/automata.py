@@ -158,7 +158,8 @@ class Automaton:
         """Unique successor; deterministic automata only."""
         if not self.deterministic:
             raise ValueError("dstep: deterministic automaton required")
-        return self.transitions.target(state, symbol)
+        (target,) = self.transitions[state, symbol]
+        return target
 
     def states(self) -> range:
         return range(self.state_count)
@@ -201,23 +202,19 @@ class RowView(Mapping):
         self.rows = tuple(rows)
         self._sets = _Singletons()
 
-    def target(self, state: int, symbol: str) -> int:
-        """The target of state on symbol; KeyError if the view has no such entry."""
-        i = self.alphabet.position.get(symbol)
-        if i is not None and isinstance(state, int) and state >= 0:
-            cell = state * len(self.alphabet) + i
-            if cell < len(self.rows):
-                return self.rows[cell]
-        raise KeyError((state, symbol))
-
     def __getitem__(self, key: tuple[int, str]) -> frozenset[int]:
-        if type(key) is not tuple or len(key) != 2:
-            raise KeyError(key)
-        return self._sets[self.target(*key)]
+        if type(key) is tuple and len(key) == 2:
+            state, symbol = key
+            i = self.alphabet.position.get(symbol)
+            if i is not None and isinstance(state, int) and state >= 0:
+                cell = state * len(self.alphabet) + i
+                if cell < len(self.rows):
+                    return self._sets[self.rows[cell]]
+        raise KeyError(key)
 
     def __iter__(self) -> Iterator[tuple[int, str]]:
         size = len(self.alphabet)
-        states = range(-(-len(self.rows) // size))
+        states = range(-(-len(self.rows) // size) if size else 0)
         return islice(product(states, self.alphabet.symbols), len(self.rows))
 
     def __len__(self) -> int:
@@ -307,8 +304,8 @@ class _Columns(dict):
 class _Images(dict):
     """Image memo of `symbol`.
 
-    A one-state mask is read off the transitions, any larger mask is the OR
-    of its one-state entries, and the empty mask maps to itself.
+    A one-state mask is read off the transitions, any other mask is the OR
+    of its one-state entries: none for the empty mask, which maps to 0.
     """
 
     __slots__ = ("transitions", "symbol")
@@ -319,18 +316,16 @@ class _Images(dict):
         self.symbol = symbol
 
     def __missing__(self, mask: int) -> int:
-        if mask & (mask - 1):
+        if mask and not mask & (mask - 1):
+            s = mask.bit_length() - 1
+            out = state_mask(self.transitions.get((s, self.symbol), ()))
+        else:
             out = 0
             rest = mask
             while rest:
                 low = rest & -rest
                 out |= self[low]
                 rest ^= low
-        elif mask:
-            s = mask.bit_length() - 1
-            out = state_mask(self.transitions.get((s, self.symbol), ()))
-        else:
-            out = 0
         self[mask] = out
         return out
 

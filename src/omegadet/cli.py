@@ -97,18 +97,15 @@ def _cmd_member(args) -> int:
     if not period:
         raise CliError("--period must be a nonempty comma-separated word")
     lasso = Lasso(prefix, period)
-    if a.deterministic:
-        verdict = run_deterministic(a, lasso)
-        accepted = verdict.accepted
-        print(f"accepted: {'true' if accepted else 'false'}")
+    verdict = run_deterministic(a, lasso) if a.deterministic else None
+    accepted = lasso_member(a, lasso) if verdict is None else verdict.accepted
+    print(f"accepted: {'true' if accepted else 'false'}")
+    if verdict is not None:
         print(f"cycle-entry: {verdict.entry_steps}")
         print(f"cycle-size: {len(verdict.cycle_states)}")
         if isinstance(a.acceptance, ParityAcceptance):
             seen = sorted({a.acceptance.priorities[s] for s in verdict.cycle_states})
             print(f"cycle-priorities: {' '.join(str(p) for p in seen)}")
-    else:
-        accepted = lasso_member(a, lasso)
-        print(f"accepted: {'true' if accepted else 'false'}")
     return 0 if accepted else 1
 
 

@@ -460,11 +460,11 @@ def parse_hoa(text: str) -> Automaton:
 
     body = _BODY_LINE_RE.findall("\n".join(lines[body_line:]))
     for line, (label, target, marks, content) in enumerate(body, start=body_line + 1):
-        if not target:  # any line but an edge continues or raises here
-            if not content or content.startswith("/*"):
-                continue
-            if ended:
-                raise HoaError("content after --END--", line)
+        if not target and (not content or content.startswith("/*")):
+            continue  # a blank or comment line
+        if ended:
+            raise HoaError("content after --END--", line)
+        if content:  # any line but an edge
             if content == "--END--":
                 ended = True
                 continue
@@ -472,11 +472,9 @@ def parse_hoa(text: str) -> Automaton:
                 raise HoaError("document aborted", line)
             if content.startswith("State:"):
                 match = _STATE_RE.match(content)
-                if not match:
-                    raise HoaError(f"malformed State: line {_quote(content)}", line)
-                if match.group("label"):
+                if match and match.group("label"):
                     raise HoaError("state labels are unsupported", line)
-                num = _number(match.group("num"))
+                num = _number(match.group("num")) if match else None
                 if num is None:
                     raise HoaError(f"malformed State: line {_quote(content)}", line)
                 if num >= state_count:
@@ -486,14 +484,13 @@ def parse_hoa(text: str) -> Automaton:
                 row = num * size
                 marks_of[num] = _parse_marks(match.group("acc"), set_count, line)
                 continue
-            if row is None:
-                raise HoaError("edge before any State: line", line)
-            if content.startswith("["):
-                raise HoaError(f"malformed edge {_quote(content)}", line)
-            raise HoaError("implicit (unlabeled) edges are unsupported", line)
-        if ended or row is None:
+        if row is None:
+            raise HoaError("edge before any State: line", line)
+        if content:
             raise HoaError(
-                "content after --END--" if ended else "edge before any State: line",
+                f"malformed edge {_quote(content)}"
+                if content.startswith("[")
+                else "implicit (unlabeled) edges are unsupported",
                 line,
             )
         if marks:

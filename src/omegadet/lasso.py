@@ -196,8 +196,8 @@ def _sccs(nodes, edges):
     return out
 
 
-def _fair_cycle(comps, edges, pairs) -> set:
-    """The nodes of the components that lie on a cycle satisfying the Streett pairs.
+def _fair_cycle(comps, edges, pairs) -> bool:
+    """Does one of the components hold a cycle satisfying the Streett pairs?
 
     `comps` are strongly connected components of the graph `edges`, as
     `_sccs` gives them.  Nodes are tuples whose first entry is the
@@ -206,21 +206,20 @@ def _fair_cycle(comps, edges, pairs) -> set:
     R-visit, and then a cycle through all of its nodes is fair; otherwise
     the offending G-states are carved out and the remainder re-examined.
     """
-    fair = set()
-    for comp in comps:
+    work = list(comps)
+    for comp in work:  # the loop reaches the components appended below
+        # a kept node keeps its self-loop, so `edges` answers for carved ones too
         if len(comp) == 1 and comp[0] not in edges.get(comp[0], ()):
             continue  # a single node without a self-loop lies on no cycle
         states = {node[0] for node in comp}
         bad = [g for r, g in pairs if (states & g) and not (states & r)]
         if not bad:
-            fair.update(comp)
-            continue
+            return True
         forbidden = frozenset().union(*bad)
         kept = {node for node in comp if node[0] not in forbidden}
-        if kept:
-            sub_edges = {node: [t for t in edges[node] if t in kept] for node in kept}
-            fair |= _fair_cycle(_sccs(kept, sub_edges), sub_edges, pairs)
-    return fair
+        sub_edges = {node: [t for t in edges[node] if t in kept] for node in kept}
+        work += _sccs(kept, sub_edges)
+    return False
 
 
 # ---------------------------------------------------------------------------

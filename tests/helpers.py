@@ -638,6 +638,23 @@ def fan(streett: bool) -> Automaton:
     return Automaton(Alphabet(symbols), n, 0, transitions, acceptance)
 
 
+def carving_chain() -> Automaton:
+    """As many states as the recursion limit, over the one letter t, in a two-way chain.
+
+    Every state loops on itself and goes to its neighbours; pair 0 is
+    (∅, {0}) and pair i is ({i-1}, {i}).  Each Emerson-Lei level carves the
+    lowest state off and leaves the rest strongly connected, so a fairness
+    test that recursed once per carve would pass the recursion limit.  No
+    run is fair: (t)^ω is rejected.
+    """
+    n = sys.getrecursionlimit()
+    transitions = {
+        (s, "t"): {t for t in (s - 1, s, s + 1) if 0 <= t < n} for s in range(n)
+    }
+    pairs = [((), (0,))] + [((i - 1,), (i,)) for i in range(1, n)]
+    return Automaton(Alphabet(("t",)), n, 0, transitions, StreettAcceptance(pairs))
+
+
 def build_lk_fixture(k: int) -> Automaton:
     """k-state Buchi automaton for: the least symbol read infinitely often is even.
 

@@ -29,7 +29,7 @@ from omegadet.cli import _build_parser, run_cli
 from omegadet.hoa import emit_hoa, parse_hoa
 
 from conftest import make_inf_a
-from helpers import child_env, fan
+from helpers import carving_chain, child_env, fan
 
 
 @pytest.fixture
@@ -169,6 +169,15 @@ class TestMember:
         out, _ = lines_of(capsys)
         assert code == 0
         assert out == ["accepted: true"]
+
+    def test_a_fairness_carve_per_state_past_the_recursion_depth(self, tmp_path, capsys):
+        path = tmp_path / "chain.hoa"
+        path.write_text(emit_hoa(carving_chain()))
+        code = run_cli(["member", "--input", str(path), "--period", "t"])
+        out, err = lines_of(capsys)
+        assert code == 1
+        assert out == ["accepted: false"]
+        assert err == []
 
     def test_unknown_symbol_is_usage_error(self, dpw_file, capsys):
         code = run_cli(["member", "--input", dpw_file, "--period", "z"])

@@ -243,6 +243,7 @@ class TestParse:
             ("--BODY--\n", "--BODY--\n[0] 0\n", "edge before any State: line"),
             ("--END--\n", "--END--\n[0] 0\n", "content after --END--"),
             ("State: 0 {0}", "State: 0", "one priority per state; state 0 has 0"),
+            ('AP: 1 "p0"', 'AP: 2 "p0"', "AP: declares 2 propositions but names 1"),
         ],
     )
     def test_rejections_name_the_construct(self, needle, replacement, fragment):

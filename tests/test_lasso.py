@@ -37,6 +37,7 @@ from omegadet.random_gen import random_nbw, random_nsw
 from conftest import make_loop_nsw
 from helpers import (
     build_lk_fixture,
+    carving_chain,
     full3,
     product_nbw_member,
     product_nsw_member,
@@ -611,6 +612,10 @@ class TestNswMember:
     def test_requires_streett(self, inf_a):
         with pytest.raises(ValueError, match="Streett"):
             nsw_member(inf_a, Lasso((), ("a",)))
+
+    def test_a_carve_per_state_past_the_recursion_depth(self):
+        # one Emerson-Lei level per state, as many states as the recursion limit
+        assert not nsw_member(carving_chain(), Lasso((), ("t",)))
 
 
 class TestRouterAndDiff:

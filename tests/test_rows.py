@@ -280,6 +280,13 @@ class TestTheView:
         with pytest.raises(ValueError, match=f"^{reader}: deterministic automaton required$"):
             a.rows if reader == "rows" else a.dstep(0, a.alphabet.symbols[0])
 
+    @pytest.mark.parametrize("deterministic", [True, False])
+    def test_an_empty_alphabet_is_malformed_as_for_a_dict(self, deterministic):
+        empty = Alphabet(())
+        for table in (RowView(empty, []), {}):
+            with pytest.raises(MalformedAutomaton, match="alphabet: empty"):
+                Automaton(empty, 1, 0, table, BuchiAcceptance(()), deterministic)
+
     def test_a_nondeterministic_copy_gets_a_dict(self):
         a = _two_letter_dpw(RowView(Alphabet(("a", "b")), [1, 0, 0, 1]))
         b = Automaton(a.alphabet, 2, 0, a.transitions, BuchiAcceptance({0}))
