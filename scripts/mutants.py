@@ -345,13 +345,13 @@ CATALOGUE = (
     ),
     Mutant(
         "fair-cycle-ignores-self-loops", "src/omegadet/lasso.py",
-        "if len(comp) == 1 and comp[0] not in edges.get(comp[0], ()):",
+        "if len(comp) == 1 and comp[0] not in successors(comp[0]):",
         "if len(comp) == 1:",
         "a single node with a self-loop is taken to lie on no cycle",
     ),
     Mutant(
         "fair-cycle-no-carve", "src/omegadet/lasso.py",
-        "        work += _sccs(kept, sub_edges)\n",
+        "        work += _sccs(kept, lambda node: [t for t in successors(node) if t in kept])\n",
         "",
         "a component with an unfair G-state is rejected even where a fair cycle avoids it",
     ),
@@ -360,6 +360,31 @@ CATALOGUE = (
         "        if not bad:\n            return True\n",
         "        if not bad:\n            return len(comp) > 1\n",
         "a fair cycle that is one node's self-loop is not found",
+    ),
+    Mutant(
+        "fair-cycle-carve-unfiltered", "src/omegadet/lasso.py",
+        "_sccs(kept, lambda node: [t for t in successors(node) if t in kept])",
+        "_sccs(kept, successors)",
+        "a carve walks back into the states it removed and finds the same component again",
+    ),
+    Mutant(
+        "streett-oracle-unseeded-good-sinks", "src/omegadet/lasso.py",
+        "marked = {(q, 0) for q in mask_states(good)}",
+        "marked = set()",
+        "a product node whose only way on is to a good explored state is not marked good",
+    ),
+    Mutant(
+        "buchi-oracle-no-through", "src/omegadet/lasso.py",
+        "if any(rows[p][1] & mask or rows[p][0] & good for p in comp):",
+        "if any(rows[p][0] & good for p in comp):",
+        "a component whose own rows pass an accepting state is not marked good",
+    ),
+    Mutant(
+        "buchi-oracle-rewalks-explored", "src/omegadet/lasso.py",
+        "return mask_states(reach & ~explored)",
+        "return mask_states(reach)",
+        "equivalent: explored is closed and already classified, so walking it again "
+        "marks no component it did not mark before",
     ),
     Mutant(
         "sccs-low-link-le", "src/omegadet/lasso.py",

@@ -470,32 +470,8 @@ def dualize_parity(a: Automaton) -> Automaton:
 
 
 # ---------------------------------------------------------------------------
-# Graph search, and the plumbing the tree constructions share
+# Plumbing the tree constructions share
 # ---------------------------------------------------------------------------
-
-
-def reach(
-    start: Hashable, successors: Callable[[Hashable], Iterable[Hashable]]
-) -> tuple[list, dict]:
-    """Breadth-first search of the nodes reachable from `start`.
-
-    Returns the nodes in the order found and each node's successor list.
-    Every node is kept as its first instance, in `order` and in `edges`
-    alike, so equal nodes that `successors` builds again are freed.
-    """
-    order = [start]
-    first = {start: start}
-    edges = {}
-    for node in order:  # `order` grows while it is walked
-        out = []
-        for nxt in successors(node):
-            known = first.get(nxt)
-            if known is None:
-                first[nxt] = known = nxt
-                order.append(nxt)
-            out.append(known)
-        edges[node] = out
-    return order, edges
 
 
 # Above this many letters a closure reads each state's keys in C, through

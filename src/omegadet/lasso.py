@@ -25,9 +25,9 @@ from omegadet.automata import (
     RabinAcceptance,
     StreettAcceptance,
     mask_states,
-    reach,
     state_mask,
 )
+from omegadet.hoa import _QUOTE_LIMIT
 
 
 @dataclass(frozen=True)
@@ -150,28 +150,28 @@ def run_deterministic(a: Automaton, lasso: Lasso) -> CycleVerdict:
 # ---------------------------------------------------------------------------
 
 
-def _sccs(nodes, edges):
-    """Iterative Tarjan; returns the strongly connected components as lists.
+def _sccs(roots, successors):
+    """Iterative Tarjan from `roots`; yields the strongly connected components.
 
-    A component comes after every component it reaches.
+    It reads `successors(node)` when it first meets the node, and yields a
+    component, as a list, when done with it: after every component it reaches.
     """
     index: dict = {}
     low: dict = {}
     stack: list = []
-    out = []
-    for root in nodes:
+    for root in roots:
         if root in index:
             continue
         index[root] = low[root] = len(index)
         stack.append(root)
-        work = [(root, iter(edges.get(root, ())))]
+        work = [(root, iter(successors(root)))]
         while work:
             node, it = work[-1]
             for succ in it:
                 if succ not in index:
                     index[succ] = low[succ] = len(index)
                     stack.append(succ)
-                    work.append((succ, iter(edges.get(succ, ()))))
+                    work.append((succ, iter(successors(succ))))
                     break
                 if index[succ] < low[node]:
                     low[node] = index[succ]
@@ -192,24 +192,23 @@ def _sccs(nodes, edges):
                         comp.append(member)
                         if member == node:
                             break
-                    out.append(comp)
-    return out
+                    yield comp
 
 
-def _fair_cycle(comps, edges, pairs) -> bool:
-    """Does one of the components hold a cycle satisfying the Streett pairs?
+def _fair_cycle(comp, successors, pairs) -> bool:
+    """Does the component hold a cycle satisfying the Streett pairs?
 
-    `comps` are strongly connected components of the graph `edges`, as
-    `_sccs` gives them.  Nodes are tuples whose first entry is the
+    `comp` is a strongly connected component of the graph `successors`
+    gives, as `_sccs` yields it.  Nodes are tuples whose first entry is the
     automaton state that `pairs` speak of.  Emerson-Lei style refinement: a
     cyclic component is fair if every pair with a G-visit also has an
     R-visit, and then a cycle through all of its nodes is fair; otherwise
     the offending G-states are carved out and the remainder re-examined.
     """
-    work = list(comps)
+    work = [comp]
     for comp in work:  # the loop reaches the components appended below
-        # a kept node keeps its self-loop, so `edges` answers for carved ones too
-        if len(comp) == 1 and comp[0] not in edges.get(comp[0], ()):
+        # a kept node keeps its self-loop, so `successors` answers for carved ones too
+        if len(comp) == 1 and comp[0] not in successors(comp[0]):
             continue  # a single node without a self-loop lies on no cycle
         states = {node[0] for node in comp}
         bad = [g for r, g in pairs if (states & g) and not (states & r)]
@@ -217,8 +216,8 @@ def _fair_cycle(comps, edges, pairs) -> bool:
             return True
         forbidden = frozenset().union(*bad)
         kept = {node for node in comp if node[0] not in forbidden}
-        sub_edges = {node: [t for t in edges[node] if t in kept] for node in kept}
-        work += _sccs(kept, sub_edges)
+        # `work +=` runs the walk to its end before `kept` is bound again
+        work += _sccs(kept, lambda node: [t for t in successors(node) if t in kept])
     return False
 
 
@@ -242,13 +241,23 @@ def _memo(a: Automaton) -> dict:
     return memo
 
 
+# An unknown symbol's message names at most this many letters of the alphabet.
+_NAMED_LETTERS = 8
+
+
 def _check_symbols(a: Automaton, word: tuple[str, ...], oracle: str) -> None:
-    """Raise ValueError naming a's alphabet and the first symbol of word outside it."""
+    """Raise ValueError naming the first symbol of word outside a's alphabet, cut short."""
     position = a.alphabet.position
     for symbol in word:
         if symbol not in position:
-            known = " ".join(a.alphabet)
-            raise ValueError(f"{oracle}: symbol {symbol!r} is not in the alphabet ({known})")
+            letters = a.alphabet.symbols
+            known = " ".join(letters[:_NAMED_LETTERS])
+            if len(letters) > _NAMED_LETTERS:
+                known += f" and {len(letters) - _NAMED_LETTERS} more"
+            shown = f"{symbol[:_QUOTE_LIMIT]!r}"
+            if len(symbol) > _QUOTE_LIMIT:
+                shown += f"... ({len(symbol)} characters)"
+            raise ValueError(f"{oracle}: symbol {shown} is not in the alphabet ({known})")
 
 
 def _classify_buchi(
@@ -264,26 +273,22 @@ def _classify_buchi(
     images = [a.image_masks[x] for x in period]
     accepting = a.acceptance.accepting_mask
     rows = {}
-    fresh = todo = start & ~explored
-    while todo:
-        low = todo & -todo
-        todo ^= low
-        reach, through = low, 0
+
+    def successors(p):
+        reach, through = 1 << p, 0
         for image in images:
             reach = image[reach]
             through = image[through] | reach & accepting
-        rows[low.bit_length() - 1] = reach, through
-        new = reach & ~(explored | fresh)
-        fresh |= new
-        todo |= new
-    edges = {p: mask_states(reach & fresh) for p, (reach, _) in rows.items()}
+        rows[p] = reach, through
+        return mask_states(reach & ~explored)
+
     # explored is closed, so no component mixes old and fresh states, and
-    # Tarjan emits a component after every component it reaches
-    for comp in _sccs(rows, edges):
+    # Tarjan yields a component after every component it reaches
+    for comp in _sccs(mask_states(start & ~explored), successors):
         mask = state_mask(comp)
         if any(rows[p][1] & mask or rows[p][0] & good for p in comp):
             good |= mask
-    return explored | fresh, good
+    return explored | state_mask(rows), good
 
 
 def _classify_streett(
@@ -292,7 +297,7 @@ def _classify_streett(
     """Extend explored and good by the states reachable from `start` on v.
 
     As `_classify_buchi`, for Streett pairs.  The product of the automaton
-    with v's shape graph is built once, entered at (p, 0) for every state p
+    with v's shape graph is walked once, entered at (p, 0) for every state p
     of `start` not yet explored; a node (q, 0) with q explored is a sink
     whose verdict is known.  One sweep over the product's components marks
     the good nodes: a component is good if it has an edge to a good node
@@ -300,27 +305,25 @@ def _classify_streett(
     """
     last = len(period) - 1
     transitions = a.transitions
-    root = (-1, -1)
+    edges = {}
 
     def successors(node):
         state, pos = node
-        if node is root:
-            return [(p, 0) for p in mask_states(start & ~explored)]
-        if not pos and explored >> state & 1:
-            return ()
-        nxt = pos + 1 if pos < last else 0
-        return [(t, nxt) for t in transitions.get((state, period[pos]), ())]
+        out = edges[node] = []
+        if pos or not explored >> state & 1:  # an explored (q, 0) is a sink
+            nxt = pos + 1 if pos < last else 0
+            out += [(t, nxt) for t in transitions.get((state, period[pos]), ())]
+        return out
 
-    nodes, edges = reach(root, successors)
     pairs = a.acceptance.pairs
-    marked = {node for node in nodes if not node[1] and good >> node[0] & 1}
-    # Tarjan emits a component after every component it reaches
-    for comp in _sccs(nodes, edges):
+    marked = {(q, 0) for q in mask_states(good)}
+    # Tarjan yields a component after every component it reaches
+    for comp in _sccs([(p, 0) for p in mask_states(start & ~explored)], successors):
         if any(t in marked for node in comp for t in edges[node]) or _fair_cycle(
-            (comp,), edges, pairs
+            comp, edges.__getitem__, pairs
         ):
             marked.update(comp)
-    explored |= state_mask(state for state, pos in nodes if not pos)
+    explored |= state_mask(state for state, pos in edges if not pos)
     return explored, good | state_mask(state for state, pos in marked if not pos)
 
 

@@ -4,7 +4,7 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Hashable, Iterable
 
 from omegadet import (
     Alphabet,
@@ -16,7 +16,7 @@ from omegadet import (
     RabinAcceptance,
     StreettAcceptance,
 )
-from omegadet.automata import mask_states, reach
+from omegadet.automata import mask_states
 from omegadet.compact import EMPTY_TREE, CompactSafraTree, _top_bit, priority_of
 from omegadet.lasso import _accepts_infinity_set, _fair_cycle, _sccs
 from omegadet.safra import SafraTree, _dead_safra_tree
@@ -35,6 +35,30 @@ def child_env() -> dict[str, str]:
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     return env
+
+
+def reach(
+    start: Hashable, successors: Callable[[Hashable], Iterable[Hashable]]
+) -> tuple[list, dict]:
+    """Breadth-first search of the nodes reachable from `start`.
+
+    Returns the nodes in the order found and each node's successor list.
+    Every node is kept as its first instance, in `order` and in `edges`
+    alike, so equal nodes that `successors` builds again are freed.
+    """
+    order = [start]
+    first = {start: start}
+    edges = {}
+    for node in order:  # `order` grows while it is walked
+        out = []
+        for nxt in successors(node):
+            known = first.get(nxt)
+            if known is None:
+                first[nxt] = known = nxt
+                order.append(nxt)
+            out.append(known)
+        edges[node] = out
+    return order, edges
 
 
 def structurally_equal(a: Automaton, b: Automaton) -> bool:
@@ -125,17 +149,12 @@ def reference_run(a: Automaton, lasso: Lasso) -> CycleVerdict:
     )
 
 
-# The virtual root of a product, on no cycle.
-_ROOT = (-1, -1)
-
-
-def _lasso_product(a: Automaton, lasso: Lasso, start: int):
-    """Reachable product of the automaton with the lasso's shape graph.
+def _lasso_product(a: Automaton, lasso: Lasso):
+    """The product of the automaton with the lasso's shape graph: roots, successors.
 
     Shape positions 0..|u|+|v|-1 read prefix then period symbols; the last
-    position wraps back to |u|.  Returns (nodes, edges) with nodes =
-    (automaton state, position), from _ROOT, whose successors are (s, 0)
-    for every s in the state mask `start`.
+    position wraps back to |u|.  Nodes are (automaton state, position), and
+    the roots are (s, 0) for the initial state s.
     """
     word = lasso.prefix + lasso.period
     # position i reads word[i] and moves on to steps[i][1]
@@ -145,29 +164,28 @@ def _lasso_product(a: Automaton, lasso: Lasso, start: int):
 
     def successors(node):
         state, pos = node
-        if node is _ROOT:
-            return [(s, 0) for s in mask_states(start)]
         sym, nxt = steps[pos]
         return [(t, nxt) for t in transitions.get((state, sym), ())]
 
-    return reach(_ROOT, successors)
+    return [(a.initial, 0)], successors
 
 
 def product_nbw_member(a: Automaton, lasso: Lasso) -> bool:
     """The product-based Buchi oracle, kept as the reference for `nbw_member`.
 
-    Buchi acceptance is the single Streett pair (F, reached states) over the
+    Buchi acceptance is the single Streett pair (F, all states) over the
     product of the automaton with the lasso's whole shape graph.
     """
-    nodes, edges = _lasso_product(a, lasso, 1 << a.initial)
-    pair = (a.acceptance.accepting, {state for state, _ in nodes[1:]})
-    return bool(_fair_cycle(_sccs(nodes, edges), edges, (pair,)))
+    pairs = [(a.acceptance.accepting, frozenset(a.states()))]
+    roots, successors = _lasso_product(a, lasso)
+    return any(_fair_cycle(comp, successors, pairs) for comp in _sccs(roots, successors))
 
 
 def product_nsw_member(a: Automaton, lasso: Lasso) -> bool:
     """The Streett pairs over the product with the lasso's whole shape graph."""
-    nodes, edges = _lasso_product(a, lasso, 1 << a.initial)
-    return bool(_fair_cycle(_sccs(nodes, edges), edges, a.acceptance.pairs))
+    roots, successors = _lasso_product(a, lasso)
+    pairs = a.acceptance.pairs
+    return any(_fair_cycle(comp, successors, pairs) for comp in _sccs(roots, successors))
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,16 @@ from omegadet import (
     StreettAcceptance,
     dualize_parity,
 )
-from omegadet.automata import reach
 from omegadet.random_gen import random_nbw, random_nsw
 
 from conftest import make_fair_nsw, make_inf_a, make_inf_a_dpw
-from helpers import build_lk_fixture, is_total, nsw_witness_union_nbw, reachable_states
+from helpers import (
+    build_lk_fixture,
+    is_total,
+    nsw_witness_union_nbw,
+    reach,
+    reachable_states,
+)
 
 
 class TestAlphabet:

@@ -27,11 +27,11 @@ from omegadet import (
     streett_safra_determinize,
 )
 from omegadet import automata, compact, safra
-from omegadet.automata import mask_states, reach, state_mask
+from omegadet.automata import mask_states, state_mask
 from omegadet.compact import CompactSafraTree
 from omegadet.random_gen import random_nbw, random_nsw
 
-from helpers import child_env, fan, full3
+from helpers import child_env, fan, full3, reach
 from treecheck import assert_tree_invariants, drive_buchi, drive_streett
 
 

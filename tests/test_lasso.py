@@ -32,6 +32,7 @@ from omegadet import (
     streett_safra_determinize,
 )
 from omegadet import lasso as lasso_module
+from omegadet.lasso import _sccs
 from omegadet.random_gen import random_nbw, random_nsw
 
 from conftest import make_loop_nsw
@@ -41,6 +42,7 @@ from helpers import (
     full3,
     product_nbw_member,
     product_nsw_member,
+    reach,
     reference_run,
 )
 
@@ -576,6 +578,55 @@ class TestUnknownSymbols:
         assert oracle(a, good) == want
         for lasso in (Lasso((), ("b",)), Lasso(("b", "a"), ("b",))):
             assert oracle(a, lasso) == oracle(_fresh(a), lasso)
+
+    def test_the_message_names_a_few_letters_and_cuts_the_symbol(self):
+        letters = tuple(f"x{i}" for i in range(1000))
+        a = _nbw(1, [(0, sym, 0) for sym in letters], {0}, letters)
+        nsw = replace(a, acceptance=StreettAcceptance(()))
+        symbol = "y" * 1000
+        for oracle, b in [(nbw_member, a), (nsw_member, nsw), (run_deterministic, nbw_to_dpw(a))]:
+            with pytest.raises(ValueError) as info:
+                oracle(b, Lasso((), (symbol,)))
+            message = str(info.value)
+            assert f"{'y' * 40!r}... (1000 characters)" in message
+            assert "(x0 x1 x2 x3 x4 x5 x6 x7 and 992 more)" in message
+            assert len(message) < 200
+
+
+class TestSccs:
+    """`_sccs` finds its own graph and yields each component when it is done."""
+
+    @staticmethod
+    def _counted(graph):
+        reads = []
+
+        def successors(node):
+            reads.append(node)
+            return graph[node]
+
+        return reads, successors
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_each_node_is_read_once_and_a_component_follows_what_it_reaches(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 12)
+        graph = {v: rng.sample(range(n), rng.randint(0, min(n, 3))) for v in range(n)}
+        roots = rng.sample(range(n), rng.randint(1, n))
+        reaches = {v: set(reach(v, graph.__getitem__)[0]) for v in graph}
+        reads, successors = self._counted(graph)
+        comps = list(_sccs(roots, successors))
+        assert sorted(reads) == sorted(set().union(*map(reaches.get, roots)))
+        where = {v: i for i, comp in enumerate(comps) for v in comp}
+        assert sorted(where) == sorted(reads)
+        for v in reads:
+            assert set(comps[where[v]]) == {u for u in reaches[v] if v in reaches[u]}
+            assert all(where[t] <= where[v] for t in graph[v])
+
+    def test_the_first_sink_comes_before_a_sibling_branch_is_read(self):
+        graph = {0: [1, 2], 1: [3], 2: [0, 3], 3: []}
+        reads, successors = self._counted(graph)
+        assert next(_sccs([0], successors)) == [3]
+        assert reads == [0, 1, 3]
 
 
 class TestNswMember:
