@@ -12,11 +12,14 @@ own two tests.  The child runs under a wall limit of SECONDS and an
 address-space limit of MEMORY_BYTES (RLIMIT_AS, set in the child), so a
 mutant that loops or grows without bound ends as one failing test, a
 MemoryError or a timeout.  One line per traceback reads no source file, so
-pytest can still name a test that failed with a MemoryError.  An unmutated
-copy runs first; if it fails, no mutant is run.
-One line per entry:
+pytest can still name a test that failed with a MemoryError.  A child that
+ends with no test named, as when the address-space limit aborts the
+interpreter itself, is still killed; its line gives the exit code or the
+signal instead.  An unmutated copy runs first; if it fails, no mutant is
+run.  One line per entry:
 
   killed     NAME  first failing test  (seconds)
+  killed     NAME  no test named (killed by SIGABRT)  (seconds)
   survived   NAME  (seconds)
   timed-out  NAME  (seconds)
 
@@ -197,6 +200,18 @@ CATALOGUE = (
         "                row[i] = visit(tree, i, keys[i])",
         "a letter whose key an earlier letter of the row stepped is stepped again",
     ),
+    Mutant(
+        "explore-row-memo-by-shape", "src/omegadet/automata.py",
+        "tree_rows.setdefault((shape, *masks), len(rows))",
+        "tree_rows.setdefault(shape, len(rows))",
+        "a state copies the row of an earlier tree with the same shape but other masks",
+    ),
+    Mutant(
+        "explore-row-copied-off-by-one", "src/omegadet/automata.py",
+        "rows += rows[first : first + size]",
+        "rows += rows[first + 1 : first + 1 + size]",
+        "a state whose tree was met before copies its row one letter late",
+    ),
     # the tree steps
     Mutant(
         "priority-tie-even", "src/omegadet/compact.py",
@@ -269,6 +284,12 @@ CATALOGUE = (
         "        if states and not room:",
         "        if not room:",
         "an emptied node counts as green",
+    ),
+    Mutant(
+        "safra-sprout-never-settled", "src/omegadet/safra.py",
+        "        for c in kids[v]:\n            kept = label[c] & room",
+        "        for c in sons:\n            kept = label[c] & room",
+        "a sprout keeps the states an older sibling claimed, and covers no node",
     ),
     Mutant(
         "safra-streett-sons-by-name", "src/omegadet/safra.py",
@@ -471,6 +492,17 @@ def first_failure(output: str) -> str | None:
     return None
 
 
+def unnamed(returncode: int) -> str:
+    """What ended a failed run that named no test: its exit code or its signal."""
+    if returncode >= 0:
+        return f"no test named (exit {returncode})"
+    try:
+        name = signal.Signals(-returncode).name
+    except ValueError:
+        name = f"signal {-returncode}"
+    return f"no test named (killed by {name})"
+
+
 def run_tier1(work: Path) -> tuple[str, str, float]:
     """(verdict, first failing test or "", seconds) of tier-1 in work."""
 
@@ -500,7 +532,7 @@ def run_tier1(work: Path) -> tuple[str, str, float]:
     took = time.monotonic() - start
     if proc.returncode == 0:
         return "survived", "", took
-    return "killed", first_failure(output) or f"(exit {proc.returncode})", took
+    return "killed", first_failure(output) or unnamed(proc.returncode), took
 
 
 def main() -> None:

@@ -478,7 +478,9 @@ def dualize_parity(a: Automaton) -> Automaton:
 # one column per node mask: its images under every letter.  On smaller
 # alphabets the columns cost more than they save, and a state's few keys
 # are built one by one.  The crossover, measured on random 8-state NBWs,
-# lies at about 8 letters (3 APs).
+# lies at about 8 letters (3 APs).  There, too, a state whose tree was met
+# before copies that tree's row; on 2 letters that lookup costs more than
+# the row, as few trees repeat.
 _COLUMN_LETTERS = 8
 
 
@@ -498,7 +500,9 @@ def explore(
     images of the masks, so it runs once per image key, the shape with the
     images of the masks, shared by every state and symbol.  One table
     numbers the states, so a key seen before gives its successor's number
-    without a hash of a state.  State i is the i-th state found breadth
+    without a hash of a state.  On more than `_COLUMN_LETTERS` letters,
+    states with equal trees (equal shape and masks) share one row, which
+    only the first of them builds.  State i is the i-th state found breadth
     first from `start`, letters in alphabet order, and `start` is 0; no
     step depends on hash order, so neither does the numbering.  The
     successor numbers, state by state, are the automaton's rows.
@@ -512,6 +516,7 @@ def explore(
     number = {start: 0}
     shapes: dict = {}
     memo: dict = {}
+    tree_rows: dict = {}
     rows = []
 
     def visit(tree, i: int, image_key) -> int:
@@ -532,6 +537,15 @@ def explore(
                 nxt = memo.get(image_key)
                 rows.append(visit(tree, i, image_key) if nxt is None else nxt)
         else:
+            # a tree met before copies its row: split gives all the step
+            # reads, so equal trees have equal rows, and every key of the
+            # row was stepped at the first.  The memo holds the row's
+            # offset in rows, an int, which the garbage collector does not
+            # track, where a list would be
+            first = tree_rows.setdefault((shape, *masks), len(rows))
+            if first < len(rows):
+                rows += rows[first : first + size]
+                continue
             # every letter's key, and its successor if the key is known, in
             # C; then the letters whose key was new when read, in order,
             # each read again, as an earlier letter may have stepped its key

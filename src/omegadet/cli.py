@@ -20,7 +20,13 @@ from omegadet.automata import (
 )
 from omegadet.compact import nbw_to_dpw, nsw_to_dpw
 from omegadet.hoa import HoaError, _describe_acceptance, emit_hoa, parse_hoa
-from omegadet.lasso import Lasso, differential_check, lasso_member, run_deterministic
+from omegadet.lasso import (
+    Lasso,
+    _named_letters,
+    differential_check,
+    lasso_member,
+    run_deterministic,
+)
 from omegadet.random_gen import random_nbw
 from omegadet.safra import safra_determinize, streett_safra_determinize
 
@@ -156,7 +162,7 @@ def _cmd_stats(args) -> int:
     a = _load(args.input)
     print(f"states: {a.state_count}")
     print(f"symbols: {len(a.alphabet)}")
-    print(f"alphabet: {' '.join(a.alphabet)}")
+    print(f"alphabet: {_named_letters(a.alphabet.symbols)}")
     print(f"acceptance: {_describe_acceptance(a.acceptance)[0]}")
     print(f"deterministic: {'true' if a.deterministic else 'false'}")
     return 0

@@ -241,8 +241,16 @@ def _memo(a: Automaton) -> dict:
     return memo
 
 
-# An unknown symbol's message names at most this many letters of the alphabet.
+# A message or report names at most this many letters of an alphabet.
 _NAMED_LETTERS = 8
+
+
+def _named_letters(letters: tuple[str, ...]) -> str:
+    """The first `_NAMED_LETTERS` letters, space-separated, then the count of the rest."""
+    known = " ".join(letters[:_NAMED_LETTERS])
+    if len(letters) > _NAMED_LETTERS:
+        known += f" and {len(letters) - _NAMED_LETTERS} more"
+    return known
 
 
 def _check_symbols(a: Automaton, word: tuple[str, ...], oracle: str) -> None:
@@ -250,10 +258,7 @@ def _check_symbols(a: Automaton, word: tuple[str, ...], oracle: str) -> None:
     position = a.alphabet.position
     for symbol in word:
         if symbol not in position:
-            letters = a.alphabet.symbols
-            known = " ".join(letters[:_NAMED_LETTERS])
-            if len(letters) > _NAMED_LETTERS:
-                known += f" and {len(letters) - _NAMED_LETTERS} more"
+            known = _named_letters(a.alphabet.symbols)
             shown = f"{symbol[:_QUOTE_LIMIT]!r}"
             if len(symbol) > _QUOTE_LIMIT:
                 shown += f"... ({len(symbol)} characters)"

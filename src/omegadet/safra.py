@@ -148,40 +148,36 @@ def safra_step(tree: SafraTree, symbol: str, a: Automaton) -> SafraTree:
     alpha = a.acceptance.accepting_mask
     label, kids, _ = _opened(tree, symbol, a, n)
 
-    # sprout in preorder, oldest child first: the accepting part of each
-    # label starts a new youngest child, named after the pool in that order
-    order = []
+    # one pass in preorder, oldest child first, which meets a node after
+    # its parent settled its label: the accepting part of the label starts
+    # a new youngest child, named after the pool in that order, and then
+    # the children, the sprout last, keep what the node kept and no older
+    # sibling claimed.  A child's label is a subset of its parent's, so a
+    # state settled away from a node leaves its whole subtree as the pass
+    # goes down.  A nonempty node its children cover finishes a
+    # breakpoint: its children are emptied, and with them the rest of its
+    # subtree.  An emptied node is not green
+    greens = []
     stack = [1]
     while stack:
         v = stack.pop()
-        order.append(v)
         sons = kids[v]
         stack += reversed(sons)
-        birth = label[v] & alpha
+        room = states = label[v]
+        birth = states & alpha
         if birth:
             kids[v] = (*sons, len(label))
             label.append(birth)
             kids.append(())
-
-    # parents first, older siblings first: a child keeps what its parent
-    # kept and no older sibling claimed.  A child's label is a subset of
-    # its parent's, so a state settled away from a node leaves its whole
-    # subtree as the pass goes down.  A nonempty node its children cover
-    # finishes a breakpoint: its children are emptied, and with them the
-    # rest of its subtree.  An emptied node is not green
-    greens = []
-    for v in order:
-        sons = kids[v]
-        if not sons:
+        elif not sons:
             continue
-        room = states = label[v]
-        for c in sons:
+        for c in kids[v]:
             kept = label[c] & room
             label[c] = kept
             room ^= kept
         if states and not room:
             greens.append(v)
-            for c in sons:
+            for c in kids[v]:
                 label[c] = 0
     return _closed(label, kids, None, n, greens, a.safra_memo)
 

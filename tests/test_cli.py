@@ -402,6 +402,27 @@ class TestStats:
             "deterministic: true",
         ]
 
+    def test_alphabet_line_names_eight_letters(self, tmp_path, capsys):
+        """A large alphabet is cut as the unknown-symbol message cuts it:
+        the first eight letters, then the count of the rest."""
+        symbols = tuple(format(i, "010b") for i in range(1024))
+        one = Automaton(
+            alphabet=Alphabet(symbols),
+            state_count=1,
+            initial=0,
+            transitions={(0, sym): frozenset({0}) for sym in symbols},
+            acceptance=BuchiAcceptance(frozenset({0})),
+        )
+        path = tmp_path / "wide.hoa"
+        path.write_text(emit_hoa(one))
+        letters = parse_hoa(path.read_text()).alphabet.symbols
+        assert run_cli(["stats", "--input", str(path)]) == 0
+        out, _ = lines_of(capsys)
+        assert out[1:3] == [
+            "symbols: 1024",
+            f"alphabet: {' '.join(letters[:8])} and 1016 more",
+        ]
+
 
     def test_too_many_aps_is_usage_error(self, nbw_file, tmp_path, capsys):
         names = " ".join(f'"p{j}"' for j in range(26))

@@ -498,6 +498,34 @@ def test_full3_closure_counts(monkeypatch, module, step, determinize, calls, sta
     assert hashlib.sha256(emit_hoa(out).encode("utf-8")).hexdigest() == digest
 
 
+@pytest.mark.parametrize("determinize,states,rows", [
+    pytest.param(nbw_to_dpw, 51, 21, id="nbw_to_dpw"),
+    pytest.param(safra_determinize, 56, 34, id="safra_determinize"),
+])
+def test_full3_builds_one_row_per_tree(monkeypatch, determinize, states, rows):
+    """On a large alphabet, states with the same tree share one row.
+
+    A DPW state is a tree with the priority it was entered with, a DRW
+    state a tree with its e and f sets, and the successors depend on the
+    tree alone: only the first state of each tree builds its keys from the
+    mask columns, and the others copy its row.
+    """
+    built = 0
+
+    class Counting(automata._Columns):
+        __slots__ = ()
+
+        def __getattribute__(self, name):
+            # `explore` reads `__getitem__` once for each row whose keys it builds
+            nonlocal built
+            built += name == "__getitem__"
+            return super().__getattribute__(name)
+
+    monkeypatch.setattr(automata, "_Columns", Counting)
+    out = determinize(full3())
+    assert (out.state_count, built) == (states, rows)
+
+
 @pytest.mark.parametrize("module,step,determinize,sources", [
     pytest.param(compact, "compact_step", nbw_to_dpw,
                  [random_nbw(5, seed) for seed in range(5)] + [full3()], id="compact_step"),

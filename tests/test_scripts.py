@@ -104,6 +104,19 @@ def test_every_mutant_text_occurs_once():
         assert m.new != m.old and m.reason, m.name
 
 
+def test_a_child_that_names_no_test_is_killed_with_its_signal(tmp_path):
+    """A tier-1 child that a signal ends before pytest names a test is
+    reported killed, with the signal and no test named; no mutant runs."""
+    mutants = _mutants()
+    (tmp_path / "conftest.py").write_text(
+        "import os, signal\nos.kill(os.getpid(), signal.SIGTERM)\n"
+    )
+    verdict, test, _ = mutants.run_tier1(tmp_path)
+    assert (verdict, test) == ("killed", "no test named (killed by SIGTERM)")
+    assert mutants.unnamed(4) == "no test named (exit 4)"
+    assert mutants.unnamed(-1000) == "no test named (killed by signal 1000)"
+
+
 def test_a_mutant_changes_its_copy_only(tmp_path):
     mutants = _mutants()
     entry = mutants.CATALOGUE[0]
