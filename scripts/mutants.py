@@ -6,20 +6,23 @@ the text that replaces it and a one-line reason: what the mutation breaks,
 or why no test can tell it from the original.  For each entry the script
 copies src/ and tests/, with what the tests read (perfbench/, scripts/,
 BENCHMARK.json, pyproject.toml and README.md), into a temporary directory,
-applies the mutation there and runs the tier-1 command with `-x --tb=line
--p no:cacheprovider` in one child process at a time, less the catalogue's
-own two tests.  The child runs under a wall limit of SECONDS and an
+applies the mutation there and runs the tier-1 command with `-v` in place
+of `-q` and with `-x --tb=line -p no:cacheprovider`, in one child process
+at a time, less the catalogue's own two tests.  `-v` prints each test's id
+as the test starts.  The child runs under a wall limit of SECONDS and an
 address-space limit of MEMORY_BYTES (RLIMIT_AS, set in the child), so a
 mutant that loops or grows without bound ends as one failing test, a
 MemoryError or a timeout.  One line per traceback reads no source file, so
 pytest can still name a test that failed with a MemoryError.  A child that
-ends with no test named, as when the address-space limit aborts the
-interpreter itself, is still killed; its line gives the exit code or the
-signal instead.  An unmutated copy runs first; if it fails, no mutant is
-run.  One line per entry:
+ends with no test named in pytest's summary, as when the address-space
+limit aborts the interpreter itself, is still killed; its line gives the
+last test that started, if any, and the exit code or the signal.  An
+unmutated copy runs first; if it fails, no mutant is run.  One line per
+entry:
 
   killed     NAME  first failing test  (seconds)
-  killed     NAME  no test named (killed by SIGABRT)  (seconds)
+  killed     NAME  no test named, last started TEST (killed by SIGABRT)  (seconds)
+  killed     NAME  no test named (exit 1)  (seconds)
   survived   NAME  (seconds)
   timed-out  NAME  (seconds)
 
@@ -45,7 +48,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # What the tier-1 tests read besides src/ and tests/.
 COPIED = ("src", "tests", "perfbench", "scripts", "BENCHMARK.json", "pyproject.toml", "README.md")
 TIER1 = [
-    "-m", "pytest", "-q", "--continue-on-collection-errors",
+    "-m", "pytest", "-v", "--continue-on-collection-errors",
     "-x", "--tb=line", "-p", "no:cacheprovider",
 ]
 # Per run: the wall limit, and the address-space limit set in the child.
@@ -70,8 +73,8 @@ CATALOGUE = (
     # parse_hoa fills one table of cells
     Mutant(
         "fill-second-target-ignored", "src/omegadet/hoa.py",
-        "    if declared_deterministic and not more and len(cells) == total:",
-        "    if declared_deterministic and len(cells) == total:",
+        "    if deterministic and not more and len(cells) == total:",
+        "    if deterministic and len(cells) == total:",
         "a 'deterministic' document that gives a cell two targets is read as rows of the first",
     ),
     Mutant(
@@ -88,8 +91,8 @@ CATALOGUE = (
     ),
     Mutant(
         "fill-row-unscaled", "src/omegadet/hoa.py",
-        "                row = num * size",
-        "                row = num",
+        "row = _state_line(content, line, state_count, set_count, marks_of) * size",
+        "row = _state_line(content, line, state_count, set_count, marks_of)",
         "state s's edges fill the cells of letters s, s + 1, ... of state 0",
     ),
     Mutant(
@@ -97,6 +100,32 @@ CATALOGUE = (
         "        if ended:\n",
         "        if ended and not target:\n",
         "an edge after --END-- is read as an edge of the last state",
+    ),
+    # parse_hoa reads an emitted deterministic layout in whole-list passes
+    Mutant(
+        "emitted-target-range-unchecked", "src/omegadet/hoa.py",
+        "return (rows, marks_of) if max(rows) < state_count else None",
+        "return rows, marks_of",
+        "an emitted layout with a target past the last state is read as rows, and "
+        "the constructor names the fault, not the edge's line",
+    ),
+    Mutant(
+        "emitted-heads-unnumbered", "src/omegadet/hoa.py",
+        "if _state_line(head, line, state_count, set_count, marks_of) != s:",
+        "if _state_line(head, line, state_count, set_count, marks_of) < 0:",
+        "the i-th block of an emitted layout is read as state i, whatever its State: line says",
+    ),
+    Mutant(
+        "emitted-labels-off-by-one", "src/omegadet/hoa.py",
+        "all(map(str.startswith, edges, cycle(labels)))",
+        "all(map(str.startswith, edges, cycle(labels[1:] + labels[:1])))",
+        "edges are matched against the next letter's label, so emitted documents take the loop",
+    ),
+    Mutant(
+        "emitted-empty-target-as-0", "src/omegadet/hoa.py",
+        "rows = list(map(int, targets))",
+        "rows = [int(target or 0) for target in targets]",
+        "an edge with a label and no target is read as an edge to state 0",
     ),
     # parse_hoa reads the header in one pass, and each state's marks as they are
     Mutant(
@@ -415,6 +444,18 @@ CATALOGUE = (
     ),
     # HOA and the command line
     Mutant(
+        "state-mark-past-range", "src/omegadet/hoa.py",
+        "if mark >= set_count:",
+        "if mark > set_count:",
+        "a State: line may carry a mark equal to the set count",
+    ),
+    Mutant(
+        "ap-limit-refused", "src/omegadet/hoa.py",
+        "if ap_count > _AP_LIMIT:",
+        "if ap_count >= _AP_LIMIT:",
+        "a document or automaton with exactly 16 APs is refused",
+    ),
+    Mutant(
         "hoa-label-polarity", "src/omegadet/hoa.py",
         "return sum(1 << ap for ap, positive in seen.items() if positive)",
         "return sum(1 << ap for ap, positive in seen.items() if not positive)",
@@ -492,15 +533,32 @@ def first_failure(output: str) -> str | None:
     return None
 
 
-def unnamed(returncode: int) -> str:
-    """What ended a failed run that named no test: its exit code or its signal."""
+def last_started(output: str) -> str | None:
+    """The id of the last test that `-v` printed as it started.
+
+    Each such line starts with the id and a space; a test that never ended
+    leaves its id followed by whatever the dying process wrote.
+    """
+    started = None
+    for line in output.splitlines():
+        match = re.match(r"(\S+::\S+?(?:\[.*?\])?)(?: |$)", line)
+        if match:
+            started = match.group(1)
+    return started
+
+
+def unnamed(returncode: int, started: str | None = None) -> str:
+    """What ended a failed run that named no test: the last test that started,
+    if any, and the run's exit code or its signal."""
     if returncode >= 0:
-        return f"no test named (exit {returncode})"
-    try:
-        name = signal.Signals(-returncode).name
-    except ValueError:
-        name = f"signal {-returncode}"
-    return f"no test named (killed by {name})"
+        end = f"exit {returncode}"
+    else:
+        try:
+            end = f"killed by {signal.Signals(-returncode).name}"
+        except ValueError:
+            end = f"killed by signal {-returncode}"
+    last = f", last started {started}" if started else ""
+    return f"no test named{last} ({end})"
 
 
 def run_tier1(work: Path) -> tuple[str, str, float]:
@@ -532,7 +590,8 @@ def run_tier1(work: Path) -> tuple[str, str, float]:
     took = time.monotonic() - start
     if proc.returncode == 0:
         return "survived", "", took
-    return "killed", first_failure(output) or unnamed(proc.returncode), took
+    named = first_failure(output) or unnamed(proc.returncode, last_started(output))
+    return "killed", named, took
 
 
 def main() -> None:

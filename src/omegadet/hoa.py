@@ -7,6 +7,12 @@ propositions.  Everything else is rejected with a diagnostic naming the
 construct and its line.  Emission is byte-deterministic; symbols map to
 AP valuations in bit order (bit j of the symbol index is the value of
 AP j), so emitted alphabets always have power-of-two size.
+
+A body has two readers with one result.  A document that declares
+`properties: deterministic` and whose body is exactly what `emit_hoa`
+writes for a deterministic automaton is read in whole-list passes.  Every
+other document, including one that fails any of those checks, is read by
+the general loop from its first body line, which gives every diagnostic.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from itertools import cycle, islice, product
-from operator import add
+from operator import add, getitem
 
 from omegadet.automata import (
     Alphabet,
@@ -331,11 +337,28 @@ def _parse_label(text: str, ap_count: int, line: int) -> int:
     return sum(1 << ap for ap, positive in seen.items() if positive)
 
 
-def _parse_marks(text: str | None, set_count: int, line: int) -> list[int]:
-    if not text:
-        return []
-    marks = []
-    for token in text.strip()[1:-1].split():  # {...}
+def _state_line(
+    content: str, line: int, state_count: int, set_count: int, marks_of: dict
+) -> int:
+    """The state a `State:` line opens; its marks go to marks_of[state].
+
+    The one reading of a `State:` line, for the loop and for the reader of
+    emitted layouts alike: unlabeled, numbered below state_count, not seen
+    before in marks_of, and with marks below set_count.
+    """
+    match = _STATE_RE.match(content)
+    if match and match.group("label"):
+        raise HoaError("state labels are unsupported", line)
+    num = _number(match.group("num")) if match else None
+    if num is None:
+        raise HoaError(f"malformed State: line {_quote(content)}", line)
+    if num >= state_count:
+        raise HoaError(f"state {_quote(str(num))} out of range", line)
+    if num in marks_of:
+        raise HoaError(f"duplicate State: {_quote(str(num))}", line)
+    marks = marks_of[num] = []
+    acc = match.group("acc")
+    for token in acc.strip()[1:-1].split() if acc else ():  # {...}
         mark = _number(token)
         if mark is None:
             raise HoaError(f"malformed acceptance mark {_quote(token)}", line)
@@ -346,7 +369,149 @@ def _parse_marks(text: str | None, set_count: int, line: int) -> list[int]:
                 line,
             )
         marks.append(mark)
-    return marks
+    return num
+
+
+def _emitted_rows(
+    lines: list[str], body_line: int, ap_count: int, state_count: int, set_count: int
+) -> tuple[list[int], dict[int, list[int]]] | None:
+    """(rows, each state's marks) of a body exactly as `emit_hoa` writes a
+    deterministic automaton, read in whole-list passes; None for any other.
+
+    Per state s in order: `State: s` (marks allowed), then one edge per
+    letter in letter order, its `_edge_labels` prefix and ASCII digits; then
+    `--END--` as the last line.  A body that passes reads as the loop reads it.
+    """
+    labels = _edge_labels(ap_count)
+    width = len(labels) + 1  # a state's lines
+    # the length is checked first, so a large States: count allocates nothing
+    if len(lines) - body_line != state_count * width + 1 or lines[-1] != "--END--":
+        return None
+    edges = lines[body_line:-1]
+    heads = edges[::width]
+    del edges[::width]
+    marks_of: dict[int, list[int]] = {}
+    try:
+        for s, head in enumerate(heads):
+            line = body_line + 1 + s * width
+            if _state_line(head, line, state_count, set_count, marks_of) != s:
+                return None
+    except HoaError:
+        return None
+    if not all(map(str.startswith, edges, cycle(labels))):
+        return None
+    targets = list(map(getitem, edges, cycle([slice(len(x), None) for x in labels])))
+    digits = "".join(targets)
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    try:
+        rows = list(map(int, targets))
+    except ValueError:  # an empty target, or more digits than int() reads
+        return None
+    return (rows, marks_of) if max(rows) < state_count else None
+
+
+def _read_body(
+    lines: list[str], body_line: int, ap_count: int, state_count: int, set_count: int,
+    deterministic: bool,
+) -> tuple[RowView | dict, dict[int, list[int]]]:
+    """(transitions, each listed state's marks) of the body after line body_line.
+
+    A 'deterministic' body in the emitted layout takes `_emitted_rows`; any
+    other is read by one pass over its lines in order, from the first, so
+    each fault is reported on the first line that has it.
+    """
+    alphabet = _valuation_alphabet(ap_count)
+    if deterministic and (
+        emitted := _emitted_rows(lines, body_line, ap_count, state_count, set_count)
+    ):
+        rows, marks_of = emitted
+        return RowView(alphabet, rows), marks_of
+    symbols = alphabet.symbols
+    size = len(symbols)
+    # label text -> letter index: the canonical texts through the table this
+    # AP count shares with every document, the others through this
+    # document's own; and target text -> target.  A text that fails to
+    # parse is never stored, so it raises again on every line that has it
+    canonical = _CANONICAL_LETTERS.setdefault(ap_count, {})
+    letters: dict[str, int] = {}
+    targets: dict[str, int] = {}
+    # cells[s·|Σ| + i] is the first target of state s on letter i, and
+    # more[s·|Σ| + i] all its targets once an edge gives it a second one
+    cells: dict[int, int] = {}
+    more: dict[int, frozenset[int]] = {}
+    singles = _Singletons()
+    marks_of: dict[int, list[int]] = {}
+    row: int | None = None  # s·|Σ| of the current state s, from its State: line
+    ended = False
+
+    body = _BODY_LINE_RE.findall("\n".join(lines[body_line:]))
+    for line, (label, target, marks, content) in enumerate(body, start=body_line + 1):
+        if not target and (not content or content.startswith("/*")):
+            continue  # a blank or comment line
+        if ended:
+            raise HoaError("content after --END--", line)
+        if content:  # any line but an edge
+            if content == "--END--":
+                ended = True
+                continue
+            if content == "--ABORT--":
+                raise HoaError("document aborted", line)
+            if content.startswith("State:"):
+                row = _state_line(content, line, state_count, set_count, marks_of) * size
+                continue
+        if row is None:
+            raise HoaError("edge before any State: line", line)
+        if content:
+            raise HoaError(
+                f"malformed edge {_quote(content)}"
+                if content.startswith("[")
+                else "implicit (unlabeled) edges are unsupported",
+                line,
+            )
+        if marks:
+            raise HoaError(
+                "edge acceptance marks are unsupported (state-based only)", line
+            )
+        number = targets.get(target)
+        if number is None:
+            number = _number(target)
+            if number is None:
+                raise HoaError(
+                    "unsupported edge target "
+                    + _quote(target, " (single target state only)"),
+                    line,
+                )
+            if number >= state_count:
+                raise HoaError(f"edge target {_quote(str(number))} out of range", line)
+            targets[target] = number
+        index = canonical.get(label)
+        if index is None:
+            index = letters.get(label)
+        if index is None:
+            index = _parse_label(label, ap_count, line)
+            spelling = f"[{_symbol_label(index, ap_count)}]"
+            (canonical if label == spelling else letters)[label] = index
+        cell = row + index
+        if cells.setdefault(cell, number) != number:
+            more[cell] = more.get(cell, singles[cells[cell]]) | singles[number]
+
+    if not ended:
+        raise HoaError("missing --END--")
+
+    # a 'deterministic' document with one target per cell and a total table
+    # goes to the constructor as rows, which it checks; a count check
+    # allocates nothing per declared state, and distinct cells in range make
+    # a full count total.  Any other document gets the (state, symbol)
+    # table, keys in the order of their first edge
+    total = state_count * size
+    if deterministic and not more and len(cells) == total:
+        return RowView(alphabet, map(cells.__getitem__, range(total))), marks_of
+    transitions = {
+        (cell // size, symbols[cell % size]): more.get(cell) or singles[t]
+        for cell, t in cells.items()
+    }
+    return transitions, marks_of
 
 
 _HEADERS = ("States", "Start", "AP", "acc-name", "Acceptance")
@@ -439,107 +604,13 @@ def parse_hoa(text: str) -> Automaton:
             f"initial state {_quote(str(initial))} out of range", headers["Start"][0]
         )
 
-    alphabet = _valuation_alphabet(ap_count)
-    symbols = alphabet.symbols
-    size = len(symbols)
-    # label text -> letter index: the canonical texts through the table this
-    # AP count shares with every document, the others through this
-    # document's own; and target text -> target.  A text that fails to
-    # parse is never stored, so it raises again on every line that has it
-    canonical = _CANONICAL_LETTERS.setdefault(ap_count, {})
-    letters: dict[str, int] = {}
-    targets: dict[str, int] = {}
-    # cells[s·|Σ| + i] is the first target of state s on letter i, and
-    # more[s·|Σ| + i] all its targets once an edge gives it a second one
-    cells: dict[int, int] = {}
-    more: dict[int, frozenset[int]] = {}
-    singles = _Singletons()
-    marks_of: dict[int, list[int]] = {}
-    row: int | None = None  # s·|Σ| of the current state s, from its State: line
-    ended = False
-
-    body = _BODY_LINE_RE.findall("\n".join(lines[body_line:]))
-    for line, (label, target, marks, content) in enumerate(body, start=body_line + 1):
-        if not target and (not content or content.startswith("/*")):
-            continue  # a blank or comment line
-        if ended:
-            raise HoaError("content after --END--", line)
-        if content:  # any line but an edge
-            if content == "--END--":
-                ended = True
-                continue
-            if content == "--ABORT--":
-                raise HoaError("document aborted", line)
-            if content.startswith("State:"):
-                match = _STATE_RE.match(content)
-                if match and match.group("label"):
-                    raise HoaError("state labels are unsupported", line)
-                num = _number(match.group("num")) if match else None
-                if num is None:
-                    raise HoaError(f"malformed State: line {_quote(content)}", line)
-                if num >= state_count:
-                    raise HoaError(f"state {_quote(str(num))} out of range", line)
-                if num in marks_of:
-                    raise HoaError(f"duplicate State: {_quote(str(num))}", line)
-                row = num * size
-                marks_of[num] = _parse_marks(match.group("acc"), set_count, line)
-                continue
-        if row is None:
-            raise HoaError("edge before any State: line", line)
-        if content:
-            raise HoaError(
-                f"malformed edge {_quote(content)}"
-                if content.startswith("[")
-                else "implicit (unlabeled) edges are unsupported",
-                line,
-            )
-        if marks:
-            raise HoaError(
-                "edge acceptance marks are unsupported (state-based only)", line
-            )
-        number = targets.get(target)
-        if number is None:
-            number = _number(target)
-            if number is None:
-                raise HoaError(
-                    "unsupported edge target "
-                    + _quote(target, " (single target state only)"),
-                    line,
-                )
-            if number >= state_count:
-                raise HoaError(f"edge target {_quote(str(number))} out of range", line)
-            targets[target] = number
-        index = canonical.get(label)
-        if index is None:
-            index = letters.get(label)
-        if index is None:
-            index = _parse_label(label, ap_count, line)
-            spelling = f"[{_symbol_label(index, ap_count)}]"
-            (canonical if label == spelling else letters)[label] = index
-        cell = row + index
-        if cells.setdefault(cell, number) != number:
-            more[cell] = more.get(cell, singles[cells[cell]]) | singles[number]
-
-    if not ended:
-        raise HoaError("missing --END--")
-
+    transitions, marks_of = _read_body(
+        lines, body_line, ap_count, state_count, set_count, declared_deterministic
+    )
     acceptance = _build_acceptance(kind, marks_of, set_count, state_count)
-    # a 'deterministic' document with one target per cell and a total table
-    # goes to the constructor as rows, which it checks; a count check
-    # allocates nothing per declared state, and distinct cells in range make
-    # a full count total.  Any other document gets the (state, symbol)
-    # table, keys in the order of their first edge
-    total = state_count * size
-    if declared_deterministic and not more and len(cells) == total:
-        transitions = RowView(alphabet, map(cells.__getitem__, range(total)))
-    else:
-        transitions = {
-            (cell // size, symbols[cell % size]): more.get(cell) or singles[t]
-            for cell, t in cells.items()
-        }
     try:
         return Automaton(
-            alphabet=alphabet,
+            alphabet=_valuation_alphabet(ap_count),
             state_count=state_count,
             initial=initial,
             transitions=transitions,

@@ -1,5 +1,6 @@
 """Checks and plumbing that several test modules share but the package never calls."""
 
+import importlib.util
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -21,7 +22,8 @@ from omegadet.compact import EMPTY_TREE, CompactSafraTree, _top_bit, priority_of
 from omegadet.lasso import _accepts_infinity_set, _fair_cycle, _sccs
 from omegadet.safra import SafraTree, _dead_safra_tree
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def child_env() -> dict[str, str]:
@@ -35,6 +37,16 @@ def child_env() -> dict[str, str]:
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     return env
+
+
+def perfbench_corpus():
+    """perfbench's corpus module, loaded from the checkout under its own name."""
+    name = "perfbench_corpus"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / "corpus.py")
+        module = sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return sys.modules[name]
 
 
 def reach(

@@ -1,6 +1,7 @@
 """HOA subset reader/printer: golden documents, round-trips, strict rejections."""
 
 import functools
+import re
 import subprocess
 import sys
 import time
@@ -27,7 +28,7 @@ from omegadet.hoa import HoaError, emit_hoa, parse_hoa
 from omegadet.random_gen import random_nbw, random_nsw
 
 from conftest import make_fair_nsw, make_inf_a, make_inf_a_dpw
-from helpers import build_lk_fixture, child_env, full3, structurally_equal
+from helpers import build_lk_fixture, child_env, full3, perfbench_corpus, structurally_equal
 
 TINY_DPW_DOC = """HOA: v1
 States: 1
@@ -958,3 +959,165 @@ State: 1
                 f"[{labels[2]}]": position["".join("1" if j % 3 else "0" for j in range(16))],
             }
         }
+
+
+def _through_loop(doc: str) -> str:
+    """doc with a space after a last line of exactly `--END--`.
+
+    The general loop strips the space; the reader of emitted layouts wants
+    the line as `emit_hoa` writes it, so the twin always takes the loop.
+    """
+    if doc.splitlines()[-1:] != ["--END--"]:
+        return doc
+    end = doc.rindex("--END--") + len("--END--")
+    return f"{doc[:end]} {doc[end:]}"
+
+
+def _outcome(doc: str) -> Automaton | str:
+    """The automaton doc reads as, or the message of the HoaError it raises."""
+    try:
+        return parse_hoa(doc)
+    except HoaError as err:
+        return str(err)
+
+
+class _NoLoop:
+    """Stands in for the general loop's line pattern, which it must not read."""
+
+    def findall(self, text):
+        raise AssertionError("an emitted deterministic document reached the general loop")
+
+
+def _counter_dpw(state_count: int, ap_count: int) -> Automaton:
+    """Letter i moves s to (s + i + 1) mod state_count; state s has priority s mod 3."""
+    alphabet = hoa._valuation_alphabet(ap_count)
+    return Automaton(
+        alphabet=alphabet,
+        state_count=state_count,
+        initial=0,
+        transitions={
+            (s, sym): frozenset({(s + i + 1) % state_count})
+            for s in range(state_count)
+            for i, sym in enumerate(alphabet.symbols)
+        },
+        acceptance=ParityAcceptance(tuple(s % 3 for s in range(state_count)), 3),
+        deterministic=True,
+    )
+
+
+def _corpus_texts(workload: str) -> list[str]:
+    """The emitted DPW and DRW of every source of a perfbench workload at
+    seed 3, or of `full3()`."""
+    if workload == "full3":
+        sources = [full3()]
+    else:
+        sources = [parse_hoa(t) for t in perfbench_corpus().build(workload, 3).inputs]
+    dpw, drw = (
+        (nsw_to_dpw, streett_safra_determinize)
+        if workload == "streett"
+        else (nbw_to_dpw, safra_determinize)
+    )
+    return [emit_hoa(build(a)) for a in sources for build in (dpw, drw)]
+
+
+@functools.cache
+def _deterministic_docs() -> tuple[str, ...]:
+    return (
+        TINY_DPW_DOC,
+        emit_hoa(make_inf_a_dpw()),
+        emit_hoa(safra_determinize(make_inf_a())),
+        emit_hoa(_counter_dpw(12, 2)),
+    )
+
+
+class TestEmittedLayout:
+    """Emitted deterministic documents skip the general loop and read alike."""
+
+    @pytest.mark.parametrize("workload", ["tv-buchi", "full-n3", "streett", "full3"])
+    def test_emitted_documents_read_as_the_loop_reads_them(self, monkeypatch, workload):
+        texts = _corpus_texts(workload)
+        assert all("properties: deterministic" in text for text in texts)
+        expected = [parse_hoa(_through_loop(text)) for text in texts]
+        monkeypatch.setattr(hoa, "_BODY_LINE_RE", _NoLoop())
+        for text, loop in zip(texts, expected):
+            a = parse_hoa(text)
+            assert a == loop
+            assert emit_hoa(a) == text
+
+    # edits of emit_hoa(_counter_dpw(12, 2)), whose lines 9-13 are state 0
+    # (marks {0}, targets 1..4) and lines 14-18 state 1 (marks {1}, 2..5)
+    @pytest.mark.parametrize(
+        "old,new,expected",
+        [
+            ("[!0&!1] 1\n", "[!0&!1] 12\n", "line 10: edge target '12' out of range"),
+            ("State: 0 {0}\n", "State: 1 {0}\n", "line 14: duplicate State: '1'"),
+            (
+                "State: 0 {0}\n[!0&!1] 1\n[0&!1] 2\n[!0&1] 3\n[0&1] 4\n"
+                "State: 1 {1}\n[!0&!1] 2\n[0&!1] 3\n[!0&1] 4\n[0&1] 5\n",
+                "State: 1 {1}\n[!0&!1] 2\n[0&!1] 3\n[!0&1] 4\n[0&1] 5\n"
+                "State: 0 {0}\n[!0&!1] 1\n[0&!1] 2\n[!0&1] 3\n[0&1] 4\n",
+                None,
+            ),
+            ("State: 0 {0}\n", "State: 0 {3}\n", "line 9: acceptance mark '3' out of range"),
+            ("[!0&!1] 1\n[0&!1] 2\n", "[0&!1] 2\n[!0&!1] 1\n", None),
+            ("[!0&!1] 1\n[0&!1] 2\n", "[!0&!1] 2\n[0&!1] 1\n", "differs"),
+            ("[!0&!1] 1\n", "[!0&!1] \n", "line 10: malformed edge '[!0&!1]'"),
+            ("[!0&!1] 1\n", "[!0&!1] +1\n", "line 10: unsupported edge target"),
+            ("[!0&!1] 1\n", "[!0&!1] ١\n", "line 10: unsupported edge target"),
+            ("[!0&!1] 1\n", f"[!0&!1] {'1' * 5000}\n", "line 10: unsupported edge target"),
+            ("[!0&!1] 1\n", "[!0&!1] 001\n", None),
+            ("[!0&!1] 1\n", "[ !0&!1] 1\n", None),
+            ("State: 0 {0}\n", "State: 0 {0} \n", None),
+            ("[!0&!1] 1\n", "[!0&!1]  1\n", None),
+        ],
+        ids=[
+            "target-range", "head-number", "heads-swapped", "head-mark", "edges-swapped",
+            "targets-swapped", "empty-target", "signed-target", "non-ascii-target",
+            "long-target", "zero-padded-target", "label-spacing", "head-trailing-space",
+            "target-spacing",
+        ],
+    )
+    def test_an_edited_layout_reads_as_through_the_loop(self, old, new, expected):
+        doc = emit_hoa(_counter_dpw(12, 2))
+        assert doc.count(old) == 1
+        edited = doc.replace(old, new)
+        outcome = _outcome(edited)
+        assert outcome == _outcome(_through_loop(edited))
+        if expected is None:
+            assert outcome == parse_hoa(doc)
+        elif expected == "differs":
+            assert isinstance(outcome, Automaton) and outcome != parse_hoa(doc)
+        else:
+            assert isinstance(outcome, str) and outcome.startswith(expected)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    doc=st.deferred(lambda: st.sampled_from(_deterministic_docs())),
+    edits=st.lists(
+        st.tuples(
+            st.sampled_from(("replace", "delete", "insert")),
+            st.floats(min_value=0, max_value=1, exclude_max=True),
+            st.sampled_from(_MUTATION_ALPHABET),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_edited_deterministic_documents_read_as_through_the_loop(doc, edits):
+    """Each edit falls on a digit of the body outside the labels: a target, a
+    state number or a mark.  Such edits often keep the emitted layout, so
+    the whole-list reader is compared with the loop, not only refused."""
+    for op, where, char in edits:
+        body = doc.find("--BODY--")
+        sites = [m.start(1) for m in re.finditer(r"\[[^\]]*\]|(\d)", doc[body:]) if m.group(1)]
+        if not sites:
+            break
+        at = body + sites[int(where * len(sites))]
+        if op == "replace":
+            doc = doc[:at] + char + doc[at + 1:]
+        elif op == "delete":
+            doc = doc[:at] + doc[at + 1:]
+        else:
+            doc = doc[:at] + char + doc[at:]
+    assert _outcome(doc) == _outcome(_through_loop(doc))

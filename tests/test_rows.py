@@ -12,10 +12,8 @@ one rule.
 """
 
 import hashlib
-import importlib.util
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -39,19 +37,7 @@ from omegadet import (
 from omegadet.automata import RowView
 from omegadet.random_gen import random_nbw, random_nsw
 
-from helpers import child_env, structurally_equal
-
-ROOT = Path(__file__).resolve().parents[1]
-
-
-def _perfbench_corpus():
-    """perfbench's corpus module, loaded from the checkout under its own name."""
-    name = "perfbench_corpus"
-    if name not in sys.modules:
-        spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / "corpus.py")
-        module = sys.modules[name] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    return sys.modules[name]
+from helpers import child_env, perfbench_corpus, structurally_equal
 
 
 def _table_digest(automata) -> str:
@@ -106,7 +92,7 @@ def _sha256(text: str) -> str:
 
 @pytest.mark.parametrize("workload", sorted(CORPUS_PINS))
 def test_corpus_tables_and_step_counts_are_pinned(monkeypatch, workload):
-    sources = [parse_hoa(text) for text in _perfbench_corpus().build(workload, 3).inputs]
+    sources = [parse_hoa(text) for text in perfbench_corpus().build(workload, 3).inputs]
     constructions = _STREETT if workload == "streett" else _BUCHI
     texts = []  # per construction, the emitted text of each output
     for (module, step, determinize), (calls, digest) in zip(
@@ -178,7 +164,7 @@ SOURCE_FILL_PINS = {
 
 @pytest.mark.parametrize("workload", sorted(SOURCE_FILL_PINS))
 def test_source_tables_are_filled_as_before(workload):
-    sources = [parse_hoa(text) for text in _perfbench_corpus().build(workload, 3).inputs]
+    sources = [parse_hoa(text) for text in perfbench_corpus().build(workload, 3).inputs]
     assert _fill_digest(sources) == SOURCE_FILL_PINS[workload]
 
 

@@ -117,6 +117,35 @@ def test_a_child_that_names_no_test_is_killed_with_its_signal(tmp_path):
     assert mutants.unnamed(-1000) == "no test named (killed by signal 1000)"
 
 
+def test_a_child_that_dies_in_a_test_names_the_last_one_started(tmp_path):
+    """With no summary line, the report names the last test `-v` printed as
+    started, beside the exit code or the signal."""
+    mutants = _mutants()
+    output = (
+        "platform linux -- Python 3.11.7, pytest-8.0.0\n"
+        "tests/test_a.py::test_b PASSED                    [ 50%]\n"
+        "tests/test_a.py::TestC::test_d[x y] MemoryError\n"
+        "MemoryError:\n"
+        "INTERNALERROR> MemoryError\n"
+    )
+    assert mutants.first_failure(output) is None
+    assert mutants.last_started(output) == "tests/test_a.py::TestC::test_d[x y]"
+    assert mutants.unnamed(1, mutants.last_started(output)) == (
+        "no test named, last started tests/test_a.py::TestC::test_d[x y] (exit 1)"
+    )
+    assert mutants.last_started("5 passed\n") is None
+    # a child that a signal ends inside a test, run as a mutant's child is run
+    (tmp_path / "test_dies.py").write_text(
+        "import os, signal\n\n"
+        "def test_lives():\n    pass\n\n"
+        "def test_dies():\n    os.kill(os.getpid(), signal.SIGTERM)\n"
+    )
+    verdict, test, _ = mutants.run_tier1(tmp_path)
+    assert (verdict, test) == (
+        "killed", "no test named, last started test_dies.py::test_dies (killed by SIGTERM)"
+    )
+
+
 def test_a_mutant_changes_its_copy_only(tmp_path):
     mutants = _mutants()
     entry = mutants.CATALOGUE[0]
