@@ -70,30 +70,18 @@ class Mutant(NamedTuple):
 
 
 CATALOGUE = (
-    # parse_hoa fills one table of cells
-    Mutant(
-        "fill-second-target-ignored", "src/omegadet/hoa.py",
-        "    if deterministic and not more and len(cells) == total:",
-        "    if deterministic and len(cells) == total:",
-        "a 'deterministic' document that gives a cell two targets is read as rows of the first",
-    ),
+    # the loop of parse_hoa fills the (state, symbol) table at each edge
     Mutant(
         "fill-third-target-lost", "src/omegadet/hoa.py",
-        "more[cell] = more.get(cell, singles[cells[cell]]) | singles[number]",
-        "more[cell] = singles[cells[cell]] | singles[number]",
-        "a cell's third target replaces its second",
+        "table[key] | singles[number] if key in table",
+        "singles[min(table[key])] | singles[number] if key in table",
+        "a (state, symbol)'s third target replaces every earlier one but the least",
     ),
     Mutant(
         "fill-first-target-only", "src/omegadet/hoa.py",
-        "(cell // size, symbols[cell % size]): more.get(cell) or singles[t]",
-        "(cell // size, symbols[cell % size]): singles[t]",
-        "a nondeterministic document keeps one target per cell",
-    ),
-    Mutant(
-        "fill-row-unscaled", "src/omegadet/hoa.py",
-        "row = _state_line(content, line, state_count, set_count, marks_of) * size",
-        "row = _state_line(content, line, state_count, set_count, marks_of)",
-        "state s's edges fill the cells of letters s, s + 1, ... of state 0",
+        "table[key] | singles[number] if key in table",
+        "table[key] if key in table",
+        "a nondeterministic document keeps the first target of each (state, symbol)",
     ),
     Mutant(
         "body-edge-after-end", "src/omegadet/hoa.py",
@@ -128,6 +116,24 @@ CATALOGUE = (
         "an edge with a label and no target is read as an edge to state 0",
     ),
     # parse_hoa reads the header in one pass, and each state's marks as they are
+    Mutant(
+        "acc-name-pairs-one-set-each", "src/omegadet/hoa.py",
+        'return f"{kind} {size}", 2 * size',
+        'return f"{kind} {size}", size',
+        "a Rabin or Streett condition of k pairs declares k sets, not 2k",
+    ),
+    Mutant(
+        "acc-name-parity-0-passes", "src/omegadet/hoa.py",
+        'kind = words[0] if words and (size or words[0] != "parity") else None',
+        "kind = words[0] if words else None",
+        "`parity min even 0` passes the acc-name check, so its document is refused later",
+    ),
+    Mutant(
+        "acc-name-padded-count-refused", "src/omegadet/hoa.py",
+        "normal = words[:-1] + [str(size)] if numbered else words",
+        "normal = words",
+        "an acc-name whose count has leading zeros, such as `Rabin 01`, is refused",
+    ),
     Mutant(
         "header-lines-from-0", "src/omegadet/hoa.py",
         "enumerate(map(str.strip, lines), start=1)",

@@ -412,23 +412,13 @@ def _emitted_rows(
 
 
 def _read_body(
-    lines: list[str], body_line: int, ap_count: int, state_count: int, set_count: int,
-    deterministic: bool,
-) -> tuple[RowView | dict, dict[int, list[int]]]:
-    """(transitions, each listed state's marks) of the body after line body_line.
-
-    A 'deterministic' body in the emitted layout takes `_emitted_rows`; any
-    other is read by one pass over its lines in order, from the first, so
-    each fault is reported on the first line that has it.
+    lines: list[str], body_line: int, ap_count: int, state_count: int, set_count: int
+) -> tuple[dict, dict[int, list[int]]]:
+    """(the (state, symbol) table, each listed state's marks) of the body after
+    line body_line, read line by line from the first, so each fault is
+    reported on the first line that has it; keys in the order of their first edge.
     """
-    alphabet = _valuation_alphabet(ap_count)
-    if deterministic and (
-        emitted := _emitted_rows(lines, body_line, ap_count, state_count, set_count)
-    ):
-        rows, marks_of = emitted
-        return RowView(alphabet, rows), marks_of
-    symbols = alphabet.symbols
-    size = len(symbols)
+    symbols = _valuation_alphabet(ap_count).symbols
     # label text -> letter index: the canonical texts through the table this
     # AP count shares with every document, the others through this
     # document's own; and target text -> target.  A text that fails to
@@ -436,13 +426,10 @@ def _read_body(
     canonical = _CANONICAL_LETTERS.setdefault(ap_count, {})
     letters: dict[str, int] = {}
     targets: dict[str, int] = {}
-    # cells[s·|Σ| + i] is the first target of state s on letter i, and
-    # more[s·|Σ| + i] all its targets once an edge gives it a second one
-    cells: dict[int, int] = {}
-    more: dict[int, frozenset[int]] = {}
+    table: dict[tuple[int, str], frozenset[int]] = {}
     singles = _Singletons()
     marks_of: dict[int, list[int]] = {}
-    row: int | None = None  # s·|Σ| of the current state s, from its State: line
+    state: int | None = None  # from the current state's State: line
     ended = False
 
     body = _BODY_LINE_RE.findall("\n".join(lines[body_line:]))
@@ -458,9 +445,9 @@ def _read_body(
             if content == "--ABORT--":
                 raise HoaError("document aborted", line)
             if content.startswith("State:"):
-                row = _state_line(content, line, state_count, set_count, marks_of) * size
+                state = _state_line(content, line, state_count, set_count, marks_of)
                 continue
-        if row is None:
+        if state is None:
             raise HoaError("edge before any State: line", line)
         if content:
             raise HoaError(
@@ -492,26 +479,12 @@ def _read_body(
             index = _parse_label(label, ap_count, line)
             spelling = f"[{_symbol_label(index, ap_count)}]"
             (canonical if label == spelling else letters)[label] = index
-        cell = row + index
-        if cells.setdefault(cell, number) != number:
-            more[cell] = more.get(cell, singles[cells[cell]]) | singles[number]
+        key = state, symbols[index]
+        table[key] = table[key] | singles[number] if key in table else singles[number]
 
     if not ended:
         raise HoaError("missing --END--")
-
-    # a 'deterministic' document with one target per cell and a total table
-    # goes to the constructor as rows, which it checks; a count check
-    # allocates nothing per declared state, and distinct cells in range make
-    # a full count total.  Any other document gets the (state, symbol)
-    # table, keys in the order of their first edge
-    total = state_count * size
-    if deterministic and not more and len(cells) == total:
-        return RowView(alphabet, map(cells.__getitem__, range(total))), marks_of
-    transitions = {
-        (cell // size, symbols[cell % size]): more.get(cell) or singles[t]
-        for cell, t in cells.items()
-    }
-    return transitions, marks_of
+    return table, marks_of
 
 
 _HEADERS = ("States", "Start", "AP", "acc-name", "Acceptance")
@@ -604,13 +577,21 @@ def parse_hoa(text: str) -> Automaton:
             f"initial state {_quote(str(initial))} out of range", headers["Start"][0]
         )
 
-    transitions, marks_of = _read_body(
-        lines, body_line, ap_count, state_count, set_count, declared_deterministic
-    )
+    # a 'deterministic' document in the emitted layout is read as rows; any
+    # other is read by the loop, and the constructor's `_row_view` makes rows
+    # of a 'deterministic' table that is total with one target everywhere
+    alphabet = _valuation_alphabet(ap_count)
+    if declared_deterministic and (
+        emitted := _emitted_rows(lines, body_line, ap_count, state_count, set_count)
+    ):
+        rows, marks_of = emitted
+        transitions = RowView(alphabet, rows)
+    else:
+        transitions, marks_of = _read_body(lines, body_line, ap_count, state_count, set_count)
     acceptance = _build_acceptance(kind, marks_of, set_count, state_count)
     try:
         return Automaton(
-            alphabet=_valuation_alphabet(ap_count),
+            alphabet=alphabet,
             state_count=state_count,
             initial=initial,
             transitions=transitions,

@@ -1,6 +1,8 @@
 """HOA subset reader/printer: golden documents, round-trips, strict rejections."""
 
+import dataclasses
 import functools
+import random
 import re
 import subprocess
 import sys
@@ -670,6 +672,21 @@ class TestHeaders:
         assert exc.value.line == line
         assert str(exc.value) == (message if line is None else f"line {line}: {message}")
 
+    def test_an_acc_name_count_is_read_as_a_number(self):
+        # "Rabin 01" is the condition that emit_hoa writes as "Rabin 1"
+        doc = MINIMAL_BUCHI_DOC.replace("acc-name: Buchi", "acc-name: Rabin 01").replace(
+            "Acceptance: 1 Inf(0)", "Acceptance: 2 (Fin(0)&Inf(1))"
+        )
+        assert parse_hoa(doc).acceptance == RabinAcceptance(((frozenset({0}), frozenset()),))
+
+    def test_parity_without_priorities_is_an_unsupported_acc_name(self):
+        doc = TINY_DPW_DOC.replace("parity min even 1", "parity min even 0").replace(
+            "Acceptance: 1 Inf(0)", "Acceptance: 0 f"
+        )
+        with pytest.raises(HoaError) as exc:
+            parse_hoa(doc)
+        assert str(exc.value) == "line 5: unsupported acc-name: 'parity min even 0'"
+
     def test_emit_refuses_more_aps_than_parse_accepts(self):
         size = 1 << 17
         wide = Automaton(
@@ -1020,6 +1037,24 @@ def _corpus_texts(workload: str) -> list[str]:
     return [emit_hoa(build(a)) for a in sources for build in (dpw, drw)]
 
 
+def _corpus_sources(workload: str) -> list[Automaton]:
+    """The source automata of a perfbench workload at seed 3, each letter
+    named as `parse_hoa` names the letter at its position."""
+    corpus = perfbench_corpus()
+    rng = random.Random(3)  # renames the states as corpus.build(workload, 3) does
+    sources = [corpus.relabel(a, rng) for a in corpus._sources(workload)]
+    letters = hoa._valuation_alphabet(len(sources[0].alphabet).bit_length() - 1)
+    named = dict(zip(sources[0].alphabet.symbols, letters.symbols))
+    return [
+        dataclasses.replace(
+            a,
+            alphabet=letters,
+            transitions={(s, named[sym]): t for (s, sym), t in a.transitions.items()},
+        )
+        for a in sources
+    ]
+
+
 @functools.cache
 def _deterministic_docs() -> tuple[str, ...]:
     return (
@@ -1033,12 +1068,25 @@ def _deterministic_docs() -> tuple[str, ...]:
 class TestEmittedLayout:
     """Emitted deterministic documents skip the general loop and read alike."""
 
-    @pytest.mark.parametrize("workload", ["tv-buchi", "full-n3", "streett", "full3"])
+    @pytest.mark.parametrize(
+        "workload",
+        [
+            "tv-buchi", "full-n3", "streett", "full3",
+            "tv-buchi-sources", "full-n3-sources", "streett-sources",
+        ],
+    )
     def test_emitted_documents_read_as_the_loop_reads_them(self, monkeypatch, workload):
-        texts = _corpus_texts(workload)
-        assert all("properties: deterministic" in text for text in texts)
-        expected = [parse_hoa(_through_loop(text)) for text in texts]
-        monkeypatch.setattr(hoa, "_BODY_LINE_RE", _NoLoop())
+        if workload.endswith("-sources"):
+            # the nondeterministic sources the loop reads in every perfbench
+            # operation: each reads as the automaton it was emitted from
+            name = workload.removesuffix("-sources")
+            texts = perfbench_corpus().build(name, 3).inputs
+            expected = _corpus_sources(name)
+        else:
+            texts = _corpus_texts(workload)
+            assert all("properties: deterministic" in text for text in texts)
+            expected = [parse_hoa(_through_loop(text)) for text in texts]
+            monkeypatch.setattr(hoa, "_BODY_LINE_RE", _NoLoop())
         for text, loop in zip(texts, expected):
             a = parse_hoa(text)
             assert a == loop
